@@ -1,0 +1,7 @@
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent), str(HERE.parents[1] / "src")]
