@@ -10,9 +10,6 @@ from .criteria import (
     CLASSICAL,
     DEFAULT_BOUNDARY_TOL,
     NONCLASSICAL,
-    PATH_CLOSED_FORM,
-    PATH_EXACT_ORACLE,
-    PATH_FIRST_ORDER_MATRIX,
     CriterionReport,
     VacuumDenominatorError,
     antibunching_second_order,
@@ -36,6 +33,7 @@ from .dynamics import (
 )
 from .fock import (
     EIGENVALUE_RESIDUAL_TOL,
+    MAX_DIM,
     TAIL_TOLERANCE,
     FockVector,
     ModelParams,
@@ -53,7 +51,6 @@ from .perturbative import (
     delta_y1_squared,
     first_order_delta_y1_squared,
     first_order_hoa_d,
-    first_order_mean_photon_number,
     first_order_moment_set,
     first_order_squeezing_f,
     hoa_witness_d,
@@ -69,6 +66,7 @@ from .sweep import (
     CSV_HEADER,
     MODES,
     WITNESS_NAMES,
+    WITNESSES,
     ConvergenceReport,
     ScalingReport,
     SweepResult,

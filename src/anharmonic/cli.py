@@ -5,7 +5,8 @@ Angles and times are radians; the literal tokens ``pi``, ``2pi``, ``pi/2``,
 t = 2*theta) are hit bit-exactly rather than through truncated decimals.
 Exit status: 0 on success, 2 for specification errors, 3 for numerical
 precondition failures (truncation dimension too small for the requested
-amplitude).
+amplitude, or above ``fock.MAX_DIM``).  ``python -m anharmonic.cli`` runs the
+same command as ``anharmonic-sweep``.
 """
 
 from __future__ import annotations
@@ -202,3 +203,7 @@ def main(argv=None, out=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -18,10 +18,6 @@ from .dynamics import MomentSet
 #: dense algebra at dim ~ 100, far below any physical lam effect studied.
 DEFAULT_BOUNDARY_TOL = 1e-10
 
-PATH_CLOSED_FORM = "closed_form"
-PATH_EXACT_ORACLE = "exact_oracle"
-PATH_FIRST_ORDER_MATRIX = "first_order_matrix"
-
 NONCLASSICAL = "nonclassical"
 CLASSICAL = "classical"
 BOUNDARY = "boundary"
@@ -45,17 +41,16 @@ def classify(value: float, tolerance: float = DEFAULT_BOUNDARY_TOL) -> str:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """One evaluated witness: value, classification and evaluation path."""
+    """One evaluated witness: value and classification."""
 
     name: str
     value: float
     classification: str
     tolerance: float
-    path: str
 
 
-def _report(name: str, value: float, tolerance: float, path: str) -> CriterionReport:
-    return CriterionReport(name, float(value), classify(value, tolerance), tolerance, path)
+def _report(name: str, value: float, tolerance: float) -> CriterionReport:
+    return CriterionReport(name, float(value), classify(value, tolerance), tolerance)
 
 
 def _factorial_moments(moments: Moments) -> tuple:
@@ -71,30 +66,27 @@ def _factorial_moments(moments: Moments) -> tuple:
 def quadrature_squeezing(
     moments: MomentSet,
     tolerance: float = DEFAULT_BOUNDARY_TOL,
-    path: str = PATH_EXACT_ORACLE,
 ) -> CriterionReport:
     """(Delta X)^2 - 1/2 for X = (a^dag + a)/sqrt(2); negative means squeezed.
 
     Expansion: <X^2> = Re<a^2> + <a^dag a> + 1/2 and <X> = sqrt(2) Re<a>.
     """
     value = moments.a2.real + moments.ada.real - 2.0 * moments.a.real**2
-    return _report("quadrature_squeezing", value, tolerance, path)
+    return _report("quadrature_squeezing", value, tolerance)
 
 
 def antibunching_second_order(
     moments: MomentSet,
     tolerance: float = DEFAULT_BOUNDARY_TOL,
-    path: str = PATH_EXACT_ORACLE,
 ) -> CriterionReport:
     """<a^dag^2 a^2> - <a^dag a>^2, i.e. (Delta N)^2 - <N>; this is d(1)."""
     value = moments.ad2a2.real - moments.ada.real**2
-    return _report("antibunching_second_order", value, tolerance, path)
+    return _report("antibunching_second_order", value, tolerance)
 
 
 def hillery_squeezing(
     moments: MomentSet,
     tolerance: float = DEFAULT_BOUNDARY_TOL,
-    path: str = PATH_EXACT_ORACLE,
 ) -> CriterionReport:
     """Squared-amplitude squeezing witness (Delta Y1)^2 - <2N + 1> with
     Y1 = (a^dag^2 + a^2)/sqrt(2); negative means amplitude-squared squeezed.
@@ -104,7 +96,7 @@ def hillery_squeezing(
     <Y1> = sqrt(2) Re<a^2>; the <2N + 1> reference cancels the 2<N> + 1 part.
     """
     value = moments.a4.real + moments.ad2a2.real - 2.0 * moments.a2.real**2
-    return _report("hillery_squeezing", value, tolerance, path)
+    return _report("hillery_squeezing", value, tolerance)
 
 
 def lee_R(moments: Moments, l: int, m: int) -> float:
@@ -140,7 +132,6 @@ def hoa_d_from_moments(
     moments: Moments,
     l: int,
     tolerance: float = DEFAULT_BOUNDARY_TOL,
-    path: str = PATH_EXACT_ORACLE,
 ) -> CriterionReport:
     """d(l) = <N^(l+1)> - <N>^(l+1); negative flags order-l antibunching.
 
@@ -153,4 +144,4 @@ def hoa_d_from_moments(
     if l + 1 > len(fm):
         raise ValueError(f"need factorial moments up to order {l + 1}, have {len(fm)}")
     value = fm[l] - fm[0] ** (l + 1)
-    return _report(f"hoa_d_{l}", value, tolerance, path)
+    return _report(f"hoa_d_{l}", value, tolerance)

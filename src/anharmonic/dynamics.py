@@ -20,7 +20,7 @@ so photon statistics need no phase bookkeeping at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -76,29 +76,43 @@ class EvolvedState:
     params: ModelParams
 
 
+def _monomial(m: int, n: int):
+    return field(metadata={"monomial": (m, n)})
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """Interaction-frame expectation values sufficient for every witness here.
 
     Field names spell the normally ordered monomial: ``ad2a4`` is
-    <a^dag^2 a^4>, etc.  Diagonal entries (equal dagger and plain powers) are
-    the factorial moments of the photon number and are real up to rounding.
+    <a^dag^2 a^4>, etc.; each field carries its powers (m, n).  Diagonal
+    entries (equal dagger and plain powers) are the factorial moments of the
+    photon number and are real up to rounding.
     """
 
-    a: complex
-    a2: complex
-    a4: complex
-    ada: complex
-    ada2: complex
-    ad2a2: complex
-    ada3: complex
-    ad2a4: complex
-    ad3a3: complex
-    ad4a4: complex
+    a: complex = _monomial(0, 1)
+    a2: complex = _monomial(0, 2)
+    a4: complex = _monomial(0, 4)
+    ada: complex = _monomial(1, 1)
+    ada2: complex = _monomial(1, 2)
+    ad2a2: complex = _monomial(2, 2)
+    ada3: complex = _monomial(1, 3)
+    ad2a4: complex = _monomial(2, 4)
+    ad3a3: complex = _monomial(3, 3)
+    ad4a4: complex = _monomial(4, 4)
 
     def factorial_moments(self):
         """(<N^(1)>, <N^(2)>, <N^(3)>, <N^(4)>) as reals."""
         return (self.ada.real, self.ad2a2.real, self.ad3a3.real, self.ad4a4.real)
+
+
+#: (m, n) of each MomentSet field, in field order.
+MONOMIALS = tuple(f.metadata["monomial"] for f in fields(MomentSet))
+
+
+def moment_set(mom) -> MomentSet:
+    """MomentSet whose field for <a^dag^m a^n> holds ``mom(m, n)``."""
+    return MomentSet(*[mom(m, n) for m, n in MONOMIALS])
 
 
 def evolve_exact(params: ModelParams, t: float, horizon: float = DEFAULT_TIME_HORIZON) -> EvolvedState:
@@ -130,18 +144,7 @@ def interaction_moments(state: EvolvedState) -> MomentSet:
     def mom(m: int, n: int) -> complex:
         return complex(np.exp(1j * (n - m) * t) * np.vdot(ak[m], ak[n]))
 
-    return MomentSet(
-        a=mom(0, 1),
-        a2=mom(0, 2),
-        a4=mom(0, 4),
-        ada=mom(1, 1),
-        ada2=mom(1, 2),
-        ad2a2=mom(2, 2),
-        ada3=mom(1, 3),
-        ad2a4=mom(2, 4),
-        ad3a3=mom(3, 3),
-        ad4a4=mom(4, 4),
-    )
+    return moment_set(mom)
 
 
 def exact_moment_set(params: ModelParams, t: float, horizon: float = DEFAULT_TIME_HORIZON) -> MomentSet:
@@ -157,15 +160,4 @@ def coherent_moment_set(alpha: complex) -> MomentSet:
     def mom(m: int, n: int) -> complex:
         return ac**m * alpha**n
 
-    return MomentSet(
-        a=mom(0, 1),
-        a2=mom(0, 2),
-        a4=mom(0, 4),
-        ada=mom(1, 1),
-        ada2=mom(1, 2),
-        ad2a2=mom(2, 2),
-        ada3=mom(1, 3),
-        ad2a4=mom(2, 4),
-        ad3a3=mom(3, 3),
-        ad4a4=mom(4, 4),
-    )
+    return moment_set(mom)

@@ -32,6 +32,10 @@ NORM_TOLERANCE = 1e-9
 
 MIN_DIM = 2
 
+#: Largest truncation dimension a parameter set may ask for: one dense complex
+#: D x D matrix is then 64 MB.  Admits |alpha| = 20 (D = 581) at doubled D.
+MAX_DIM = 2048
+
 
 class TruncationError(ValueError):
     """The requested computation is not safe at the given truncation dimension."""
@@ -73,6 +77,10 @@ class ModelParams:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.dim < MIN_DIM:
             raise ValueError(f"dim must be >= {MIN_DIM}, got {self.dim}")
+        if self.dim > MAX_DIM:
+            raise TruncationError(
+                f"dim={self.dim} exceeds the dense-matrix ceiling MAX_DIM={MAX_DIM}"
+            )
         floor = default_dim(self.alpha_mag)
         if self.dim < floor:
             raise TruncationError(

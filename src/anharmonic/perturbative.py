@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import MomentSet
+from .dynamics import MomentSet, moment_set
 from .fock import ModelParams, coherent_state, make_ladder_ops
 
 
@@ -66,10 +66,6 @@ class ClosedFormInputs:
             raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
         if self.lam < 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-
-    @classmethod
-    def from_params(cls, params: ModelParams, t: float) -> "ClosedFormInputs":
-        return cls(params.alpha_mag, params.theta, params.lam, t)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +109,9 @@ def mean_photon_number(inputs: ClosedFormInputs) -> float:
     return inputs.alpha_mag**2 + mean_photon_correction(inputs)
 
 
-def first_order_hoa_d_correction(order: int, inputs: ClosedFormInputs) -> float:
-    """Exact first-order coefficient of d(order) = <N^(order+1)> - <N>^(order+1).
+def first_order_hoa_d(order: int, inputs: ClosedFormInputs) -> float:
+    """Exact first-order antibunching witness d(order) = <N^(order+1)> - <N>^(order+1);
+    negative means order-``order`` antibunching.
 
     order 1: (3 lam r^2 / 4) [ 2 (2 r^2 + 1) P1 + r^2 P2 ]
     order 2: (3 lam r^4 / 4) [ 2 (6 r^2 + 5) P1 + (3 r^2 + 2) P2 ]
@@ -142,14 +139,8 @@ def first_order_hoa_d_correction(order: int, inputs: ClosedFormInputs) -> float:
     )
 
 
-def first_order_hoa_d(order: int, inputs: ClosedFormInputs) -> float:
-    """Exact first-order antibunching witness d(order); negative means
-    order-``order`` antibunching."""
-    return first_order_hoa_d_correction(order, inputs)
-
-
-def first_order_squeezing_f_correction(inputs: ClosedFormInputs) -> float:
-    """Exact first-order coefficient of f = (Delta Y1)^2 - <2N+1>:
+def first_order_squeezing_f(inputs: ClosedFormInputs) -> float:
+    """Exact first-order squeezing witness f = (Delta Y1)^2 - <2N+1>:
 
         -(3 lam / 4) [ -4 r^2 (2 r^2 + 3) sin(t) sin(t + 2 theta)
                        - 4 r^4 S - (2 r^4 + 4 r^2 + 1) sin^2(2t) ]
@@ -157,18 +148,19 @@ def first_order_squeezing_f_correction(inputs: ClosedFormInputs) -> float:
     Differs from the compact form ``squeezing_witness_f`` only in the
     sign of the sin^2(2t) term; that sign is what the oracle fixes.
     """
+    return _squeezing_f(inputs, sin2_sign=-1.0)
+
+
+def _squeezing_f(inputs: ClosedFormInputs, sin2_sign: float) -> float:
+    """Both f forms; ``sin2_sign`` is the sign of their sin^2(2t) term."""
     r2 = inputs.alpha_mag**2
     s = secular_factor(inputs.theta, inputs.t)
     s2t = math.sin(2.0 * inputs.t)
     return -(3.0 * inputs.lam / 4.0) * (
         -4.0 * r2 * (2.0 * r2 + 3.0) * math.sin(inputs.t) * math.sin(inputs.t + 2.0 * inputs.theta)
         - 4.0 * r2 * r2 * s
-        - (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * s2t * s2t
+        + sin2_sign * (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * s2t * s2t
     )
-
-
-def first_order_squeezing_f(inputs: ClosedFormInputs) -> float:
-    return first_order_squeezing_f_correction(inputs)
 
 
 def first_order_delta_y1_squared(inputs: ClosedFormInputs) -> float:
@@ -176,58 +168,27 @@ def first_order_delta_y1_squared(inputs: ClosedFormInputs) -> float:
     return (
         2.0 * inputs.alpha_mag**2
         + 1.0
-        + first_order_squeezing_f_correction(inputs)
+        + first_order_squeezing_f(inputs)
         + 2.0 * mean_photon_correction(inputs)
     )
-
-
-# aliases: at these orders the compact and first-order forms coincide
-first_order_mean_photon_number = mean_photon_number
 
 
 # ---------------------------------------------------------------------------
 # compact forms (sign-structure contract)
 # ---------------------------------------------------------------------------
 
-def delta_y1_correction(inputs: ClosedFormInputs) -> float:
-    """lam-linear part of the compact (Delta Y1)^2; see ``delta_y1_squared``."""
-    r2 = inputs.alpha_mag**2
-    r4 = r2 * r2
-    p1 = phase_fundamental(inputs.theta, inputs.t)
-    p2 = phase_second_harmonic(inputs.theta, inputs.t)
-    s = secular_factor(inputs.theta, inputs.t)
-    s2t = math.sin(2.0 * inputs.t)
-    q = 2.0 * r4 + 4.0 * r2 + 1.0
-    return -(inputs.lam / 4.0) * (
-        -4.0 * r2 * (2.0 * r2 + 3.0) * p1
-        - 12.0 * r4 * s
-        + 3.0 * q * s2t * s2t
-        - 12.0 * r2 * (2.0 * r2 + 3.0) * math.sin(inputs.t) * math.sin(inputs.t + 2.0 * inputs.theta)
-        - 2.0 * r4 * p2
-    )
-
-
 def delta_y1_squared(inputs: ClosedFormInputs) -> float:
     """Survey form of the squared-amplitude variance (Delta Y1)^2,
-    Y1 = (a^dag^2 + a^2)/sqrt(2).
-
-    Satisfies the identity f = (Delta Y1)^2 - <2N+1> with
-    ``squeezing_witness_f`` and ``mean_photon_number`` exactly (algebraically;
-    to rounding in floats).  For the oracle-validated variant see
+    Y1 = (a^dag^2 + a^2)/sqrt(2), built from the identity
+    f = (Delta Y1)^2 - <2N+1> with ``squeezing_witness_f`` and
+    ``mean_photon_number``.  For the oracle-validated variant see
     ``first_order_delta_y1_squared``.
     """
-    return 2.0 * inputs.alpha_mag**2 + 1.0 + delta_y1_correction(inputs)
-
-
-def squeezing_f_correction(inputs: ClosedFormInputs) -> float:
-    """lam-linear value of the compact witness f; see ``squeezing_witness_f``."""
-    r2 = inputs.alpha_mag**2
-    s = secular_factor(inputs.theta, inputs.t)
-    s2t = math.sin(2.0 * inputs.t)
-    return -(3.0 * inputs.lam / 4.0) * (
-        -4.0 * r2 * (2.0 * r2 + 3.0) * math.sin(inputs.t) * math.sin(inputs.t + 2.0 * inputs.theta)
-        - 4.0 * r2 * r2 * s
-        + (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * s2t * s2t
+    return (
+        2.0 * inputs.alpha_mag**2
+        + 1.0
+        + squeezing_witness_f(inputs)
+        + 2.0 * mean_photon_correction(inputs)
     )
 
 
@@ -239,7 +200,7 @@ def squeezing_witness_f(inputs: ClosedFormInputs) -> float:
     Not the exact first-order coefficient -- the sin^2(2t) term enters with
     the opposite sign there; see ``first_order_squeezing_f``.
     """
-    return squeezing_f_correction(inputs)
+    return _squeezing_f(inputs, sin2_sign=1.0)
 
 
 def squeezing_witness_f_special(inputs: ClosedFormInputs) -> float:
@@ -270,21 +231,16 @@ def hoa_witness_d(order: int, inputs: ClosedFormInputs) -> float:
     bunching) for real input theta = 0 or pi, exact zero on the coherence
     locus t = 2*theta, and the theta = pi/2 specializations of
     ``hoa_witness_d_special``.  Orders 2 and 3 are not the exact first-order
-    coefficients; see ``first_order_hoa_d``.
+    coefficients; order 1 (and order validation) is ``first_order_hoa_d``.
     """
+    if order not in (2, 3):
+        return first_order_hoa_d(order, inputs)
     r2 = inputs.alpha_mag**2
     p1 = phase_fundamental(inputs.theta, inputs.t)
     p2 = phase_second_harmonic(inputs.theta, inputs.t)
-    if order == 1:
-        return (3.0 * inputs.lam * r2 / 4.0) * (2.0 * (2.0 * r2 + 1.0) * p1 + r2 * p2)
     if order == 2:
         return (3.0 * inputs.lam * r2 * r2 / 2.0) * (p1 + p2)
-    if order == 3:
-        return (3.0 * inputs.lam * r2 * r2 / 4.0) * p2
-    raise ValueError(
-        f"order must be 1, 2 or 3, got {order}: a first-order operator solution "
-        "carries no information about antibunching of fourth or higher order"
-    )
+    return (3.0 * inputs.lam * r2 * r2 / 4.0) * p2
 
 
 def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
@@ -356,15 +312,4 @@ def first_order_moment_set(params: ModelParams, t: float) -> MomentSet:
     def mom(m: int, n: int) -> complex:
         return complex(np.vdot(bk[m], bk[n]))
 
-    return MomentSet(
-        a=mom(0, 1),
-        a2=mom(0, 2),
-        a4=mom(0, 4),
-        ada=mom(1, 1),
-        ada2=mom(1, 2),
-        ad2a2=mom(2, 2),
-        ada3=mom(1, 3),
-        ad2a4=mom(2, 4),
-        ad3a3=mom(3, 3),
-        ad4a4=mom(4, 4),
-    )
+    return moment_set(mom)

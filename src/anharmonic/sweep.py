@@ -2,11 +2,11 @@
 
 A sweep walks the grid alpha x theta x lambda x t in a fixed nested order and
 emits one row per grid point per witness, so identical specs produce byte
-identical CSV files.  Witness values come from up to three evaluation paths:
-
-* scalar closed forms (witnesses f, d1, d2, d3, N),
-* moments of the first-order operator matrix (quadrature, hillery),
-* the exact spectral oracle (modes ``exact`` and ``compare``).
+identical CSV files.  ``WITNESSES`` is the one table of witnesses: for each
+name it gives the closed-form value (a scalar closed form for f, d1, d2, d3
+and N; moments of the first-order operator matrix for quadrature and
+hillery), the value from exact-oracle moments (modes ``exact`` and
+``compare``) and the reference a value is classified against.
 
 ``compare`` mode also records |closed form - exact| per row; the scaling
 report fits log-log slopes of those errors across the lambda grid, the
@@ -16,16 +16,15 @@ about 2) or carries a genuine first-order defect (slope about 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .criteria import (
     DEFAULT_BOUNDARY_TOL,
-    PATH_EXACT_ORACLE,
-    PATH_FIRST_ORDER_MATRIX,
     classify,
     hillery_squeezing,
     hoa_d_from_moments,
@@ -41,7 +40,47 @@ from .perturbative import (
     squeezing_witness_f,
 )
 
-WITNESS_NAMES = ("f", "d1", "d2", "d3", "N", "quadrature", "hillery")
+
+@dataclass(frozen=True)
+class Witness:
+    """How a sweep evaluates and classifies one witness.
+
+    ``closed_form(inputs, fo_moments)`` and ``exact(moments)`` give the two
+    values of a row; ``fo_moments`` is the first-order operator matrix's
+    MomentSet when ``needs_first_order`` and None otherwise.  A row is
+    classified by its value minus ``reference(alpha_mag)``.
+    """
+
+    closed_form: Callable[[ClosedFormInputs, Optional[MomentSet]], float]
+    exact: Callable[[MomentSet], float]
+    reference: Callable[[float], float] = lambda alpha_mag: 0.0
+    needs_first_order: bool = False
+
+
+# The entries look the witness functions up in this module's globals at call
+# time, so rebinding e.g. ``sweep.squeezing_witness_f`` reaches the sweep.
+WITNESSES = {
+    "f": Witness(lambda ci, fo: squeezing_witness_f(ci),
+                 lambda m: hillery_squeezing(m).value),
+    "d1": Witness(lambda ci, fo: hoa_witness_d(1, ci),
+                  lambda m: hoa_d_from_moments(m, 1).value),
+    "d2": Witness(lambda ci, fo: hoa_witness_d(2, ci),
+                  lambda m: hoa_d_from_moments(m, 2).value),
+    "d3": Witness(lambda ci, fo: hoa_witness_d(3, ci),
+                  lambda m: hoa_d_from_moments(m, 3).value),
+    # the mean photon number is classified by its deviation from the free value
+    "N": Witness(lambda ci, fo: mean_photon_number(ci),
+                 lambda m: m.ada.real,
+                 reference=lambda alpha_mag: alpha_mag**2),
+    "quadrature": Witness(lambda ci, fo: quadrature_squeezing(fo).value,
+                          lambda m: quadrature_squeezing(m).value,
+                          needs_first_order=True),
+    "hillery": Witness(lambda ci, fo: hillery_squeezing(fo).value,
+                       lambda m: hillery_squeezing(m).value,
+                       needs_first_order=True),
+}
+
+WITNESS_NAMES = tuple(WITNESSES)
 MODES = ("closed_form", "exact", "compare")
 
 CSV_HEADER = "alpha_mag,theta,lambda,t,witness,value_cf,value_exact,abs_error,classification"
@@ -105,13 +144,22 @@ class SweepSpec:
         if not self.witnesses:
             raise SweepSpecError("witness: list must be nonempty")
         for w in self.witnesses:
-            if w not in WITNESS_NAMES:
+            if w not in WITNESSES:
                 raise SweepSpecError(f"witness: {w!r} is not one of {WITNESS_NAMES}")
         if self.mode == "compare" and any(l == 0.0 for l in self.lam):
             raise SweepSpecError("lambda: compare mode requires every lambda > 0")
+        for name, values in (("alpha_mag", self.alpha_mag), ("theta", self.theta),
+                             ("lambda", self.lam), ("t_start", (self.t_start,)),
+                             ("t_end", (self.t_end,))):
+            if not all(math.isfinite(x) for x in values):
+                raise SweepSpecError(f"{name}: values must be finite, got {values}")
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.t_steps)
+
+    def horizon(self) -> float:
+        """Largest |t| on the grid, the bound handed to the exact oracle."""
+        return float(max(abs(self.t_start), abs(self.t_end)))
 
     def dim_for(self, alpha_mag: float) -> int:
         return self.dim if self.dim is not None else default_dim(alpha_mag)
@@ -151,39 +199,6 @@ class SweepResult:
     summaries: tuple
 
 
-def _closed_form_value(name: str, inputs: ClosedFormInputs, fo_moments: Optional[MomentSet]) -> float:
-    if name == "N":
-        return mean_photon_number(inputs)
-    if name == "f":
-        return squeezing_witness_f(inputs)
-    if name in ("d1", "d2", "d3"):
-        return hoa_witness_d(int(name[1]), inputs)
-    if name == "quadrature":
-        return quadrature_squeezing(fo_moments, path=PATH_FIRST_ORDER_MATRIX).value
-    if name == "hillery":
-        return hillery_squeezing(fo_moments, path=PATH_FIRST_ORDER_MATRIX).value
-    raise SweepSpecError(f"witness: unknown name {name!r}")
-
-
-def _exact_value(name: str, moments: MomentSet) -> float:
-    if name == "N":
-        return moments.ada.real
-    if name in ("f", "hillery"):
-        return hillery_squeezing(moments, path=PATH_EXACT_ORACLE).value
-    if name in ("d1", "d2", "d3"):
-        return hoa_d_from_moments(moments, int(name[1]), path=PATH_EXACT_ORACLE).value
-    if name == "quadrature":
-        return quadrature_squeezing(moments, path=PATH_EXACT_ORACLE).value
-    raise SweepSpecError(f"witness: unknown name {name!r}")
-
-
-def _row_classification(name: str, alpha_mag: float, value: float) -> str:
-    # the mean photon number is classified by its deviation from the free value
-    if name == "N":
-        return classify(value - alpha_mag**2, DEFAULT_BOUNDARY_TOL)
-    return classify(value, DEFAULT_BOUNDARY_TOL)
-
-
 def validate_dimensions(spec: SweepSpec) -> None:
     """Fail fast (before any evolution) when a forced dim is unsafe for an alpha."""
     for a in spec.alpha_mag:
@@ -202,14 +217,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if not parent.is_dir():
             raise SweepSpecError(f"out: directory {parent} does not exist")
     ts = spec.t_grid()
-    horizon = float(max(abs(spec.t_start), abs(spec.t_end)))
+    horizon = spec.horizon()
     need_exact = spec.mode in ("exact", "compare")
-    need_fo = any(w in ("quadrature", "hillery") for w in spec.witnesses)
+    need_fo = any(WITNESSES[w].needs_first_order for w in spec.witnesses)
 
     rows = []
     summaries = []
     for a in spec.alpha_mag:
         dim = spec.dim_for(a)
+        evaluators = [(w, WITNESSES[w], WITNESSES[w].reference(a)) for w in spec.witnesses]
         for th in spec.theta:
             for lam in spec.lam:
                 params = ModelParams(a, th, lam, dim)
@@ -219,15 +235,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     inputs = ClosedFormInputs(a, th, lam, t)
                     fo_moments = first_order_moment_set(params, t) if need_fo else None
                     exact_moments = exact_moment_set(params, t, horizon=horizon) if need_exact else None
-                    for w in spec.witnesses:
-                        cf = _closed_form_value(w, inputs, fo_moments)
-                        ex = _exact_value(w, exact_moments) if need_exact else None
+                    for w, entry, reference in evaluators:
+                        cf = entry.closed_form(inputs, fo_moments)
+                        ex = entry.exact(exact_moments) if need_exact else None
                         err = abs(cf - ex) if spec.mode == "compare" else None
                         primary = ex if ex is not None else cf
                         rows.append(SweepRow(
                             alpha_mag=a, theta=th, lam=lam, t=t, witness=w,
                             value_cf=cf, value_exact=ex, abs_error=err,
-                            classification=_row_classification(w, a, primary),
+                            classification=classify(primary - reference, DEFAULT_BOUNDARY_TOL),
                         ))
                         per_witness[w].append((primary, err))
                 for w in spec.witnesses:
@@ -375,22 +391,18 @@ def convergence_check(spec: SweepSpec, max_combos: int = 8) -> ConvergenceReport
     stride = max(1, len(combos) // max_combos)
     ts = spec.t_grid()
     sample_ts = sorted({float(ts[0]), float(ts[len(ts) // 2]), float(ts[-1])})
-    horizon = float(max(abs(spec.t_start), abs(spec.t_end)))
+    horizon = spec.horizon()
 
     samples = []
     worst = 0.0
-    moment_fields = ("a", "a2", "a4", "ada", "ada2", "ad2a2", "ada3", "ad2a4", "ad3a3", "ad4a4")
     for a, th, lam in combos[::stride][:max_combos]:
         dim = spec.dim_for(a)
         p1 = ModelParams(a, th, lam, dim)
         p2 = ModelParams(a, th, lam, 2 * dim)
         for t in sample_ts:
-            m1 = exact_moment_set(p1, t, horizon=horizon)
-            m2 = exact_moment_set(p2, t, horizon=horizon)
-            drift = max(
-                abs(getattr(m1, f) - getattr(m2, f)) / max(1.0, abs(getattr(m2, f)))
-                for f in moment_fields
-            )
+            m1 = astuple(exact_moment_set(p1, t, horizon=horizon))
+            m2 = astuple(exact_moment_set(p2, t, horizon=horizon))
+            drift = max(abs(x1 - x2) / max(1.0, abs(x2)) for x1, x2 in zip(m1, m2))
             samples.append(ConvergenceSample(a, th, lam, t, drift))
             worst = max(worst, drift)
     return ConvergenceReport(

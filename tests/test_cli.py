@@ -1,18 +1,47 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import anharmonic
+from anharmonic import dynamics, fock, perturbative
 from anharmonic.cli import (
+    DEFAULTS,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_SPEC_ERROR,
+    build_spec,
     main,
     parse_number,
     parse_number_list,
     read_config,
 )
-from anharmonic.sweep import SweepSpecError, read_csv
+from anharmonic.sweep import WITNESSES, SweepSpecError, read_csv
+
+NON_FINITE_ARGS = [
+    ("--lambda", "nan"),
+    ("--t-end", "nan"),
+    ("--alpha", "nan"),
+    ("--alpha", "inf"),
+    ("--theta", "inf"),
+    ("--t-end", "inf"),
+]
+
+
+@pytest.fixture
+def no_dense_allocation(monkeypatch):
+    """Building any truncated state or ladder matrix fails the test instead."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense state or matrix was about to be allocated")
+
+    for module in (fock, dynamics, perturbative):
+        for name in ("make_ladder_ops", "coherent_state"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
 
 
 class TestNumberParsing:
@@ -96,13 +125,23 @@ class TestMain:
         assert code == EXIT_OK
         assert "convergence max_drift=" in text and "passed=True" in text
 
-    def test_spec_error_exit_code(self):
-        code, _ = self.run("--witness", "not-a-witness")
+    @pytest.mark.parametrize("argv", [("--witness", "not-a-witness")] + NON_FINITE_ARGS)
+    def test_spec_error_exit_code(self, argv):
+        code, text = self.run(*argv)
         assert code == EXIT_SPEC_ERROR
+        assert text == ""
 
     def test_precondition_exit_code(self):
         code, _ = self.run("--alpha", "3", "--dim", "15")
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("argv", [("--alpha", "1e4"), ("--dim", "100000")])
+    def test_dim_above_ceiling_refused_before_allocating(self, argv, no_dense_allocation):
+        code, _ = self.run(*argv)
+        assert code == EXIT_PRECONDITION
+
+    def test_default_witnesses_are_the_table(self):
+        assert build_spec(dict(DEFAULTS)).witnesses == tuple(WITNESSES)
 
     def test_config_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -118,3 +157,24 @@ class TestMain:
         cfg.write_text("alphas = 2\n")
         code, _ = self.run("--config", str(cfg))
         assert code == EXIT_SPEC_ERROR
+
+
+class TestModuleEntry:
+    def run_module(self, *argv):
+        src = str(Path(anharmonic.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "anharmonic.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+
+    def test_runs_the_cli(self):
+        proc = self.run_module("--t-steps", "2", "--witness", "N")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("rows=2 ")
+
+    def test_spec_error_exit_code(self):
+        proc = self.run_module("--alpha", "nan")
+        assert proc.returncode == EXIT_SPEC_ERROR
+        assert "spec error: alpha_mag" in proc.stderr

@@ -6,7 +6,6 @@ from anharmonic.criteria import (
     CLASSICAL,
     DEFAULT_BOUNDARY_TOL,
     NONCLASSICAL,
-    PATH_FIRST_ORDER_MATRIX,
     CriterionReport,
     VacuumDenominatorError,
     antibunching_second_order,
@@ -47,7 +46,7 @@ class TestClassification:
         rng = np.random.default_rng(5)
         for _ in range(50):
             v = float(rng.normal(scale=1e-9))
-            rep = CriterionReport("w", v, classify(v), DEFAULT_BOUNDARY_TOL, "closed_form")
+            rep = CriterionReport("w", v, classify(v), DEFAULT_BOUNDARY_TOL)
             assert (rep.classification == NONCLASSICAL) == (v < -rep.tolerance)
             assert (rep.classification == BOUNDARY) == (abs(v) <= rep.tolerance)
 
@@ -118,10 +117,6 @@ class TestHillerySqueezing:
         rep = hillery_squeezing(exact_moment_set(p, np.pi / 2))
         assert abs(rep.value - (-0.015)) < 5e-4
         assert rep.classification == NONCLASSICAL
-
-    def test_path_tag(self):
-        rep = hillery_squeezing(coherent_moment_set(1.0), path=PATH_FIRST_ORDER_MATRIX)
-        assert rep.path == PATH_FIRST_ORDER_MATRIX
 
 
 class TestLeeAndBaAn:

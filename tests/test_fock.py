@@ -3,6 +3,7 @@ import pytest
 
 from anharmonic.fock import (
     EIGENVALUE_RESIDUAL_TOL,
+    MAX_DIM,
     FockVector,
     ModelParams,
     TruncationError,
@@ -193,6 +194,16 @@ class TestTypes:
             ModelParams(1.0, 0.0, -1e-3, 40)
         with pytest.raises(TruncationError):
             ModelParams(3.0, 0.0, 0.0, 15)
+
+    def test_dim_ceiling(self):
+        # constructing params allocates nothing, so the refusal is cheap to test
+        with pytest.raises(TruncationError, match="MAX_DIM"):
+            ModelParams(1.0, 0.0, 0.0, MAX_DIM + 1)
+        with pytest.raises(TruncationError, match="MAX_DIM"):
+            ModelParams.auto(1e4)
+        # |alpha| just above 20 (D = 581) stays admissible at the doubled
+        # dimension of a convergence check
+        assert ModelParams(20.02, 0.0, 0.0, 2 * default_dim(20.02)).dim == 1162
 
     def test_auto_dim_heuristic(self):
         assert default_dim(1.0) == 29

@@ -8,7 +8,6 @@ from anharmonic.perturbative import (
     ClosedFormInputs,
     a_i_first_order,
     delta_y1_squared,
-    delta_y1_correction,
     first_order_delta_y1_squared,
     first_order_hoa_d,
     first_order_moment_set,
@@ -20,7 +19,6 @@ from anharmonic.perturbative import (
     phase_fundamental,
     phase_second_harmonic,
     secular_factor,
-    squeezing_f_correction,
     squeezing_witness_f,
     squeezing_witness_f_special,
 )
@@ -148,7 +146,6 @@ class TestStructuralProperties:
         assert squeezing_witness_f_special(two) == 2.0 * squeezing_witness_f_special(one)
         assert first_order_squeezing_f(two) == 2.0 * first_order_squeezing_f(one)
         assert mean_photon_correction(two) == 2.0 * mean_photon_correction(one)
-        assert delta_y1_correction(two) == 2.0 * delta_y1_correction(one)
         for order in (1, 2, 3):
             assert hoa_witness_d(order, two) == 2.0 * hoa_witness_d(order, one)
             assert first_order_hoa_d(order, two) == 2.0 * first_order_hoa_d(order, one)

@@ -1,10 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
-from anharmonic.fock import TruncationError
+from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
+from anharmonic.dynamics import exact_moment_set
+from anharmonic.fock import ModelParams, TruncationError, default_dim
+from anharmonic.perturbative import (
+    ClosedFormInputs,
+    first_order_moment_set,
+    hoa_witness_d,
+    mean_photon_number,
+    squeezing_witness_f,
+)
 from anharmonic.sweep import (
     CSV_HEADER,
     WITNESS_NAMES,
+    WITNESSES,
     SweepSpec,
     SweepSpecError,
     compare_report,
@@ -54,6 +66,18 @@ class TestSpecValidation:
     def test_compare_requires_positive_lambda(self):
         with pytest.raises(SweepSpecError, match="lambda"):
             small_spec(mode="compare", lam=(0.0, 1e-3))
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha_mag", dict(alpha_mag=(1.0, math.nan))),
+        ("alpha_mag", dict(alpha_mag=(math.inf,))),
+        ("theta", dict(theta=(0.0, -math.inf))),
+        ("lambda", dict(lam=(math.nan,))),
+        ("t_start", dict(t_start=math.nan)),
+        ("t_end", dict(t_end=math.inf)),
+    ])
+    def test_non_finite_values_named_in_error(self, field, value):
+        with pytest.raises(SweepSpecError, match=f"^{field}: values must be finite"):
+            small_spec(**value)
 
     def test_dim_too_small_reported_before_compute(self):
         with pytest.raises(TruncationError):
@@ -111,6 +135,35 @@ class TestRunSweep:
         values = [r.value_cf for r in result.rows]
         s = result.summaries[0]
         assert s.vmin == min(values) and s.vmax == max(values)
+
+
+class TestWitnessTable:
+    def test_names_follow_the_table(self):
+        assert WITNESS_NAMES == tuple(WITNESSES) == (
+            "f", "d1", "d2", "d3", "N", "quadrature", "hillery")
+
+    def test_rows_match_the_public_functions(self):
+        # each witness's row values equal the functions the README names for it
+        a, th, lam = 1.3, 0.7, 1e-3
+        spec = small_spec(alpha_mag=(a,), theta=(th,), lam=(lam,), mode="compare", t_steps=3)
+        t = float(spec.t_grid()[1])
+        ci = ClosedFormInputs(a, th, lam, t)
+        params = ModelParams(a, th, lam, default_dim(a))
+        fo = first_order_moment_set(params, t)
+        ex = exact_moment_set(params, t, horizon=spec.horizon())
+        expected = {
+            "f": (squeezing_witness_f(ci), hillery_squeezing(ex).value),
+            "d1": (hoa_witness_d(1, ci), hoa_d_from_moments(ex, 1).value),
+            "d2": (hoa_witness_d(2, ci), hoa_d_from_moments(ex, 2).value),
+            "d3": (hoa_witness_d(3, ci), hoa_d_from_moments(ex, 3).value),
+            "N": (mean_photon_number(ci), ex.ada.real),
+            "quadrature": (quadrature_squeezing(fo).value, quadrature_squeezing(ex).value),
+            "hillery": (hillery_squeezing(fo).value, hillery_squeezing(ex).value),
+        }
+        rows = {r.witness: r for r in run_sweep(spec).rows if r.t == t}
+        assert rows.keys() == expected.keys()
+        for w, (cf, exact) in expected.items():
+            assert (rows[w].value_cf, rows[w].value_exact) == (cf, exact), w
 
 
 class TestCsvContract:
