@@ -22,14 +22,18 @@ from .criteria import (
 )
 from .dynamics import (
     DEFAULT_TIME_HORIZON,
+    MONOMIALS,
     EvolvedState,
     MomentSet,
     build_hamiltonian,
     coherent_moment_set,
+    evolve_block,
     evolve_exact,
+    exact_moment_block,
     exact_moment_set,
     hamiltonian,
     interaction_moments,
+    moment_sets,
 )
 from .fock import (
     EIGENVALUE_RESIDUAL_TOL,
@@ -51,6 +55,7 @@ from .perturbative import (
     delta_y1_squared,
     first_order_delta_y1_squared,
     first_order_hoa_d,
+    first_order_moment_block,
     first_order_moment_set,
     first_order_squeezing_f,
     hoa_witness_d,

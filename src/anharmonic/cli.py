@@ -26,6 +26,7 @@ from .sweep import (
     compare_report,
     convergence_check,
     run_sweep,
+    validate_convergence,
 )
 
 EXIT_OK = 0
@@ -190,6 +191,8 @@ def main(argv=None, out=None) -> int:
 
     try:
         spec = build_spec(_merge_settings(args))
+        if args.check_convergence:
+            validate_convergence(spec)
         result = run_sweep(spec)
         _print_result(result, args.check_convergence, out)
     except TruncationError as exc:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,10 +66,15 @@ class ModelParams:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_mag", float(self.alpha_mag))
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "dim", int(self.dim))
+        for name in ("alpha_mag", "theta", "lam"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        try:
+            object.__setattr__(self, "dim", int(self.dim))
+        except (ValueError, OverflowError):
+            raise ValueError(f"dim must be a finite integer, got {self.dim!r}") from None
         if self.alpha_mag < 0.0:
             raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
         if self.lam < 0.0:
@@ -108,9 +112,7 @@ class FockVector:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < MIN_DIM:
             raise ValueError(f"amplitudes must be a 1-d vector of length >= {MIN_DIM}")
-        nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > NORM_TOLERANCE:
-            raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_TOLERANCE}")
+        check_normalized(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -122,6 +124,14 @@ class FockVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def check_normalized(amplitudes: np.ndarray) -> None:
+    """Raise ValueError unless every state along the last axis has unit norm."""
+    nrm = np.linalg.norm(amplitudes, axis=-1)
+    worst = float(np.max(np.abs(nrm - 1.0), initial=0.0))
+    if not worst <= NORM_TOLERANCE:
+        raise ValueError(f"state norm deviates from 1 by {worst!r}, beyond {NORM_TOLERANCE}")
+
+
 def make_ladder_ops(dim: int):
     """Return the dense (a, a_dagger, n) matrices for the truncated basis.
 
@@ -131,13 +141,6 @@ def make_ladder_ops(dim: int):
         raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
     a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
     return a, a.T.copy(), np.diag(np.arange(float(dim)))
-
-
-@lru_cache(maxsize=None)
-def _annihilation(dim: int) -> np.ndarray:
-    a = make_ladder_ops(dim)[0]
-    a.flags.writeable = False
-    return a
 
 
 def coherent_state(alpha: complex, dim: int) -> FockVector:

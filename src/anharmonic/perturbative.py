@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import MomentSet, moment_set
+from .dynamics import MomentSet, apply_banded, ket_moment_block, moment_sets
 from .fock import ModelParams, coherent_state, make_ladder_ops
 
 
@@ -62,6 +62,15 @@ class ClosedFormInputs:
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "t", float(self.t))
+        # spelled out rather than looped: this runs once per sweep grid point
+        if not math.isfinite(self.alpha_mag):
+            raise ValueError(f"alpha_mag must be finite, got {self.alpha_mag}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         if self.alpha_mag < 0.0:
             raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
         if self.lam < 0.0:
@@ -269,12 +278,34 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
 
 @lru_cache(maxsize=None)
 def _bracket_words(dim: int):
-    """Constant matrices of the bracket monomials, cached per dimension."""
+    """Constant matrices of the words of a_1(t), cached per dimension."""
     a, adag, _ = make_ladder_ops(dim)
     words = (a, adag @ (a @ a), adag @ (adag @ a), adag @ (adag @ adag), adag, a @ (a @ a))
     for w in words:
         w.flags.writeable = False
     return words
+
+
+#: Offset k of the one nonzero diagonal (entries [i, i + k]) of each word of
+#: ``_bracket_words``: its number of lowering minus raising operators.
+_BRACKET_OFFSETS = (1, 1, -1, -3, -1, 3)
+
+
+@lru_cache(maxsize=None)
+def _bracket_bands(dim: int):
+    """(offset, diagonal) of each word, read off the cached matrices so the
+    truncation edge is theirs."""
+    return tuple((k, np.diagonal(w, k)) for w, k in zip(_bracket_words(dim), _BRACKET_OFFSETS))
+
+
+def _bracket_coefficients(lam: float, t):
+    """Coefficients c_w(t) of a_1(t) = sum_w c_w(t) W_w over the words W_w of
+    ``_bracket_words``; ``t`` is a float or an array of times."""
+    f = np.exp(1j * t) * np.sin(t)
+    g = np.exp(2j * t) * np.sin(2.0 * t)
+    fbar = np.exp(-1j * t) * np.sin(t)
+    s = -1j * lam / 8.0
+    return (1.0 + s * (6.0 * t), s * (6.0 * t), s * (6.0 * f), s * g, s * (6.0 * f), s * (2.0 * fbar))
 
 
 def a_i_first_order(params: ModelParams, t: float) -> np.ndarray:
@@ -286,30 +317,34 @@ def a_i_first_order(params: ModelParams, t: float) -> np.ndarray:
 
     Reduces to a exactly at lam = 0 and at t = 0.
     """
-    t = float(t)
-    a, ada2, ad2a, ad3, adag, a3 = _bracket_words(params.dim)
-    f = np.exp(1j * t) * math.sin(t)
-    g = np.exp(2j * t) * math.sin(2.0 * t)
-    fbar = np.exp(-1j * t) * math.sin(t)
-    bracket = 6.0 * t * a + 6.0 * t * ada2 + 6.0 * f * ad2a + g * ad3 + 6.0 * f * adag + 2.0 * fbar * a3
-    return a - (1j * params.lam / 8.0) * bracket
+    coefs = _bracket_coefficients(params.lam, float(t))
+    return sum(c * w for c, w in zip(coefs, _bracket_words(params.dim)))
 
 
-def first_order_moment_set(params: ModelParams, t: float) -> MomentSet:
-    """Moments of the first-order operator over the initial coherent state.
+def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:
+    """Moments of the first-order operator over the initial coherent state at
+    every t of ``ts``, as a (T, len(MONOMIALS)) block (see ``dynamics.MONOMIALS``).
 
     <a_1^dag^m a_1^n> is evaluated as (a_1^m psi0)^dag (a_1^n psi0); the
     operator already lives in the rotating frame, so no extra phases apply.
-    Agrees with the exact oracle to O(lam^2) -- the dropped cross terms of
-    the Dyson series.
+    a_1(t) has four nonzero diagonals (offsets +-1 and +-3), so it acts on the
+    (T, dim) block of kets as weighted shifts with one coefficient row per t:
+    O(dim T) per application, and no dim x dim matrix per t.  Agrees with the
+    exact oracle to O(lam^2) -- the dropped cross terms of the Dyson series.
     """
-    b = a_i_first_order(params, t)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    bands = {}
+    for c, (k, diag) in zip(_bracket_coefficients(params.lam, ts), _bracket_bands(params.dim)):
+        term = c[:, None] * diag
+        bands[k] = bands[k] + term if k in bands else term
     psi0 = coherent_state(params.alpha, params.dim).amplitudes
-    bk = [psi0]
+    kets = [np.broadcast_to(psi0, (ts.size, params.dim))]
     for _ in range(4):
-        bk.append(b @ bk[-1])
+        kets.append(apply_banded(bands.items(), kets[-1]))
+    return ket_moment_block(kets)
 
-    def mom(m: int, n: int) -> complex:
-        return complex(np.vdot(bk[m], bk[n]))
 
-    return moment_set(mom)
+def first_order_moment_set(params: ModelParams, t: float) -> MomentSet:
+    """Moments of the first-order operator at time t: the T = 1 case of
+    ``first_order_moment_block``."""
+    return moment_sets(first_order_moment_block(params, [t]))[0]

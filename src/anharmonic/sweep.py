@@ -17,7 +17,7 @@ about 2) or carries a genuine first-order defect (slope about 1).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -30,11 +30,11 @@ from .criteria import (
     hoa_d_from_moments,
     quadrature_squeezing,
 )
-from .dynamics import MomentSet, exact_moment_set
+from .dynamics import MomentSet, exact_moment_block, moment_sets
 from .fock import ModelParams, default_dim
 from .perturbative import (
     ClosedFormInputs,
-    first_order_moment_set,
+    first_order_moment_block,
     hoa_witness_d,
     mean_photon_number,
     squeezing_witness_f,
@@ -199,10 +199,20 @@ class SweepResult:
     summaries: tuple
 
 
-def validate_dimensions(spec: SweepSpec) -> None:
-    """Fail fast (before any evolution) when a forced dim is unsafe for an alpha."""
+def validate_dimensions(spec: SweepSpec, factor: int = 1) -> None:
+    """Fail fast (before any evolution) when ``factor`` times the dim of an
+    alpha is unsafe: below the truncation floor or above ``fock.MAX_DIM``."""
     for a in spec.alpha_mag:
-        ModelParams(a, 0.0, max(spec.lam), spec.dim_for(a))
+        ModelParams(a, 0.0, max(spec.lam), factor * spec.dim_for(a))
+
+
+def validate_convergence(spec: SweepSpec) -> None:
+    """Preconditions of ``convergence_check``, checked before any evolution so
+    that a run it would refuse is refused before it sweeps."""
+    if spec.mode not in ("exact", "compare"):
+        raise SweepSpecError("mode: convergence_check requires mode 'exact' or 'compare'")
+    validate_dimensions(spec)
+    validate_dimensions(spec, factor=2)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -220,6 +230,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     horizon = spec.horizon()
     need_exact = spec.mode in ("exact", "compare")
     need_fo = any(WITNESSES[w].needs_first_order for w in spec.witnesses)
+    no_moments = [None] * len(ts)
 
     rows = []
     summaries = []
@@ -230,11 +241,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             for lam in spec.lam:
                 params = ModelParams(a, th, lam, dim)
                 per_witness = {w: [] for w in spec.witnesses}
-                for t in ts:
-                    t = float(t)
+                fo_sets = moment_sets(first_order_moment_block(params, ts)) if need_fo else no_moments
+                exact_sets = (moment_sets(exact_moment_block(params, ts, horizon=horizon))
+                              if need_exact else no_moments)
+                for t, fo_moments, exact_moments in zip(ts.tolist(), fo_sets, exact_sets):
                     inputs = ClosedFormInputs(a, th, lam, t)
-                    fo_moments = first_order_moment_set(params, t) if need_fo else None
-                    exact_moments = exact_moment_set(params, t, horizon=horizon) if need_exact else None
                     for w, entry, reference in evaluators:
                         cf = entry.closed_form(inputs, fo_moments)
                         ex = entry.exact(exact_moments) if need_exact else None
@@ -270,10 +281,23 @@ def _fmt(x) -> str:
 
 
 def write_csv(rows: Sequence[SweepRow], path) -> None:
+    # 4 of a row's 7 numbers are grid coordinates that recur from row to row,
+    # so each distinct one is formatted once.  Zeros are not cached: 0.0 and
+    # -0.0 are one dict key but print differently.
+    grid = {}
+
+    def coord(x) -> str:
+        s = grid.get(x)
+        if s is None:
+            s = _fmt(x)
+            if x:
+                grid[x] = s
+        return s
+
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(",".join((
-            _fmt(r.alpha_mag), _fmt(r.theta), _fmt(r.lam), _fmt(r.t), r.witness,
+            coord(r.alpha_mag), coord(r.theta), coord(r.lam), coord(r.t), r.witness,
             _fmt(r.value_cf), _fmt(r.value_exact), _fmt(r.abs_error), r.classification,
         )))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
@@ -384,9 +408,7 @@ def convergence_check(spec: SweepSpec, max_combos: int = 8) -> ConvergenceReport
     Drift is the worst change of any recorded moment, scaled by
     max(1, |moment|); passes below ``CONVERGENCE_TOL``.
     """
-    if spec.mode not in ("exact", "compare"):
-        raise SweepSpecError("mode: convergence_check requires mode 'exact' or 'compare'")
-    validate_dimensions(spec)
+    validate_convergence(spec)
     combos = [(a, th, lam) for a in spec.alpha_mag for th in spec.theta for lam in spec.lam]
     stride = max(1, len(combos) // max_combos)
     ts = spec.t_grid()
@@ -397,12 +419,10 @@ def convergence_check(spec: SweepSpec, max_combos: int = 8) -> ConvergenceReport
     worst = 0.0
     for a, th, lam in combos[::stride][:max_combos]:
         dim = spec.dim_for(a)
-        p1 = ModelParams(a, th, lam, dim)
-        p2 = ModelParams(a, th, lam, 2 * dim)
-        for t in sample_ts:
-            m1 = astuple(exact_moment_set(p1, t, horizon=horizon))
-            m2 = astuple(exact_moment_set(p2, t, horizon=horizon))
-            drift = max(abs(x1 - x2) / max(1.0, abs(x2)) for x1, x2 in zip(m1, m2))
+        m1 = exact_moment_block(ModelParams(a, th, lam, dim), sample_ts, horizon=horizon)
+        m2 = exact_moment_block(ModelParams(a, th, lam, 2 * dim), sample_ts, horizon=horizon)
+        for t, row1, row2 in zip(sample_ts, m1.tolist(), m2.tolist()):
+            drift = max(abs(x1 - x2) / max(1.0, abs(x2)) for x1, x2 in zip(row1, row2))
             samples.append(ConvergenceSample(a, th, lam, t, drift))
             worst = max(worst, drift)
     return ConvergenceReport(

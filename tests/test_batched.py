@@ -1,0 +1,140 @@
+"""Properties of the per-slice batched evaluation of the two matrix paths.
+
+``exact_moment_block`` and ``first_order_moment_block`` evaluate a whole time
+grid at once; the per-t functions are their T = 1 case.  The properties are
+drawn at random over the safe region |alpha| <= 4, lam <= 1e-2, |t| <= 4 pi.
+"""
+
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anharmonic.dynamics import (
+    MONOMIALS,
+    apply_banded,
+    coherent_moment_set,
+    evolve_block,
+    exact_moment_block,
+    exact_moment_set,
+    ket_moment_block,
+)
+from anharmonic.fock import ModelParams, coherent_state, make_ladder_ops
+from anharmonic.perturbative import (
+    _BRACKET_OFFSETS,
+    _bracket_bands,
+    _bracket_words,
+    a_i_first_order,
+    first_order_moment_block,
+    first_order_moment_set,
+)
+
+DIAGONAL = [j for j, (m, n) in enumerate(MONOMIALS) if m == n]
+
+alphas = st.floats(0.0, 4.0)
+thetas = st.floats(0.0, 2 * np.pi)
+lams = st.floats(0.0, 1e-2)
+times = st.floats(-4 * np.pi, 4 * np.pi)
+grids = st.lists(times, min_size=1, max_size=9).map(np.array)
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+def scale(alpha_mag):
+    """max(1, |alpha|^2)^((m + n) / 2): the size of each monomial <a^dag^m a^n>."""
+    return np.array([max(1.0, alpha_mag**2) ** ((m + n) / 2) for m, n in MONOMIALS])
+
+
+def dense_first_order_moments(params, t):
+    b = a_i_first_order(params, t)
+    kets = [coherent_state(params.alpha, params.dim).amplitudes]
+    for _ in range(4):
+        kets.append(b @ kets[-1])
+    return np.array([np.vdot(kets[m], kets[n]) for m, n in MONOMIALS])
+
+
+@PROPERTY
+@given(alphas, thetas, lams, grids)
+def test_banded_first_order_matches_dense_matrix(a, th, lam, ts):
+    params = ModelParams.auto(a, th, lam)
+    block = first_order_moment_block(params, ts)
+    for row, t in zip(block, ts):
+        dense = dense_first_order_moments(params, t)
+        assert np.all(np.abs(row - dense) <= 1e-12 * scale(a))
+
+
+@PROPERTY
+@given(alphas, thetas, lams, grids)
+def test_batch_rows_are_bit_identical_to_single_times(a, th, lam, ts):
+    params = ModelParams.auto(a, th, lam)
+    fo = first_order_moment_block(params, ts)
+    ex = exact_moment_block(params, ts)
+    for j, t in enumerate(ts):
+        assert np.array_equal(fo[j], first_order_moment_block(params, [t])[0])
+        assert np.array_equal(ex[j], exact_moment_block(params, [t])[0])
+
+
+@PROPERTY
+@given(alphas, thetas, lams, grids)
+def test_norm_is_conserved(a, th, lam, ts):
+    psi = evolve_block(ModelParams.auto(a, th, lam), ts)
+    assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) < 1e-12)
+
+
+@PROPERTY
+@given(alphas, thetas, lams, grids)
+def test_diagonal_moments_are_real(a, th, lam, ts):
+    params = ModelParams.auto(a, th, lam)
+    for block in (exact_moment_block(params, ts), first_order_moment_block(params, ts)):
+        assert np.all(np.abs(block[:, DIAGONAL].imag) <= 1e-12 * scale(a)[DIAGONAL])
+
+
+@PROPERTY
+@given(alphas, thetas, grids)
+def test_free_moments_are_coherent(a, th, ts):
+    params = ModelParams.auto(a, th, 0.0)
+    coherent = np.array(astuple(coherent_moment_set(params.alpha)))
+    for block in (exact_moment_block(params, ts), first_order_moment_block(params, ts)):
+        assert np.all(np.abs(block - coherent) <= 1e-10 * scale(a))
+
+
+def test_single_time_functions_are_the_first_row():
+    params = ModelParams.auto(2.3, 0.9, 1e-3)
+    ts = np.linspace(0.0, 2 * np.pi, 5)
+    fo = first_order_moment_block(params, ts)
+    ex = exact_moment_block(params, ts)
+    for j, t in enumerate(ts):
+        assert list(astuple(first_order_moment_set(params, t))) == fo[j].tolist()
+        assert list(astuple(exact_moment_set(params, t))) == ex[j].tolist()
+
+
+@pytest.mark.parametrize("dim", [4, 9, 53])
+def test_bracket_bands_are_the_words(dim):
+    for (k, diag), word, offset in zip(_bracket_bands(dim), _bracket_words(dim), _BRACKET_OFFSETS):
+        assert k == offset
+        assert np.array_equal(np.diag(diag, k), word)
+
+
+def test_lowering_band_is_the_annihilation_matrix():
+    rng = np.random.default_rng(5)
+    dim = 17
+    kets = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    a = make_ladder_ops(dim)[0]
+    shifted = apply_banded(((1, np.sqrt(np.arange(1.0, dim))),), kets)
+    assert np.array_equal(shifted, (a @ kets.T).T)
+
+
+def test_ket_moment_block_is_vdot():
+    rng = np.random.default_rng(6)
+    kets = [rng.normal(size=(4, 11)) + 1j * rng.normal(size=(4, 11)) for _ in range(5)]
+    block = ket_moment_block(kets)
+    for i in range(4):
+        assert block[i].tolist() == [np.vdot(kets[m][i], kets[n][i]) for m, n in MONOMIALS]
+
+
+def test_time_grid_beyond_horizon_is_refused():
+    params = ModelParams.auto(1.0, 0.0, 1e-3)
+    with pytest.raises(ValueError, match="horizon"):
+        exact_moment_block(params, [0.0, 5 * np.pi])
+    assert exact_moment_block(params, [0.0, 5 * np.pi], horizon=5 * np.pi).shape == (2, 10)

@@ -140,6 +140,22 @@ class TestMain:
         code, _ = self.run(*argv)
         assert code == EXIT_PRECONDITION
 
+    def test_convergence_dim_refused_before_the_sweep(self, tmp_path, no_dense_allocation):
+        # D = 1160 is admissible, the doubled 2320 is above fock.MAX_DIM
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run("--alpha", "30", "--mode", "exact", "--t-steps", "2",
+                              "--witness", "N", "--check-convergence", "--out", str(out_csv))
+        assert code == EXIT_PRECONDITION
+        assert text == ""
+        assert not out_csv.exists()
+
+    def test_convergence_mode_refused_before_the_sweep(self, tmp_path, no_dense_allocation):
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run("--mode", "closed_form", "--check-convergence", "--out", str(out_csv))
+        assert code == EXIT_SPEC_ERROR
+        assert text == ""
+        assert not out_csv.exists()
+
     def test_default_witnesses_are_the_table(self):
         assert build_spec(dict(DEFAULTS)).witnesses == tuple(WITNESSES)
 

@@ -177,6 +177,8 @@ class TestTypes:
     def test_fock_vector_requires_normalization(self):
         with pytest.raises(ValueError):
             FockVector(np.array([1.0, 1.0], dtype=complex))
+        with pytest.raises(ValueError):
+            FockVector(np.array([np.nan, 0.0], dtype=complex))
 
     def test_fock_vector_requires_min_dim(self):
         with pytest.raises(ValueError):
@@ -194,6 +196,20 @@ class TestTypes:
             ModelParams(1.0, 0.0, -1e-3, 40)
         with pytest.raises(TruncationError):
             ModelParams(3.0, 0.0, 0.0, 15)
+
+    @pytest.mark.parametrize("field, args", [
+        ("alpha_mag", (float("nan"), 0.0, 0.0, 40)),
+        ("alpha_mag", (float("inf"), 0.0, 0.0, 40)),
+        ("theta", (1.0, float("nan"), 0.0, 40)),
+        ("theta", (1.0, float("-inf"), 0.0, 40)),
+        ("lam", (1.0, 0.0, float("nan"), 40)),
+        ("lam", (1.0, 0.0, float("inf"), 40)),
+        ("dim", (1.0, 0.0, 0.0, float("nan"))),
+        ("dim", (1.0, 0.0, 0.0, float("inf"))),
+    ])
+    def test_model_params_rejects_non_finite(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ModelParams(*args)
 
     def test_dim_ceiling(self):
         # constructing params allocates nothing, so the refusal is cheap to test

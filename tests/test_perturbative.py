@@ -211,6 +211,14 @@ class TestStructuralProperties:
         with pytest.raises(ValueError):
             ClosedFormInputs(1.0, 0.0, -0.01, 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position, field", enumerate(("alpha_mag", "theta", "lam", "t")))
+    def test_rejects_non_finite(self, position, field, bad):
+        args = [1.0, 0.0, 0.01, 1.0]
+        args[position] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ClosedFormInputs(*args)
+
 
 class TestFirstOrderMatrix:
     def test_free_limit_is_annihilation(self):

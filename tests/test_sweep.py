@@ -23,6 +23,8 @@ from anharmonic.sweep import (
     convergence_check,
     read_csv,
     run_sweep,
+    validate_convergence,
+    validate_dimensions,
     write_csv,
 )
 
@@ -194,6 +196,16 @@ class TestCsvContract:
         cells = line.split(",")
         assert cells[6] == "" and cells[7] == ""
 
+    def test_signed_zero_coordinates_keep_their_sign(self, tmp_path):
+        # -0.0 == 0.0, but the two print differently
+        spec = small_spec(theta=(0.0, -0.0, 0.5), t_steps=2, witnesses=("N", "d1"),
+                          output_path=str(tmp_path / "z.csv"))
+        rows = run_sweep(spec).rows
+        lines = (tmp_path / "z.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1:4] for line in lines] == [
+            [repr(r.theta), repr(r.lam), repr(r.t)] for r in rows]
+        assert [line.split(",")[1] for line in lines[::4]] == ["0.0", "-0.0", "0.5"]
+
     def test_write_read_helpers(self, tmp_path):
         rows = run_sweep(small_spec(t_steps=3, witnesses=("d1",))).rows
         path = tmp_path / "h.csv"
@@ -255,3 +267,9 @@ class TestConvergenceCheck:
     def test_requires_exact_or_compare(self):
         with pytest.raises(SweepSpecError, match="mode"):
             convergence_check(small_spec(mode="closed_form"))
+
+    def test_doubled_dim_checked_up_front(self):
+        spec = small_spec(alpha_mag=(30.0,), mode="exact", t_steps=2)
+        validate_dimensions(spec)
+        with pytest.raises(TruncationError, match="MAX_DIM"):
+            validate_convergence(spec)
