@@ -97,18 +97,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         if unknown:
             raise SweepSpecError(f"config: unknown keys {sorted(unknown)}")
         settings.update(conf)
-    cli = {
-        "alpha": args.alpha,
-        "theta": args.theta,
-        "lambda": getattr(args, "lam"),
-        "t_start": args.t_start,
-        "t_end": args.t_end,
-        "t_steps": args.t_steps,
-        "dim": args.dim,
-        "mode": args.mode,
-        "witness": ",".join(args.witness) if args.witness else None,
-        "out": args.out,
-    }
+    # every flag's dest is its settings key
+    cli = {key: getattr(args, key) for key in DEFAULTS}
+    cli["witness"] = ",".join(args.witness) if args.witness else None
     settings.update({k: v for k, v in cli.items() if v is not None})
     return settings
 
@@ -145,7 +136,7 @@ def build_spec(settings: dict) -> SweepSpec:
 
 def _print_result(result, check_conv: bool, out) -> None:
     spec = result.spec
-    print(f"rows={len(result.rows)} mode={spec.mode}"
+    print(f"rows={result.row_count} mode={spec.mode}"
           + (f" csv={spec.output_path}" if spec.output_path else ""), file=out)
     for s in result.summaries:
         line = (f"witness={s.witness} alpha={s.alpha_mag!r} theta={s.theta!r} "
@@ -175,7 +166,7 @@ def main(argv=None, out=None) -> int:
     )
     parser.add_argument("--alpha", help="comma list of |alpha| values")
     parser.add_argument("--theta", help="comma list of phases (radians, pi literals ok)")
-    parser.add_argument("--lambda", dest="lam", help="comma list of couplings")
+    parser.add_argument("--lambda", help="comma list of couplings")
     parser.add_argument("--t-start", help="grid start time (pi literals ok)")
     parser.add_argument("--t-end", help="grid end time (pi literals ok)")
     parser.add_argument("--t-steps", help="number of time points (>= 2)")

@@ -5,12 +5,16 @@ classifies values coming from the exact oracle, from the first-order
 operator matrix, or from scalar closed forms -- the comparison harness
 relies on that seam.  A witness value below -tolerance is nonclassical,
 within +-tolerance is boundary (coherent-state level), above is classical.
+The witnesses and ``classify`` also work elementwise on arrays, e.g. on a
+MomentSet of (T, 10) block columns; ``np.float_power`` rounds like float ``**``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence, Union
+
+import numpy as np
 
 from .dynamics import MomentSet
 
@@ -22,6 +26,9 @@ NONCLASSICAL = "nonclassical"
 CLASSICAL = "classical"
 BOUNDARY = "boundary"
 
+#: Labels indexed by code: 0 nonclassical, 1 boundary, 2 classical.
+_LABELS = np.array([NONCLASSICAL, BOUNDARY, CLASSICAL], dtype=object)
+
 
 class VacuumDenominatorError(ArithmeticError):
     """A factorial-moment denominator vanished (vacuum-dominated state)."""
@@ -31,7 +38,10 @@ Moments = Union[MomentSet, Sequence[float]]
 
 
 def classify(value: float, tolerance: float = DEFAULT_BOUNDARY_TOL) -> str:
-    """nonclassical iff value < -tolerance; boundary iff |value| <= tolerance."""
+    """nonclassical iff value < -tolerance; boundary iff |value| <= tolerance.
+    An ndarray gives an array of labels."""
+    if isinstance(value, np.ndarray):
+        return _LABELS[2 - (value <= tolerance) - (value < -tolerance)]
     if value < -tolerance:
         return NONCLASSICAL
     if value <= tolerance:
@@ -50,7 +60,8 @@ class CriterionReport:
 
 
 def _report(name: str, value: float, tolerance: float) -> CriterionReport:
-    return CriterionReport(name, float(value), classify(value, tolerance), tolerance)
+    value = value if isinstance(value, np.ndarray) else float(value)
+    return CriterionReport(name, value, classify(value, tolerance), tolerance)
 
 
 def _factorial_moments(moments: Moments) -> tuple:
@@ -71,7 +82,7 @@ def quadrature_squeezing(
 
     Expansion: <X^2> = Re<a^2> + <a^dag a> + 1/2 and <X> = sqrt(2) Re<a>.
     """
-    value = moments.a2.real + moments.ada.real - 2.0 * moments.a.real**2
+    value = moments.a2.real + moments.ada.real - 2.0 * np.float_power(moments.a.real, 2)
     return _report("quadrature_squeezing", value, tolerance)
 
 
@@ -80,7 +91,7 @@ def antibunching_second_order(
     tolerance: float = DEFAULT_BOUNDARY_TOL,
 ) -> CriterionReport:
     """<a^dag^2 a^2> - <a^dag a>^2, i.e. (Delta N)^2 - <N>; this is d(1)."""
-    value = moments.ad2a2.real - moments.ada.real**2
+    value = moments.ad2a2.real - np.float_power(moments.ada.real, 2)
     return _report("antibunching_second_order", value, tolerance)
 
 
@@ -95,7 +106,7 @@ def hillery_squeezing(
     [a, a^dag] folds a^2 a^dag^2 onto normally ordered pieces) and
     <Y1> = sqrt(2) Re<a^2>; the <2N + 1> reference cancels the 2<N> + 1 part.
     """
-    value = moments.a4.real + moments.ad2a2.real - 2.0 * moments.a2.real**2
+    value = moments.a4.real + moments.ad2a2.real - 2.0 * np.float_power(moments.a2.real, 2)
     return _report("hillery_squeezing", value, tolerance)
 
 
@@ -143,5 +154,5 @@ def hoa_d_from_moments(
     fm = _factorial_moments(moments)
     if l + 1 > len(fm):
         raise ValueError(f"need factorial moments up to order {l + 1}, have {len(fm)}")
-    value = fm[l] - fm[0] ** (l + 1)
+    value = fm[l] - np.float_power(fm[0], l + 1)
     return _report(f"hoa_d_{l}", value, tolerance)

@@ -116,11 +116,6 @@ class MomentSet:
 MONOMIALS = tuple(f.metadata["monomial"] for f in fields(MomentSet))
 
 
-def moment_set(mom) -> MomentSet:
-    """MomentSet whose field for <a^dag^m a^n> holds ``mom(m, n)``."""
-    return MomentSet(*[mom(m, n) for m, n in MONOMIALS])
-
-
 def evolve_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON) -> np.ndarray:
     """Spectral evolution of a whole time grid: row j is psi(ts[j]) = V exp(-i Lambda t) V^T |alpha>.
 
@@ -221,9 +216,4 @@ def exact_moment_set(params: ModelParams, t: float, horizon: float = DEFAULT_TIM
 def coherent_moment_set(alpha: complex) -> MomentSet:
     """Analytic moments of a coherent state: <a^dag^m a^n> = conj(alpha)^m alpha^n."""
     alpha = complex(alpha)
-    ac = alpha.conjugate()
-
-    def mom(m: int, n: int) -> complex:
-        return ac**m * alpha**n
-
-    return moment_set(mom)
+    return MomentSet(*[alpha.conjugate()**m * alpha**n for m, n in MONOMIALS])

@@ -24,6 +24,9 @@ conventions to one place and preserves the exact floating-point zeros on the
 t = 2*theta locus (the argument t - 2*theta is computed as written, so it is
 exactly 0.0 there).
 
+Every closed form takes ``t`` as a float (giving a Python float) or an array
+of times (giving one value per time, bit-identical to the float call).
+
 The first-order operator solution in the rotating frame is
 
     a_1(t) = a - (i lam / 8) [ 6 t a + 6 t a^dag a^2 + 6 e^{it} sin(t) a^dag^2 a
@@ -38,7 +41,6 @@ the lam-scaling test to hold).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,7 +52,7 @@ from .fock import ModelParams, coherent_state, make_ladder_ops
 
 @dataclass(frozen=True)
 class ClosedFormInputs:
-    """Scalar arguments of every closed form: (|alpha|, theta, lam, t)."""
+    """Arguments of every closed form: (|alpha|, theta, lam, t), t a float or 1-d array."""
 
     alpha_mag: float
     theta: float
@@ -58,43 +60,41 @@ class ClosedFormInputs:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_mag", float(self.alpha_mag))
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "t", float(self.t))
-        # spelled out rather than looped: this runs once per sweep grid point
-        if not math.isfinite(self.alpha_mag):
-            raise ValueError(f"alpha_mag must be finite, got {self.alpha_mag}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
-        if self.alpha_mag < 0.0:
-            raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        t = np.array(self.t, dtype=float)
+        values = (float(self.alpha_mag), float(self.theta), float(self.lam),
+                  float(t) if t.ndim == 0 else t)
+        for name, value in zip(("alpha_mag", "theta", "lam", "t"), values):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name in ("alpha_mag", "lam") and value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
 # shared bracket pieces (separately testable)
 # ---------------------------------------------------------------------------
 
+def _sin(x):
+    """np.sin, as a Python float for a float argument."""
+    s = np.sin(x)
+    return s if isinstance(s, np.ndarray) else float(s)
+
+
 def phase_fundamental(theta: float, t: float) -> float:
     """P1 = sin(t - 2 theta) sin(t); exactly 0.0 on the t = 2*theta locus."""
-    return math.sin(t - 2.0 * theta) * math.sin(t)
+    return _sin(t - 2.0 * theta) * _sin(t)
 
 
 def phase_second_harmonic(theta: float, t: float) -> float:
     """P2 = sin(2 (t - 2 theta)) sin(2 t); exactly 0.0 at t = 2*theta."""
-    return math.sin(2.0 * (t - 2.0 * theta)) * math.sin(2.0 * t)
+    return _sin(2.0 * (t - 2.0 * theta)) * _sin(2.0 * t)
 
 
 def secular_factor(theta: float, t: float) -> float:
     """S = t sin(4 theta).  Linear growth is physical at first order; the
     argument is never reduced modulo 2*pi."""
-    return t * math.sin(4.0 * theta)
+    return t * _sin(4.0 * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +164,9 @@ def _squeezing_f(inputs: ClosedFormInputs, sin2_sign: float) -> float:
     """Both f forms; ``sin2_sign`` is the sign of their sin^2(2t) term."""
     r2 = inputs.alpha_mag**2
     s = secular_factor(inputs.theta, inputs.t)
-    s2t = math.sin(2.0 * inputs.t)
+    s2t = _sin(2.0 * inputs.t)
     return -(3.0 * inputs.lam / 4.0) * (
-        -4.0 * r2 * (2.0 * r2 + 3.0) * math.sin(inputs.t) * math.sin(inputs.t + 2.0 * inputs.theta)
+        -4.0 * r2 * (2.0 * r2 + 3.0) * _sin(inputs.t) * _sin(inputs.t + 2.0 * inputs.theta)
         - 4.0 * r2 * r2 * s
         + sin2_sign * (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * s2t * s2t
     )
@@ -221,8 +221,8 @@ def squeezing_witness_f_special(inputs: ClosedFormInputs) -> float:
     ``theta`` field of ``inputs`` is ignored.
     """
     r2 = inputs.alpha_mag**2
-    st = math.sin(inputs.t)
-    s2t = math.sin(2.0 * inputs.t)
+    st = _sin(inputs.t)
+    s2t = _sin(2.0 * inputs.t)
     return -(3.0 * inputs.lam / 4.0) * (
         4.0 * r2 * (2.0 * r2 + 3.0) * st * st
         + (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * s2t * s2t
@@ -263,8 +263,8 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
     The ``theta`` field of ``inputs`` is ignored.
     """
     r4 = inputs.alpha_mag**4
-    st = math.sin(inputs.t)
-    s2t = math.sin(2.0 * inputs.t)
+    st = _sin(inputs.t)
+    s2t = _sin(2.0 * inputs.t)
     if order == 2:
         return (3.0 * inputs.lam * r4 / 2.0) * (-st * st + s2t * s2t)
     if order == 3:
@@ -276,14 +276,10 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
 # first-order operator solution as a matrix
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _bracket_words(dim: int):
-    """Constant matrices of the words of a_1(t), cached per dimension."""
+    """Constant dense matrices of the words of a_1(t), built on each call."""
     a, adag, _ = make_ladder_ops(dim)
-    words = (a, adag @ (a @ a), adag @ (adag @ a), adag @ (adag @ adag), adag, a @ (a @ a))
-    for w in words:
-        w.flags.writeable = False
-    return words
+    return (a, adag @ (a @ a), adag @ (adag @ a), adag @ (adag @ adag), adag, a @ (a @ a))
 
 
 #: Offset k of the one nonzero diagonal (entries [i, i + k]) of each word of
@@ -291,11 +287,15 @@ def _bracket_words(dim: int):
 _BRACKET_OFFSETS = (1, 1, -1, -3, -1, 3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _bracket_bands(dim: int):
-    """(offset, diagonal) of each word, read off the cached matrices so the
-    truncation edge is theirs."""
-    return tuple((k, np.diagonal(w, k)) for w, k in zip(_bracket_words(dim), _BRACKET_OFFSETS))
+    """(offset, diagonal) of each word, copied off the dense matrices so the
+    truncation edge is theirs; only these O(dim) diagonals are cached."""
+    bands = tuple((k, np.diagonal(w, k).copy())
+                  for w, k in zip(_bracket_words(dim), _BRACKET_OFFSETS))
+    for _, diag in bands:
+        diag.flags.writeable = False
+    return bands
 
 
 def _bracket_coefficients(lam: float, t):

@@ -8,6 +8,9 @@ and N; moments of the first-order operator matrix for quadrature and
 hillery), the value from exact-oracle moments (modes ``exact`` and
 ``compare``) and the reference a value is classified against.
 
+Each (alpha, theta, lambda) slice is evaluated over its whole t grid on
+arrays, and a result holds columns shaped (slices, T, witnesses).
+
 ``compare`` mode also records |closed form - exact| per row; the scaling
 report fits log-log slopes of those errors across the lambda grid, the
 decisive diagnostic for whether a closed form is first-order exact (slope
@@ -18,8 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .criteria import (
     hoa_d_from_moments,
     quadrature_squeezing,
 )
-from .dynamics import MomentSet, exact_moment_block, moment_sets
+from .dynamics import MomentSet, exact_moment_block
 from .fock import ModelParams, default_dim
 from .perturbative import (
     ClosedFormInputs,
@@ -45,14 +50,14 @@ from .perturbative import (
 class Witness:
     """How a sweep evaluates and classifies one witness.
 
-    ``closed_form(inputs, fo_moments)`` and ``exact(moments)`` give the two
-    values of a row; ``fo_moments`` is the first-order operator matrix's
-    MomentSet when ``needs_first_order`` and None otherwise.  A row is
-    classified by its value minus ``reference(alpha_mag)``.
+    ``closed_form(inputs, fo_moments)`` and ``exact(moments)`` give a slice's
+    two values per t (``inputs.t`` is the grid, MomentSet fields are moment
+    columns); ``fo_moments`` are the first-order operator matrix's moments when
+    ``needs_first_order``.  A row is classified by value - ``reference(alpha_mag)``.
     """
 
-    closed_form: Callable[[ClosedFormInputs, Optional[MomentSet]], float]
-    exact: Callable[[MomentSet], float]
+    closed_form: Callable[[ClosedFormInputs, Optional[MomentSet]], np.ndarray]
+    exact: Callable[[MomentSet], np.ndarray]
     reference: Callable[[float], float] = lambda alpha_mag: 0.0
     needs_first_order: bool = False
 
@@ -118,9 +123,8 @@ class SweepSpec:
     output_path: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_mag", tuple(float(x) for x in self.alpha_mag))
-        object.__setattr__(self, "theta", tuple(float(x) for x in self.theta))
-        object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
+        for name in ("alpha_mag", "theta", "lam"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         object.__setattr__(self, "t_start", float(self.t_start))
         object.__setattr__(self, "t_end", float(self.t_end))
         object.__setattr__(self, "t_steps", int(self.t_steps))
@@ -192,11 +196,46 @@ class WitnessSummary:
     max_abs_error: Optional[float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's columns, shaped (slices, T, witnesses) so that their ravel is
+    in row order.  ``value_exact`` is None in mode ``closed_form`` and
+    ``abs_error`` outside mode ``compare``."""
+
     spec: SweepSpec
-    rows: tuple
+    value_cf: np.ndarray
+    value_exact: Optional[np.ndarray]
+    abs_error: Optional[np.ndarray]
+    classification: np.ndarray
     summaries: tuple
+
+    @property
+    def row_count(self) -> int:
+        return self.value_cf.size
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The rows as SweepRow objects: a view built on first access."""
+        return tuple(map(SweepRow, *self._columns(float, None)))
+
+    def _columns(self, fmt, missing) -> tuple:
+        """The nine CSV columns as lists in row order: numbers pass through ``fmt``
+        (each grid coordinate once), an unfilled column holds ``missing``."""
+        spec = self.spec
+        ts = [fmt(t) for t in spec.t_grid().tolist()]
+        slices = [tuple(map(fmt, s)) for s in _slices(spec)]
+        per_slice = len(ts) * len(spec.witnesses)
+        coords = [[c for s in slices for c in [s[j]] * per_slice] for j in range(3)]
+        values = [[missing] * self.row_count if c is None else list(map(fmt, c.ravel().tolist()))
+                  for c in (self.value_cf, self.value_exact, self.abs_error)]
+        return (*coords, [t for t in ts for _ in spec.witnesses] * len(slices),
+                list(spec.witnesses) * (len(ts) * len(slices)),
+                *values, self.classification.ravel().tolist())
+
+
+def _slices(spec: SweepSpec):
+    """(alpha, theta, lambda) of each slice, in grid order."""
+    return product(spec.alpha_mag, spec.theta, spec.lam)
 
 
 def validate_dimensions(spec: SweepSpec, factor: int = 1) -> None:
@@ -216,7 +255,7 @@ def validate_convergence(spec: SweepSpec) -> None:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid, return rows plus per-slice summaries, write CSV if asked.
+    """Evaluate the grid, return columns plus per-slice summaries, write CSV if asked.
 
     Row order is witness-innermost within the fixed alpha, theta, lambda, t
     nesting; two runs of the same spec produce byte-identical CSV output.
@@ -230,96 +269,65 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     horizon = spec.horizon()
     need_exact = spec.mode in ("exact", "compare")
     need_fo = any(WITNESSES[w].needs_first_order for w in spec.witnesses)
-    no_moments = [None] * len(ts)
 
-    rows = []
-    summaries = []
-    for a in spec.alpha_mag:
-        dim = spec.dim_for(a)
-        evaluators = [(w, WITNESSES[w], WITNESSES[w].reference(a)) for w in spec.witnesses]
-        for th in spec.theta:
-            for lam in spec.lam:
-                params = ModelParams(a, th, lam, dim)
-                per_witness = {w: [] for w in spec.witnesses}
-                fo_sets = moment_sets(first_order_moment_block(params, ts)) if need_fo else no_moments
-                exact_sets = (moment_sets(exact_moment_block(params, ts, horizon=horizon))
-                              if need_exact else no_moments)
-                for t, fo_moments, exact_moments in zip(ts.tolist(), fo_sets, exact_sets):
-                    inputs = ClosedFormInputs(a, th, lam, t)
-                    for w, entry, reference in evaluators:
-                        cf = entry.closed_form(inputs, fo_moments)
-                        ex = entry.exact(exact_moments) if need_exact else None
-                        err = abs(cf - ex) if spec.mode == "compare" else None
-                        primary = ex if ex is not None else cf
-                        rows.append(SweepRow(
-                            alpha_mag=a, theta=th, lam=lam, t=t, witness=w,
-                            value_cf=cf, value_exact=ex, abs_error=err,
-                            classification=classify(primary - reference, DEFAULT_BOUNDARY_TOL),
-                        ))
-                        per_witness[w].append((primary, err))
-                for w in spec.witnesses:
-                    vals = [v for v, _ in per_witness[w]]
-                    errs = [e for _, e in per_witness[w] if e is not None]
-                    crossings = sum(
-                        1 for i in range(len(vals) - 1) if vals[i] * vals[i + 1] < 0.0
-                    )
-                    summaries.append(WitnessSummary(
-                        witness=w, alpha_mag=a, theta=th, lam=lam,
-                        vmin=min(vals), vmax=max(vals), zero_crossings=crossings,
-                        max_abs_error=max(errs) if errs else None,
-                    ))
+    slices = list(_slices(spec))
+    shape = (len(slices), ts.size, len(spec.witnesses))
+    value_cf = np.empty(shape)
+    value_exact = np.empty(shape) if need_exact else None
+    for s, (a, th, lam) in enumerate(slices):
+        params = ModelParams(a, th, lam, spec.dim_for(a))
+        inputs = ClosedFormInputs(a, th, lam, ts)
+        fo = MomentSet(*first_order_moment_block(params, ts).T) if need_fo else None
+        exact = MomentSet(*exact_moment_block(params, ts, horizon=horizon).T) if need_exact else None
+        for k, w in enumerate(spec.witnesses):
+            value_cf[s, :, k] = WITNESSES[w].closed_form(inputs, fo)
+            if need_exact:
+                value_exact[s, :, k] = WITNESSES[w].exact(exact)
 
-    result = SweepResult(spec=spec, rows=tuple(rows), summaries=tuple(summaries))
+    abs_error = np.abs(value_cf - value_exact) if spec.mode == "compare" else None
+    primary = value_cf if value_exact is None else value_exact
+    reference = np.array([[WITNESSES[w].reference(a) for w in spec.witnesses] for a, _, _ in slices])
+    result = SweepResult(
+        spec=spec, value_cf=value_cf, value_exact=value_exact, abs_error=abs_error,
+        classification=classify(primary - reference[:, None, :], DEFAULT_BOUNDARY_TOL),
+        summaries=_summaries(spec, slices, primary, abs_error),
+    )
     if spec.output_path is not None:
-        write_csv(result.rows, spec.output_path)
+        write_csv(result, spec.output_path)
     return result
 
 
-def _fmt(x) -> str:
-    # repr of a Python float is the shortest decimal that round-trips exactly
-    return "" if x is None else repr(float(x))
+def _summaries(spec: SweepSpec, slices, primary: np.ndarray, abs_error) -> tuple:
+    """One WitnessSummary per (slice, witness), reduced over t."""
+    # first occurrences, as Python's min and max take them, fix the sign of a zero
+    vmin, vmax = (np.take_along_axis(primary, pick(primary, axis=1)[:, None], axis=1)[:, 0].tolist()
+                  for pick in (np.argmin, np.argmax))
+    crossings = np.count_nonzero(primary[:, :-1] * primary[:, 1:] < 0.0, axis=1).tolist()
+    worst = (abs_error.max(axis=1).tolist() if abs_error is not None
+             else [[None] * len(spec.witnesses)] * len(slices))
+    return tuple(WitnessSummary(w, a, th, lam, *cells)
+                 for (a, th, lam), *per_slice in zip(slices, vmin, vmax, crossings, worst)
+                 for w, *cells in zip(spec.witnesses, *per_slice))
 
 
-def write_csv(rows: Sequence[SweepRow], path) -> None:
-    # 4 of a row's 7 numbers are grid coordinates that recur from row to row,
-    # so each distinct one is formatted once.  Zeros are not cached: 0.0 and
-    # -0.0 are one dict key but print differently.
-    grid = {}
-
-    def coord(x) -> str:
-        s = grid.get(x)
-        if s is None:
-            s = _fmt(x)
-            if x:
-                grid[x] = s
-        return s
-
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join((
-            coord(r.alpha_mag), coord(r.theta), coord(r.lam), coord(r.t), r.witness,
-            _fmt(r.value_cf), _fmt(r.value_exact), _fmt(r.abs_error), r.classification,
-        )))
+def write_csv(result: SweepResult, path) -> None:
+    """Write a sweep's rows as CSV straight from its columns; floats print as
+    their repr, the shortest decimal that round-trips exactly."""
+    lines = [CSV_HEADER, *map(",".join, zip(*result._columns(repr, "")))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
 def read_csv(path):
     """Parse a sweep CSV back into rows; inverse of ``write_csv``."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.strip("\n").split("\n")
+    lines = Path(path).read_text(encoding="ascii").strip("\n").split("\n")
     if lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append(SweepRow(
-            alpha_mag=float(cells[0]), theta=float(cells[1]), lam=float(cells[2]),
-            t=float(cells[3]), witness=cells[4], value_cf=float(cells[5]),
-            value_exact=float(cells[6]) if cells[6] else None,
-            abs_error=float(cells[7]) if cells[7] else None,
-            classification=cells[8],
-        ))
-    return tuple(rows)
+
+    def number(cell):
+        return float(cell) if cell else None
+
+    return tuple(SweepRow(*map(float, c[:4]), c[4], float(c[5]), number(c[6]), number(c[7]), c[8])
+                 for c in (line.split(",") for line in lines[1:]))
 
 
 @dataclass(frozen=True)
@@ -367,9 +375,9 @@ def compare_report(spec: SweepSpec, result: Optional[SweepResult] = None) -> Sca
         result = run_sweep(spec)
 
     worst_err = {}
-    for r in result.rows:
-        key = (r.witness, r.alpha_mag, r.theta, r.lam)
-        worst_err[key] = max(worst_err.get(key, 0.0), r.abs_error)
+    for s in result.summaries:
+        key = (s.witness, s.alpha_mag, s.theta, s.lam)
+        worst_err[key] = max(worst_err.get(key, 0.0), s.max_abs_error)
 
     entries = []
     for w in spec.witnesses:

@@ -116,6 +116,12 @@ def test_bracket_bands_are_the_words(dim):
         assert np.array_equal(np.diag(diag, k), word)
 
 
+def test_bracket_band_cache_is_bounded_and_holds_no_dense_matrix():
+    assert _bracket_bands.cache_info().maxsize is not None
+    for _, diag in _bracket_bands(31):
+        assert diag.base is None and not diag.flags.writeable
+
+
 def test_lowering_band_is_the_annihilation_matrix():
     rng = np.random.default_rng(5)
     dim = 17

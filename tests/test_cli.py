@@ -20,7 +20,7 @@ from anharmonic.cli import (
     parse_number_list,
     read_config,
 )
-from anharmonic.sweep import WITNESSES, SweepSpecError, read_csv
+from anharmonic.sweep import WITNESSES, SweepResult, SweepSpecError, read_csv
 
 NON_FINITE_ARGS = [
     ("--lambda", "nan"),
@@ -99,6 +99,19 @@ class TestMain:
         rows = read_csv(out_csv)
         assert len(rows) == 32
         assert all(r.witness in ("f", "d2") for r in rows)
+
+    def test_compare_run_builds_no_row_objects(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the CLI built the SweepRow view")
+
+        monkeypatch.setattr(SweepResult, "rows", property(refuse))
+        code, text = self.run(
+            "--alpha", "1,2", "--lambda", "1e-3,1e-4", "--mode", "compare", "--t-steps", "5",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_OK
+        assert text.startswith(f"rows={2 * 2 * 5 * len(WITNESSES)} mode=compare")
+        assert "scaling witness=hillery" in text
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

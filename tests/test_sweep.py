@@ -3,20 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from anharmonic import sweep
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
-from anharmonic.dynamics import exact_moment_set
+from anharmonic.dynamics import MomentSet, exact_moment_set
 from anharmonic.fock import ModelParams, TruncationError, default_dim
 from anharmonic.perturbative import (
     ClosedFormInputs,
     first_order_moment_set,
+    first_order_squeezing_f,
     hoa_witness_d,
     mean_photon_number,
     squeezing_witness_f,
 )
 from anharmonic.sweep import (
     CSV_HEADER,
+    SCALING_ERROR_FLOOR,
+    SCALING_SLOPE_THRESHOLD,
     WITNESS_NAMES,
     WITNESSES,
+    ScalingEntry,
+    SweepResult,
     SweepSpec,
     SweepSpecError,
     compare_report,
@@ -139,6 +145,89 @@ class TestRunSweep:
         assert s.vmin == min(values) and s.vmax == max(values)
 
 
+class TestColumns:
+    def test_columns_are_shaped_slices_by_t_by_witness(self):
+        spec = small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), mode="compare",
+                          t_steps=4, witnesses=("f", "N", "hillery"))
+        result = run_sweep(spec)
+        for column in (result.value_cf, result.value_exact, result.abs_error,
+                       result.classification):
+            assert column.shape == (8, 4, 3)
+        assert result.row_count == len(result.rows) == 96
+        assert result.rows is result.rows
+        r = result.rows[-1]
+        assert (r.alpha_mag, r.theta, r.lam, r.t, r.witness) == (1.0, np.pi / 2, 1e-4, 2 * np.pi, "hillery")
+        assert (r.value_cf, r.value_exact, r.abs_error, r.classification) == (
+            result.value_cf[-1, -1, -1], result.value_exact[-1, -1, -1],
+            result.abs_error[-1, -1, -1], result.classification[-1, -1, -1])
+
+    @pytest.mark.parametrize("mode", ["closed_form", "exact"])
+    def test_unfilled_columns_are_none(self, mode):
+        result = run_sweep(small_spec(mode=mode, t_steps=3))
+        assert result.abs_error is None
+        assert (result.value_exact is None) == (mode == "closed_form")
+
+    def test_sweep_builds_objects_per_slice_not_per_row(self, monkeypatch, tmp_path):
+        counts = {"ClosedFormInputs": 0, "MomentSet": 0}
+
+        def counting(cls):
+            def build(*args):
+                counts[cls.__name__] += 1
+                return cls(*args)
+            return build
+
+        def no_rows(*args):
+            raise AssertionError("run_sweep built a SweepRow")
+
+        monkeypatch.setattr(sweep, "ClosedFormInputs", counting(ClosedFormInputs))
+        monkeypatch.setattr(sweep, "MomentSet", counting(MomentSet))
+        monkeypatch.setattr(sweep, "SweepRow", no_rows)
+        spec = small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), mode="compare",
+                          t_steps=17, output_path=str(tmp_path / "s.csv"))
+        run_sweep(spec)
+        assert counts == {"ClosedFormInputs": 8, "MomentSet": 16}
+
+    def test_rebinding_a_closed_form_reaches_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(sweep, "squeezing_witness_f", first_order_squeezing_f)
+        spec = small_spec(theta=(0.3,), lam=(1e-2,), t_steps=33, witnesses=("N", "f"))
+        expected = [first_order_squeezing_f(ClosedFormInputs(1.0, 0.3, 1e-2, t))
+                    for t in spec.t_grid().tolist()]
+        assert run_sweep(spec).value_cf[0, :, 1].tolist() == expected
+
+    @pytest.mark.parametrize("spec", [
+        small_spec(lam=(0.0, 1e-3), t_steps=17),
+        small_spec(alpha_mag=(0.0, 2.0), theta=(0.0, -0.0, 0.4), mode="compare",
+                   lam=(1e-3, 1e-4), t_steps=9),
+    ])
+    def test_summaries_are_the_row_walk(self, spec):
+        # the per-slice reductions over the rows, as Python's min, max and
+        # sum compute them, with Python floats for the printed numbers
+        result = run_sweep(spec)
+        per_slice = spec.t_steps * len(spec.witnesses)
+        expected = []
+        for start in range(0, result.row_count, per_slice):
+            for k in range(len(spec.witnesses)):
+                rows = result.rows[start + k:start + per_slice:len(spec.witnesses)]
+                vals = [r.value_exact if r.value_exact is not None else r.value_cf for r in rows]
+                errs = [r.abs_error for r in rows if r.abs_error is not None]
+                crossings = sum(1 for x, y in zip(vals, vals[1:]) if x * y < 0.0)
+                expected.append((rows[0].witness, repr(rows[0].theta), repr(min(vals)),
+                                 repr(max(vals)), crossings, repr(max(errs)) if errs else "None"))
+        got = [(s.witness, repr(s.theta), repr(s.vmin), repr(s.vmax), s.zero_crossings,
+                repr(s.max_abs_error)) for s in result.summaries]
+        assert got == expected
+
+    def test_summary_extremes_take_the_first_zero(self):
+        primary = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]).reshape(2, 3, 1)
+        spec = small_spec(alpha_mag=(1.0,), theta=(0.0,), lam=(1e-3, 1e-4), t_steps=3,
+                          witnesses=("d1",))
+        slices = [(1.0, 0.0, 1e-3), (1.0, 0.0, 1e-4)]
+        first, second = sweep._summaries(spec, slices, primary, None)
+        assert (repr(first.vmin), repr(first.vmax)) == (repr(min(0.0, -0.0, 1.0)), "1.0")
+        assert (repr(second.vmin), repr(second.vmax)) == ("-1.0", repr(max(-0.0, 0.0, -1.0)))
+        assert repr(first.vmin) == "0.0" and repr(second.vmax) == "-0.0"
+
+
 class TestWitnessTable:
     def test_names_follow_the_table(self):
         assert WITNESS_NAMES == tuple(WITNESSES) == (
@@ -207,10 +296,10 @@ class TestCsvContract:
         assert [line.split(",")[1] for line in lines[::4]] == ["0.0", "-0.0", "0.5"]
 
     def test_write_read_helpers(self, tmp_path):
-        rows = run_sweep(small_spec(t_steps=3, witnesses=("d1",))).rows
+        result = run_sweep(small_spec(t_steps=3, witnesses=("d1",)))
         path = tmp_path / "h.csv"
-        write_csv(rows, path)
-        assert read_csv(path) == rows
+        write_csv(result, path)
+        assert read_csv(path) == result.rows
 
 
 class TestCompareReport:
@@ -241,6 +330,34 @@ class TestCompareReport:
     def test_requires_two_lambdas(self):
         with pytest.raises(SweepSpecError, match="lambda"):
             compare_report(small_spec(mode="compare", lam=(1e-3,)))
+
+    def test_repeated_lambda_merges_like_the_row_walk(self):
+        # the report reads each slice's max |error| from the summaries; a
+        # repeated lambda value merges its slices by max, as walking every
+        # row did
+        spec = small_spec(alpha_mag=(0.5, 1.0), theta=(0.7, 0.7), lam=(1e-3, 1e-4, 1e-3),
+                          mode="compare", t_steps=9, witnesses=("N", "d1", "f", "hillery"))
+        result = run_sweep(spec)
+        worst_err = {}
+        for r in result.rows:
+            key = (r.witness, r.alpha_mag, r.theta, r.lam)
+            worst_err[key] = max(worst_err.get(key, 0.0), r.abs_error)
+        lams = sorted(set(spec.lam))
+        expected = []
+        for w in spec.witnesses:
+            for a in spec.alpha_mag:
+                for th in spec.theta:
+                    errs = [worst_err[(w, a, th, lam)] for lam in lams]
+                    if min(errs) <= SCALING_ERROR_FLOOR:
+                        expected.append(ScalingEntry(w, a, th, None, "floor-limited"))
+                        continue
+                    slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
+                    status = "pass" if slope >= SCALING_SLOPE_THRESHOLD else "fail"
+                    expected.append(ScalingEntry(w, a, th, slope, status))
+        assert compare_report(spec, result).entries == tuple(expected)
+        keys = [(s.witness, s.alpha_mag, s.theta, s.lam) for s in result.summaries]
+        assert len(keys) == 3 * len(set(keys))
+        assert len(expected) == 4 * 2 * 2
 
     def test_vacuum_input_at_tiny_coupling_is_floor_limited(self):
         # at alpha = 0 every closed form is identically zero and the exact
