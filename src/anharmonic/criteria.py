@@ -51,17 +51,19 @@ def classify(value: float, tolerance: float = DEFAULT_BOUNDARY_TOL) -> str:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """One evaluated witness: value and classification."""
+    """One evaluated witness: its value (float or array), classified when read."""
 
     name: str
     value: float
-    classification: str
     tolerance: float
 
+    def __post_init__(self):
+        if not isinstance(self.value, np.ndarray):
+            object.__setattr__(self, "value", float(self.value))
 
-def _report(name: str, value: float, tolerance: float) -> CriterionReport:
-    value = value if isinstance(value, np.ndarray) else float(value)
-    return CriterionReport(name, value, classify(value, tolerance), tolerance)
+    @property
+    def classification(self) -> str:
+        return classify(self.value, self.tolerance)
 
 
 def _factorial_moments(moments: Moments) -> tuple:
@@ -83,7 +85,7 @@ def quadrature_squeezing(
     Expansion: <X^2> = Re<a^2> + <a^dag a> + 1/2 and <X> = sqrt(2) Re<a>.
     """
     value = moments.a2.real + moments.ada.real - 2.0 * np.float_power(moments.a.real, 2)
-    return _report("quadrature_squeezing", value, tolerance)
+    return CriterionReport("quadrature_squeezing", value, tolerance)
 
 
 def antibunching_second_order(
@@ -92,7 +94,7 @@ def antibunching_second_order(
 ) -> CriterionReport:
     """<a^dag^2 a^2> - <a^dag a>^2, i.e. (Delta N)^2 - <N>; this is d(1)."""
     value = moments.ad2a2.real - np.float_power(moments.ada.real, 2)
-    return _report("antibunching_second_order", value, tolerance)
+    return CriterionReport("antibunching_second_order", value, tolerance)
 
 
 def hillery_squeezing(
@@ -107,7 +109,7 @@ def hillery_squeezing(
     <Y1> = sqrt(2) Re<a^2>; the <2N + 1> reference cancels the 2<N> + 1 part.
     """
     value = moments.a4.real + moments.ad2a2.real - 2.0 * np.float_power(moments.a2.real, 2)
-    return _report("hillery_squeezing", value, tolerance)
+    return CriterionReport("hillery_squeezing", value, tolerance)
 
 
 def lee_R(moments: Moments, l: int, m: int) -> float:
@@ -122,16 +124,13 @@ def lee_R(moments: Moments, l: int, m: int) -> float:
     fm = _factorial_moments(moments)
     if l + 1 > len(fm):
         raise ValueError(f"need factorial moments up to order {l + 1}, have {len(fm)}")
-
-    def nfac(i: int) -> float:
-        return 1.0 if i == 0 else fm[i - 1]
-
-    denom = nfac(l) * nfac(m)
+    nfac = (1.0, *fm)  # nfac[i] = <N^(i)>
+    denom = nfac[l] * nfac[m]
     if denom == 0.0:
         raise VacuumDenominatorError(
             f"<N^({l})> <N^({m})> = 0 (vacuum-dominated state); R(l, m) undefined"
         )
-    return nfac(l + 1) * nfac(m - 1) / denom - 1.0
+    return nfac[l + 1] * nfac[m - 1] / denom - 1.0
 
 
 def ba_an_A(moments: Moments, l: int) -> float:
@@ -155,4 +154,4 @@ def hoa_d_from_moments(
     if l + 1 > len(fm):
         raise ValueError(f"need factorial moments up to order {l + 1}, have {len(fm)}")
     value = fm[l] - np.float_power(fm[0], l + 1)
-    return _report(f"hoa_d_{l}", value, tolerance)
+    return CriterionReport(f"hoa_d_{l}", value, tolerance)

@@ -46,8 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import MomentSet, apply_banded, ket_moment_block, moment_sets
-from .fock import ModelParams, coherent_state, make_ladder_ops
+from .dynamics import MomentSet, apply_banded, initial_state, ket_moment_block, moment_sets
+from .fock import ModelParams, make_ladder_ops
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,13 @@ def first_order_hoa_d(order: int, inputs: ClosedFormInputs) -> float:
     if order == 1:
         return (3.0 * inputs.lam * r2 / 4.0) * (2.0 * (2.0 * r2 + 1.0) * p1 + r2 * p2)
     if order == 2:
-        return (3.0 * inputs.lam * r2 * r2 / 4.0) * (
-            2.0 * (6.0 * r2 + 5.0) * p1 + (3.0 * r2 + 2.0) * p2
-        )
+        return (3.0 * inputs.lam * r2 * r2 / 4.0) * (2.0 * (6.0 * r2 + 5.0) * p1
+                                                     + (3.0 * r2 + 2.0) * p2)
     if order == 3:
         return (3.0 * inputs.lam / 4.0) * (
-            4.0 * r2**3 * (6.0 * r2 + 7.0) * p1
-            + 2.0 * r2 * r2 * (3.0 * r2 * r2 + 4.0 * r2 + 1.0) * p2
-        )
-    raise ValueError(
-        f"order must be 1, 2 or 3, got {order}: a first-order operator solution "
-        "carries no information about antibunching of fourth or higher order"
-    )
+            4.0 * r2**3 * (6.0 * r2 + 7.0) * p1 + 2.0 * r2 * r2 * (3.0 * r2 * r2 + 4.0 * r2 + 1.0) * p2)
+    raise ValueError(f"order must be 1, 2 or 3, got {order}: a first-order operator solution "
+                     "carries no information about antibunching of fourth or higher order")
 
 
 def first_order_squeezing_f(inputs: ClosedFormInputs) -> float:
@@ -174,12 +169,8 @@ def _squeezing_f(inputs: ClosedFormInputs, sin2_sign: float) -> float:
 
 def first_order_delta_y1_squared(inputs: ClosedFormInputs) -> float:
     """Exact first-order (Delta Y1)^2 = f + <2N + 1> with the validated f."""
-    return (
-        2.0 * inputs.alpha_mag**2
-        + 1.0
-        + first_order_squeezing_f(inputs)
-        + 2.0 * mean_photon_correction(inputs)
-    )
+    return (2.0 * inputs.alpha_mag**2 + 1.0 + first_order_squeezing_f(inputs)
+            + 2.0 * mean_photon_correction(inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +184,8 @@ def delta_y1_squared(inputs: ClosedFormInputs) -> float:
     ``mean_photon_number``.  For the oracle-validated variant see
     ``first_order_delta_y1_squared``.
     """
-    return (
-        2.0 * inputs.alpha_mag**2
-        + 1.0
-        + squeezing_witness_f(inputs)
-        + 2.0 * mean_photon_correction(inputs)
-    )
+    return (2.0 * inputs.alpha_mag**2 + 1.0 + squeezing_witness_f(inputs)
+            + 2.0 * mean_photon_correction(inputs))
 
 
 def squeezing_witness_f(inputs: ClosedFormInputs) -> float:
@@ -337,7 +324,7 @@ def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:
     for c, (k, diag) in zip(_bracket_coefficients(params.lam, ts), _bracket_bands(params.dim)):
         term = c[:, None] * diag
         bands[k] = bands[k] + term if k in bands else term
-    psi0 = coherent_state(params.alpha, params.dim).amplitudes
+    psi0 = initial_state(params.alpha, params.dim).amplitudes
     kets = [np.broadcast_to(psi0, (ts.size, params.dim))]
     for _ in range(4):
         kets.append(apply_banded(bands.items(), kets[-1]))

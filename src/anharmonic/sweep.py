@@ -433,9 +433,5 @@ def convergence_check(spec: SweepSpec, max_combos: int = 8) -> ConvergenceReport
             drift = max(abs(x1 - x2) / max(1.0, abs(x2)) for x1, x2 in zip(row1, row2))
             samples.append(ConvergenceSample(a, th, lam, t, drift))
             worst = max(worst, drift)
-    return ConvergenceReport(
-        max_drift=worst,
-        tolerance=CONVERGENCE_TOL,
-        passed=worst < CONVERGENCE_TOL,
-        samples=tuple(samples),
-    )
+    return ConvergenceReport(max_drift=worst, tolerance=CONVERGENCE_TOL,
+                             passed=worst < CONVERGENCE_TOL, samples=tuple(samples))

@@ -84,6 +84,15 @@ def test_norm_is_conserved(a, th, lam, ts):
 
 @PROPERTY
 @given(alphas, thetas, lams, grids)
+def test_even_level_population_is_conserved(a, th, lam, ts):
+    params = ModelParams.auto(a, th, lam)
+    even = np.abs(evolve_block(params, ts)[:, ::2]) ** 2
+    start = np.sum(np.abs(coherent_state(params.alpha, params.dim).amplitudes[::2]) ** 2)
+    assert np.all(np.abs(even.sum(axis=1) - start) <= 1e-12)
+
+
+@PROPERTY
+@given(alphas, thetas, lams, grids)
 def test_diagonal_moments_are_real(a, th, lam, ts):
     params = ModelParams.auto(a, th, lam)
     for block in (exact_moment_block(params, ts), first_order_moment_block(params, ts)):

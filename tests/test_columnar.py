@@ -141,6 +141,18 @@ def test_column_witnesses_are_their_row_witnesses_on_any_moments(rows):
     assert_columns_are_rows(parts[:, ::2] + 1j * parts[:, 1::2])
 
 
+def test_column_reports_classify_like_row_reports():
+    # t = 0 is the coherent input, where every witness sits in the boundary band
+    block = exact_moment_block(ModelParams.auto(2.0, 0.4, 1e-2), np.linspace(0.0, np.pi, 9))
+    reports = {"quadrature": quadrature_squeezing, "antibunching": antibunching_second_order,
+               "hillery": hillery_squeezing,
+               **{f"d{l}": (lambda m, l=l: hoa_d_from_moments(m, l)) for l in (1, 2, 3)}}
+    for name, report in reports.items():
+        labels = report(column_set(block)).classification
+        assert labels.tolist() == [report(m).classification for m in moment_sets(block)], name
+        assert labels[0] == BOUNDARY and set(labels[1:]) - {BOUNDARY}, name
+
+
 def test_witness_powers_round_like_python_floats():
     # numpy's x**2, x**3 and x**4 differ from Python's float ** in the last
     # bit for a few inputs in a thousand; a block this size hits such inputs

@@ -46,7 +46,8 @@ class TestClassification:
         rng = np.random.default_rng(5)
         for _ in range(50):
             v = float(rng.normal(scale=1e-9))
-            rep = CriterionReport("w", v, classify(v), DEFAULT_BOUNDARY_TOL)
+            rep = CriterionReport("w", v, DEFAULT_BOUNDARY_TOL)
+            assert rep.classification == classify(v)
             assert (rep.classification == NONCLASSICAL) == (v < -rep.tolerance)
             assert (rep.classification == BOUNDARY) == (abs(v) <= rep.tolerance)
 

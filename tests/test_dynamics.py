@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from anharmonic.dynamics import (
     DEFAULT_TIME_HORIZON,
+    _quartic,
     coherent_moment_set,
     evolve_exact,
     exact_moment_set,
@@ -33,6 +36,63 @@ class TestHamiltonian:
     def test_build_from_params(self):
         p = ModelParams.auto(1.0, 0.0, 1e-3)
         assert np.array_equal(build_hamiltonian(p), hamiltonian(1e-3, p.dim))
+
+
+def dense_hamiltonian(lam, dim):
+    """H built from scratch at every call, as two dense products."""
+    a, adag, _ = make_ladder_ops(dim)
+    x = a + adag
+    x2 = x @ x
+    h = np.diag(np.arange(dim) + 0.5) + (lam / 16.0) * (x2 @ x2)
+    return 0.5 * (h + h.T)
+
+
+class TestQuarticCache:
+    @pytest.mark.parametrize("dim", [2, 3, 53, 202, 582])
+    def test_hamiltonian_is_the_uncached_formula(self, dim):
+        for lam in (0.0, -0.0, 1e-4, 0.3):
+            h = hamiltonian(lam, dim)
+            assert np.array_equal(h.view(np.int64), dense_hamiltonian(lam, dim).view(np.int64))
+
+    def test_one_build_per_dim(self):
+        _quartic.cache_clear()
+        hamiltonian(1e-4, 37)
+        hamiltonian(0.3, 37)
+        info = _quartic.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_cached_operator_is_read_only(self):
+        q = _quartic(9)
+        with pytest.raises(ValueError):
+            q[0, 0] = 1.0
+        assert np.array_equal(hamiltonian(0.3, 9), dense_hamiltonian(0.3, 9))
+
+    def test_cache_is_bounded(self):
+        maxsize = _quartic.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 4
+
+    def test_module_cache_scan_empties_it(self):
+        _quartic(11)
+        for name, module in list(sys.modules.items()):
+            if module is None or not name.startswith("anharmonic"):
+                continue
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
+                    value.cache_clear()
+        assert _quartic.cache_info().currsize == 0
+
+
+class TestParity:
+    """H commutes with parity (-1)^n: it couples only levels of equal parity,
+    and (a^dag + a)^4 reaches at most four levels away."""
+
+    @pytest.mark.parametrize("lam,dim", [(0.0, 7), (1e-4, 30), (0.3, 53), (1e-2, 202)])
+    def test_off_parity_and_off_band_entries_are_exact_zeros(self, lam, dim):
+        h = hamiltonian(lam, dim)
+        i, j = np.indices(h.shape)
+        off = ((i - j) % 2 == 1) | (np.abs(i - j) > 4)
+        assert np.all(h[off] == 0.0)
+        assert np.count_nonzero(h[~off]) > 0
 
 
 class TestEvolveExact:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anharmonic import sweep
+from anharmonic import criteria, dynamics, sweep
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
 from anharmonic.dynamics import MomentSet, exact_moment_set
 from anharmonic.fock import ModelParams, TruncationError, default_dim
@@ -186,6 +186,27 @@ class TestColumns:
                           t_steps=17, output_path=str(tmp_path / "s.csv"))
         run_sweep(spec)
         assert counts == {"ClosedFormInputs": 8, "MomentSet": 16}
+
+    def test_sweep_classifies_once_and_builds_each_input_state_once(self, monkeypatch):
+        counts = {"classify": 0, "coherent_state": 0}
+
+        def counting(fn):
+            def call(*args, **kwargs):
+                counts[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        counted_classify = counting(criteria.classify)
+        monkeypatch.setattr(criteria, "classify", counted_classify)
+        monkeypatch.setattr(sweep, "classify", counted_classify)
+        monkeypatch.setattr(dynamics, "coherent_state", counting(dynamics.coherent_state))
+        dynamics.initial_state.cache_clear()
+        dynamics._spectral_initial.cache_clear()
+        spec = small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), mode="compare", t_steps=5)
+        run_sweep(spec)
+        # one label array per sweep; one input state per (alpha, theta, dim) for
+        # both matrix paths and every lambda
+        assert counts == {"classify": 1, "coherent_state": 4}
 
     def test_rebinding_a_closed_form_reaches_the_sweep(self, monkeypatch):
         monkeypatch.setattr(sweep, "squeezing_witness_f", first_order_squeezing_f)
