@@ -23,16 +23,12 @@ from .criteria import (
 from .dynamics import (
     DEFAULT_TIME_HORIZON,
     MONOMIALS,
-    EvolvedState,
     MomentSet,
-    build_hamiltonian,
     coherent_moment_set,
     evolve_block,
-    evolve_exact,
     exact_moment_block,
     exact_moment_set,
     hamiltonian,
-    interaction_moments,
     moment_sets,
 )
 from .fock import (

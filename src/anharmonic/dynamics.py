@@ -20,7 +20,7 @@ A whole time grid is evaluated in one pass: ``evolve_block`` returns the
 (T, dim) block of states and ``exact_moment_block`` the (T, 10) block of
 moments, with a applied as a sqrt(n)-weighted shift, so the work per grid is
 O(dim^2 T) for the evolution and O(dim T) for the moments.  Each row equals
-what the single-time functions (their T = 1 case) give for its t, bit for bit.
+what ``exact_moment_set`` (the T = 1 case) gives for its t, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockVector, ModelParams, check_normalized, coherent_state, make_ladder_ops
+from .fock import FockVector, ModelParams, check_normalized, coherent_state
 
 #: Largest |t| the oracle is validated for by default (two full revivals).
 DEFAULT_TIME_HORIZON = 4.0 * math.pi
@@ -39,10 +39,12 @@ DEFAULT_TIME_HORIZON = 4.0 * math.pi
 
 @lru_cache(maxsize=1)
 def _quartic(dim: int) -> np.ndarray:
-    """The lam-independent (a^dag + a)^4 as x2 @ x2, read-only; a sweep visits
-    the lams of one dim in a row, so only the latest dim is kept."""
-    a, adag, _ = make_ladder_ops(dim)
-    x2 = (a + adag) @ (a + adag)
+    """The lam-independent (a^dag + a)^4 as x2 @ x2, x = a^dag + a written from
+    its elements, read-only; a sweep visits the lams of one dim in a row, so
+    only the latest dim is kept."""
+    x = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    x += x.T
+    x2 = x @ x
     q = x2 @ x2
     q.flags.writeable = False
     return q
@@ -63,11 +65,6 @@ def hamiltonian(lam: float, dim: int) -> np.ndarray:
     return h
 
 
-def build_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Model Hamiltonian for a validated parameter set."""
-    return hamiltonian(params.lam, params.dim)
-
-
 @lru_cache(maxsize=64)
 def _eigensystem(lam: float, dim: int):
     w, v = np.linalg.eigh(hamiltonian(lam, dim))
@@ -84,20 +81,12 @@ def initial_state(alpha: complex, dim: int) -> FockVector:
 
 @lru_cache(maxsize=256)
 def _spectral_initial(params: ModelParams):
-    """Eigenbasis coefficients of the initial coherent state, cached per params."""
-    w, v = _eigensystem(params.lam, params.dim)
+    """Eigenbasis coefficients of the initial coherent state, cached per params;
+    the eigensystem itself stays in (and is evicted from) ``_eigensystem``."""
+    _, v = _eigensystem(params.lam, params.dim)
     b = v.T @ initial_state(params.alpha, params.dim).amplitudes
     b.flags.writeable = False
-    return w, v, b
-
-
-@dataclass(frozen=True)
-class EvolvedState:
-    """State exp(-iHt)|alpha> at time t, plus the parameters that produced it."""
-
-    psi_t: FockVector
-    t: float
-    params: ModelParams
+    return b
 
 
 def _monomial(m: int, n: int):
@@ -146,16 +135,11 @@ def evolve_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON)
     worst = float(np.max(np.abs(ts), initial=0.0))
     if worst > horizon + 1e-12:
         raise ValueError(f"|t|={worst} exceeds the configured horizon {horizon}")
-    w, v, b = _spectral_initial(params)
-    phased = np.exp(-1j * w * ts[:, None]) * b
+    w, v = _eigensystem(params.lam, params.dim)
+    phased = np.exp(-1j * w * ts[:, None]) * _spectral_initial(params)
     psi = (v @ phased[:, :, None])[:, :, 0]
     check_normalized(psi)
     return psi
-
-
-def evolve_exact(params: ModelParams, t: float, horizon: float = DEFAULT_TIME_HORIZON) -> EvolvedState:
-    """The state at one time t: the T = 1 case of ``evolve_block``."""
-    return EvolvedState(FockVector(evolve_block(params, [t], horizon)[0]), float(t), params)
 
 
 def apply_banded(bands, kets: np.ndarray) -> np.ndarray:
@@ -212,12 +196,6 @@ def interaction_moment_block(psi: np.ndarray, ts) -> np.ndarray:
     block.real = phase.real * raw.real - phase.imag * raw.imag
     block.imag = phase.real * raw.imag + phase.imag * raw.real
     return block
-
-
-def interaction_moments(state: EvolvedState) -> MomentSet:
-    """Interaction-frame moments of one evolved state: the T = 1 case of
-    ``interaction_moment_block``."""
-    return moment_sets(interaction_moment_block(state.psi_t.amplitudes[None, :], [state.t]))[0]
 
 
 def exact_moment_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON) -> np.ndarray:

@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import MomentSet, apply_banded, initial_state, ket_moment_block, moment_sets
-from .fock import ModelParams, make_ladder_ops
+from .fock import ModelParams
 
 
 @dataclass(frozen=True)
@@ -263,23 +263,20 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
 # first-order operator solution as a matrix
 # ---------------------------------------------------------------------------
 
-def _bracket_words(dim: int):
-    """Constant dense matrices of the words of a_1(t), built on each call."""
-    a, adag, _ = make_ladder_ops(dim)
-    return (a, adag @ (a @ a), adag @ (adag @ a), adag @ (adag @ adag), adag, a @ (a @ a))
-
-
-#: Offset k of the one nonzero diagonal (entries [i, i + k]) of each word of
-#: ``_bracket_words``: its number of lowering minus raising operators.
-_BRACKET_OFFSETS = (1, 1, -1, -3, -1, 3)
-
-
 @lru_cache(maxsize=64)
 def _bracket_bands(dim: int):
-    """(offset, diagonal) of each word, copied off the dense matrices so the
-    truncation edge is theirs; only these O(dim) diagonals are cached."""
-    bands = tuple((k, np.diagonal(w, k).copy())
-                  for w, k in zip(_bracket_words(dim), _BRACKET_OFFSETS))
+    """(offset k, diagonal) of each word of a_1(t), in the order a, a^dag a^2,
+    a^dag^2 a, a^dag^3, a^dag, a^3; each word has one nonzero diagonal (entries
+    [i, i + k], k = lowering minus raising operators).  Each entry is the
+    product of its ladder factors, rounded as the dense truncated product
+    rounds it, truncation edge included; only these O(dim) diagonals are cached."""
+    s = np.sqrt(np.arange(1.0, dim))
+    bands = ((1, s),
+             (1, np.concatenate(([0.0], s[:-1] * (s[:-1] * s[1:])))),
+             (-1, np.concatenate(([0.0], s[1:] * (s[:-1] * s[:-1])))),
+             (-3, s[2:] * (s[1:-1] * s[:-2])),
+             (-1, s),
+             (3, s[:-2] * (s[1:-1] * s[2:])))
     for _, diag in bands:
         diag.flags.writeable = False
     return bands
@@ -287,7 +284,7 @@ def _bracket_bands(dim: int):
 
 def _bracket_coefficients(lam: float, t):
     """Coefficients c_w(t) of a_1(t) = sum_w c_w(t) W_w over the words W_w of
-    ``_bracket_words``; ``t`` is a float or an array of times."""
+    ``_bracket_bands``; ``t`` is a float or an array of times."""
     f = np.exp(1j * t) * np.sin(t)
     g = np.exp(2j * t) * np.sin(2.0 * t)
     fbar = np.exp(-1j * t) * np.sin(t)
@@ -302,10 +299,11 @@ def a_i_first_order(params: ModelParams, t: float) -> np.ndarray:
                                + e^{2it} sin 2t a^dag^3 + 6 e^{it} sin t a^dag
                                + 2 e^{-it} sin t a^3 ]
 
-    Reduces to a exactly at lam = 0 and at t = 0.
+    Built from the diagonals of ``_bracket_bands``; reduces to a exactly at
+    lam = 0 and at t = 0.
     """
     coefs = _bracket_coefficients(params.lam, float(t))
-    return sum(c * w for c, w in zip(coefs, _bracket_words(params.dim)))
+    return sum(np.diag(c * diag, k) for c, (k, diag) in zip(coefs, _bracket_bands(params.dim)))
 
 
 def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:

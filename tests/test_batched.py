@@ -1,8 +1,9 @@
 """Properties of the per-slice batched evaluation of the two matrix paths.
 
 ``exact_moment_block`` and ``first_order_moment_block`` evaluate a whole time
-grid at once; the per-t functions are their T = 1 case.  The properties are
-drawn at random over the safe region |alpha| <= 4, lam <= 1e-2, |t| <= 4 pi.
+grid at once; ``exact_moment_set`` and ``first_order_moment_set`` are their
+T = 1 case.  The properties are drawn at random over the safe region
+|alpha| <= 4, lam <= 1e-2, |t| <= 4 pi.
 """
 
 from dataclasses import astuple
@@ -23,9 +24,8 @@ from anharmonic.dynamics import (
 )
 from anharmonic.fock import ModelParams, coherent_state, make_ladder_ops
 from anharmonic.perturbative import (
-    _BRACKET_OFFSETS,
     _bracket_bands,
-    _bracket_words,
+    _bracket_coefficients,
     a_i_first_order,
     first_order_moment_block,
     first_order_moment_set,
@@ -118,11 +118,35 @@ def test_single_time_functions_are_the_first_row():
         assert list(astuple(exact_moment_set(params, t))) == ex[j].tolist()
 
 
-@pytest.mark.parametrize("dim", [4, 9, 53])
-def test_bracket_bands_are_the_words(dim):
-    for (k, diag), word, offset in zip(_bracket_bands(dim), _bracket_words(dim), _BRACKET_OFFSETS):
+def dense_words(dim):
+    """The words of a_1(t) as dense truncated products of the ladder matrices."""
+    a, adag, _ = make_ladder_ops(dim)
+    return (a, adag @ (a @ a), adag @ (adag @ a), adag @ (adag @ adag), adag, a @ (a @ a))
+
+
+#: Offset k of the one nonzero diagonal (entries [i, i + k]) of each dense word.
+WORD_OFFSETS = (1, 1, -1, -3, -1, 3)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 53, 202, 582])
+def test_bracket_bands_are_the_dense_words_bit_for_bit(dim):
+    i, j = np.indices((dim, dim))
+    for (k, diag), word, offset in zip(_bracket_bands(dim), dense_words(dim), WORD_OFFSETS):
         assert k == offset
-        assert np.array_equal(np.diag(diag, k), word)
+        ref = np.diagonal(word, k)
+        assert diag.dtype == ref.dtype and diag.shape == ref.shape
+        # compared as integers, so the sign bit of every zero counts too
+        assert np.array_equal(diag.view(np.int64), ref.view(np.int64))
+        assert np.all(word[j - i != k] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [25, 53])
+def test_first_order_matrix_is_the_sum_over_dense_words(dim):
+    params = ModelParams(0.5, 0.3, 1e-2, dim)
+    for t in (0.0, 0.7, -2.5):
+        coefs = _bracket_coefficients(params.lam, t)
+        dense = sum(c * w for c, w in zip(coefs, dense_words(dim)))
+        assert np.array_equal(a_i_first_order(params, t), dense)
 
 
 def test_bracket_band_cache_is_bounded_and_holds_no_dense_matrix():

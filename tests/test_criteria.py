@@ -17,10 +17,10 @@ from anharmonic.criteria import (
     quadrature_squeezing,
 )
 from anharmonic.dynamics import (
-    EvolvedState,
     coherent_moment_set,
     exact_moment_set,
-    interaction_moments,
+    interaction_moment_block,
+    moment_sets,
 )
 from anharmonic.fock import ModelParams, number_state
 
@@ -29,8 +29,8 @@ ALL_WITNESSES = (quadrature_squeezing, antibunching_second_order, hillery_squeez
 
 def number_state_moments(n, dim=24):
     """Moments of |n> via the same machinery the oracle uses at t = 0."""
-    state = EvolvedState(number_state(n, dim), 0.0, ModelParams(0.0, 0.0, 0.0, dim))
-    return interaction_moments(state)
+    psi = number_state(n, dim).amplitudes[None, :]
+    return moment_sets(interaction_moment_block(psi, [0.0]))[0]
 
 
 class TestClassification:

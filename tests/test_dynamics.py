@@ -1,19 +1,23 @@
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from anharmonic.dynamics import (
     DEFAULT_TIME_HORIZON,
+    _eigensystem,
     _quartic,
+    _spectral_initial,
     coherent_moment_set,
-    evolve_exact,
+    evolve_block,
     exact_moment_set,
-    build_hamiltonian,
     hamiltonian,
-    interaction_moments,
+    interaction_moment_block,
+    moment_sets,
 )
-from anharmonic.fock import ModelParams, coherent_state, expectation, make_ladder_ops
+from anharmonic.fock import FockVector, ModelParams, coherent_state, expectation, make_ladder_ops
 
 MOMENT_FIELDS = ("a", "a2", "a4", "ada", "ada2", "ad2a2", "ada3", "ad2a4", "ad3a3", "ad4a4")
 
@@ -32,10 +36,6 @@ class TestHamiltonian:
     def test_exactly_symmetric(self, lam, dim):
         h = hamiltonian(lam, dim)
         assert np.array_equal(h, h.T)
-
-    def test_build_from_params(self):
-        p = ModelParams.auto(1.0, 0.0, 1e-3)
-        assert np.array_equal(build_hamiltonian(p), hamiltonian(1e-3, p.dim))
 
 
 def dense_hamiltonian(lam, dim):
@@ -95,46 +95,60 @@ class TestParity:
         assert np.count_nonzero(h[~off]) > 0
 
 
-class TestEvolveExact:
+class TestEvolveBlock:
     def test_identity_at_t_zero(self):
         p = ModelParams.auto(1.2, 0.7, 1e-2)
-        st = evolve_exact(p, 0.0)
+        psi = evolve_block(p, [0.0])[0]
         ref = coherent_state(p.alpha, p.dim)
-        assert np.allclose(st.psi_t.amplitudes, ref.amplitudes, atol=1e-13)
+        assert np.allclose(psi, ref.amplitudes, atol=1e-13)
 
     def test_free_evolution_conserves_occupations(self):
         p = ModelParams.auto(1.5, 0.3, 0.0)
         ref = np.abs(coherent_state(p.alpha, p.dim).amplitudes)
-        for t in (0.5, 2.0, 11.0):
-            st = evolve_exact(p, t)
-            assert np.allclose(np.abs(st.psi_t.amplitudes), ref, atol=1e-13)
+        for psi in evolve_block(p, [0.5, 2.0, 11.0]):
+            assert np.allclose(np.abs(psi), ref, atol=1e-13)
 
     @pytest.mark.parametrize("alpha_mag,lam", [(1.0, 1e-2), (2.0, 1e-3)])
     def test_unitarity_over_horizon(self, alpha_mag, lam):
         p = ModelParams.auto(alpha_mag, 0.4, lam)
-        for t in np.linspace(0.0, 4 * np.pi, 40):
-            assert abs(evolve_exact(p, t).psi_t.norm() - 1.0) < 1e-10
+        psi = evolve_block(p, np.linspace(0.0, 4 * np.pi, 40))
+        assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) < 1e-10)
 
     def test_energy_conservation(self):
         p = ModelParams.auto(1.5, np.pi / 3, 1e-2)
-        h = build_hamiltonian(p)
-        e0 = expectation(evolve_exact(p, 0.0).psi_t, h).real
-        for t in np.linspace(0.1, 4 * np.pi, 17):
-            et = expectation(evolve_exact(p, t).psi_t, h).real
+        h = hamiltonian(p.lam, p.dim)
+        e0 = expectation(FockVector(evolve_block(p, [0.0])[0]), h).real
+        for psi in evolve_block(p, np.linspace(0.1, 4 * np.pi, 17)):
+            et = expectation(FockVector(psi), h).real
             assert abs(et - e0) < 1e-9 * abs(e0)
 
     def test_horizon_guard(self):
         p = ModelParams.auto(1.0, 0.0, 1e-3)
         with pytest.raises(ValueError):
-            evolve_exact(p, 5 * np.pi)
-        evolve_exact(p, 5 * np.pi, horizon=6 * np.pi)
+            evolve_block(p, [5 * np.pi])
+        evolve_block(p, [5 * np.pi], horizon=6 * np.pi)
         assert DEFAULT_TIME_HORIZON == pytest.approx(4 * np.pi)
 
     def test_deterministic_across_calls(self):
         p = ModelParams.auto(1.0, 0.2, 1e-3)
-        s1 = evolve_exact(p, 1.3).psi_t.amplitudes
-        s2 = evolve_exact(p, 1.3).psi_t.amplitudes
+        s1 = evolve_block(p, [1.3])[0]
+        s2 = evolve_block(p, [1.3])[0]
         assert np.array_equal(s1, s2)
+
+
+class TestSpectralCache:
+    def test_evicted_eigensystems_are_freed(self):
+        # the input's eigenbasis coefficients are cached separately from the
+        # eigensystem and must not keep an evicted eigensystem alive
+        _eigensystem.cache_clear()
+        _spectral_initial.cache_clear()
+        refs = []
+        for j in range(100):
+            p = ModelParams(1.0, 0.3, 1e-4 * (j + 1), 40)
+            evolve_block(p, [0.5])
+            refs.append(weakref.ref(_eigensystem(p.lam, p.dim)[1]))
+        gc.collect()
+        assert sum(r() is not None for r in refs) <= _eigensystem.cache_info().maxsize == 64
 
 
 class TestInteractionMoments:
@@ -167,11 +181,11 @@ class TestInteractionMoments:
         # must reproduce the plain Schroedinger expectation
         p = ModelParams.auto(1.3, 0.5, 1e-2)
         _, _, n = make_ladder_ops(p.dim)
-        for t in (0.4, 2.2, 6.0):
-            st = evolve_exact(p, t)
-            m = interaction_moments(st)
+        ts = [0.4, 2.2, 6.0]
+        psi = evolve_block(p, ts)
+        for row, m in zip(psi, moment_sets(interaction_moment_block(psi, ts))):
             assert m.ada.imag == 0.0 or abs(m.ada.imag) < 1e-13
-            assert abs(m.ada.real - expectation(st.psi_t, n).real) < 1e-13
+            assert abs(m.ada.real - expectation(FockVector(row), n).real) < 1e-13
 
     def test_truncation_doubling_leaves_moments_unchanged(self):
         for alpha_mag in (1.0, 2.0):
