@@ -10,10 +10,7 @@ from .criteria import (
     CLASSICAL,
     DEFAULT_BOUNDARY_TOL,
     NONCLASSICAL,
-    CriterionReport,
     VacuumDenominatorError,
-    antibunching_second_order,
-    ba_an_A,
     classify,
     hillery_squeezing,
     hoa_d_from_moments,

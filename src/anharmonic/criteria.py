@@ -3,15 +3,15 @@
 Every witness here consumes moments, not states, so the same code path
 classifies values coming from the exact oracle, from the first-order
 operator matrix, or from scalar closed forms -- the comparison harness
-relies on that seam.  A witness value below -tolerance is nonclassical,
-within +-tolerance is boundary (coherent-state level), above is classical.
-The witnesses and ``classify`` also work elementwise on arrays, e.g. on a
-MomentSet of (T, 10) block columns; ``np.float_power`` rounds like float ``**``.
+relies on that seam.  A witness returns its value; only ``classify`` labels
+it: below -tolerance is nonclassical, within +-tolerance is boundary
+(coherent-state level), above is classical.  The witnesses and ``classify``
+also work elementwise on arrays, e.g. on a MomentSet of (T, 10) block
+columns; ``np.float_power`` rounds like float ``**``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -49,21 +49,9 @@ def classify(value: float, tolerance: float = DEFAULT_BOUNDARY_TOL) -> str:
     return CLASSICAL
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    """One evaluated witness: its value (float or array), classified when read."""
-
-    name: str
-    value: float
-    tolerance: float
-
-    def __post_init__(self):
-        if not isinstance(self.value, np.ndarray):
-            object.__setattr__(self, "value", float(self.value))
-
-    @property
-    def classification(self) -> str:
-        return classify(self.value, self.tolerance)
+def _value(value):
+    """A witness value: a Python float, or the array for column moments."""
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def _factorial_moments(moments: Moments) -> tuple:
@@ -76,31 +64,15 @@ def _factorial_moments(moments: Moments) -> tuple:
     return fm
 
 
-def quadrature_squeezing(
-    moments: MomentSet,
-    tolerance: float = DEFAULT_BOUNDARY_TOL,
-) -> CriterionReport:
+def quadrature_squeezing(moments: MomentSet) -> float:
     """(Delta X)^2 - 1/2 for X = (a^dag + a)/sqrt(2); negative means squeezed.
 
     Expansion: <X^2> = Re<a^2> + <a^dag a> + 1/2 and <X> = sqrt(2) Re<a>.
     """
-    value = moments.a2.real + moments.ada.real - 2.0 * np.float_power(moments.a.real, 2)
-    return CriterionReport("quadrature_squeezing", value, tolerance)
+    return _value(moments.a2.real + moments.ada.real - 2.0 * np.float_power(moments.a.real, 2))
 
 
-def antibunching_second_order(
-    moments: MomentSet,
-    tolerance: float = DEFAULT_BOUNDARY_TOL,
-) -> CriterionReport:
-    """<a^dag^2 a^2> - <a^dag a>^2, i.e. (Delta N)^2 - <N>; this is d(1)."""
-    value = moments.ad2a2.real - np.float_power(moments.ada.real, 2)
-    return CriterionReport("antibunching_second_order", value, tolerance)
-
-
-def hillery_squeezing(
-    moments: MomentSet,
-    tolerance: float = DEFAULT_BOUNDARY_TOL,
-) -> CriterionReport:
+def hillery_squeezing(moments: MomentSet) -> float:
     """Squared-amplitude squeezing witness (Delta Y1)^2 - <2N + 1> with
     Y1 = (a^dag^2 + a^2)/sqrt(2); negative means amplitude-squared squeezed.
 
@@ -108,8 +80,7 @@ def hillery_squeezing(
     [a, a^dag] folds a^2 a^dag^2 onto normally ordered pieces) and
     <Y1> = sqrt(2) Re<a^2>; the <2N + 1> reference cancels the 2<N> + 1 part.
     """
-    value = moments.a4.real + moments.ad2a2.real - 2.0 * np.float_power(moments.a2.real, 2)
-    return CriterionReport("hillery_squeezing", value, tolerance)
+    return _value(moments.a4.real + moments.ad2a2.real - 2.0 * np.float_power(moments.a2.real, 2))
 
 
 def lee_R(moments: Moments, l: int, m: int) -> float:
@@ -133,16 +104,7 @@ def lee_R(moments: Moments, l: int, m: int) -> float:
     return nfac[l + 1] * nfac[m - 1] / denom - 1.0
 
 
-def ba_an_A(moments: Moments, l: int) -> float:
-    """A_l = <N^(l+1)> / (<N^(l)> <N>) - 1, the m = 1 reduction of lee_R."""
-    return lee_R(moments, l, 1)
-
-
-def hoa_d_from_moments(
-    moments: Moments,
-    l: int,
-    tolerance: float = DEFAULT_BOUNDARY_TOL,
-) -> CriterionReport:
+def hoa_d_from_moments(moments: Moments, l: int) -> float:
     """d(l) = <N^(l+1)> - <N>^(l+1); negative flags order-l antibunching.
 
     Evaluated standalone for each l; no ordering chain between orders is
@@ -153,5 +115,4 @@ def hoa_d_from_moments(
     fm = _factorial_moments(moments)
     if l + 1 > len(fm):
         raise ValueError(f"need factorial moments up to order {l + 1}, have {len(fm)}")
-    value = fm[l] - np.float_power(fm[0], l + 1)
-    return CriterionReport(f"hoa_d_{l}", value, tolerance)
+    return _value(fm[l] - np.float_power(fm[0], l + 1))

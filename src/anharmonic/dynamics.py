@@ -159,14 +159,19 @@ def apply_banded(bands, kets: np.ndarray) -> np.ndarray:
     return out
 
 
-def ket_moment_block(kets) -> np.ndarray:
-    """(T, len(MONOMIALS)) block of <k_m|k_n> from the (T, dim) blocks ``kets[0..4]``.
+def ladder_moment_block(bands, psi: np.ndarray) -> np.ndarray:
+    """(T, len(MONOMIALS)) block of <b^m psi|b^n psi> for each row psi of the
+    (T, dim) block ``psi``, where b is the operator with diagonals ``bands``
+    (see ``apply_banded``).
 
-    Each entry is a stacked dot product, bit-identical to ``np.vdot`` of the
-    two rows.
+    Each b^k psi is built by repeated banded application, and each entry is a
+    stacked dot product, bit-identical to ``np.vdot`` of the two kets.
     """
+    kets = [psi]
+    for _ in range(4):
+        kets.append(apply_banded(bands, kets[-1]))
     bras = [np.conj(k)[:, None, :] for k in kets]
-    block = np.empty((kets[0].shape[0], len(MONOMIALS)), dtype=complex)
+    block = np.empty((psi.shape[0], len(MONOMIALS)), dtype=complex)
     for j, (m, n) in enumerate(MONOMIALS):
         block[:, j] = (bras[m] @ kets[n][:, :, None])[:, 0, 0]
     return block
@@ -184,11 +189,7 @@ def interaction_moment_block(psi: np.ndarray, ts) -> np.ndarray:
     with a^k psi built by repeated sqrt(n)-weighted shifts, O(dim) per state.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    lower = ((1, np.sqrt(np.arange(1.0, psi.shape[-1]))),)
-    kets = [psi]
-    for _ in range(4):
-        kets.append(apply_banded(lower, kets[-1]))
-    raw = ket_moment_block(kets)
+    raw = ladder_moment_block(((1, np.sqrt(np.arange(1.0, psi.shape[-1]))),), psi)
     phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
     # the product is written out in real arithmetic so that it rounds like the
     # scalar complex product and does not depend on the block's length

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import MomentSet, apply_banded, initial_state, ket_moment_block, moment_sets
+from .dynamics import MomentSet, initial_state, ladder_moment_block, moment_sets
 from .fock import ModelParams
 
 
@@ -323,10 +323,7 @@ def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:
         term = c[:, None] * diag
         bands[k] = bands[k] + term if k in bands else term
     psi0 = initial_state(params.alpha, params.dim).amplitudes
-    kets = [np.broadcast_to(psi0, (ts.size, params.dim))]
-    for _ in range(4):
-        kets.append(apply_banded(bands.items(), kets[-1]))
-    return ket_moment_block(kets)
+    return ladder_moment_block(bands.items(), np.broadcast_to(psi0, (ts.size, params.dim)))
 
 
 def first_order_moment_set(params: ModelParams, t: float) -> MomentSet:

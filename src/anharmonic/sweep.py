@@ -28,13 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .criteria import (
-    DEFAULT_BOUNDARY_TOL,
-    classify,
-    hillery_squeezing,
-    hoa_d_from_moments,
-    quadrature_squeezing,
-)
+from .criteria import classify, hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
 from .dynamics import MomentSet, exact_moment_block
 from .fock import ModelParams, default_dim
 from .perturbative import (
@@ -65,23 +59,19 @@ class Witness:
 # The entries look the witness functions up in this module's globals at call
 # time, so rebinding e.g. ``sweep.squeezing_witness_f`` reaches the sweep.
 WITNESSES = {
-    "f": Witness(lambda ci, fo: squeezing_witness_f(ci),
-                 lambda m: hillery_squeezing(m).value),
-    "d1": Witness(lambda ci, fo: hoa_witness_d(1, ci),
-                  lambda m: hoa_d_from_moments(m, 1).value),
-    "d2": Witness(lambda ci, fo: hoa_witness_d(2, ci),
-                  lambda m: hoa_d_from_moments(m, 2).value),
-    "d3": Witness(lambda ci, fo: hoa_witness_d(3, ci),
-                  lambda m: hoa_d_from_moments(m, 3).value),
+    "f": Witness(lambda ci, fo: squeezing_witness_f(ci), lambda m: hillery_squeezing(m)),
+    "d1": Witness(lambda ci, fo: hoa_witness_d(1, ci), lambda m: hoa_d_from_moments(m, 1)),
+    "d2": Witness(lambda ci, fo: hoa_witness_d(2, ci), lambda m: hoa_d_from_moments(m, 2)),
+    "d3": Witness(lambda ci, fo: hoa_witness_d(3, ci), lambda m: hoa_d_from_moments(m, 3)),
     # the mean photon number is classified by its deviation from the free value
     "N": Witness(lambda ci, fo: mean_photon_number(ci),
                  lambda m: m.ada.real,
                  reference=lambda alpha_mag: alpha_mag**2),
-    "quadrature": Witness(lambda ci, fo: quadrature_squeezing(fo).value,
-                          lambda m: quadrature_squeezing(m).value,
+    "quadrature": Witness(lambda ci, fo: quadrature_squeezing(fo),
+                          lambda m: quadrature_squeezing(m),
                           needs_first_order=True),
-    "hillery": Witness(lambda ci, fo: hillery_squeezing(fo).value,
-                       lambda m: hillery_squeezing(m).value,
+    "hillery": Witness(lambda ci, fo: hillery_squeezing(fo),
+                       lambda m: hillery_squeezing(m),
                        needs_first_order=True),
 }
 
@@ -97,6 +87,9 @@ SCALING_SLOPE_THRESHOLD = 1.8
 SCALING_ERROR_FLOOR = 1e-13
 
 CONVERGENCE_TOL = 1e-9
+
+#: Most (alpha, theta, lambda) slices ``convergence_check`` recomputes.
+CONVERGENCE_MAX_SLICES = 8
 
 
 class SweepSpecError(ValueError):
@@ -289,7 +282,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     reference = np.array([[WITNESSES[w].reference(a) for w in spec.witnesses] for a, _, _ in slices])
     result = SweepResult(
         spec=spec, value_cf=value_cf, value_exact=value_exact, abs_error=abs_error,
-        classification=classify(primary - reference[:, None, :], DEFAULT_BOUNDARY_TOL),
+        classification=classify(primary - reference[:, None, :]),
         summaries=_summaries(spec, slices, primary, abs_error),
     )
     if spec.output_path is not None:
@@ -344,7 +337,6 @@ class ScalingEntry:
 @dataclass(frozen=True)
 class ScalingReport:
     entries: tuple
-    threshold: float
 
     def worst_slope(self, witness: str) -> Optional[float]:
         slopes = [e.slope for e in self.entries if e.witness == witness and e.slope is not None]
@@ -390,16 +382,7 @@ def compare_report(spec: SweepSpec, result: Optional[SweepResult] = None) -> Sca
                 slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
                 status = "pass" if slope >= SCALING_SLOPE_THRESHOLD else "fail"
                 entries.append(ScalingEntry(w, a, th, slope, status))
-    return ScalingReport(entries=tuple(entries), threshold=SCALING_SLOPE_THRESHOLD)
-
-
-@dataclass(frozen=True)
-class ConvergenceSample:
-    alpha_mag: float
-    theta: float
-    lam: float
-    t: float
-    drift: float
+    return ScalingReport(entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -407,31 +390,29 @@ class ConvergenceReport:
     max_drift: float
     tolerance: float
     passed: bool
-    samples: tuple
 
 
-def convergence_check(spec: SweepSpec, max_combos: int = 8) -> ConvergenceReport:
+def convergence_check(spec: SweepSpec) -> ConvergenceReport:
     """Recompute a sampled subset of grid points at doubled truncation.
 
+    At most ``CONVERGENCE_MAX_SLICES`` slices are sampled, at up to three times each.
     Drift is the worst change of any recorded moment, scaled by
     max(1, |moment|); passes below ``CONVERGENCE_TOL``.
     """
     validate_convergence(spec)
     combos = [(a, th, lam) for a in spec.alpha_mag for th in spec.theta for lam in spec.lam]
-    stride = max(1, len(combos) // max_combos)
+    stride = max(1, len(combos) // CONVERGENCE_MAX_SLICES)
     ts = spec.t_grid()
     sample_ts = sorted({float(ts[0]), float(ts[len(ts) // 2]), float(ts[-1])})
     horizon = spec.horizon()
 
-    samples = []
     worst = 0.0
-    for a, th, lam in combos[::stride][:max_combos]:
+    for a, th, lam in combos[::stride][:CONVERGENCE_MAX_SLICES]:
         dim = spec.dim_for(a)
         m1 = exact_moment_block(ModelParams(a, th, lam, dim), sample_ts, horizon=horizon)
         m2 = exact_moment_block(ModelParams(a, th, lam, 2 * dim), sample_ts, horizon=horizon)
-        for t, row1, row2 in zip(sample_ts, m1.tolist(), m2.tolist()):
+        for row1, row2 in zip(m1.tolist(), m2.tolist()):
             drift = max(abs(x1 - x2) / max(1.0, abs(x2)) for x1, x2 in zip(row1, row2))
-            samples.append(ConvergenceSample(a, th, lam, t, drift))
             worst = max(worst, drift)
     return ConvergenceReport(max_drift=worst, tolerance=CONVERGENCE_TOL,
-                             passed=worst < CONVERGENCE_TOL, samples=tuple(samples))
+                             passed=worst < CONVERGENCE_TOL)

@@ -66,10 +66,10 @@ FIRST_ORDER_CF = {
 def exact_values(moments):
     return {
         "N": moments.ada.real,
-        "f": hillery_squeezing(moments).value,
-        "d1": hoa_d_from_moments(moments, 1).value,
-        "d2": hoa_d_from_moments(moments, 2).value,
-        "d3": hoa_d_from_moments(moments, 3).value,
+        "f": hillery_squeezing(moments),
+        "d1": hoa_d_from_moments(moments, 1),
+        "d2": hoa_d_from_moments(moments, 2),
+        "d3": hoa_d_from_moments(moments, 3),
     }
 
 
@@ -198,7 +198,7 @@ class TestCriterion1OracleEquivalence:
                 worst = 0.0
                 for t in T_GRID_64[::4]:
                     m = exact_moment_set(params, float(t))
-                    exact_dy1 = hillery_squeezing(m).value + 2.0 * m.ada.real + 1.0
+                    exact_dy1 = hillery_squeezing(m) + 2.0 * m.ada.real + 1.0
                     cf = first_order_delta_y1_squared(ClosedFormInputs(alpha, th, lam, float(t)))
                     worst = max(worst, abs(cf - exact_dy1))
                 errs.append(worst)

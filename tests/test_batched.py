@@ -20,7 +20,7 @@ from anharmonic.dynamics import (
     evolve_block,
     exact_moment_block,
     exact_moment_set,
-    ket_moment_block,
+    ladder_moment_block,
 )
 from anharmonic.fock import ModelParams, coherent_state, make_ladder_ops
 from anharmonic.perturbative import (
@@ -164,10 +164,14 @@ def test_lowering_band_is_the_annihilation_matrix():
     assert np.array_equal(shifted, (a @ kets.T).T)
 
 
-def test_ket_moment_block_is_vdot():
+def test_ladder_moment_block_is_vdot():
     rng = np.random.default_rng(6)
-    kets = [rng.normal(size=(4, 11)) + 1j * rng.normal(size=(4, 11)) for _ in range(5)]
-    block = ket_moment_block(kets)
+    psi = rng.normal(size=(4, 11)) + 1j * rng.normal(size=(4, 11))
+    bands = [(k, rng.normal(size=11 - abs(k)) + 1j * rng.normal(size=11 - abs(k))) for k in (-3, 1, 3)]
+    kets = [psi]
+    for _ in range(4):
+        kets.append(apply_banded(bands, kets[-1]))
+    block = ladder_moment_block(bands, psi)
     for i in range(4):
         assert block[i].tolist() == [np.vdot(kets[m][i], kets[n][i]) for m, n in MONOMIALS]
 

@@ -9,6 +9,7 @@ reprs differently in numpy 2).
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,13 +21,18 @@ from anharmonic.criteria import (
     CLASSICAL,
     DEFAULT_BOUNDARY_TOL,
     NONCLASSICAL,
-    antibunching_second_order,
     classify,
     hillery_squeezing,
     hoa_d_from_moments,
     quadrature_squeezing,
 )
-from anharmonic.dynamics import MONOMIALS, MomentSet, exact_moment_block, moment_sets
+from anharmonic.dynamics import (
+    MONOMIALS,
+    MomentSet,
+    coherent_moment_set,
+    exact_moment_block,
+    moment_sets,
+)
 from anharmonic.fock import ModelParams
 from anharmonic.perturbative import (
     ClosedFormInputs,
@@ -67,11 +73,13 @@ CLOSED_FORMS = {
 
 #: Every moment witness as a function of a MomentSet.
 WITNESS_VALUES = {
-    "quadrature": lambda m: quadrature_squeezing(m).value,
-    "antibunching": lambda m: antibunching_second_order(m).value,
-    "hillery": lambda m: hillery_squeezing(m).value,
-    **{f"d{l}": (lambda m, l=l: hoa_d_from_moments(m, l).value) for l in (1, 2, 3)},
+    "quadrature": quadrature_squeezing,
+    "hillery": hillery_squeezing,
+    **{f"d{l}": (lambda m, l=l: hoa_d_from_moments(m, l)) for l in (1, 2, 3)},
 }
+
+#: The MomentSet field each witness value is linear in, with coefficient 1.
+VALUE_FIELD = {"quadrature": "a2", "hillery": "a4", "d1": "ad2a2", "d2": "ad3a3", "d3": "ad4a4"}
 
 alphas = st.floats(0.0, 25.0)
 thetas = st.floats(-2 * np.pi, 2 * np.pi)
@@ -141,16 +149,24 @@ def test_column_witnesses_are_their_row_witnesses_on_any_moments(rows):
     assert_columns_are_rows(parts[:, ::2] + 1j * parts[:, 1::2])
 
 
-def test_column_reports_classify_like_row_reports():
+def test_column_values_classify_like_row_values():
     # t = 0 is the coherent input, where every witness sits in the boundary band
     block = exact_moment_block(ModelParams.auto(2.0, 0.4, 1e-2), np.linspace(0.0, np.pi, 9))
-    reports = {"quadrature": quadrature_squeezing, "antibunching": antibunching_second_order,
-               "hillery": hillery_squeezing,
-               **{f"d{l}": (lambda m, l=l: hoa_d_from_moments(m, l)) for l in (1, 2, 3)}}
-    for name, report in reports.items():
-        labels = report(column_set(block)).classification
-        assert labels.tolist() == [report(m).classification for m in moment_sets(block)], name
+    for name, witness in WITNESS_VALUES.items():
+        labels = classify(witness(column_set(block)))
+        assert labels.tolist() == [classify(witness(m)) for m in moment_sets(block)], name
         assert labels[0] == BOUNDARY and set(labels[1:]) - {BOUNDARY}, name
+
+
+@pytest.mark.parametrize("name", WITNESS_VALUES)
+def test_witnesses_return_a_float_for_scalars_and_an_array_for_columns(name):
+    witness = WITNESS_VALUES[name]
+    assert type(witness(coherent_moment_set(1.3 * np.exp(0.4j)))) is float
+    block = exact_moment_block(ModelParams.auto(1.3, 0.4, 1e-3), np.linspace(0.0, 1.0, 3))
+    values = witness(column_set(block))
+    assert type(values) is np.ndarray and values.dtype == float and values.shape == (3,)
+    if name.startswith("d"):
+        assert type(witness([1.0, 1.0, 1.0, 1.0])) is float
 
 
 def test_witness_powers_round_like_python_floats():
@@ -162,8 +178,15 @@ def test_witness_powers_round_like_python_floats():
 
 
 tol = DEFAULT_BOUNDARY_TOL
-EDGES = [tol, -tol, 0.0, -0.0, math.nan, math.inf, -math.inf,
-         *(np.nextafter(x, d) for x in (tol, -tol) for d in (math.inf, -math.inf))]
+#: Values at and next to the band edges, each with the label a witness
+#: report carried before witnesses returned bare values (NaN is classical).
+EDGE_LABELS = [
+    (tol, BOUNDARY), (-tol, BOUNDARY), (0.0, BOUNDARY), (-0.0, BOUNDARY),
+    (math.nan, CLASSICAL), (math.inf, CLASSICAL), (-math.inf, NONCLASSICAL),
+    (np.nextafter(tol, math.inf), CLASSICAL), (np.nextafter(tol, -math.inf), BOUNDARY),
+    (np.nextafter(-tol, math.inf), BOUNDARY), (np.nextafter(-tol, -math.inf), NONCLASSICAL),
+]
+EDGES = [value for value, _ in EDGE_LABELS]
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,3 +202,19 @@ def test_classify_band_edges():
     values = np.array([-tol, tol, 0.0, -0.0, np.nextafter(-tol, -1.0), np.nextafter(tol, 1.0)])
     assert classify(values).tolist() == [BOUNDARY] * 4 + [NONCLASSICAL, CLASSICAL]
     assert classify(values.reshape(2, 3)).shape == (2, 3)
+
+
+def moments_with(field_name, value, size=None):
+    """Zero moments but ``field_name``, so that each VALUE_FIELD witness equals ``value``."""
+    cell = complex(value) if size is None else np.full(size, complex(value))
+    zero = 0j if size is None else np.zeros(size, dtype=complex)
+    return MomentSet(**{f.name: cell if f.name == field_name else zero for f in fields(MomentSet)})
+
+
+@pytest.mark.parametrize("name", VALUE_FIELD)
+@pytest.mark.parametrize("value,label", EDGE_LABELS)
+def test_classified_witness_values_keep_their_labels_at_the_band_edges(name, value, label):
+    witness = WITNESS_VALUES[name]
+    assert classify(witness(moments_with(VALUE_FIELD[name], value))) == label
+    labels = classify(witness(moments_with(VALUE_FIELD[name], value, size=2)))
+    assert labels.tolist() == [label, label]

@@ -6,10 +6,7 @@ from anharmonic.criteria import (
     CLASSICAL,
     DEFAULT_BOUNDARY_TOL,
     NONCLASSICAL,
-    CriterionReport,
     VacuumDenominatorError,
-    antibunching_second_order,
-    ba_an_A,
     classify,
     hillery_squeezing,
     hoa_d_from_moments,
@@ -24,7 +21,11 @@ from anharmonic.dynamics import (
 )
 from anharmonic.fock import ModelParams, number_state
 
-ALL_WITNESSES = (quadrature_squeezing, antibunching_second_order, hillery_squeezing)
+ALL_WITNESSES = {
+    "quadrature": quadrature_squeezing,
+    "d1": lambda m: hoa_d_from_moments(m, 1),
+    "hillery": hillery_squeezing,
+}
 
 
 def number_state_moments(n, dim=24):
@@ -46,27 +47,26 @@ class TestClassification:
         rng = np.random.default_rng(5)
         for _ in range(50):
             v = float(rng.normal(scale=1e-9))
-            rep = CriterionReport("w", v, DEFAULT_BOUNDARY_TOL)
-            assert rep.classification == classify(v)
-            assert (rep.classification == NONCLASSICAL) == (v < -rep.tolerance)
-            assert (rep.classification == BOUNDARY) == (abs(v) <= rep.tolerance)
+            label = classify(v, DEFAULT_BOUNDARY_TOL)
+            assert label == classify(v)
+            assert (label == NONCLASSICAL) == (v < -DEFAULT_BOUNDARY_TOL)
+            assert (label == BOUNDARY) == (abs(v) <= DEFAULT_BOUNDARY_TOL)
 
 
 class TestCoherentNullity:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0j, 1.5 * np.exp(0.8j), -2.0])
     def test_all_witnesses_boundary_on_analytic_moments(self, alpha):
         m = coherent_moment_set(alpha)
-        for witness in ALL_WITNESSES:
-            rep = witness(m)
-            assert rep.classification == BOUNDARY, (witness.__name__, rep.value)
-        rep = hoa_d_from_moments(m, 3)
-        assert rep.classification == BOUNDARY
+        for name, witness in ALL_WITNESSES.items():
+            value = witness(m)
+            assert classify(value) == BOUNDARY, (name, value)
+        assert classify(hoa_d_from_moments(m, 3)) == BOUNDARY
 
     def test_boundary_on_numerically_built_coherent_state(self):
         p = ModelParams.auto(1.5, 0.9, 0.0)
         m = exact_moment_set(p, 0.0)
-        for witness in ALL_WITNESSES:
-            assert witness(m).classification == BOUNDARY
+        for witness in ALL_WITNESSES.values():
+            assert classify(witness(m)) == BOUNDARY
 
     @pytest.mark.parametrize("l,m_idx", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
     def test_lee_R_vanishes_on_coherent(self, l, m_idx):
@@ -76,15 +76,15 @@ class TestCoherentNullity:
 
 class TestQuadratureSqueezing:
     def test_vacuum_boundary(self):
-        assert quadrature_squeezing(coherent_moment_set(0.0)).value == 0.0
+        assert quadrature_squeezing(coherent_moment_set(0.0)) == 0.0
 
     def test_exact_oracle_sign_established(self):
         # weak quartic interaction at alpha = 1, theta = pi/2, t = 1:
         # the quadrature variance grows, no ordinary squeezing at this point
         p = ModelParams.auto(1.0, np.pi / 2, 1e-3)
-        rep = quadrature_squeezing(exact_moment_set(p, 1.0))
-        assert rep.value > 1e-4
-        assert rep.classification == CLASSICAL
+        value = quadrature_squeezing(exact_moment_set(p, 1.0))
+        assert value > 1e-4
+        assert classify(value) == CLASSICAL
 
 
 class TestAntibunching:
@@ -92,22 +92,17 @@ class TestAntibunching:
         m = number_state_moments(2)
         assert abs(m.ada.real - 2.0) < 1e-13
         assert abs(m.ad2a2.real - 2.0) < 1e-13
-        rep = antibunching_second_order(m)
-        assert abs(rep.value - (-2.0)) < 1e-12
-        assert rep.classification == NONCLASSICAL
+        value = hoa_d_from_moments(m, 1)
+        assert abs(value - (-2.0)) < 1e-12
+        assert classify(value) == NONCLASSICAL
 
     def test_sign_agrees_with_compact_closed_form(self):
         # (|alpha|=1, theta=pi/4, lam=1e-3, t=pi/4): the closed form gives
         # -3 lam < 0, and the exact witness shares the sign
         p = ModelParams(1.0, np.pi / 4, 1e-3, 29)
-        rep = antibunching_second_order(exact_moment_set(p, np.pi / 4))
-        assert rep.value < -1e-4
-        assert rep.classification == NONCLASSICAL
-
-    def test_equals_hoa_d1_bitwise(self):
-        p = ModelParams(1.2, 0.7, 1e-3, ModelParams.auto(1.2).dim)
-        m = exact_moment_set(p, 1.7)
-        assert antibunching_second_order(m).value == hoa_d_from_moments(m, 1).value
+        value = hoa_d_from_moments(exact_moment_set(p, np.pi / 4), 1)
+        assert value < -1e-4
+        assert classify(value) == NONCLASSICAL
 
 
 class TestHillerySqueezing:
@@ -115,12 +110,12 @@ class TestHillerySqueezing:
         # theta = pi/2, lam = 1e-3, |alpha| = 1, t = pi/2: first order gives
         # -(3 lam / 4) * 20 = -0.015; exact deviates only at O(lam^2)
         p = ModelParams.auto(1.0, np.pi / 2, 1e-3)
-        rep = hillery_squeezing(exact_moment_set(p, np.pi / 2))
-        assert abs(rep.value - (-0.015)) < 5e-4
-        assert rep.classification == NONCLASSICAL
+        value = hillery_squeezing(exact_moment_set(p, np.pi / 2))
+        assert abs(value - (-0.015)) < 5e-4
+        assert classify(value) == NONCLASSICAL
 
 
-class TestLeeAndBaAn:
+class TestLeeR:
     def test_number_state_three(self):
         m = number_state_moments(3)
         assert abs(lee_R(m, 1, 1) - (6.0 / 9.0 - 1.0)) < 1e-13
@@ -136,12 +131,6 @@ class TestLeeAndBaAn:
         with pytest.raises(VacuumDenominatorError):
             lee_R(number_state_moments(0), 1, 1)
 
-    def test_ba_an_is_lee_at_m_one(self):
-        p = ModelParams(1.0, 0.8, 1e-3, 29)
-        m = exact_moment_set(p, 2.0)
-        for l in (1, 2, 3):
-            assert ba_an_A(m, l) == lee_R(m, l, 1)
-
     def test_moment_list_input(self):
         fm = [1.0, 1.0, 1.0, 1.0]  # Poissonian with <N> = 1
         assert abs(lee_R(fm, 3, 2)) < 1e-15
@@ -151,8 +140,7 @@ class TestLeeAndBaAn:
 
 class TestHoaD:
     def test_number_state_two_first_order(self):
-        rep = hoa_d_from_moments(number_state_moments(2), 1)
-        assert abs(rep.value - (-2.0)) < 1e-12
+        assert abs(hoa_d_from_moments(number_state_moments(2), 1) - (-2.0)) < 1e-12
 
     def test_exact_oracle_third_order_value(self):
         # (|alpha|=1, theta=pi/4, lam=1e-4, t=pi/4): the validated first-order
@@ -166,9 +154,9 @@ class TestHoaD:
         assert abs(hoa_witness_d(3, ci) - (-7.5e-5)) < 1e-12
 
         p = ModelParams(1.0, np.pi / 4, 1e-4, 29)
-        rep = hoa_d_from_moments(exact_moment_set(p, np.pi / 4), 3)
-        assert abs(rep.value - first_order_hoa_d(3, ci)) < 5e-5
-        assert rep.classification == NONCLASSICAL
+        value = hoa_d_from_moments(exact_moment_set(p, np.pi / 4), 3)
+        assert abs(value - first_order_hoa_d(3, ci)) < 5e-5
+        assert classify(value) == NONCLASSICAL
 
     def test_order_validation(self):
         m = coherent_moment_set(1.0)
@@ -176,7 +164,3 @@ class TestHoaD:
             hoa_d_from_moments(m, 0)
         with pytest.raises(ValueError):
             hoa_d_from_moments(m, 4)  # moment set carries factorials up to 4 only
-
-    def test_report_names(self):
-        m = coherent_moment_set(1.0)
-        assert hoa_d_from_moments(m, 2).name == "hoa_d_2"

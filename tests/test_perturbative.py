@@ -40,10 +40,10 @@ def exact_witness(r, th, lam, t, key):
     if key == "N":
         return m.ada.real
     if key == "f":
-        return hillery_squeezing(m).value
+        return hillery_squeezing(m)
     if key == "dy1":
-        return hillery_squeezing(m).value + 2.0 * m.ada.real + 1.0
-    return hoa_d_from_moments(m, int(key[1])).value
+        return hillery_squeezing(m) + 2.0 * m.ada.real + 1.0
+    return hoa_d_from_moments(m, int(key[1]))
 
 
 def numeric_first_order(r, th, t, key, lam=1e-6):

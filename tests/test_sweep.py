@@ -264,13 +264,13 @@ class TestWitnessTable:
         fo = first_order_moment_set(params, t)
         ex = exact_moment_set(params, t, horizon=spec.horizon())
         expected = {
-            "f": (squeezing_witness_f(ci), hillery_squeezing(ex).value),
-            "d1": (hoa_witness_d(1, ci), hoa_d_from_moments(ex, 1).value),
-            "d2": (hoa_witness_d(2, ci), hoa_d_from_moments(ex, 2).value),
-            "d3": (hoa_witness_d(3, ci), hoa_d_from_moments(ex, 3).value),
+            "f": (squeezing_witness_f(ci), hillery_squeezing(ex)),
+            "d1": (hoa_witness_d(1, ci), hoa_d_from_moments(ex, 1)),
+            "d2": (hoa_witness_d(2, ci), hoa_d_from_moments(ex, 2)),
+            "d3": (hoa_witness_d(3, ci), hoa_d_from_moments(ex, 3)),
             "N": (mean_photon_number(ci), ex.ada.real),
-            "quadrature": (quadrature_squeezing(fo).value, quadrature_squeezing(ex).value),
-            "hillery": (hillery_squeezing(fo).value, hillery_squeezing(ex).value),
+            "quadrature": (quadrature_squeezing(fo), quadrature_squeezing(ex)),
+            "hillery": (hillery_squeezing(fo), hillery_squeezing(ex)),
         }
         rows = {r.witness: r for r in run_sweep(spec).rows if r.t == t}
         assert rows.keys() == expected.keys()
