@@ -3,10 +3,10 @@
 Angles and times are radians; the literal tokens ``pi``, ``2pi``, ``pi/2``,
 ``3pi/4`` etc. are parsed exactly so the special loci (theta = pi/2,
 t = 2*theta) are hit bit-exactly rather than through truncated decimals.
-Exit status: 0 on success, 2 for specification errors, 3 for numerical
-precondition failures (truncation dimension too small for the requested
-amplitude, or above ``fock.MAX_DIM``).  ``python -m anharmonic.cli`` runs the
-same command as ``anharmonic-sweep``.
+Exit status: 0 on success, 2 for specification errors (a grid above
+``fock.MAX_GRID_CELLS`` included), 3 for numerical precondition failures (a
+truncation dimension too small, above ``fock.MAX_DIM`` or beyond the float range,
+or an overflowed value).  ``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def main(argv=None, out=None) -> int:
             validate_convergence(spec)
         result = run_sweep(spec)
         _print_result(result, args.check_convergence, out)
-    except TruncationError as exc:
+    except (TruncationError, FloatingPointError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except SweepSpecError as exc:

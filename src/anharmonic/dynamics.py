@@ -6,10 +6,10 @@ third-order nonlinear medium is
     H = (a^dag a + 1/2) + (lam / 16) (a^dag + a)^4,
 
 a real symmetric matrix once truncated.  Because H is time independent, the
-evolution exp(-iHt)|alpha> is computed by a single eigendecomposition that is
-cached per (lam, dim) and reused across all times and all input phases -- no
-time stepping, no time ordering, exact to machine precision in the truncated
-space.  (a^dag + a)^4 is built once per dim, the input once per (alpha, dim).
+evolution exp(-iHt)|alpha> of a time grid is computed from one eigendecomposition
+-- no time stepping, no time ordering, exact to machine precision in the truncated
+space.  Each call takes its own ``eigh`` and input; only the lam-independent
+(a^dag + a)^4 is kept between calls, for the latest dim.
 
 Moments are reported in the interaction frame that removes the free rotation:
 a normally ordered monomial a^dag^m a^n evaluated in the evolved state picks
@@ -25,23 +25,23 @@ what ``exact_moment_set`` (the T = 1 case) gives for its t, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockVector, ModelParams, check_normalized, coherent_state
+from .fock import ModelParams, check_normalized, coherent_state, require_finite
 
 #: Largest |t| the oracle is validated for by default (two full revivals).
 DEFAULT_TIME_HORIZON = 4.0 * math.pi
 
 
-@lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1)
 def _quartic(dim: int) -> np.ndarray:
-    """The lam-independent (a^dag + a)^4 as x2 @ x2, x = a^dag + a written from
-    its elements, read-only; a sweep visits the lams of one dim in a row, so
-    only the latest dim is kept."""
+    """The lam-independent (a^dag + a)^4 as x2 @ x2, x = a^dag + a written from its
+    elements, read-only.  The package's one memo: a sweep visits the lams of one dim in
+    a row, and each hit saves two dim^3 products (4 hits in 6 calls at dim 201 and 581)."""
     x = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     x += x.T
     x2 = x @ x
@@ -63,30 +63,6 @@ def hamiltonian(lam: float, dim: int) -> np.ndarray:
     h += h.T
     h *= 0.5
     return h
-
-
-@lru_cache(maxsize=64)
-def _eigensystem(lam: float, dim: int):
-    w, v = np.linalg.eigh(hamiltonian(lam, dim))
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
-
-
-@lru_cache(maxsize=64)
-def initial_state(alpha: complex, dim: int) -> FockVector:
-    """The coherent input, shared (immutable) by every lam and both matrix paths."""
-    return coherent_state(alpha, dim)
-
-
-@lru_cache(maxsize=256)
-def _spectral_initial(params: ModelParams):
-    """Eigenbasis coefficients of the initial coherent state, cached per params;
-    the eigensystem itself stays in (and is evicted from) ``_eigensystem``."""
-    _, v = _eigensystem(params.lam, params.dim)
-    b = v.T @ initial_state(params.alpha, params.dim).amplitudes
-    b.flags.writeable = False
-    return b
 
 
 def _monomial(m: int, n: int):
@@ -128,16 +104,18 @@ def evolve_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON)
 
     One stacked matrix-vector product over the (T, dim) block of phased
     eigenbasis coefficients; each row is bit-identical to evolving its time
-    alone.  Every row's norm is checked.  ``horizon`` bounds |t|; callers
-    sweeping longer grids pass their own bound.
+    alone.  Every row's norm is checked; an H or a state that overflowed
+    raises FloatingPointError.  ``horizon`` bounds |t|; callers sweeping
+    longer grids pass their own bound.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     worst = float(np.max(np.abs(ts), initial=0.0))
     if worst > horizon + 1e-12:
         raise ValueError(f"|t|={worst} exceeds the configured horizon {horizon}")
-    w, v = _eigensystem(params.lam, params.dim)
-    phased = np.exp(-1j * w * ts[:, None]) * _spectral_initial(params)
-    psi = (v @ phased[:, :, None])[:, :, 0]
+    w, v = np.linalg.eigh(require_finite(hamiltonian(params.lam, params.dim), params, "H"))
+    b = v.T @ coherent_state(params.alpha, params.dim).amplitudes
+    phased = np.exp(-1j * w * ts[:, None]) * b
+    psi = require_finite((v @ phased[:, :, None])[:, :, 0], params, "the evolved state")
     check_normalized(psi)
     return psi
 

@@ -35,6 +35,10 @@ MIN_DIM = 2
 #: D x D matrix is then 64 MB.  Admits |alpha| = 20 (D = 581) at doubled D.
 MAX_DIM = 2048
 
+#: Most values a sweep may hold in one array (its rows, or a matrix path's (times, D)
+#: kets): about 0.7 GB at 320 B per CSV row, 17 times the largest canonical sweep.
+MAX_GRID_CELLS = 2**21
+
 
 class TruncationError(ValueError):
     """The requested computation is not safe at the given truncation dimension."""
@@ -46,7 +50,10 @@ def default_dim(alpha_mag: float) -> int:
     Keeps the coherent-state tail mass below ~1e-12 for |alpha| <= 4 while the
     dense matrices stay small enough for desk-scale sweeps.
     """
-    return math.ceil(alpha_mag * alpha_mag + 8.0 * alpha_mag + 20.0)
+    dim = alpha_mag * alpha_mag + 8.0 * alpha_mag + 20.0
+    if math.isinf(dim):
+        raise TruncationError(f"no truncation dimension holds |alpha|={alpha_mag}")
+    return math.ceil(dim)
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,13 @@ class FockVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+
+def require_finite(values: np.ndarray, params: ModelParams, what: str) -> np.ndarray:
+    """``values``; raises FloatingPointError naming ``params`` if any is not finite."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"{params}: {what} is not finite")
+    return values
 
 
 def check_normalized(amplitudes: np.ndarray) -> None:

@@ -42,12 +42,11 @@ the lam-scaling test to hold).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import MomentSet, initial_state, ladder_moment_block, moment_sets
-from .fock import ModelParams
+from .dynamics import MomentSet, ladder_moment_block, moment_sets
+from .fock import ModelParams, coherent_state
 
 
 @dataclass(frozen=True)
@@ -263,23 +262,19 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
 # first-order operator solution as a matrix
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def _bracket_bands(dim: int):
     """(offset k, diagonal) of each word of a_1(t), in the order a, a^dag a^2,
     a^dag^2 a, a^dag^3, a^dag, a^3; each word has one nonzero diagonal (entries
     [i, i + k], k = lowering minus raising operators).  Each entry is the
     product of its ladder factors, rounded as the dense truncated product
-    rounds it, truncation edge included; only these O(dim) diagonals are cached."""
+    rounds it, truncation edge included; only these O(dim) diagonals are built."""
     s = np.sqrt(np.arange(1.0, dim))
-    bands = ((1, s),
-             (1, np.concatenate(([0.0], s[:-1] * (s[:-1] * s[1:])))),
-             (-1, np.concatenate(([0.0], s[1:] * (s[:-1] * s[:-1])))),
-             (-3, s[2:] * (s[1:-1] * s[:-2])),
-             (-1, s),
-             (3, s[:-2] * (s[1:-1] * s[2:])))
-    for _, diag in bands:
-        diag.flags.writeable = False
-    return bands
+    return ((1, s),
+            (1, np.concatenate(([0.0], s[:-1] * (s[:-1] * s[1:])))),
+            (-1, np.concatenate(([0.0], s[1:] * (s[:-1] * s[:-1])))),
+            (-3, s[2:] * (s[1:-1] * s[:-2])),
+            (-1, s),
+            (3, s[:-2] * (s[1:-1] * s[2:])))
 
 
 def _bracket_coefficients(lam: float, t):
@@ -322,7 +317,7 @@ def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:
     for c, (k, diag) in zip(_bracket_coefficients(params.lam, ts), _bracket_bands(params.dim)):
         term = c[:, None] * diag
         bands[k] = bands[k] + term if k in bands else term
-    psi0 = initial_state(params.alpha, params.dim).amplitudes
+    psi0 = coherent_state(params.alpha, params.dim).amplitudes
     return ladder_moment_block(bands.items(), np.broadcast_to(psi0, (ts.size, params.dim)))
 
 

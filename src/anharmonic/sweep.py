@@ -30,7 +30,7 @@ import numpy as np
 
 from .criteria import classify, hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
 from .dynamics import MomentSet, exact_moment_block
-from .fock import ModelParams, default_dim
+from .fock import MAX_DIM, MAX_GRID_CELLS, MIN_DIM, ModelParams, default_dim, require_finite
 from .perturbative import (
     ClosedFormInputs,
     first_order_moment_block,
@@ -145,11 +145,21 @@ class SweepSpec:
                 raise SweepSpecError(f"witness: {w!r} is not one of {WITNESS_NAMES}")
         if self.mode == "compare" and any(l == 0.0 for l in self.lam):
             raise SweepSpecError("lambda: compare mode requires every lambda > 0")
+        if self.dim is not None and self.dim < MIN_DIM:
+            raise SweepSpecError(f"dim: must be >= {MIN_DIM}, got {self.dim}")
         for name, values in (("alpha_mag", self.alpha_mag), ("theta", self.theta),
                              ("lambda", self.lam), ("t_start", (self.t_start,)),
                              ("t_end", (self.t_end,))):
             if not all(math.isfinite(x) for x in values):
                 raise SweepSpecError(f"{name}: values must be finite, got {values}")
+        cells = (len(self.alpha_mag) * len(self.theta) * len(self.lam) * self.t_steps
+                 * len(self.witnesses))
+        if self.mode != "closed_form" or any(WITNESSES[w].needs_first_order for w in self.witnesses):
+            # the (t_steps, dim) ket blocks; a dim above MAX_DIM is refused by validate_dimensions
+            cells = max(cells, self.t_steps * min(MAX_DIM, max(map(self.dim_for, self.alpha_mag))))
+        if cells > MAX_GRID_CELLS:
+            raise SweepSpecError(f"t_steps: the grid holds {cells} values in one array, "
+                                 f"above MAX_GRID_CELLS={MAX_GRID_CELLS}")
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.t_steps)
@@ -276,6 +286,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             value_cf[s, :, k] = WITNESSES[w].closed_form(inputs, fo)
             if need_exact:
                 value_exact[s, :, k] = WITNESSES[w].exact(exact)
+        # exact values come from a normalized state, bounded by dim^k
+        require_finite(value_cf[s], params, "a closed-form value")
 
     abs_error = np.abs(value_cf - value_exact) if spec.mode == "compare" else None
     primary = value_cf if value_exact is None else value_exact
@@ -400,7 +412,7 @@ def convergence_check(spec: SweepSpec) -> ConvergenceReport:
     max(1, |moment|); passes below ``CONVERGENCE_TOL``.
     """
     validate_convergence(spec)
-    combos = [(a, th, lam) for a in spec.alpha_mag for th in spec.theta for lam in spec.lam]
+    combos = list(_slices(spec))
     stride = max(1, len(combos) // CONVERGENCE_MAX_SLICES)
     ts = spec.t_grid()
     sample_ts = sorted({float(ts[0]), float(ts[len(ts) // 2]), float(ts[-1])})

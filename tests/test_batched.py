@@ -149,10 +149,9 @@ def test_first_order_matrix_is_the_sum_over_dense_words(dim):
         assert np.array_equal(a_i_first_order(params, t), dense)
 
 
-def test_bracket_band_cache_is_bounded_and_holds_no_dense_matrix():
-    assert _bracket_bands.cache_info().maxsize is not None
+def test_bracket_bands_hold_no_dense_matrix():
     for _, diag in _bracket_bands(31):
-        assert diag.base is None and not diag.flags.writeable
+        assert diag.base is None
 
 
 def test_lowering_band_is_the_annihilation_matrix():

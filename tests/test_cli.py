@@ -138,7 +138,8 @@ class TestMain:
         assert code == EXIT_OK
         assert "convergence max_drift=" in text and "passed=True" in text
 
-    @pytest.mark.parametrize("argv", [("--witness", "not-a-witness")] + NON_FINITE_ARGS)
+    @pytest.mark.parametrize("argv", [("--witness", "not-a-witness"), ("--dim", "1"),
+                                      ("--dim", "0"), ("--dim", "-5")] + NON_FINITE_ARGS)
     def test_spec_error_exit_code(self, argv):
         code, text = self.run(*argv)
         assert code == EXIT_SPEC_ERROR
@@ -148,10 +149,38 @@ class TestMain:
         code, _ = self.run("--alpha", "3", "--dim", "15")
         assert code == EXIT_PRECONDITION
 
-    @pytest.mark.parametrize("argv", [("--alpha", "1e4"), ("--dim", "100000")])
+    @pytest.mark.parametrize("argv", [("--alpha", "1e4"), ("--dim", "100000"), ("--alpha", "1e200"),
+                                      ("--alpha", "1e160", "--dim", "100")])
     def test_dim_above_ceiling_refused_before_allocating(self, argv, no_dense_allocation):
         code, _ = self.run(*argv)
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("argv", [
+        ("--t-steps", "1000000000"),
+        ("--t-steps", "99999999999999999999"),
+        # 50000 rows, but (50000, 53) ket blocks per slice
+        ("--alpha", "3", "--t-steps", "50000", "--witness", "N", "--mode", "exact"),
+        ("--alpha", "3", "--t-steps", "50000", "--witness", "hillery"),
+    ])
+    def test_grid_above_ceiling_refused_before_allocating(self, tmp_path, argv,
+                                                          no_dense_allocation, capsys):
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run(*argv, "--out", str(out_csv))
+        assert code == EXIT_SPEC_ERROR
+        assert text == "" and not out_csv.exists()
+        assert "spec error: t_steps:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["closed_form", "exact"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_values_refused(self, tmp_path, mode, capsys):
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run("--lambda", "1e308", "--t-steps", "3", "--witness", "N,f,d1",
+                              "--mode", mode, "--out", str(out_csv))
+        assert code == EXIT_PRECONDITION
+        assert text == "" and not out_csv.exists()
+        err = capsys.readouterr().err
+        assert "alpha_mag=1.0, theta=0.0, lam=1e+308," in err and "not finite" in err
 
     def test_convergence_dim_refused_before_the_sweep(self, tmp_path, no_dense_allocation):
         # D = 1160 is admissible, the doubled 2320 is above fock.MAX_DIM

@@ -1,15 +1,17 @@
 import gc
+import importlib
+import pkgutil
+import re
 import sys
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import anharmonic
 from anharmonic.dynamics import (
     DEFAULT_TIME_HORIZON,
-    _eigensystem,
     _quartic,
-    _spectral_initial,
     coherent_moment_set,
     evolve_block,
     exact_moment_set,
@@ -136,19 +138,39 @@ class TestEvolveBlock:
         assert np.array_equal(s1, s2)
 
 
-class TestSpectralCache:
-    def test_evicted_eigensystems_are_freed(self):
-        # the input's eigenbasis coefficients are cached separately from the
-        # eigensystem and must not keep an evicted eigensystem alive
-        _eigensystem.cache_clear()
-        _spectral_initial.cache_clear()
-        refs = []
-        for j in range(100):
-            p = ModelParams(1.0, 0.3, 1e-4 * (j + 1), 40)
-            evolve_block(p, [0.5])
-            refs.append(weakref.ref(_eigensystem(p.lam, p.dim)[1]))
-        gc.collect()
-        assert sum(r() is not None for r in refs) <= _eigensystem.cache_info().maxsize == 64
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("lam, t, what", [(1e308, 1.0, "H"), (1e306, 1.0, "H"),
+                                          (1e302, 1e10, "the evolved state")])
+def test_overflow_is_refused_naming_the_parameters(lam, t, what):
+    message = f"(alpha_mag=0.5, theta=0.25, lam={lam!r}, dim=25): {what} is not finite"
+    with pytest.raises(FloatingPointError, match=re.escape(message)):
+        evolve_block(ModelParams(0.5, 0.25, lam, 25), [t], horizon=abs(t))
+
+
+class TestRetention:
+    def test_evolving_many_lams_keeps_no_eigensystem_alive(self):
+        # each slice takes its own eigh; after it returns, nothing of the
+        # size of a D x D matrix may stay behind
+        dim = 200
+        _quartic(dim)
+        tracemalloc.start()
+        try:
+            for j in range(100):
+                evolve_block(ModelParams(1.0, 0.3, 1e-4 * (j + 1), dim), [0.5])
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < dim * dim * 8
+
+    def test_the_quartic_operator_is_the_only_module_level_memo(self):
+        modules = [importlib.import_module(f"anharmonic.{m.name}")
+                   for m in pkgutil.iter_modules(anharmonic.__path__)]
+        memos = [f"{module.__name__}.{attr}" for module in [anharmonic, *modules]
+                 for attr, value in vars(module).items()
+                 if hasattr(value, "cache_info") or hasattr(value, "cache_clear")]
+        assert memos == ["anharmonic.dynamics._quartic"]
 
 
 class TestInteractionMoments:

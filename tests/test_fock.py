@@ -221,6 +221,13 @@ class TestTypes:
         # dimension of a convergence check
         assert ModelParams(20.02, 0.0, 0.0, 2 * default_dim(20.02)).dim == 1162
 
+    def test_amplitude_beyond_any_dimension(self):
+        # |alpha|^2 overflows the float range, so no floor can be computed
+        with pytest.raises(TruncationError, match="no truncation dimension"):
+            ModelParams(1e200, 0.0, 0.0, 100)
+        with pytest.raises(TruncationError, match="no truncation dimension"):
+            default_dim(1e160)
+
     def test_auto_dim_heuristic(self):
         assert default_dim(1.0) == 29
         assert ModelParams.auto(1.0).dim == 29
