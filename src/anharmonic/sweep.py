@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -38,6 +38,7 @@ from .perturbative import (
     mean_photon_number,
     squeezing_witness_f,
 )
+from .reprs import float_reprs
 
 
 @dataclass(frozen=True)
@@ -219,21 +220,29 @@ class SweepResult:
     @cached_property
     def rows(self) -> tuple:
         """The rows as SweepRow objects: a view built on first access."""
-        return tuple(map(SweepRow, *self._columns(float, None)))
+        return tuple(map(SweepRow, *self._columns(np.ndarray.tolist, str, None)))
 
-    def _columns(self, fmt, missing) -> tuple:
-        """The nine CSV columns as lists in row order: numbers pass through ``fmt``
-        (each grid coordinate once), an unfilled column holds ``missing``."""
+    def _columns(self, numbers, text, missing) -> tuple:
+        """The nine CSV columns as lists in row order.  ``numbers`` turns a float
+        array into a list; one call converts each grid coordinate once and
+        every value.  ``text`` converts witness names and labels, and an
+        unfilled column holds ``missing``."""
         spec = self.spec
-        ts = [fmt(t) for t in spec.t_grid().tolist()]
-        slices = [tuple(map(fmt, s)) for s in _slices(spec)]
+        columns = (self.value_cf, self.value_exact, self.abs_error)
+        parts = [spec.t_grid(), *map(np.array, (spec.alpha_mag, spec.theta, spec.lam)),
+                 *(c for c in columns if c is not None)]
+        cells = iter(numbers(np.concatenate([p.ravel() for p in parts])))
+        ts, *axes = [list(islice(cells, p.size)) for p in parts[:4]]
+        values = [[missing] * self.row_count if c is None else list(islice(cells, c.size))
+                  for c in columns]
+        slices = list(product(*axes))
         per_slice = len(ts) * len(spec.witnesses)
         coords = [[c for s in slices for c in [s[j]] * per_slice] for j in range(3)]
-        values = [[missing] * self.row_count if c is None else list(map(fmt, c.ravel().tolist()))
-                  for c in (self.value_cf, self.value_exact, self.abs_error)]
+        labels = self.classification.ravel().tolist()
+        texts = {label: text(label) for label in set(labels)}
         return (*coords, [t for t in ts for _ in spec.witnesses] * len(slices),
-                list(spec.witnesses) * (len(ts) * len(slices)),
-                *values, self.classification.ravel().tolist())
+                list(map(text, spec.witnesses)) * (len(ts) * len(slices)),
+                *values, list(map(texts.__getitem__, labels)))
 
 
 def _slices(spec: SweepSpec):
@@ -307,7 +316,9 @@ def _summaries(spec: SweepSpec, slices, primary: np.ndarray, abs_error) -> tuple
     # first occurrences, as Python's min and max take them, fix the sign of a zero
     vmin, vmax = (np.take_along_axis(primary, pick(primary, axis=1)[:, None], axis=1)[:, 0].tolist()
                   for pick in (np.argmin, np.argmax))
-    crossings = np.count_nonzero(primary[:, :-1] * primary[:, 1:] < 0.0, axis=1).tolist()
+    # signs, not products: a product of neighbours can underflow to 0 or overflow
+    signs = np.sign(primary)
+    crossings = np.count_nonzero(signs[:, :-1] * signs[:, 1:] < 0.0, axis=1).tolist()
     worst = (abs_error.max(axis=1).tolist() if abs_error is not None
              else [[None] * len(spec.witnesses)] * len(slices))
     return tuple(WitnessSummary(w, a, th, lam, *cells)
@@ -317,9 +328,10 @@ def _summaries(spec: SweepSpec, slices, primary: np.ndarray, abs_error) -> tuple
 
 def write_csv(result: SweepResult, path) -> None:
     """Write a sweep's rows as CSV straight from its columns; floats print as
-    their repr, the shortest decimal that round-trips exactly."""
-    lines = [CSV_HEADER, *map(",".join, zip(*result._columns(repr, "")))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    their repr, the shortest decimal that round-trips exactly, formatted in
+    bulk by ``reprs.float_reprs``."""
+    rows = map(b",".join, zip(*result._columns(float_reprs, str.encode, b"")))
+    Path(path).write_bytes(b"\n".join([CSV_HEADER.encode(), *rows, b""]))
 
 
 def read_csv(path):

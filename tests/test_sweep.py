@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,16 @@ class TestRunSweep:
         assert min(values) < -1e-4 and max(values) > 1e-4
         assert result.summaries[0].zero_crossings >= 2
 
+    @pytest.mark.parametrize("lam", [1e-200, 1e-3, 1e200])
+    def test_zero_crossings_compare_signs(self, lam):
+        # d1 scales with lambda; products of neighbours would underflow to 0
+        # at 1e-200 and overflow at 1e200
+        spec = small_spec(theta=(0.3,), lam=(lam,), t_steps=64, witnesses=("d1",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+        assert result.summaries[0].zero_crossings == 3
+
     def test_summary_min_max(self):
         spec = small_spec(theta=(0.3,), witnesses=("d1",), t_steps=33)
         result = run_sweep(spec)
@@ -249,7 +260,7 @@ class TestColumns:
                 rows = result.rows[start + k:start + per_slice:len(spec.witnesses)]
                 vals = [r.value_exact if r.value_exact is not None else r.value_cf for r in rows]
                 errs = [r.abs_error for r in rows if r.abs_error is not None]
-                crossings = sum(1 for x, y in zip(vals, vals[1:]) if x * y < 0.0)
+                crossings = sum(1 for x, y in zip(vals, vals[1:]) if x < 0.0 < y or y < 0.0 < x)
                 expected.append((rows[0].witness, repr(rows[0].theta), repr(min(vals)),
                                  repr(max(vals)), crossings, repr(max(errs)) if errs else "None"))
         got = [(s.witness, repr(s.theta), repr(s.vmin), repr(s.vmax), s.zero_crossings,
@@ -296,6 +307,17 @@ class TestWitnessTable:
             assert (rows[w].value_cf, rows[w].value_exact) == (cf, exact), w
 
 
+def reference_csv(result) -> bytes:
+    """The CSV a row-by-row repr and str.join writer produces."""
+    lines = [CSV_HEADER]
+    for r in result.rows:
+        cells = [repr(r.alpha_mag), repr(r.theta), repr(r.lam), repr(r.t), r.witness,
+                 repr(r.value_cf), "" if r.value_exact is None else repr(r.value_exact),
+                 "" if r.abs_error is None else repr(r.abs_error), r.classification]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 class TestCsvContract:
     def test_header_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -333,6 +355,26 @@ class TestCsvContract:
         assert [line.split(",")[1:4] for line in lines] == [
             [repr(r.theta), repr(r.lam), repr(r.t)] for r in rows]
         assert [line.split(",")[1] for line in lines[::4]] == ["0.0", "-0.0", "0.5"]
+
+    def test_bytes_match_a_repr_writer(self, tmp_path):
+        # every class of value the bulk formatter hands back to repr, and its
+        # exponent, padding and '.0' edges, in all three value columns
+        edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 2.0**-1074 * 3, 2.0**-1022, 2.0**-20, 0.5, 1.0, 2.0**52, 2.0**53, 2.0**1023,
+                 1e16, 9999999999999998.0, 1e-5, 1e-4, 9007199254740993.0, 1e23, 0.3,
+                 1e-280, 1e280, 1.5e-281, 1.5e281, 123456789.0, 0.1 + 0.2, 1 / 3]
+        values = np.array(edges + [-v for v in edges])
+        spec = small_spec(alpha_mag=(0.0, 2.5), theta=(-0.0,), lam=(1e-3,), mode="compare",
+                          t_steps=values.size // 2, witnesses=("N",))
+        columns = values.reshape(2, -1, 1)
+        result = SweepResult(spec, columns, columns[::-1] / 3.0, np.abs(columns),
+                             criteria.classify(columns), ())
+        write_csv(result, tmp_path / "fast.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == reference_csv(result)
+        closed = SweepResult(small_spec(t_steps=columns.shape[1], witnesses=("N",)), columns,
+                             None, None, criteria.classify(columns), ())
+        write_csv(closed, tmp_path / "closed.csv")
+        assert (tmp_path / "closed.csv").read_bytes() == reference_csv(closed)
 
     def test_write_read_helpers(self, tmp_path):
         result = run_sweep(small_spec(t_steps=3, witnesses=("d1",)))
