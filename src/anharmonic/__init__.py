@@ -68,13 +68,11 @@ from .sweep import (
     ConvergenceReport,
     ScalingReport,
     SweepResult,
-    SweepRow,
     SweepSpec,
     SweepSpecError,
     WitnessSummary,
     compare_report,
     convergence_check,
-    read_csv,
     run_sweep,
     write_csv,
 )

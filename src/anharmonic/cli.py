@@ -4,9 +4,10 @@ Angles and times are radians; the literal tokens ``pi``, ``2pi``, ``pi/2``,
 ``3pi/4`` etc. are parsed exactly so the special loci (theta = pi/2,
 t = 2*theta) are hit bit-exactly rather than through truncated decimals.
 Exit status: 0 on success, 2 for specification errors (a grid above
-``fock.MAX_GRID_CELLS`` included), 3 for numerical precondition failures (a
-truncation dimension too small, above ``fock.MAX_DIM`` or beyond the float range,
-or an overflowed value).  ``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
+``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
+directory included), 3 for numerical precondition failures (a truncation
+dimension too small, above ``fock.MAX_DIM`` or beyond the float range, or an
+overflowed value).  ``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
 """
 
 from __future__ import annotations
@@ -77,8 +78,12 @@ def parse_number_list(text: str) -> tuple:
 
 def read_config(path) -> dict:
     """Flat key = value file; '#' starts a comment; keys mirror flag names."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SweepSpecError(f"config: cannot read {str(path)!r}: {exc}")
     conf = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

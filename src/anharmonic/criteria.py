@@ -12,8 +12,6 @@ columns; ``np.float_power`` rounds like float ``**``.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
-
 import numpy as np
 
 from .dynamics import MomentSet
@@ -34,34 +32,15 @@ class VacuumDenominatorError(ArithmeticError):
     """A factorial-moment denominator vanished (vacuum-dominated state)."""
 
 
-Moments = Union[MomentSet, Sequence[float]]
-
-
 def classify(value: float, tolerance: float = DEFAULT_BOUNDARY_TOL) -> str:
-    """nonclassical iff value < -tolerance; boundary iff |value| <= tolerance.
-    An ndarray gives an array of labels."""
-    if isinstance(value, np.ndarray):
-        return _LABELS[2 - (value <= tolerance) - (value < -tolerance)]
-    if value < -tolerance:
-        return NONCLASSICAL
-    if value <= tolerance:
-        return BOUNDARY
-    return CLASSICAL
+    """nonclassical iff value < -tolerance; boundary iff |value| <= tolerance;
+    classical otherwise, NaN included.  An ndarray gives an array of labels."""
+    return _LABELS[2 - (value <= tolerance) - (value < -tolerance)]
 
 
 def _value(value):
     """A witness value: a Python float, or the array for column moments."""
     return value if isinstance(value, np.ndarray) else float(value)
-
-
-def _factorial_moments(moments: Moments) -> tuple:
-    """Factorial moments (<N^(1)>, <N^(2)>, ...) from a MomentSet or a plain list."""
-    if isinstance(moments, MomentSet):
-        return moments.factorial_moments()
-    fm = tuple(float(x) for x in moments)
-    if not fm:
-        raise ValueError("empty factorial-moment list")
-    return fm
 
 
 def quadrature_squeezing(moments: MomentSet) -> float:
@@ -83,7 +62,7 @@ def hillery_squeezing(moments: MomentSet) -> float:
     return _value(moments.a4.real + moments.ad2a2.real - 2.0 * np.float_power(moments.a2.real, 2))
 
 
-def lee_R(moments: Moments, l: int, m: int) -> float:
+def lee_R(moments: MomentSet, l: int, m: int) -> float:
     """Factorial-moment ratio criterion
     R(l, m) = <N^(l+1)> <N^(m-1)> / (<N^(l)> <N^(m)>) - 1, with <N^(0)> = 1.
 
@@ -92,19 +71,19 @@ def lee_R(moments: Moments, l: int, m: int) -> float:
     """
     if not (l >= m >= 1):
         raise ValueError(f"need l >= m >= 1, got l={l}, m={m}")
-    fm = _factorial_moments(moments)
+    fm = moments.factorial_moments()
     if l + 1 > len(fm):
         raise ValueError(f"need factorial moments up to order {l + 1}, have {len(fm)}")
     nfac = (1.0, *fm)  # nfac[i] = <N^(i)>
     denom = nfac[l] * nfac[m]
-    if denom == 0.0:
+    if np.any(denom == 0.0):
         raise VacuumDenominatorError(
             f"<N^({l})> <N^({m})> = 0 (vacuum-dominated state); R(l, m) undefined"
         )
-    return nfac[l + 1] * nfac[m - 1] / denom - 1.0
+    return _value(nfac[l + 1] * nfac[m - 1] / denom - 1.0)
 
 
-def hoa_d_from_moments(moments: Moments, l: int) -> float:
+def hoa_d_from_moments(moments: MomentSet, l: int) -> float:
     """d(l) = <N^(l+1)> - <N>^(l+1); negative flags order-l antibunching.
 
     Evaluated standalone for each l; no ordering chain between orders is
@@ -112,7 +91,7 @@ def hoa_d_from_moments(moments: Moments, l: int) -> float:
     """
     if l < 1:
         raise ValueError(f"order l must be >= 1, got {l}")
-    fm = _factorial_moments(moments)
+    fm = moments.factorial_moments()
     if l + 1 > len(fm):
         raise ValueError(f"need factorial moments up to order {l + 1}, have {len(fm)}")
     return _value(fm[l] - np.float_power(fm[0], l + 1))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, product
 from pathlib import Path
 from typing import Callable, Optional
@@ -174,19 +173,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    alpha_mag: float
-    theta: float
-    lam: float
-    t: float
-    witness: str
-    value_cf: float
-    value_exact: Optional[float]
-    abs_error: Optional[float]
-    classification: str
-
-
-@dataclass(frozen=True)
 class WitnessSummary:
     """Per (witness, alpha, theta, lambda) digest over the t grid."""
 
@@ -216,33 +202,6 @@ class SweepResult:
     @property
     def row_count(self) -> int:
         return self.value_cf.size
-
-    @cached_property
-    def rows(self) -> tuple:
-        """The rows as SweepRow objects: a view built on first access."""
-        return tuple(map(SweepRow, *self._columns(np.ndarray.tolist, str, None)))
-
-    def _columns(self, numbers, text, missing) -> tuple:
-        """The nine CSV columns as lists in row order.  ``numbers`` turns a float
-        array into a list; one call converts each grid coordinate once and
-        every value.  ``text`` converts witness names and labels, and an
-        unfilled column holds ``missing``."""
-        spec = self.spec
-        columns = (self.value_cf, self.value_exact, self.abs_error)
-        parts = [spec.t_grid(), *map(np.array, (spec.alpha_mag, spec.theta, spec.lam)),
-                 *(c for c in columns if c is not None)]
-        cells = iter(numbers(np.concatenate([p.ravel() for p in parts])))
-        ts, *axes = [list(islice(cells, p.size)) for p in parts[:4]]
-        values = [[missing] * self.row_count if c is None else list(islice(cells, c.size))
-                  for c in columns]
-        slices = list(product(*axes))
-        per_slice = len(ts) * len(spec.witnesses)
-        coords = [[c for s in slices for c in [s[j]] * per_slice] for j in range(3)]
-        labels = self.classification.ravel().tolist()
-        texts = {label: text(label) for label in set(labels)}
-        return (*coords, [t for t in ts for _ in spec.witnesses] * len(slices),
-                list(map(text, spec.witnesses)) * (len(ts) * len(slices)),
-                *values, list(map(texts.__getitem__, labels)))
 
 
 def _slices(spec: SweepSpec):
@@ -274,9 +233,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     validate_dimensions(spec)
     if spec.output_path is not None:
-        parent = Path(spec.output_path).resolve().parent
-        if not parent.is_dir():
-            raise SweepSpecError(f"out: directory {parent} does not exist")
+        out = Path(spec.output_path)
+        if out.is_dir():
+            raise SweepSpecError(f"out: {spec.output_path!r} names a directory, not a file")
+        if not out.resolve().parent.is_dir():
+            raise SweepSpecError(f"out: directory {out.resolve().parent} does not exist")
     ts = spec.t_grid()
     horizon = spec.horizon()
     need_exact = spec.mode in ("exact", "compare")
@@ -329,22 +290,25 @@ def _summaries(spec: SweepSpec, slices, primary: np.ndarray, abs_error) -> tuple
 def write_csv(result: SweepResult, path) -> None:
     """Write a sweep's rows as CSV straight from its columns; floats print as
     their repr, the shortest decimal that round-trips exactly, formatted in
-    bulk by ``reprs.float_reprs``."""
-    rows = map(b",".join, zip(*result._columns(float_reprs, str.encode, b"")))
+    bulk by ``reprs.float_reprs``: one call converts each grid coordinate once
+    and every value.  An unfilled column is left empty."""
+    spec = result.spec
+    columns = (result.value_cf, result.value_exact, result.abs_error)
+    parts = [spec.t_grid(), *map(np.array, (spec.alpha_mag, spec.theta, spec.lam)),
+             *(c for c in columns if c is not None)]
+    cells = iter(float_reprs(np.concatenate([p.ravel() for p in parts])))
+    ts, *axes = [list(islice(cells, p.size)) for p in parts[:4]]
+    values = [[b""] * result.row_count if c is None else list(islice(cells, c.size))
+              for c in columns]
+    slices = list(product(*axes))
+    per_slice = len(ts) * len(spec.witnesses)
+    coords = [[c for s in slices for c in [s[j]] * per_slice] for j in range(3)]
+    labels = result.classification.ravel().tolist()
+    texts = {label: label.encode() for label in set(labels)}
+    rows = map(b",".join, zip(*coords, [t for t in ts for _ in spec.witnesses] * len(slices),
+                              [w.encode() for w in spec.witnesses] * (len(ts) * len(slices)),
+                              *values, list(map(texts.__getitem__, labels))))
     Path(path).write_bytes(b"\n".join([CSV_HEADER.encode(), *rows, b""]))
-
-
-def read_csv(path):
-    """Parse a sweep CSV back into rows; inverse of ``write_csv``."""
-    lines = Path(path).read_text(encoding="ascii").strip("\n").split("\n")
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-
-    def number(cell):
-        return float(cell) if cell else None
-
-    return tuple(SweepRow(*map(float, c[:4]), c[4], float(c[5]), number(c[6]), number(c[7]), c[8])
-                 for c in (line.split(",") for line in lines[1:]))
 
 
 @dataclass(frozen=True)

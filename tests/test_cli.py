@@ -20,7 +20,7 @@ from anharmonic.cli import (
     parse_number_list,
     read_config,
 )
-from anharmonic.sweep import WITNESSES, SweepResult, SweepSpecError, read_csv
+from anharmonic.sweep import CSV_HEADER, WITNESSES, SweepSpecError
 
 NON_FINITE_ARGS = [
     ("--lambda", "nan"),
@@ -81,6 +81,19 @@ class TestConfig:
         with pytest.raises(SweepSpecError):
             read_config(cfg)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_is_a_spec_error(self, tmp_path, kind, capsys):
+        cfg = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+               "not_utf8": tmp_path / "latin.cfg"}[kind]
+        if kind == "not_utf8":
+            cfg.write_bytes(b"alpha = 1 # \xff\n")
+        with pytest.raises(SweepSpecError, match="^config: "):
+            read_config(cfg)
+        out = io.StringIO()
+        assert main(["--config", str(cfg)], out=out) == EXIT_SPEC_ERROR
+        assert out.getvalue() == ""
+        assert "spec error: config: " in capsys.readouterr().err
+
 
 class TestMain:
     def run(self, *argv):
@@ -96,15 +109,11 @@ class TestMain:
         )
         assert code == EXIT_OK
         assert "rows=32" in text
-        rows = read_csv(out_csv)
-        assert len(rows) == 32
-        assert all(r.witness in ("f", "d2") for r in rows)
+        header, *rows = out_csv.read_text(encoding="ascii").splitlines()
+        assert header == CSV_HEADER and len(rows) == 32
+        assert [r.split(",")[4] for r in rows] == ["f", "d2"] * 16
 
-    def test_compare_run_builds_no_row_objects(self, tmp_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("the CLI built the SweepRow view")
-
-        monkeypatch.setattr(SweepResult, "rows", property(refuse))
+    def test_compare_run_prints_rows_and_scaling(self, tmp_path):
         code, text = self.run(
             "--alpha", "1,2", "--lambda", "1e-3,1e-4", "--mode", "compare", "--t-steps", "5",
             "--out", str(tmp_path / "c.csv"),
@@ -190,6 +199,16 @@ class TestMain:
         assert code == EXIT_PRECONDITION
         assert text == ""
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("to_dir", [True, False], ids=["directory", "empty"])
+    def test_out_naming_a_directory_refused_before_the_sweep(self, tmp_path, to_dir, capsys,
+                                                            no_dense_allocation):
+        # an empty --out= is the current directory
+        out = f"--out={tmp_path if to_dir else ''}"
+        code, text = self.run("--t-steps", "3", "--witness", "N", "--mode", "exact", out)
+        assert code == EXIT_SPEC_ERROR
+        assert text == "" and list(tmp_path.iterdir()) == []
+        assert "spec error: out: " in capsys.readouterr().err
 
     def test_convergence_mode_refused_before_the_sweep(self, tmp_path, no_dense_allocation):
         out_csv = tmp_path / "rows.csv"

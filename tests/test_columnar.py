@@ -165,8 +165,6 @@ def test_witnesses_return_a_float_for_scalars_and_an_array_for_columns(name):
     block = exact_moment_block(ModelParams.auto(1.3, 0.4, 1e-3), np.linspace(0.0, 1.0, 3))
     values = witness(column_set(block))
     assert type(values) is np.ndarray and values.dtype == float and values.shape == (3,)
-    if name.startswith("d"):
-        assert type(witness([1.0, 1.0, 1.0, 1.0])) is float
 
 
 def test_witness_powers_round_like_python_floats():

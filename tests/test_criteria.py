@@ -14,7 +14,9 @@ from anharmonic.criteria import (
     quadrature_squeezing,
 )
 from anharmonic.dynamics import (
+    MomentSet,
     coherent_moment_set,
+    exact_moment_block,
     exact_moment_set,
     interaction_moment_block,
     moment_sets,
@@ -131,11 +133,19 @@ class TestLeeR:
         with pytest.raises(VacuumDenominatorError):
             lee_R(number_state_moments(0), 1, 1)
 
-    def test_moment_list_input(self):
-        fm = [1.0, 1.0, 1.0, 1.0]  # Poissonian with <N> = 1
-        assert abs(lee_R(fm, 3, 2)) < 1e-15
-        with pytest.raises(ValueError):
-            lee_R([1.0, 1.0], 3, 1)
+    def test_columns_give_the_row_values(self):
+        block = exact_moment_block(ModelParams.auto(1.3, 0.4, 1e-2), np.linspace(0.0, 1.0, 5))
+        values = lee_R(MomentSet(*block.T), 2, 1)
+        rows = [lee_R(m, 2, 1) for m in moment_sets(block)]
+        assert type(values) is np.ndarray and all(type(v) is float for v in rows)
+        assert values.tolist() == rows
+        with pytest.raises(VacuumDenominatorError):
+            lee_R(MomentSet(*np.vstack([block[:1], np.zeros_like(block[:1])]).T), 1, 1)
+
+    def test_order_above_the_moment_set_refused(self):
+        # a MomentSet carries factorial moments up to order 4
+        with pytest.raises(ValueError, match="up to order 5"):
+            lee_R(coherent_moment_set(1.0), 4, 1)
 
 
 class TestHoaD:

@@ -1,5 +1,7 @@
 import math
 import warnings
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from anharmonic.sweep import (
     SweepSpecError,
     compare_report,
     convergence_check,
-    read_csv,
     run_sweep,
     validate_convergence,
     validate_dimensions,
@@ -121,44 +122,44 @@ class TestRunSweep:
     def test_row_count_formula(self):
         spec = small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), witnesses=("f", "d2", "N"))
         result = run_sweep(spec)
-        assert len(result.rows) == 2 * 2 * 2 * 9 * 3
+        assert result.row_count == 2 * 2 * 2 * 9 * 3
 
-    def test_row_order_witness_innermost(self):
-        spec = small_spec(witnesses=("f", "d1"))
-        rows = run_sweep(spec).rows
-        assert [r.witness for r in rows[:4]] == ["f", "d1", "f", "d1"]
-        assert rows[0].t == rows[1].t
-
-    def test_closed_form_mode_has_no_exact_columns(self):
-        rows = run_sweep(small_spec()).rows
-        assert all(r.value_exact is None and r.abs_error is None for r in rows)
+    def test_row_order_witness_innermost(self, tmp_path):
+        spec = small_spec(witnesses=("f", "d1"), output_path=str(tmp_path / "o.csv"))
+        run_sweep(spec)
+        rows = [line.split(",") for line in csv_lines(tmp_path / "o.csv")]
+        assert [r[4] for r in rows[:4]] == ["f", "d1", "f", "d1"]
+        assert rows[0][3] == rows[1][3] != rows[2][3]
 
     def test_exact_mode_fills_exact_but_not_error(self):
-        rows = run_sweep(small_spec(mode="exact", t_steps=3, witnesses=("N", "d1"))).rows
-        assert all(r.value_exact is not None for r in rows)
-        assert all(r.abs_error is None for r in rows)
+        result = run_sweep(small_spec(mode="exact", t_steps=3, witnesses=("N", "d1")))
+        assert result.value_exact.shape == result.value_cf.shape
+        assert np.isfinite(result.value_exact).all()
+        assert result.abs_error is None
 
     def test_compare_mode_fills_error(self):
-        rows = run_sweep(small_spec(mode="compare", t_steps=3, witnesses=("N",))).rows
-        assert all(r.abs_error == abs(r.value_cf - r.value_exact) for r in rows)
+        result = run_sweep(small_spec(mode="compare", t_steps=3, witnesses=("N",)))
+        cells = zip(*(c.ravel().tolist() for c in (result.abs_error, result.value_cf,
+                                                   result.value_exact)))
+        assert all(err == abs(cf - exact) for err, cf, exact in cells)
 
     def test_free_field_rows_all_boundary(self):
-        rows = run_sweep(small_spec(lam=(0.0,), t_steps=5)).rows
-        assert all(r.classification == "boundary" for r in rows)
-        for r in rows:
-            if r.witness == "N":
-                assert r.value_cf == r.alpha_mag**2
-            else:
-                assert abs(r.value_cf) < 1e-10
+        spec = small_spec(alpha_mag=(0.5, 1.0), lam=(0.0,), t_steps=5)
+        result = run_sweep(spec)
+        assert (result.classification == "boundary").all()
+        n = spec.witnesses.index("N")
+        for s, (a, _, _) in enumerate(product(spec.alpha_mag, spec.theta, spec.lam)):
+            assert (result.value_cf[s, :, n] == a**2).all()
+            assert (np.abs(np.delete(result.value_cf[s], n, axis=1)) < 1e-10).all()
 
     def test_always_negative_f_at_half_pi_phase(self):
         spec = small_spec(theta=(np.pi / 2,), lam=(1e-2,), t_steps=64, witnesses=("f",))
-        assert all(r.value_cf <= 0.0 for r in run_sweep(spec).rows)
+        assert (run_sweep(spec).value_cf <= 0.0).all()
 
     def test_d2_oscillates_at_half_pi_phase(self):
         spec = small_spec(theta=(np.pi / 2,), lam=(1e-2,), t_steps=200, witnesses=("d2",))
         result = run_sweep(spec)
-        values = [r.value_cf for r in result.rows]
+        values = result.value_cf.ravel().tolist()
         assert min(values) < -1e-4 and max(values) > 1e-4
         assert result.summaries[0].zero_crossings >= 2
 
@@ -175,26 +176,26 @@ class TestRunSweep:
     def test_summary_min_max(self):
         spec = small_spec(theta=(0.3,), witnesses=("d1",), t_steps=33)
         result = run_sweep(spec)
-        values = [r.value_cf for r in result.rows]
+        values = result.value_cf.ravel().tolist()
         s = result.summaries[0]
         assert s.vmin == min(values) and s.vmax == max(values)
 
 
 class TestColumns:
-    def test_columns_are_shaped_slices_by_t_by_witness(self):
+    def test_columns_are_shaped_slices_by_t_by_witness(self, tmp_path):
         spec = small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), mode="compare",
-                          t_steps=4, witnesses=("f", "N", "hillery"))
+                          t_steps=4, witnesses=("f", "N", "hillery"),
+                          output_path=str(tmp_path / "c.csv"))
         result = run_sweep(spec)
         for column in (result.value_cf, result.value_exact, result.abs_error,
                        result.classification):
             assert column.shape == (8, 4, 3)
-        assert result.row_count == len(result.rows) == 96
-        assert result.rows is result.rows
-        r = result.rows[-1]
-        assert (r.alpha_mag, r.theta, r.lam, r.t, r.witness) == (1.0, np.pi / 2, 1e-4, 2 * np.pi, "hillery")
-        assert (r.value_cf, r.value_exact, r.abs_error, r.classification) == (
+        assert result.row_count == 96
+        last = csv_lines(tmp_path / "c.csv")[-1].split(",")
+        assert [*map(float, last[:4]), last[4]] == [1.0, np.pi / 2, 1e-4, 2 * np.pi, "hillery"]
+        assert [*map(float, last[5:8]), last[8]] == [
             result.value_cf[-1, -1, -1], result.value_exact[-1, -1, -1],
-            result.abs_error[-1, -1, -1], result.classification[-1, -1, -1])
+            result.abs_error[-1, -1, -1], result.classification[-1, -1, -1]]
 
     @pytest.mark.parametrize("mode", ["closed_form", "exact"])
     def test_unfilled_columns_are_none(self, mode):
@@ -211,12 +212,8 @@ class TestColumns:
                 return cls(*args)
             return build
 
-        def no_rows(*args):
-            raise AssertionError("run_sweep built a SweepRow")
-
         monkeypatch.setattr(sweep, "ClosedFormInputs", counting(ClosedFormInputs))
         monkeypatch.setattr(sweep, "MomentSet", counting(MomentSet))
-        monkeypatch.setattr(sweep, "SweepRow", no_rows)
         spec = small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), mode="compare",
                           t_steps=17, output_path=str(tmp_path / "s.csv"))
         run_sweep(spec)
@@ -250,19 +247,18 @@ class TestColumns:
                    lam=(1e-3, 1e-4), t_steps=9),
     ])
     def test_summaries_are_the_row_walk(self, spec):
-        # the per-slice reductions over the rows, as Python's min, max and
-        # sum compute them, with Python floats for the printed numbers
+        # the per-slice reductions over each slice's t values, as Python's
+        # min, max and sum compute them, with Python floats for the printed numbers
         result = run_sweep(spec)
-        per_slice = spec.t_steps * len(spec.witnesses)
+        primary = result.value_cf if result.value_exact is None else result.value_exact
         expected = []
-        for start in range(0, result.row_count, per_slice):
-            for k in range(len(spec.witnesses)):
-                rows = result.rows[start + k:start + per_slice:len(spec.witnesses)]
-                vals = [r.value_exact if r.value_exact is not None else r.value_cf for r in rows]
-                errs = [r.abs_error for r in rows if r.abs_error is not None]
+        for s, (_, theta, _) in enumerate(product(spec.alpha_mag, spec.theta, spec.lam)):
+            for k, w in enumerate(spec.witnesses):
+                vals = primary[s, :, k].tolist()
+                errs = None if result.abs_error is None else result.abs_error[s, :, k].tolist()
                 crossings = sum(1 for x, y in zip(vals, vals[1:]) if x < 0.0 < y or y < 0.0 < x)
-                expected.append((rows[0].witness, repr(rows[0].theta), repr(min(vals)),
-                                 repr(max(vals)), crossings, repr(max(errs)) if errs else "None"))
+                expected.append((w, repr(theta), repr(min(vals)), repr(max(vals)), crossings,
+                                 repr(max(errs)) if errs else "None"))
         got = [(s.witness, repr(s.theta), repr(s.vmin), repr(s.vmax), s.zero_crossings,
                 repr(s.max_abs_error)) for s in result.summaries]
         assert got == expected
@@ -301,21 +297,51 @@ class TestWitnessTable:
             "quadrature": (quadrature_squeezing(fo), quadrature_squeezing(ex)),
             "hillery": (hillery_squeezing(fo), hillery_squeezing(ex)),
         }
-        rows = {r.witness: r for r in run_sweep(spec).rows if r.t == t}
-        assert rows.keys() == expected.keys()
-        for w, (cf, exact) in expected.items():
-            assert (rows[w].value_cf, rows[w].value_exact) == (cf, exact), w
+        result = run_sweep(spec)
+        assert spec.witnesses == tuple(expected)
+        for k, (w, (cf, exact)) in enumerate(expected.items()):
+            assert (result.value_cf[0, 1, k], result.value_exact[0, 1, k]) == (cf, exact), w
 
 
 def reference_csv(result) -> bytes:
-    """The CSV a row-by-row repr and str.join writer produces."""
+    """The CSV a row-by-row repr and str.join writer produces: a nested walk
+    over the grid that reads each cell from the columns by its index."""
+    spec = result.spec
+
+    def cell(column, index):
+        return "" if column is None else repr(float(column[index]))
+
     lines = [CSV_HEADER]
-    for r in result.rows:
-        cells = [repr(r.alpha_mag), repr(r.theta), repr(r.lam), repr(r.t), r.witness,
-                 repr(r.value_cf), "" if r.value_exact is None else repr(r.value_exact),
-                 "" if r.abs_error is None else repr(r.abs_error), r.classification]
-        lines.append(",".join(cells))
+    for s, (a, th, lam) in enumerate(product(spec.alpha_mag, spec.theta, spec.lam)):
+        for j, t in enumerate(spec.t_grid().tolist()):
+            for k, w in enumerate(spec.witnesses):
+                index = (s, j, k)
+                lines.append(",".join([
+                    repr(a), repr(th), repr(lam), repr(t), w, cell(result.value_cf, index),
+                    cell(result.value_exact, index), cell(result.abs_error, index),
+                    str(result.classification[index])]))
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def csv_lines(path) -> list:
+    """The data lines of a sweep CSV, after checking its header and final newline."""
+    lines = Path(path).read_text(encoding="ascii").split("\n")
+    assert lines[0] == CSV_HEADER and lines[-1] == ""
+    return lines[1:-1]
+
+
+def assert_csv_values_are_the_columns(path, result):
+    """Each value cell of the CSV parses with float() to its column's float,
+    bit for bit, in row order; an unfilled column's cells are empty."""
+    cells = [line.split(",") for line in csv_lines(path)]
+    assert len(cells) == result.row_count
+    for i, column in enumerate((result.value_cf, result.value_exact, result.abs_error), start=5):
+        if column is None:
+            assert {c[i] for c in cells} == {""}
+        else:
+            parsed = np.array([float(c[i]) for c in cells])
+            assert parsed.view(np.uint64).tolist() == column.ravel().view(np.uint64).tolist()
+    assert [c[8] for c in cells] == result.classification.ravel().tolist()
 
 
 class TestCsvContract:
@@ -336,8 +362,7 @@ class TestCsvContract:
         spec = small_spec(mode="compare", t_steps=7, witnesses=("N", "d3", "hillery"),
                           output_path=str(out))
         result = run_sweep(spec)
-        parsed = read_csv(out)
-        assert parsed == result.rows
+        assert_csv_values_are_the_columns(out, result)
 
     def test_absent_fields_emitted_empty(self, tmp_path):
         out = tmp_path / "cf.csv"
@@ -350,10 +375,11 @@ class TestCsvContract:
         # -0.0 == 0.0, but the two print differently
         spec = small_spec(theta=(0.0, -0.0, 0.5), t_steps=2, witnesses=("N", "d1"),
                           output_path=str(tmp_path / "z.csv"))
-        rows = run_sweep(spec).rows
-        lines = (tmp_path / "z.csv").read_text().splitlines()[1:]
+        run_sweep(spec)
+        lines = csv_lines(tmp_path / "z.csv")
         assert [line.split(",")[1:4] for line in lines] == [
-            [repr(r.theta), repr(r.lam), repr(r.t)] for r in rows]
+            [repr(th), repr(lam), repr(t)] for th, lam, t, _ in
+            product(spec.theta, spec.lam, spec.t_grid().tolist(), spec.witnesses)]
         assert [line.split(",")[1] for line in lines[::4]] == ["0.0", "-0.0", "0.5"]
 
     def test_bytes_match_a_repr_writer(self, tmp_path):
@@ -376,11 +402,14 @@ class TestCsvContract:
         write_csv(closed, tmp_path / "closed.csv")
         assert (tmp_path / "closed.csv").read_bytes() == reference_csv(closed)
 
-    def test_write_read_helpers(self, tmp_path):
-        result = run_sweep(small_spec(t_steps=3, witnesses=("d1",)))
+    def test_write_csv_is_the_grid_walk(self, tmp_path):
+        # two values on every axis, so that a wrong nesting or repetition shows
+        result = run_sweep(small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), t_steps=3,
+                                      witnesses=("d1", "N")))
         path = tmp_path / "h.csv"
         write_csv(result, path)
-        assert read_csv(path) == result.rows
+        assert_csv_values_are_the_columns(path, result)
+        assert path.read_bytes() == reference_csv(result)
 
 
 class TestCompareReport:
@@ -420,9 +449,10 @@ class TestCompareReport:
                           mode="compare", t_steps=9, witnesses=("N", "d1", "f", "hillery"))
         result = run_sweep(spec)
         worst_err = {}
-        for r in result.rows:
-            key = (r.witness, r.alpha_mag, r.theta, r.lam)
-            worst_err[key] = max(worst_err.get(key, 0.0), r.abs_error)
+        for s, (a, th, lam) in enumerate(product(spec.alpha_mag, spec.theta, spec.lam)):
+            for k, w in enumerate(spec.witnesses):
+                key = (w, a, th, lam)
+                worst_err[key] = max(worst_err.get(key, 0.0), *result.abs_error[s, :, k].tolist())
         lams = sorted(set(spec.lam))
         expected = []
         for w in spec.witnesses:
