@@ -24,9 +24,7 @@ from .dynamics import (
     coherent_moment_set,
     evolve_block,
     exact_moment_block,
-    exact_moment_set,
     hamiltonian,
-    moment_sets,
 )
 from .fock import (
     EIGENVALUE_RESIDUAL_TOL,
@@ -44,12 +42,10 @@ from .fock import (
 )
 from .perturbative import (
     ClosedFormInputs,
-    a_i_first_order,
     delta_y1_squared,
     first_order_delta_y1_squared,
     first_order_hoa_d,
     first_order_moment_block,
-    first_order_moment_set,
     first_order_squeezing_f,
     hoa_witness_d,
     hoa_witness_d_special,

@@ -3,11 +3,13 @@
 Angles and times are radians; the literal tokens ``pi``, ``2pi``, ``pi/2``,
 ``3pi/4`` etc. are parsed exactly so the special loci (theta = pi/2,
 t = 2*theta) are hit bit-exactly rather than through truncated decimals.
-Exit status: 0 on success, 2 for specification errors (a grid above
-``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
+Exit status: 0 on success, 2 for specification errors (a pi literal that
+divides by zero, a grid above ``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
 directory included), 3 for numerical precondition failures (a truncation
-dimension too small, above ``fock.MAX_DIM`` or beyond the float range, or an
-overflowed value).  ``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
+dimension too small, above ``fock.MAX_DIM`` or beyond the float range, an
+overflowed value, or a failed ``--check-convergence``, each refused before any
+row is printed or any CSV written).  ``python -m anharmonic.cli`` runs
+``anharmonic-sweep``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .sweep import (
     compare_report,
     convergence_check,
     run_sweep,
-    validate_convergence,
 )
 
 EXIT_OK = 0
@@ -61,7 +62,10 @@ def parse_number(token: str) -> float:
         coef = float(m.group(2)) if m.group(2) else 1.0
         value = sign * coef * math.pi
         if m.group(3):
-            value /= float(m.group(3))
+            divisor = float(m.group(3))
+            if divisor == 0.0:
+                raise SweepSpecError(f"pi literal {token!r} divides by zero")
+            value /= divisor
         return value
     try:
         return float(token)
@@ -139,7 +143,7 @@ def build_spec(settings: dict) -> SweepSpec:
     )
 
 
-def _print_result(result, check_conv: bool, out) -> None:
+def _print_result(result, conv, out) -> None:
     spec = result.spec
     print(f"rows={result.row_count} mode={spec.mode}"
           + (f" csv={spec.output_path}" if spec.output_path else ""), file=out)
@@ -156,10 +160,13 @@ def _print_result(result, check_conv: bool, out) -> None:
             slope = "n/a" if e.slope is None else repr(round(e.slope, 4))
             print(f"scaling witness={e.witness} alpha={e.alpha_mag!r} "
                   f"theta={e.theta!r} slope={slope} status={e.status}", file=out)
-    if check_conv:
-        conv = convergence_check(spec)
-        print(f"convergence max_drift={conv.max_drift!r} "
-              f"tolerance={conv.tolerance!r} passed={conv.passed}", file=out)
+    if conv is not None:
+        print(_convergence_line(conv), file=out)
+
+
+def _convergence_line(conv) -> str:
+    return (f"convergence max_drift={conv.max_drift!r} "
+            f"tolerance={conv.tolerance!r} passed={conv.passed}")
 
 
 def main(argv=None, out=None) -> int:
@@ -187,10 +194,11 @@ def main(argv=None, out=None) -> int:
 
     try:
         spec = build_spec(_merge_settings(args))
-        if args.check_convergence:
-            validate_convergence(spec)
-        result = run_sweep(spec)
-        _print_result(result, args.check_convergence, out)
+        conv = convergence_check(spec) if args.check_convergence else None
+        if conv is not None and not conv.passed:
+            print(_convergence_line(conv), file=sys.stderr)
+            return EXIT_PRECONDITION
+        _print_result(run_sweep(spec), conv, out)
     except (TruncationError, FloatingPointError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -19,8 +19,7 @@ so photon statistics need no phase bookkeeping at all.
 A whole time grid is evaluated in one pass: ``evolve_block`` returns the
 (T, dim) block of states and ``exact_moment_block`` the (T, 10) block of
 moments, with a applied as a sqrt(n)-weighted shift, so the work per grid is
-O(dim^2 T) for the evolution and O(dim T) for the moments.  Each row equals
-what ``exact_moment_set`` (the T = 1 case) gives for its t, bit for bit.
+O(dim^2 T) for the evolution and O(dim T) for the moments.
 """
 
 from __future__ import annotations
@@ -155,11 +154,6 @@ def ladder_moment_block(bands, psi: np.ndarray) -> np.ndarray:
     return block
 
 
-def moment_sets(block: np.ndarray) -> list:
-    """One MomentSet per row of a (T, len(MONOMIALS)) moment block."""
-    return [MomentSet(*row) for row in block.tolist()]
-
-
 def interaction_moment_block(psi: np.ndarray, ts) -> np.ndarray:
     """Interaction-frame moments of the (T, dim) state block ``psi`` at times ``ts``.
 
@@ -180,12 +174,6 @@ def interaction_moment_block(psi: np.ndarray, ts) -> np.ndarray:
 def exact_moment_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON) -> np.ndarray:
     """Moments of the exactly evolved state at every t of ``ts``, one row per t."""
     return interaction_moment_block(evolve_block(params, ts, horizon), ts)
-
-
-def exact_moment_set(params: ModelParams, t: float, horizon: float = DEFAULT_TIME_HORIZON) -> MomentSet:
-    """Moments of the exactly evolved state at time t: the T = 1 case of
-    ``exact_moment_block``."""
-    return moment_sets(exact_moment_block(params, [t], horizon))[0]
 
 
 def coherent_moment_set(alpha: complex) -> MomentSet:

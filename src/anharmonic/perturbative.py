@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MomentSet, ladder_moment_block, moment_sets
+from .dynamics import ladder_moment_block
 from .fock import ModelParams, coherent_state
 
 
@@ -259,7 +259,7 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# first-order operator solution as a matrix
+# first-order operator solution, by the diagonals of its words
 # ---------------------------------------------------------------------------
 
 def _bracket_bands(dim: int):
@@ -287,20 +287,6 @@ def _bracket_coefficients(lam: float, t):
     return (1.0 + s * (6.0 * t), s * (6.0 * t), s * (6.0 * f), s * g, s * (6.0 * f), s * (2.0 * fbar))
 
 
-def a_i_first_order(params: ModelParams, t: float) -> np.ndarray:
-    """First-order rotating-frame annihilation operator a_1(t) as a matrix.
-
-    a_1(t) = a - (i lam / 8) [ 6t a + 6t a^dag a^2 + 6 e^{it} sin t a^dag^2 a
-                               + e^{2it} sin 2t a^dag^3 + 6 e^{it} sin t a^dag
-                               + 2 e^{-it} sin t a^3 ]
-
-    Built from the diagonals of ``_bracket_bands``; reduces to a exactly at
-    lam = 0 and at t = 0.
-    """
-    coefs = _bracket_coefficients(params.lam, float(t))
-    return sum(np.diag(c * diag, k) for c, (k, diag) in zip(coefs, _bracket_bands(params.dim)))
-
-
 def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:
     """Moments of the first-order operator over the initial coherent state at
     every t of ``ts``, as a (T, len(MONOMIALS)) block (see ``dynamics.MONOMIALS``).
@@ -320,8 +306,3 @@ def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:
     psi0 = coherent_state(params.alpha, params.dim).amplitudes
     return ladder_moment_block(bands.items(), np.broadcast_to(psi0, (ts.size, params.dim)))
 
-
-def first_order_moment_set(params: ModelParams, t: float) -> MomentSet:
-    """Moments of the first-order operator at time t: the T = 1 case of
-    ``first_order_moment_block``."""
-    return moment_sets(first_order_moment_block(params, [t]))[0]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments
-from anharmonic.dynamics import evolve_block, exact_moment_set, hamiltonian
+from anharmonic.dynamics import MomentSet, evolve_block, exact_moment_block, hamiltonian
 from anharmonic.fock import (
     EIGENVALUE_RESIDUAL_TOL,
     FockVector,
@@ -85,9 +85,8 @@ def scaling_table():
             for lam in LAMBDAS:
                 params = ModelParams(alpha, th, lam, dim)
                 worst = {(fam, form): 0.0 for fam in ("compact", "first_order") for form in FORMS}
-                for t in T_GRID_64:
-                    t = float(t)
-                    ex = exact_values(exact_moment_set(params, t))
+                for t, row in zip(T_GRID_64.tolist(), exact_moment_block(params, T_GRID_64).tolist()):
+                    ex = exact_values(MomentSet(*row))
                     ci = ClosedFormInputs(alpha, th, lam, t)
                     for form in FORMS:
                         key_s = ("compact", form)
@@ -196,10 +195,11 @@ class TestCriterion1OracleEquivalence:
             for lam in LAMBDAS:
                 params = ModelParams(alpha, th, lam, dim)
                 worst = 0.0
-                for t in T_GRID_64[::4]:
-                    m = exact_moment_set(params, float(t))
+                ts = T_GRID_64[::4]
+                for t, row in zip(ts.tolist(), exact_moment_block(params, ts).tolist()):
+                    m = MomentSet(*row)
                     exact_dy1 = hillery_squeezing(m) + 2.0 * m.ada.real + 1.0
-                    cf = first_order_delta_y1_squared(ClosedFormInputs(alpha, th, lam, float(t)))
+                    cf = first_order_delta_y1_squared(ClosedFormInputs(alpha, th, lam, t))
                     worst = max(worst, abs(cf - exact_dy1))
                 errs.append(worst)
             worst_slopes.append(float(np.polyfit(np.log(LAMBDAS), np.log(errs), 1)[0]))
@@ -333,9 +333,10 @@ class TestCriterion7StructuralSuite:
         for alpha_mag in (1.0, 2.0):
             base = ModelParams.auto(alpha_mag, np.pi / 4, 1e-2)
             doubled = ModelParams(alpha_mag, np.pi / 4, 1e-2, 2 * base.dim)
-            for t in (0.0, 2 * np.pi, 4 * np.pi):
-                m1 = exact_moment_set(base, t)
-                m2 = exact_moment_set(doubled, t)
+            ts = [0.0, 2 * np.pi, 4 * np.pi]
+            for row1, row2 in zip(exact_moment_block(base, ts).tolist(),
+                                  exact_moment_block(doubled, ts).tolist()):
+                m1, m2 = MomentSet(*row1), MomentSet(*row2)
                 worst_drift = max(worst_drift, max(
                     abs(getattr(m1, f) - getattr(m2, f)) / max(1.0, abs(getattr(m2, f)))
                     for f in fields))

@@ -1,8 +1,7 @@
 """Properties of the per-slice batched evaluation of the two matrix paths.
 
 ``exact_moment_block`` and ``first_order_moment_block`` evaluate a whole time
-grid at once; ``exact_moment_set`` and ``first_order_moment_set`` are their
-T = 1 case.  The properties are drawn at random over the safe region
+grid at once.  The properties are drawn at random over the safe region
 |alpha| <= 4, lam <= 1e-2, |t| <= 4 pi.
 """
 
@@ -19,16 +18,13 @@ from anharmonic.dynamics import (
     coherent_moment_set,
     evolve_block,
     exact_moment_block,
-    exact_moment_set,
     ladder_moment_block,
 )
 from anharmonic.fock import ModelParams, coherent_state, make_ladder_ops
 from anharmonic.perturbative import (
     _bracket_bands,
     _bracket_coefficients,
-    a_i_first_order,
     first_order_moment_block,
-    first_order_moment_set,
 )
 
 DIAGONAL = [j for j, (m, n) in enumerate(MONOMIALS) if m == n]
@@ -46,8 +42,15 @@ def scale(alpha_mag):
     return np.array([max(1.0, alpha_mag**2) ** ((m + n) / 2) for m, n in MONOMIALS])
 
 
-def dense_first_order_moments(params, t):
-    b = a_i_first_order(params, t)
+def dense_words(dim):
+    """The words of a_1(t) as dense truncated products of the ladder matrices."""
+    a, adag, _ = make_ladder_ops(dim)
+    return (a, adag @ (a @ a), adag @ (adag @ a), adag @ (adag @ adag), adag, a @ (a @ a))
+
+
+def dense_first_order_moments(params, t, words):
+    """Moments of a_1(t), summed as a dense matrix over ``words``, over the coherent input."""
+    b = sum(c * w for c, w in zip(_bracket_coefficients(params.lam, t), words))
     kets = [coherent_state(params.alpha, params.dim).amplitudes]
     for _ in range(4):
         kets.append(b @ kets[-1])
@@ -59,8 +62,9 @@ def dense_first_order_moments(params, t):
 def test_banded_first_order_matches_dense_matrix(a, th, lam, ts):
     params = ModelParams.auto(a, th, lam)
     block = first_order_moment_block(params, ts)
+    words = dense_words(params.dim)
     for row, t in zip(block, ts):
-        dense = dense_first_order_moments(params, t)
+        dense = dense_first_order_moments(params, t, words)
         assert np.all(np.abs(row - dense) <= 1e-12 * scale(a))
 
 
@@ -108,22 +112,6 @@ def test_free_moments_are_coherent(a, th, ts):
         assert np.all(np.abs(block - coherent) <= 1e-10 * scale(a))
 
 
-def test_single_time_functions_are_the_first_row():
-    params = ModelParams.auto(2.3, 0.9, 1e-3)
-    ts = np.linspace(0.0, 2 * np.pi, 5)
-    fo = first_order_moment_block(params, ts)
-    ex = exact_moment_block(params, ts)
-    for j, t in enumerate(ts):
-        assert list(astuple(first_order_moment_set(params, t))) == fo[j].tolist()
-        assert list(astuple(exact_moment_set(params, t))) == ex[j].tolist()
-
-
-def dense_words(dim):
-    """The words of a_1(t) as dense truncated products of the ladder matrices."""
-    a, adag, _ = make_ladder_ops(dim)
-    return (a, adag @ (a @ a), adag @ (adag @ a), adag @ (adag @ adag), adag, a @ (a @ a))
-
-
 #: Offset k of the one nonzero diagonal (entries [i, i + k]) of each dense word.
 WORD_OFFSETS = (1, 1, -1, -3, -1, 3)
 
@@ -138,15 +126,6 @@ def test_bracket_bands_are_the_dense_words_bit_for_bit(dim):
         # compared as integers, so the sign bit of every zero counts too
         assert np.array_equal(diag.view(np.int64), ref.view(np.int64))
         assert np.all(word[j - i != k] == 0.0)
-
-
-@pytest.mark.parametrize("dim", [25, 53])
-def test_first_order_matrix_is_the_sum_over_dense_words(dim):
-    params = ModelParams(0.5, 0.3, 1e-2, dim)
-    for t in (0.0, 0.7, -2.5):
-        coefs = _bracket_coefficients(params.lam, t)
-        dense = sum(c * w for c, w in zip(coefs, dense_words(dim)))
-        assert np.array_equal(a_i_first_order(params, t), dense)
 
 
 def test_bracket_bands_hold_no_dense_matrix():

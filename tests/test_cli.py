@@ -1,15 +1,19 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anharmonic
 from anharmonic import dynamics, fock, perturbative
 from anharmonic.cli import (
+    _PI_TOKEN,
     DEFAULTS,
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -30,6 +34,18 @@ NON_FINITE_ARGS = [
     ("--theta", "inf"),
     ("--t-end", "inf"),
 ]
+
+#: Tokens of the pi-literal grammar: a sign, a coefficient (none, 0, a float
+#: or one that overflows to inf) and a divisor (none, a zero or a decimal).
+#: The coefficients stay below 1e12 so that a finite theta cannot overflow
+#: 4 theta; such a theta is finite input and exits 3 with a non-finite value.
+pi_tokens = st.builds(
+    lambda sign, coef, divisor: f"{sign}{coef}pi" + ("" if divisor is None else f"/{divisor}"),
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(st.sampled_from(["", "0", "1e400"]), st.floats(0.0, 1e12).map(repr)),
+    st.one_of(st.none(), st.sampled_from(["0", "0.", "0.0"]),
+              st.from_regex(r"[0-9]{1,4}(\.[0-9]{0,4})?", fullmatch=True)),
+)
 
 
 @pytest.fixture
@@ -61,6 +77,21 @@ class TestNumberParsing:
     def test_bad_token(self):
         with pytest.raises(SweepSpecError):
             parse_number("two-pi")
+
+    @pytest.mark.parametrize("token", ["pi/0", "2pi/0.0", "-pi/0.", "0pi/0"])
+    def test_zero_divisor_is_a_spec_error(self, token):
+        with pytest.raises(SweepSpecError, match=re.escape(f"{token!r} divides by zero")):
+            parse_number(token)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pi_tokens)
+    def test_pi_literal_gives_a_float_or_a_spec_error(self, token):
+        assert _PI_TOKEN.match(token)
+        try:
+            value = parse_number(token)
+        except SweepSpecError:
+            return
+        assert type(value) is float
 
     def test_lists(self):
         assert parse_number_list("0,pi/2, 1e-3") == (0.0, math.pi / 2, 1e-3)
@@ -147,8 +178,30 @@ class TestMain:
         assert code == EXIT_OK
         assert "convergence max_drift=" in text and "passed=True" in text
 
+    def test_failed_convergence_exits_before_the_sweep(self, tmp_path, capsys):
+        # alpha = 4 at lam = 0.1 is not converged at the default truncation
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run("--alpha", "4", "--theta", "0", "--lambda", "0.1", "--mode", "exact",
+                              "--t-end", "4pi", "--t-steps", "65", "--witness", "N",
+                              "--check-convergence", "--out", str(out_csv))
+        assert code == EXIT_PRECONDITION
+        assert text == "" and not out_csv.exists()
+        assert "passed=False" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(pi_tokens)
+    def test_pi_literal_theta_exits_0_or_2(self, token):
+        try:
+            finite = math.isfinite(parse_number(token))
+        except SweepSpecError:
+            finite = False
+        code, text = self.run(f"--theta={token}", "--t-steps", "2")
+        assert code == (EXIT_OK if finite else EXIT_SPEC_ERROR)
+        assert text.startswith("rows=") if finite else text == ""
+
     @pytest.mark.parametrize("argv", [("--witness", "not-a-witness"), ("--dim", "1"),
-                                      ("--dim", "0"), ("--dim", "-5")] + NON_FINITE_ARGS)
+                                      ("--dim", "0"), ("--dim", "-5"), ("--theta", "pi/0"),
+                                      ("--t-end", "2pi/0.0")] + NON_FINITE_ARGS)
     def test_spec_error_exit_code(self, argv):
         code, text = self.run(*argv)
         assert code == EXIT_SPEC_ERROR

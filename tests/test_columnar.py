@@ -31,7 +31,6 @@ from anharmonic.dynamics import (
     MomentSet,
     coherent_moment_set,
     exact_moment_block,
-    moment_sets,
 )
 from anharmonic.fock import ModelParams
 from anharmonic.perturbative import (
@@ -119,7 +118,7 @@ def column_set(block):
 
 
 def assert_columns_are_rows(block):
-    rows = moment_sets(block)
+    rows = [MomentSet(*row) for row in block.tolist()]
     for name, witness in WITNESS_VALUES.items():
         values = witness(column_set(block))
         assert isinstance(values, np.ndarray) and values.shape == (len(rows),), name
@@ -154,7 +153,7 @@ def test_column_values_classify_like_row_values():
     block = exact_moment_block(ModelParams.auto(2.0, 0.4, 1e-2), np.linspace(0.0, np.pi, 9))
     for name, witness in WITNESS_VALUES.items():
         labels = classify(witness(column_set(block)))
-        assert labels.tolist() == [classify(witness(m)) for m in moment_sets(block)], name
+        assert labels.tolist() == [classify(witness(MomentSet(*row))) for row in block.tolist()], name
         assert labels[0] == BOUNDARY and set(labels[1:]) - {BOUNDARY}, name
 
 

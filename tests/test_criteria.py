@@ -17,9 +17,7 @@ from anharmonic.dynamics import (
     MomentSet,
     coherent_moment_set,
     exact_moment_block,
-    exact_moment_set,
     interaction_moment_block,
-    moment_sets,
 )
 from anharmonic.fock import ModelParams, number_state
 
@@ -33,7 +31,7 @@ ALL_WITNESSES = {
 def number_state_moments(n, dim=24):
     """Moments of |n> via the same machinery the oracle uses at t = 0."""
     psi = number_state(n, dim).amplitudes[None, :]
-    return moment_sets(interaction_moment_block(psi, [0.0]))[0]
+    return MomentSet(*interaction_moment_block(psi, [0.0]).tolist()[0])
 
 
 class TestClassification:
@@ -66,7 +64,7 @@ class TestCoherentNullity:
 
     def test_boundary_on_numerically_built_coherent_state(self):
         p = ModelParams.auto(1.5, 0.9, 0.0)
-        m = exact_moment_set(p, 0.0)
+        m = MomentSet(*exact_moment_block(p, [0.0]).tolist()[0])
         for witness in ALL_WITNESSES.values():
             assert classify(witness(m)) == BOUNDARY
 
@@ -84,7 +82,7 @@ class TestQuadratureSqueezing:
         # weak quartic interaction at alpha = 1, theta = pi/2, t = 1:
         # the quadrature variance grows, no ordinary squeezing at this point
         p = ModelParams.auto(1.0, np.pi / 2, 1e-3)
-        value = quadrature_squeezing(exact_moment_set(p, 1.0))
+        value = quadrature_squeezing(MomentSet(*exact_moment_block(p, [1.0]).tolist()[0]))
         assert value > 1e-4
         assert classify(value) == CLASSICAL
 
@@ -102,7 +100,7 @@ class TestAntibunching:
         # (|alpha|=1, theta=pi/4, lam=1e-3, t=pi/4): the closed form gives
         # -3 lam < 0, and the exact witness shares the sign
         p = ModelParams(1.0, np.pi / 4, 1e-3, 29)
-        value = hoa_d_from_moments(exact_moment_set(p, np.pi / 4), 1)
+        value = hoa_d_from_moments(MomentSet(*exact_moment_block(p, [np.pi / 4]).tolist()[0]), 1)
         assert value < -1e-4
         assert classify(value) == NONCLASSICAL
 
@@ -112,7 +110,7 @@ class TestHillerySqueezing:
         # theta = pi/2, lam = 1e-3, |alpha| = 1, t = pi/2: first order gives
         # -(3 lam / 4) * 20 = -0.015; exact deviates only at O(lam^2)
         p = ModelParams.auto(1.0, np.pi / 2, 1e-3)
-        value = hillery_squeezing(exact_moment_set(p, np.pi / 2))
+        value = hillery_squeezing(MomentSet(*exact_moment_block(p, [np.pi / 2]).tolist()[0]))
         assert abs(value - (-0.015)) < 5e-4
         assert classify(value) == NONCLASSICAL
 
@@ -136,7 +134,7 @@ class TestLeeR:
     def test_columns_give_the_row_values(self):
         block = exact_moment_block(ModelParams.auto(1.3, 0.4, 1e-2), np.linspace(0.0, 1.0, 5))
         values = lee_R(MomentSet(*block.T), 2, 1)
-        rows = [lee_R(m, 2, 1) for m in moment_sets(block)]
+        rows = [lee_R(MomentSet(*row), 2, 1) for row in block.tolist()]
         assert type(values) is np.ndarray and all(type(v) is float for v in rows)
         assert values.tolist() == rows
         with pytest.raises(VacuumDenominatorError):
@@ -164,7 +162,7 @@ class TestHoaD:
         assert abs(hoa_witness_d(3, ci) - (-7.5e-5)) < 1e-12
 
         p = ModelParams(1.0, np.pi / 4, 1e-4, 29)
-        value = hoa_d_from_moments(exact_moment_set(p, np.pi / 4), 3)
+        value = hoa_d_from_moments(MomentSet(*exact_moment_block(p, [np.pi / 4]).tolist()[0]), 3)
         assert abs(value - first_order_hoa_d(3, ci)) < 5e-5
         assert classify(value) == NONCLASSICAL
 

@@ -11,13 +11,13 @@ import pytest
 import anharmonic
 from anharmonic.dynamics import (
     DEFAULT_TIME_HORIZON,
+    MomentSet,
     _quartic,
     coherent_moment_set,
     evolve_block,
-    exact_moment_set,
+    exact_moment_block,
     hamiltonian,
     interaction_moment_block,
-    moment_sets,
 )
 from anharmonic.fock import FockVector, ModelParams, coherent_state, expectation, make_ladder_ops
 
@@ -176,7 +176,7 @@ class TestRetention:
 class TestInteractionMoments:
     def test_initial_condition_matches_coherent_moments(self):
         p = ModelParams.auto(1.4, 0.9, 1e-2)
-        m = exact_moment_set(p, 0.0)
+        m = MomentSet(*exact_moment_block(p, [0.0]).tolist()[0])
         ref = coherent_moment_set(p.alpha)
         for f in MOMENT_FIELDS:
             assert abs(getattr(m, f) - getattr(ref, f)) < 1e-11 * max(1.0, abs(getattr(ref, f)))
@@ -184,15 +184,15 @@ class TestInteractionMoments:
     def test_free_case_is_static_in_the_rotating_frame(self):
         p = ModelParams.auto(1.4, 0.9, 0.0)
         ref = coherent_moment_set(p.alpha)
-        for t in (0.7, 3.1, 9.4):
-            m = exact_moment_set(p, t)
+        for row in exact_moment_block(p, [0.7, 3.1, 9.4]).tolist():
+            m = MomentSet(*row)
             for f in MOMENT_FIELDS:
                 assert abs(getattr(m, f) - getattr(ref, f)) < 1e-11 * max(1.0, abs(getattr(ref, f)))
 
     def test_diagonal_moments_real_nonnegative(self):
         p = ModelParams.auto(1.8, 1.1, 1e-2)
-        for t in (0.0, 1.0, 5.5):
-            m = exact_moment_set(p, t)
+        for row in exact_moment_block(p, [0.0, 1.0, 5.5]).tolist():
+            m = MomentSet(*row)
             for f in ("ada", "ad2a2", "ad3a3", "ad4a4"):
                 v = getattr(m, f)
                 assert abs(v.imag) < 1e-10
@@ -205,7 +205,8 @@ class TestInteractionMoments:
         _, _, n = make_ladder_ops(p.dim)
         ts = [0.4, 2.2, 6.0]
         psi = evolve_block(p, ts)
-        for row, m in zip(psi, moment_sets(interaction_moment_block(psi, ts))):
+        for row, moments in zip(psi, interaction_moment_block(psi, ts).tolist()):
+            m = MomentSet(*moments)
             assert m.ada.imag == 0.0 or abs(m.ada.imag) < 1e-13
             assert abs(m.ada.real - expectation(FockVector(row), n).real) < 1e-13
 
@@ -213,9 +214,10 @@ class TestInteractionMoments:
         for alpha_mag in (1.0, 2.0):
             base = ModelParams.auto(alpha_mag, np.pi / 4, 1e-2)
             doubled = ModelParams(alpha_mag, np.pi / 4, 1e-2, 2 * base.dim)
-            for t in (0.0, np.pi, 4 * np.pi):
-                m1 = exact_moment_set(base, t)
-                m2 = exact_moment_set(doubled, t)
+            ts = [0.0, np.pi, 4 * np.pi]
+            for row1, row2 in zip(exact_moment_block(base, ts).tolist(),
+                                  exact_moment_block(doubled, ts).tolist()):
+                m1, m2 = MomentSet(*row1), MomentSet(*row2)
                 for f in MOMENT_FIELDS:
                     v1, v2 = getattr(m1, f), getattr(m2, f)
                     assert abs(v1 - v2) < 1e-9 * max(1.0, abs(v2))
