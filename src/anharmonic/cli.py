@@ -3,13 +3,16 @@
 Angles and times are radians; the literal tokens ``pi``, ``2pi``, ``pi/2``,
 ``3pi/4`` etc. are parsed exactly so the special loci (theta = pi/2,
 t = 2*theta) are hit bit-exactly rather than through truncated decimals.
-Exit status: 0 on success, 2 for specification errors (a pi literal that
-divides by zero, a grid above ``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
-directory included), 3 for numerical precondition failures (a truncation
-dimension too small, above ``fock.MAX_DIM`` or beyond the float range, an
-overflowed value, or a failed ``--check-convergence``, each refused before any
-row is printed or any CSV written).  ``python -m anharmonic.cli`` runs
-``anharmonic-sweep``.
+Exit status: 0 on success (``--help`` included), 2 for specification errors
+(an unknown flag or mode, a pi literal that divides by zero, a grid above
+``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
+directory included; ``main`` returns it rather than raising ``SystemExit``), 3
+for numerical precondition failures (a truncation dimension too small, above
+``fock.MAX_DIM`` or beyond the float range, an overflowed value, or a failed
+``--check-convergence``, each refused before any row is printed or any CSV
+written).  A value that starts with '-' may follow its flag after a space
+(``--theta -pi/2``) or an '=' (``--theta=-pi/2``).  ``python -m
+anharmonic.cli`` runs ``anharmonic-sweep``.
 """
 
 from __future__ import annotations
@@ -169,8 +172,27 @@ def _convergence_line(conv) -> str:
             f"tolerance={conv.tolerance!r} passed={conv.passed}")
 
 
+#: Flags whose values may start with '-': argparse reads '--theta -pi/2' as a
+#: flag with no value, since '-pi/2' does not look to it like a number.
+_SIGNED_FLAGS = ("--alpha", "--theta", "--lambda", "--t-start", "--t-end")
+
+
+def _attach_signed_values(argv) -> list:
+    """``argv`` with each signed flag joined to a following value that starts
+    with a single '-' ('--theta -pi/2' becomes '--theta=-pi/2')."""
+    joined = []
+    for token in argv:
+        if (joined and joined[-1] in _SIGNED_FLAGS
+                and token.startswith("-") and not token.startswith("--")):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="anharmonic-sweep",
         description="Sweep the quartic-oscillator nonclassicality witnesses over "
@@ -190,7 +212,10 @@ def main(argv=None, out=None) -> int:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--check-convergence", action="store_true",
                         help="recompute sampled points at doubled dimension and report drift")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(_attach_signed_values(argv))
+    except SystemExit as exc:  # argparse has printed the help or a usage error
+        return EXIT_OK if exc.code in (0, None) else EXIT_SPEC_ERROR
 
     try:
         spec = build_spec(_merge_settings(args))

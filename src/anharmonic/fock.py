@@ -35,8 +35,9 @@ MIN_DIM = 2
 #: D x D matrix is then 64 MB.  Admits |alpha| = 20 (D = 581) at doubled D.
 MAX_DIM = 2048
 
-#: Most values a sweep may hold in one array (its rows, or a matrix path's (times, D)
-#: kets): about 0.7 GB at 320 B per CSV row, 17 times the largest canonical sweep.
+#: Most values a sweep may hold in one array: a column of its rows, at 8 B per
+#: cell (16 MB), or a slice's (times, D) ket block.  17 times the largest
+#: canonical sweep; the CSV is written in runs of rows and does not scale with it.
 MAX_GRID_CELLS = 2**21
 
 

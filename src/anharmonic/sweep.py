@@ -37,7 +37,7 @@ from .perturbative import (
     mean_photon_number,
     squeezing_witness_f,
 )
-from .reprs import float_reprs
+from .reprs import CHUNK, float_reprs
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,10 @@ SCALING_SLOPE_THRESHOLD = 1.8
 SCALING_ERROR_FLOOR = 1e-13
 
 CONVERGENCE_TOL = 1e-9
+
+#: Most values ``write_csv`` formats in one ``float_reprs`` call; the call
+#: holds about 400 B per value while it runs.
+_CSV_RUN = CHUNK // 2
 
 #: Most (alpha, theta, lambda) slices ``convergence_check`` recomputes.
 CONVERGENCE_MAX_SLICES = 8
@@ -216,9 +220,22 @@ def validate_dimensions(spec: SweepSpec, factor: int = 1) -> None:
         ModelParams(a, 0.0, max(spec.lam), factor * spec.dim_for(a))
 
 
+def validate_output(spec: SweepSpec) -> None:
+    """Refuse an ``output_path`` that names a directory or lies in a missing one;
+    ``run_sweep`` and ``convergence_check`` check it before anything else."""
+    if spec.output_path is None:
+        return
+    out = Path(spec.output_path)
+    if out.is_dir():
+        raise SweepSpecError(f"out: {spec.output_path!r} names a directory, not a file")
+    if not out.resolve().parent.is_dir():
+        raise SweepSpecError(f"out: directory {out.resolve().parent} does not exist")
+
+
 def validate_convergence(spec: SweepSpec) -> None:
     """Preconditions of ``convergence_check``, checked before any evolution so
     that a run it would refuse is refused before it sweeps."""
+    validate_output(spec)
     if spec.mode not in ("exact", "compare"):
         raise SweepSpecError("mode: convergence_check requires mode 'exact' or 'compare'")
     validate_dimensions(spec)
@@ -231,13 +248,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Row order is witness-innermost within the fixed alpha, theta, lambda, t
     nesting; two runs of the same spec produce byte-identical CSV output.
     """
+    validate_output(spec)
     validate_dimensions(spec)
-    if spec.output_path is not None:
-        out = Path(spec.output_path)
-        if out.is_dir():
-            raise SweepSpecError(f"out: {spec.output_path!r} names a directory, not a file")
-        if not out.resolve().parent.is_dir():
-            raise SweepSpecError(f"out: directory {out.resolve().parent} does not exist")
     ts = spec.t_grid()
     horizon = spec.horizon()
     need_exact = spec.mode in ("exact", "compare")
@@ -288,27 +300,46 @@ def _summaries(spec: SweepSpec, slices, primary: np.ndarray, abs_error) -> tuple
 
 
 def write_csv(result: SweepResult, path) -> None:
-    """Write a sweep's rows as CSV straight from its columns; floats print as
-    their repr, the shortest decimal that round-trips exactly, formatted in
-    bulk by ``reprs.float_reprs``: one call converts each grid coordinate once
-    and every value.  An unfilled column is left empty."""
+    """Write a sweep's rows as CSV straight from its columns, in runs of
+    consecutive rows, so that memory is bounded by a run and one slice's t
+    grid, not by the grid.  Floats print as their repr, the shortest decimal
+    that round-trips exactly, formatted in bulk by ``reprs.float_reprs``: one
+    call for the grid coordinates, then one per run of at most ``_CSV_RUN``
+    values, which spans slices where they are small.  An unfilled column is
+    left empty."""
     spec = result.spec
-    columns = (result.value_cf, result.value_exact, result.abs_error)
-    parts = [spec.t_grid(), *map(np.array, (spec.alpha_mag, spec.theta, spec.lam)),
-             *(c for c in columns if c is not None)]
-    cells = iter(float_reprs(np.concatenate([p.ravel() for p in parts])))
-    ts, *axes = [list(islice(cells, p.size)) for p in parts[:4]]
-    values = [[b""] * result.row_count if c is None else list(islice(cells, c.size))
-              for c in columns]
-    slices = list(product(*axes))
-    per_slice = len(ts) * len(spec.witnesses)
-    coords = [[c for s in slices for c in [s[j]] * per_slice] for j in range(3)]
-    labels = result.classification.ravel().tolist()
-    texts = {label: label.encode() for label in set(labels)}
-    rows = map(b",".join, zip(*coords, [t for t in ts for _ in spec.witnesses] * len(slices),
-                              [w.encode() for w in spec.witnesses] * (len(ts) * len(slices)),
-                              *values, list(map(texts.__getitem__, labels))))
-    Path(path).write_bytes(b"\n".join([CSV_HEADER.encode(), *rows, b""]))
+    filled = [c.reshape(-1) for c in (result.value_cf, result.value_exact, result.abs_error)
+              if c is not None]
+    coords = [spec.t_grid(), *map(np.array, (spec.alpha_mag, spec.theta, spec.lam))]
+    cells = iter(float_reprs(np.concatenate(coords)))
+    ts, *axes = [list(islice(cells, c.size)) for c in coords]
+    # the t and witness cells are the same in every slice
+    tw = [t + b"," + w.encode() for t in ts for w in spec.witnesses]
+    n = len(tw)
+    slices = product(*axes)
+    empty = b"," * (3 - len(filled))  # the unfilled columns, ahead of the label
+    tails = {}
+    rows = result.row_count
+    step = max(1, _CSV_RUN // len(filled))
+    with open(path, "wb") as f:
+        f.write(CSV_HEADER.encode())
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            values = float_reprs(np.concatenate([c[start:stop] for c in filled]))
+            columns = [values[i:i + stop - start] for i in range(0, len(values), stop - start)]
+            labels = result.classification.reshape(-1)[start:stop].tolist()
+            for label in set(labels).difference(tails):
+                tails[label] = empty + label.encode()
+            cuts = [start, *range(start - start % n + n, stop, n), stop]
+            for lo, hi in zip(cuts, cuts[1:]):  # the part of each slice in this run
+                j, r0, r1 = lo % n, lo - start, hi - start  # in the slice, in the run
+                if j == 0:
+                    prefix = b"\n" + b",".join(next(slices)) + b","
+                f.write(prefix)
+                f.write(prefix.join(map(b",".join, zip(
+                    tw[j:j + r1 - r0], *(c[r0:r1] for c in columns),
+                    map(tails.__getitem__, labels[r0:r1])))))
+        f.write(b"\n")
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,7 @@ class TestMain:
         code, text = self.run(f"--theta={token}", "--t-steps", "2")
         assert code == (EXIT_OK if finite else EXIT_SPEC_ERROR)
         assert text.startswith("rows=") if finite else text == ""
+        assert self.run("--theta", token, "--t-steps", "2") == (code, text)
 
     @pytest.mark.parametrize("argv", [("--witness", "not-a-witness"), ("--dim", "1"),
                                       ("--dim", "0"), ("--dim", "-5"), ("--theta", "pi/0"),
@@ -263,6 +264,55 @@ class TestMain:
         assert text == "" and list(tmp_path.iterdir()) == []
         assert "spec error: out: " in capsys.readouterr().err
 
+    def test_out_directory_refused_before_the_convergence_check(self, tmp_path, capsys,
+                                                               monkeypatch, no_dense_allocation):
+        # the failing convergence run of test_failed_convergence_exits_before_the_sweep
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was about to be built")
+
+        monkeypatch.setattr(dynamics, "hamiltonian", refuse)
+        code, text = self.run("--alpha", "4", "--theta", "0", "--lambda", "0.1", "--mode", "exact",
+                              "--t-end", "4pi", "--t-steps", "65", "--witness", "N",
+                              "--check-convergence", "--out", str(tmp_path))
+        assert code == EXIT_SPEC_ERROR
+        assert text == "" and list(tmp_path.iterdir()) == []
+        assert "spec error: out: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--mode", "bogus"), ("--no-such-flag",), ("--t-steps",),
+                                      ("--theta", "--alpha", "1")])
+    def test_usage_error_returns_2(self, argv, capsys):
+        code, text = self.run(*argv)
+        assert code == EXIT_SPEC_ERROR
+        assert text == ""
+        assert "usage: anharmonic-sweep" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert self.run("--help") == (EXIT_OK, "")
+        assert capsys.readouterr().out.startswith("usage: anharmonic-sweep")
+
+    @pytest.mark.parametrize("flag, token, cell", [
+        ("--theta", "-pi/2", (0, 1)), ("--theta", "-3pi/4,pi/4", (0, 1)),
+        ("--t-start", "-pi", (0, 3)), ("--t-end", "-2pi", (-1, 3)),
+        ("--alpha", "-pi", None), ("--lambda", "-0.5pi", None),
+    ])
+    def test_signed_value_after_a_space_is_the_equals_form(self, tmp_path, flag, token, cell):
+        # '--theta -pi/2' reads like '--theta=-pi/2': exact pi literals, or the
+        # same spec error for an amplitude or a coupling below 0
+        runs = []
+        for form, name in (((flag, token), "spaced.csv"), ((f"{flag}={token}",), "joined.csv")):
+            out_csv = tmp_path / name
+            runs.append(self.run(*form, "--t-steps", "2", "--witness", "N", "--out", str(out_csv)))
+        spaced, joined = runs
+        assert spaced == (joined[0], joined[1].replace("joined.csv", "spaced.csv"))
+        if cell is None:
+            assert spaced == (EXIT_SPEC_ERROR, "")
+            return
+        assert spaced[0] == EXIT_OK
+        assert (tmp_path / "spaced.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+        row, column = cell
+        lines = (tmp_path / "spaced.csv").read_text(encoding="ascii").splitlines()[1:]
+        assert lines[row].split(",")[column] == repr(parse_number_list(token)[0])
+
     def test_convergence_mode_refused_before_the_sweep(self, tmp_path, no_dense_allocation):
         out_csv = tmp_path / "rows.csv"
         code, text = self.run("--mode", "closed_form", "--check-convergence", "--out", str(out_csv))
@@ -303,6 +353,12 @@ class TestModuleEntry:
         proc = self.run_module("--t-steps", "2", "--witness", "N")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.startswith("rows=2 ")
+
+    def test_help_exits_0_and_usage_errors_exit_2(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == EXIT_OK and proc.stdout.startswith("usage: anharmonic-sweep")
+        proc = self.run_module("--mode", "bogus")
+        assert proc.returncode == EXIT_SPEC_ERROR and "invalid choice" in proc.stderr
 
     def test_spec_error_exit_code(self):
         proc = self.run_module("--alpha", "nan")

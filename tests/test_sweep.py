@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from itertools import product
 from pathlib import Path
@@ -20,6 +21,7 @@ from anharmonic.perturbative import (
 )
 from anharmonic.sweep import (
     CSV_HEADER,
+    MODES,
     SCALING_ERROR_FLOOR,
     SCALING_SLOPE_THRESHOLD,
     WITNESS_NAMES,
@@ -410,6 +412,56 @@ class TestCsvContract:
         write_csv(result, path)
         assert_csv_values_are_the_columns(path, result)
         assert path.read_bytes() == reference_csv(result)
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("t_steps, witnesses", [(2, WITNESS_NAMES), (9, ("d3", "N", "quadrature"))],
+                             ids=["pair-of-times", "witness-subset"])
+    def test_multi_slice_sweeps_are_the_grid_walk(self, tmp_path, mode, t_steps, witnesses):
+        # closed_form leaves two columns empty, exact one and compare none
+        path = tmp_path / "s.csv"
+        result = run_sweep(small_spec(alpha_mag=(0.5, 1.0), theta=(0.0, np.pi / 2),
+                                      lam=(1e-3, 1e-4), t_steps=t_steps, mode=mode,
+                                      witnesses=witnesses, output_path=str(path)))
+        assert path.read_bytes() == reference_csv(result)
+        assert_csv_values_are_the_columns(path, result)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("t_steps", [sweep._CSV_RUN // 4, 1537], ids=["aligned", "uneven"])
+    def test_runs_that_split_and_span_slices(self, tmp_path, mode, t_steps):
+        # two witnesses make a slice half a run of one column, or an uneven
+        # share; with three columns a run is a third as long and splits slices
+        rng = np.random.default_rng(t_steps)
+        shape = (4, t_steps, 2)
+        cf = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 4, shape)
+        exact = None if mode == "closed_form" else cf + 1e-9 * rng.standard_normal(shape)
+        result = SweepResult(
+            small_spec(alpha_mag=(0.5, 1.0), theta=(0.0,), lam=(1e-3, 1e-4), t_steps=t_steps,
+                       mode=mode, witnesses=("N", "d1")),
+            cf, exact, np.abs(cf - exact) if mode == "compare" else None,
+            criteria.classify(cf if exact is None else exact), ())
+        write_csv(result, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == reference_csv(result)
+
+    def test_write_memory_does_not_grow_with_the_slices(self, tmp_path):
+        # the traced peak holds one run and one slice's t and witness cells,
+        # so four times the slices leave it where it was
+        def write_peak(lams):
+            result = run_sweep(small_spec(alpha_mag=(0.5, 1.0), theta=(0.0, 0.7), lam=lams,
+                                          t_steps=4096, witnesses=("f", "d1", "d2", "d3", "N")))
+            path = tmp_path / f"{len(lams)}.csv"
+            tracemalloc.start()
+            try:
+                write_csv(result, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, path.stat().st_size
+
+        peak4, _ = write_peak((1e-3,))
+        peak16, size16 = write_peak((1e-3, 2e-3, 3e-3, 4e-3))
+        assert peak16 < 1.5 * peak4
+        assert peak16 < size16 / 4
 
 
 class TestCompareReport:
