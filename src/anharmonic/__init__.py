@@ -66,7 +66,6 @@ from .sweep import (
     SweepResult,
     SweepSpec,
     SweepSpecError,
-    WitnessSummary,
     compare_report,
     convergence_check,
     run_sweep,

@@ -3,24 +3,29 @@
 Angles and times are radians; the literal tokens ``pi``, ``2pi``, ``pi/2``,
 ``3pi/4`` etc. are parsed exactly so the special loci (theta = pi/2,
 t = 2*theta) are hit bit-exactly rather than through truncated decimals.
-Exit status: 0 on success (``--help`` included), 2 for specification errors
-(an unknown flag or mode, a pi literal that divides by zero, a grid above
-``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
-directory included; ``main`` returns it rather than raising ``SystemExit``), 3
-for numerical precondition failures (a truncation dimension too small, above
-``fock.MAX_DIM`` or beyond the float range, an overflowed value, or a failed
-``--check-convergence``, each refused before any row is printed or any CSV
-written).  A value that starts with '-' may follow its flag after a space
-(``--theta -pi/2``) or an '=' (``--theta=-pi/2``).  ``python -m
-anharmonic.cli`` runs ``anharmonic-sweep``.
+Exit status: 0 on success (``--help`` included, printed to ``main``'s
+``out``), 2 for specification errors (an unknown flag or mode, a pi literal
+that divides by zero, a grid above ``fock.MAX_GRID_CELLS``, an unreadable
+``--config`` and an ``--out`` naming a directory included; ``main`` returns it
+rather than raising ``SystemExit``), 3 for numerical precondition failures (a
+truncation dimension too small, above ``fock.MAX_DIM`` or beyond the float
+range, an overflowed value, or a failed ``--check-convergence``).  Building
+the ``SweepSpec`` refuses every spec error and then an unsafe dimension, so a
+spec error wins over a dimension error; ``--check-convergence`` then refuses a
+mode other than exact or compare (2) and an unsafe doubled dimension (3).  No
+refusal comes after a row is printed or any CSV written.  A value that starts
+with '-' may follow its flag after a space (``--theta -pi/2``) or an '='
+(``--theta=-pi/2``).  ``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import re
 import sys
+from itertools import product
 from pathlib import Path
 
 from .fock import TruncationError
@@ -150,15 +155,17 @@ def _print_result(result, conv, out) -> None:
     spec = result.spec
     print(f"rows={result.row_count} mode={spec.mode}"
           + (f" csv={spec.output_path}" if spec.output_path else ""), file=out)
-    for s in result.summaries:
-        line = (f"witness={s.witness} alpha={s.alpha_mag!r} theta={s.theta!r} "
-                f"lambda={s.lam!r} min={s.vmin!r} max={s.vmax!r} "
-                f"zero_crossings={s.zero_crossings}")
-        if s.max_abs_error is not None:
-            line += f" max_abs_error={s.max_abs_error!r}"
-        print(line, file=out)
+    digests = [result.vmin, result.vmax, result.zero_crossings]
+    if result.max_abs_error is not None:
+        digests.append(result.max_abs_error)
+    slices = product(spec.alpha_mag, spec.theta, spec.lam)
+    for (a, th, lam), *per_slice in zip(slices, *(d.tolist() for d in digests)):
+        for w, vmin, vmax, crossings, *error in zip(spec.witnesses, *per_slice):
+            print(f"witness={w} alpha={a!r} theta={th!r} lambda={lam!r} min={vmin!r} "
+                  f"max={vmax!r} zero_crossings={crossings}"
+                  + "".join(f" max_abs_error={e!r}" for e in error), file=out)
     if spec.mode == "compare" and len(set(spec.lam)) >= 2:
-        report = compare_report(spec, result)
+        report = compare_report(result)
         for e in report.entries:
             slope = "n/a" if e.slope is None else repr(round(e.slope, 4))
             print(f"scaling witness={e.witness} alpha={e.alpha_mag!r} "
@@ -213,7 +220,8 @@ def main(argv=None, out=None) -> int:
     parser.add_argument("--check-convergence", action="store_true",
                         help="recompute sampled points at doubled dimension and report drift")
     try:
-        args = parser.parse_args(_attach_signed_values(argv))
+        with contextlib.redirect_stdout(out):  # where argparse prints --help
+            args = parser.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:  # argparse has printed the help or a usage error
         return EXIT_OK if exc.code in (0, None) else EXIT_SPEC_ERROR
 

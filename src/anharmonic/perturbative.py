@@ -166,10 +166,15 @@ def _squeezing_f(inputs: ClosedFormInputs, sin2_sign: float) -> float:
     )
 
 
+def _delta_y1_squared(inputs: ClosedFormInputs, sin2_sign: float) -> float:
+    """(Delta Y1)^2 = f + <2N + 1> with the f form of ``_squeezing_f``."""
+    return (2.0 * inputs.alpha_mag**2 + 1.0 + _squeezing_f(inputs, sin2_sign)
+            + 2.0 * mean_photon_correction(inputs))
+
+
 def first_order_delta_y1_squared(inputs: ClosedFormInputs) -> float:
     """Exact first-order (Delta Y1)^2 = f + <2N + 1> with the validated f."""
-    return (2.0 * inputs.alpha_mag**2 + 1.0 + first_order_squeezing_f(inputs)
-            + 2.0 * mean_photon_correction(inputs))
+    return _delta_y1_squared(inputs, sin2_sign=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +188,7 @@ def delta_y1_squared(inputs: ClosedFormInputs) -> float:
     ``mean_photon_number``.  For the oracle-validated variant see
     ``first_order_delta_y1_squared``.
     """
-    return (2.0 * inputs.alpha_mag**2 + 1.0 + squeezing_witness_f(inputs)
-            + 2.0 * mean_photon_correction(inputs))
+    return _delta_y1_squared(inputs, sin2_sign=1.0)
 
 
 def squeezing_witness_f(inputs: ClosedFormInputs) -> float:

@@ -8,8 +8,10 @@ and N; moments of the first-order operator matrix for quadrature and
 hillery), the value from exact-oracle moments (modes ``exact`` and
 ``compare``) and the reference a value is classified against.
 
-Each (alpha, theta, lambda) slice is evaluated over its whole t grid on
-arrays, and a result holds columns shaped (slices, T, witnesses).
+A ``SweepSpec`` is checked once, when it is built: a spec that constructs is
+one ``run_sweep`` can run.  Each (alpha, theta, lambda) slice is evaluated
+over its whole t grid on arrays, and a result holds columns: the rows shaped
+(slices, T, witnesses) and their reductions over t shaped (slices, witnesses).
 
 ``compare`` mode also records |closed form - exact| per row; the scaling
 report fits log-log slopes of those errors across the lambda grid, the
@@ -102,10 +104,17 @@ class SweepSpecError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid specification for one sweep run.
+    """Grid specification for one sweep run, checked when it is built.
 
     ``dim`` of None means the truncation heuristic is applied per alpha grid
     point.  ``witnesses`` is an ordered subset of ``WITNESS_NAMES``.
+    Construction refuses, with a ``SweepSpecError`` naming the field, an
+    empty, negative or non-finite grid, fewer than two t steps, an unknown
+    mode or witness, a zero lambda in mode ``compare``, a ``dim`` below
+    ``MIN_DIM``, a grid above ``MAX_GRID_CELLS`` and an ``output_path`` that
+    names a directory or lies in a missing one.  Then a ``dim`` that is unsafe
+    for some alpha (below its truncation floor or above ``MAX_DIM``) raises
+    ``TruncationError``.
     """
 
     alpha_mag: tuple
@@ -159,11 +168,19 @@ class SweepSpec:
         cells = (len(self.alpha_mag) * len(self.theta) * len(self.lam) * self.t_steps
                  * len(self.witnesses))
         if self.mode != "closed_form" or any(WITNESSES[w].needs_first_order for w in self.witnesses):
-            # the (t_steps, dim) ket blocks; a dim above MAX_DIM is refused by validate_dimensions
+            # the (t_steps, dim) ket blocks; a dim above MAX_DIM is refused below
             cells = max(cells, self.t_steps * min(MAX_DIM, max(map(self.dim_for, self.alpha_mag))))
         if cells > MAX_GRID_CELLS:
             raise SweepSpecError(f"t_steps: the grid holds {cells} values in one array, "
                                  f"above MAX_GRID_CELLS={MAX_GRID_CELLS}")
+        if self.output_path is not None:
+            out = Path(self.output_path)
+            if out.is_dir():
+                raise SweepSpecError(f"out: {self.output_path!r} names a directory, not a file")
+            if not out.resolve().parent.is_dir():
+                raise SweepSpecError(f"out: directory {out.resolve().parent} does not exist")
+        for a in self.alpha_mag:
+            ModelParams(a, 0.0, max(self.lam), self.dim_for(a))
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.t_steps)
@@ -176,32 +193,24 @@ class SweepSpec:
         return self.dim if self.dim is not None else default_dim(alpha_mag)
 
 
-@dataclass(frozen=True)
-class WitnessSummary:
-    """Per (witness, alpha, theta, lambda) digest over the t grid."""
-
-    witness: str
-    alpha_mag: float
-    theta: float
-    lam: float
-    vmin: float
-    vmax: float
-    zero_crossings: int
-    max_abs_error: Optional[float]
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A sweep's columns, shaped (slices, T, witnesses) so that their ravel is
-    in row order.  ``value_exact`` is None in mode ``closed_form`` and
-    ``abs_error`` outside mode ``compare``."""
+    """A sweep's columns.  The rows are shaped (slices, T, witnesses) so that
+    their ravel is in row order; ``value_exact`` is None in mode
+    ``closed_form`` and ``abs_error`` outside mode ``compare``.  The per-slice
+    digests over t are shaped (slices, witnesses): the classified values'
+    ``vmin``, ``vmax`` and ``zero_crossings``, and ``max_abs_error`` (None
+    outside mode ``compare``)."""
 
     spec: SweepSpec
     value_cf: np.ndarray
     value_exact: Optional[np.ndarray]
     abs_error: Optional[np.ndarray]
     classification: np.ndarray
-    summaries: tuple
+    vmin: np.ndarray
+    vmax: np.ndarray
+    zero_crossings: np.ndarray
+    max_abs_error: Optional[np.ndarray]
 
     @property
     def row_count(self) -> int:
@@ -213,43 +222,12 @@ def _slices(spec: SweepSpec):
     return product(spec.alpha_mag, spec.theta, spec.lam)
 
 
-def validate_dimensions(spec: SweepSpec, factor: int = 1) -> None:
-    """Fail fast (before any evolution) when ``factor`` times the dim of an
-    alpha is unsafe: below the truncation floor or above ``fock.MAX_DIM``."""
-    for a in spec.alpha_mag:
-        ModelParams(a, 0.0, max(spec.lam), factor * spec.dim_for(a))
-
-
-def validate_output(spec: SweepSpec) -> None:
-    """Refuse an ``output_path`` that names a directory or lies in a missing one;
-    ``run_sweep`` and ``convergence_check`` check it before anything else."""
-    if spec.output_path is None:
-        return
-    out = Path(spec.output_path)
-    if out.is_dir():
-        raise SweepSpecError(f"out: {spec.output_path!r} names a directory, not a file")
-    if not out.resolve().parent.is_dir():
-        raise SweepSpecError(f"out: directory {out.resolve().parent} does not exist")
-
-
-def validate_convergence(spec: SweepSpec) -> None:
-    """Preconditions of ``convergence_check``, checked before any evolution so
-    that a run it would refuse is refused before it sweeps."""
-    validate_output(spec)
-    if spec.mode not in ("exact", "compare"):
-        raise SweepSpecError("mode: convergence_check requires mode 'exact' or 'compare'")
-    validate_dimensions(spec)
-    validate_dimensions(spec, factor=2)
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid, return columns plus per-slice summaries, write CSV if asked.
+    """Evaluate the grid, return its columns, write CSV if asked.
 
     Row order is witness-innermost within the fixed alpha, theta, lambda, t
     nesting; two runs of the same spec produce byte-identical CSV output.
     """
-    validate_output(spec)
-    validate_dimensions(spec)
     ts = spec.t_grid()
     horizon = spec.horizon()
     need_exact = spec.mode in ("exact", "compare")
@@ -274,29 +252,24 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     abs_error = np.abs(value_cf - value_exact) if spec.mode == "compare" else None
     primary = value_cf if value_exact is None else value_exact
     reference = np.array([[WITNESSES[w].reference(a) for w in spec.witnesses] for a, _, _ in slices])
-    result = SweepResult(
-        spec=spec, value_cf=value_cf, value_exact=value_exact, abs_error=abs_error,
-        classification=classify(primary - reference[:, None, :]),
-        summaries=_summaries(spec, slices, primary, abs_error),
-    )
+    result = SweepResult(spec, value_cf, value_exact, abs_error,
+                         classify(primary - reference[:, None, :]),
+                         *_reductions(primary, abs_error))
     if spec.output_path is not None:
         write_csv(result, spec.output_path)
     return result
 
 
-def _summaries(spec: SweepSpec, slices, primary: np.ndarray, abs_error) -> tuple:
-    """One WitnessSummary per (slice, witness), reduced over t."""
+def _reductions(primary: np.ndarray, abs_error: Optional[np.ndarray]) -> tuple:
+    """vmin, vmax, zero_crossings and max_abs_error of (slices, T, witnesses)
+    columns, reduced over t."""
     # first occurrences, as Python's min and max take them, fix the sign of a zero
-    vmin, vmax = (np.take_along_axis(primary, pick(primary, axis=1)[:, None], axis=1)[:, 0].tolist()
+    vmin, vmax = (np.take_along_axis(primary, pick(primary, axis=1)[:, None], axis=1)[:, 0]
                   for pick in (np.argmin, np.argmax))
     # signs, not products: a product of neighbours can underflow to 0 or overflow
     signs = np.sign(primary)
-    crossings = np.count_nonzero(signs[:, :-1] * signs[:, 1:] < 0.0, axis=1).tolist()
-    worst = (abs_error.max(axis=1).tolist() if abs_error is not None
-             else [[None] * len(spec.witnesses)] * len(slices))
-    return tuple(WitnessSummary(w, a, th, lam, *cells)
-                 for (a, th, lam), *per_slice in zip(slices, vmin, vmax, crossings, worst)
-                 for w, *cells in zip(spec.witnesses, *per_slice))
+    crossings = np.count_nonzero(signs[:, :-1] * signs[:, 1:] < 0.0, axis=1)
+    return vmin, vmax, crossings, None if abs_error is None else abs_error.max(axis=1)
 
 
 def write_csv(result: SweepResult, path) -> None:
@@ -370,31 +343,30 @@ class ScalingReport:
         return "pass"
 
 
-def compare_report(spec: SweepSpec, result: Optional[SweepResult] = None) -> ScalingReport:
-    """Fit log-log slopes of max-over-t |closed form - exact| against lambda.
+def compare_report(result: SweepResult) -> ScalingReport:
+    """Fit log-log slopes of a compare sweep's max-over-t |closed form - exact|
+    against lambda.
 
     Needs mode ``compare`` and at least two distinct lambda values.  Slices
     whose errors sit at the numerical floor are reported as floor-limited
     rather than failed.
     """
+    spec = result.spec
     if spec.mode != "compare":
         raise SweepSpecError("mode: compare_report requires mode='compare'")
-    lams = sorted(set(spec.lam))
-    if len(lams) < 2:
+    lams, which = np.unique(spec.lam, return_inverse=True)
+    if lams.size < 2:
         raise SweepSpecError("lambda: scaling fit needs at least two distinct values")
-    if result is None:
-        result = run_sweep(spec)
-
-    worst_err = {}
-    for s in result.summaries:
-        key = (s.witness, s.alpha_mag, s.theta, s.lam)
-        worst_err[key] = max(worst_err.get(key, 0.0), s.max_abs_error)
+    errors = result.max_abs_error.reshape(len(spec.alpha_mag), len(spec.theta), len(spec.lam), -1)
+    # (alpha, theta, distinct lambda, witness); a repeated lambda merges its slices by max
+    worst = np.zeros(errors.shape[:2] + (lams.size, errors.shape[3]))
+    np.maximum.at(worst, (slice(None), slice(None), which), errors)
 
     entries = []
-    for w in spec.witnesses:
-        for a in spec.alpha_mag:
-            for th in spec.theta:
-                errs = [worst_err[(w, a, th, lam)] for lam in lams]
+    for k, w in enumerate(spec.witnesses):
+        for i, a in enumerate(spec.alpha_mag):
+            for j, th in enumerate(spec.theta):
+                errs = worst[i, j, :, k].tolist()
                 if min(errs) <= SCALING_ERROR_FLOOR:
                     entries.append(ScalingEntry(w, a, th, None, "floor-limited"))
                     continue
@@ -418,7 +390,10 @@ def convergence_check(spec: SweepSpec) -> ConvergenceReport:
     Drift is the worst change of any recorded moment, scaled by
     max(1, |moment|); passes below ``CONVERGENCE_TOL``.
     """
-    validate_convergence(spec)
+    if spec.mode not in ("exact", "compare"):
+        raise SweepSpecError("mode: convergence_check requires mode 'exact' or 'compare'")
+    for a in spec.alpha_mag:  # the doubled dimensions, before any evolution
+        ModelParams(a, 0.0, max(spec.lam), 2 * spec.dim_for(a))
     combos = list(_slices(spec))
     stride = max(1, len(combos) // CONVERGENCE_MAX_SLICES)
     ts = spec.t_grid()

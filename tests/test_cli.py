@@ -287,8 +287,33 @@ class TestMain:
         assert "usage: anharmonic-sweep" in capsys.readouterr().err
 
     def test_help_returns_0(self, capsys):
-        assert self.run("--help") == (EXIT_OK, "")
-        assert capsys.readouterr().out.startswith("usage: anharmonic-sweep")
+        code, text = self.run("--help")
+        assert code == EXIT_OK and text.startswith("usage: anharmonic-sweep")
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (("--out", "{dir}", "--dim", "5"), EXIT_SPEC_ERROR, "spec error: out: "),
+        (("--dim", "5"), EXIT_PRECONDITION, "precondition error: dim=5 is below"),
+        (("--mode", "closed_form", "--check-convergence", "--out", "{dir}"),
+         EXIT_SPEC_ERROR, "spec error: out: "),
+        # a spec whose dim is unsafe is refused when it is built, before the mode check
+        (("--mode", "closed_form", "--check-convergence", "--dim", "5"),
+         EXIT_PRECONDITION, "precondition error: dim=5 is below"),
+        (("--mode", "exact", "--alpha", "30", "--t-steps", "2", "--witness", "N",
+          "--check-convergence"),
+         EXIT_PRECONDITION, "precondition error: dim=2320 exceeds the dense-matrix ceiling MAX_DIM"),
+    ])
+    def test_refusal_order(self, tmp_path, monkeypatch, capsys, no_dense_allocation,
+                           argv, code, prefix):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian or an eigh was about to run")
+
+        monkeypatch.setattr(dynamics, "hamiltonian", refuse)
+        monkeypatch.setattr(dynamics.np.linalg, "eigh", refuse)
+        assert self.run(*(a.format(dir=tmp_path) for a in argv)) == (code, "")
+        err = capsys.readouterr().err
+        assert err.startswith(prefix), err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, token, cell", [
         ("--theta", "-pi/2", (0, 1)), ("--theta", "-3pi/4,pi/4", (0, 1)),

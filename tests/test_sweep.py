@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anharmonic import criteria, sweep
+from anharmonic import cli, criteria, dynamics, sweep
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
 from anharmonic.dynamics import MomentSet, exact_moment_block
 from anharmonic.fock import MAX_GRID_CELLS, ModelParams, TruncationError, default_dim
@@ -33,8 +34,6 @@ from anharmonic.sweep import (
     compare_report,
     convergence_check,
     run_sweep,
-    validate_convergence,
-    validate_dimensions,
     write_csv,
 )
 
@@ -92,8 +91,17 @@ class TestSpecValidation:
             small_spec(**value)
 
     def test_dim_too_small_reported_before_compute(self):
-        with pytest.raises(TruncationError):
-            run_sweep(small_spec(alpha_mag=(3.0,), dim=15))
+        with pytest.raises(TruncationError, match="below the safe truncation floor"):
+            small_spec(alpha_mag=(3.0,), dim=15)
+
+    def test_out_naming_a_directory_refused_when_built(self, tmp_path):
+        with pytest.raises(SweepSpecError, match="^out: .* names a directory"):
+            small_spec(output_path=str(tmp_path))
+        with pytest.raises(SweepSpecError, match="^out: directory .* does not exist"):
+            small_spec(output_path=str(tmp_path / "missing" / "rows.csv"))
+        # a spec error wins over an unsafe dim
+        with pytest.raises(SweepSpecError, match="^out: "):
+            small_spec(alpha_mag=(3.0,), dim=15, output_path=str(tmp_path))
 
     @pytest.mark.parametrize("dim", [1, 0, -5])
     def test_dim_below_two_named_in_error(self, dim):
@@ -163,7 +171,7 @@ class TestRunSweep:
         result = run_sweep(spec)
         values = result.value_cf.ravel().tolist()
         assert min(values) < -1e-4 and max(values) > 1e-4
-        assert result.summaries[0].zero_crossings >= 2
+        assert result.zero_crossings[0, 0] >= 2
 
     @pytest.mark.parametrize("lam", [1e-200, 1e-3, 1e200])
     def test_zero_crossings_compare_signs(self, lam):
@@ -173,14 +181,13 @@ class TestRunSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_sweep(spec)
-        assert result.summaries[0].zero_crossings == 3
+        assert result.zero_crossings[0, 0] == 3
 
     def test_summary_min_max(self):
         spec = small_spec(theta=(0.3,), witnesses=("d1",), t_steps=33)
         result = run_sweep(spec)
         values = result.value_cf.ravel().tolist()
-        s = result.summaries[0]
-        assert s.vmin == min(values) and s.vmax == max(values)
+        assert result.vmin[0, 0] == min(values) and result.vmax[0, 0] == max(values)
 
 
 class TestColumns:
@@ -250,30 +257,40 @@ class TestColumns:
     ])
     def test_summaries_are_the_row_walk(self, spec):
         # the per-slice reductions over each slice's t values, as Python's
-        # min, max and sum compute them, with Python floats for the printed numbers
+        # min, max and sum compute them, with Python floats for the printed
+        # numbers: the result's digest columns and the CLI's witness lines
         result = run_sweep(spec)
         primary = result.value_cf if result.value_exact is None else result.value_exact
-        expected = []
-        for s, (_, theta, _) in enumerate(product(spec.alpha_mag, spec.theta, spec.lam)):
+        expected, lines = [], []
+        for s, (a, theta, lam) in enumerate(product(spec.alpha_mag, spec.theta, spec.lam)):
             for k, w in enumerate(spec.witnesses):
                 vals = primary[s, :, k].tolist()
                 errs = None if result.abs_error is None else result.abs_error[s, :, k].tolist()
                 crossings = sum(1 for x, y in zip(vals, vals[1:]) if x < 0.0 < y or y < 0.0 < x)
-                expected.append((w, repr(theta), repr(min(vals)), repr(max(vals)), crossings,
-                                 repr(max(errs)) if errs else "None"))
-        got = [(s.witness, repr(s.theta), repr(s.vmin), repr(s.vmax), s.zero_crossings,
-                repr(s.max_abs_error)) for s in result.summaries]
+                worst = repr(max(errs)) if errs else "None"
+                expected.append((repr(min(vals)), repr(max(vals)), crossings, worst))
+                lines.append(f"witness={w} alpha={a!r} theta={theta!r} lambda={lam!r} "
+                             f"min={min(vals)!r} max={max(vals)!r} zero_crossings={crossings}"
+                             + ("" if errs is None else f" max_abs_error={worst}"))
+        errors = (np.full(result.vmin.shape, None) if result.max_abs_error is None
+                  else result.max_abs_error)
+        got = [(repr(lo), repr(hi), crossings, repr(worst)) for lo, hi, crossings, worst in zip(
+            *(c.ravel().tolist() for c in (result.vmin, result.vmax, result.zero_crossings, errors)))]
         assert got == expected
+        assert result.vmin.shape == (len(expected) // len(spec.witnesses), len(spec.witnesses))
+        out = io.StringIO()
+        cli._print_result(result, None, out)
+        assert [line for line in out.getvalue().splitlines()
+                if line.startswith("witness=")] == lines
 
     def test_summary_extremes_take_the_first_zero(self):
         primary = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]).reshape(2, 3, 1)
-        spec = small_spec(alpha_mag=(1.0,), theta=(0.0,), lam=(1e-3, 1e-4), t_steps=3,
-                          witnesses=("d1",))
-        slices = [(1.0, 0.0, 1e-3), (1.0, 0.0, 1e-4)]
-        first, second = sweep._summaries(spec, slices, primary, None)
-        assert (repr(first.vmin), repr(first.vmax)) == (repr(min(0.0, -0.0, 1.0)), "1.0")
-        assert (repr(second.vmin), repr(second.vmax)) == ("-1.0", repr(max(-0.0, 0.0, -1.0)))
-        assert repr(first.vmin) == "0.0" and repr(second.vmax) == "-0.0"
+        vmin, vmax, crossings, worst = sweep._reductions(primary, None)
+        first, second = zip(vmin.ravel().tolist(), vmax.ravel().tolist())
+        assert (repr(first[0]), repr(first[1])) == (repr(min(0.0, -0.0, 1.0)), "1.0")
+        assert (repr(second[0]), repr(second[1])) == ("-1.0", repr(max(-0.0, 0.0, -1.0)))
+        assert repr(first[0]) == "0.0" and repr(second[1]) == "-0.0"
+        assert crossings.tolist() == [[0], [0]] and worst is None
 
 
 class TestWitnessTable:
@@ -396,11 +413,11 @@ class TestCsvContract:
                           t_steps=values.size // 2, witnesses=("N",))
         columns = values.reshape(2, -1, 1)
         result = SweepResult(spec, columns, columns[::-1] / 3.0, np.abs(columns),
-                             criteria.classify(columns), ())
+                             criteria.classify(columns), None, None, None, None)
         write_csv(result, tmp_path / "fast.csv")
         assert (tmp_path / "fast.csv").read_bytes() == reference_csv(result)
         closed = SweepResult(small_spec(t_steps=columns.shape[1], witnesses=("N",)), columns,
-                             None, None, criteria.classify(columns), ())
+                             None, None, criteria.classify(columns), None, None, None, None)
         write_csv(closed, tmp_path / "closed.csv")
         assert (tmp_path / "closed.csv").read_bytes() == reference_csv(closed)
 
@@ -439,7 +456,7 @@ class TestCsvContract:
             small_spec(alpha_mag=(0.5, 1.0), theta=(0.0,), lam=(1e-3, 1e-4), t_steps=t_steps,
                        mode=mode, witnesses=("N", "d1")),
             cf, exact, np.abs(cf - exact) if mode == "compare" else None,
-            criteria.classify(cf if exact is None else exact), ())
+            criteria.classify(cf if exact is None else exact), None, None, None, None)
         write_csv(result, tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_bytes() == reference_csv(result)
 
@@ -470,7 +487,7 @@ class TestCompareReport:
             theta=(0.7,), lam=(1e-3, 1e-4), mode="compare", t_steps=9,
             witnesses=("N", "d1", "quadrature", "hillery"),
         )
-        report = compare_report(spec)
+        report = compare_report(run_sweep(spec))
         for w in ("N", "d1", "quadrature", "hillery"):
             assert report.status_of(w) == "pass", (w, report.worst_slope(w))
             assert report.worst_slope(w) > 1.8
@@ -480,24 +497,26 @@ class TestCompareReport:
         # error shrinks only one decade per decade of lambda
         spec = small_spec(theta=(0.7,), lam=(1e-3, 1e-4), mode="compare",
                           t_steps=9, witnesses=("f", "d2", "d3"))
-        report = compare_report(spec)
+        report = compare_report(run_sweep(spec))
         for w in ("f", "d2", "d3"):
             assert report.status_of(w) == "fail"
             assert 0.8 < report.worst_slope(w) < 1.2
 
     def test_requires_compare_mode(self):
         with pytest.raises(SweepSpecError, match="mode"):
-            compare_report(small_spec(mode="exact", lam=(1e-3, 1e-4)))
+            compare_report(run_sweep(small_spec(mode="exact", lam=(1e-3, 1e-4), t_steps=3)))
 
     def test_requires_two_lambdas(self):
         with pytest.raises(SweepSpecError, match="lambda"):
-            compare_report(small_spec(mode="compare", lam=(1e-3,)))
+            compare_report(run_sweep(small_spec(mode="compare", lam=(1e-3,), t_steps=3)))
 
-    def test_repeated_lambda_merges_like_the_row_walk(self):
-        # the report reads each slice's max |error| from the summaries; a
+    @pytest.mark.parametrize("theta", [(0.7, 0.7), (0.0, -0.0)])
+    def test_repeated_lambda_merges_like_the_row_walk(self, theta):
+        # the report reads each slice's max |error| from max_abs_error; a
         # repeated lambda value merges its slices by max, as walking every
-        # row did
-        spec = small_spec(alpha_mag=(0.5, 1.0), theta=(0.7, 0.7), lam=(1e-3, 1e-4, 1e-3),
+        # row keyed by (witness, alpha, theta, lambda) did; equal thetas,
+        # 0.0 and -0.0 included, give equal slices and need no merge
+        spec = small_spec(alpha_mag=(0.5, 1.0), theta=theta, lam=(1e-3, 1e-4, 1e-3),
                           mode="compare", t_steps=9, witnesses=("N", "d1", "f", "hillery"))
         result = run_sweep(spec)
         worst_err = {}
@@ -517,9 +536,8 @@ class TestCompareReport:
                     slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
                     status = "pass" if slope >= SCALING_SLOPE_THRESHOLD else "fail"
                     expected.append(ScalingEntry(w, a, th, slope, status))
-        assert compare_report(spec, result).entries == tuple(expected)
-        keys = [(s.witness, s.alpha_mag, s.theta, s.lam) for s in result.summaries]
-        assert len(keys) == 3 * len(set(keys))
+        assert compare_report(result).entries == tuple(expected)
+        assert 3 * len(worst_err) == result.max_abs_error.size
         assert len(expected) == 4 * 2 * 2
 
     def test_vacuum_input_at_tiny_coupling_is_floor_limited(self):
@@ -527,7 +545,7 @@ class TestCompareReport:
         # deviation is O(lam^2); by lam = 1e-7 it sits below the fit floor
         spec = small_spec(alpha_mag=(0.0,), theta=(0.0,), lam=(1e-6, 1e-7),
                           mode="compare", t_steps=5, witnesses=("d1",))
-        report = compare_report(spec)
+        report = compare_report(run_sweep(spec))
         assert report.status_of("d1") == "floor-limited"
 
 
@@ -548,8 +566,13 @@ class TestConvergenceCheck:
         with pytest.raises(SweepSpecError, match="mode"):
             convergence_check(small_spec(mode="closed_form"))
 
-    def test_doubled_dim_checked_up_front(self):
+    def test_doubled_dim_checked_up_front(self, monkeypatch):
+        # D = 1160 is admissible, the doubled 2320 is above fock.MAX_DIM
         spec = small_spec(alpha_mag=(30.0,), mode="exact", t_steps=2)
-        validate_dimensions(spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigh was about to run")
+
+        monkeypatch.setattr(dynamics.np.linalg, "eigh", refuse)
         with pytest.raises(TruncationError, match="MAX_DIM"):
-            validate_convergence(spec)
+            convergence_check(spec)
