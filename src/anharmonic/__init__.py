@@ -23,7 +23,9 @@ from .dynamics import (
     MomentSet,
     coherent_moment_set,
     evolve_block,
+    evolve_blocks,
     exact_moment_block,
+    exact_moment_blocks,
     hamiltonian,
 )
 from .fock import (
@@ -46,6 +48,7 @@ from .perturbative import (
     first_order_delta_y1_squared,
     first_order_hoa_d,
     first_order_moment_block,
+    first_order_moment_blocks,
     first_order_squeezing_f,
     hoa_witness_d,
     hoa_witness_d_special,

@@ -8,18 +8,21 @@ third-order nonlinear medium is
 a real symmetric matrix once truncated.  Because H is time independent, the
 evolution exp(-iHt)|alpha> of a time grid is computed from one eigendecomposition
 -- no time stepping, no time ordering, exact to machine precision in the truncated
-space.  Each call takes its own ``eigh`` and input; only the lam-independent
-(a^dag + a)^4 is kept between calls, for the latest dim.
+space.  Slices that share lam and dim (a sweep's theta slices at one |alpha|)
+form a group, which builds H, its ``eigh`` and the exp(-iwt) table once and
+drops them when its last slice is done; each slice projects its own input.
+Only the lam-independent (a^dag + a)^4 is kept between calls, for the latest dim.
 
 Moments are reported in the interaction frame that removes the free rotation:
 a normally ordered monomial a^dag^m a^n evaluated in the evolved state picks
 up the phase e^{i(n-m)t}.  Diagonal moments (m = n) are frame independent,
 so photon statistics need no phase bookkeeping at all.
 
-A whole time grid is evaluated in one pass: ``evolve_block`` returns the
-(T, dim) block of states and ``exact_moment_block`` the (T, 10) block of
-moments, with a applied as a sqrt(n)-weighted shift, so the work per grid is
-O(dim^2 T) for the evolution and O(dim T) for the moments.
+A whole time grid is evaluated in one pass: ``evolve_blocks`` yields the
+(T, dim) block of states of each slice of a group and ``exact_moment_blocks``
+its (T, 10) block of moments, with a applied as a sqrt(n)-weighted shift, so
+the work per grid is O(dim^2 T) for the evolution and O(dim T) for the
+moments.  ``evolve_block`` and ``exact_moment_block`` are the one-slice group.
 """
 
 from __future__ import annotations
@@ -98,24 +101,44 @@ class MomentSet:
 MONOMIALS = tuple(f.metadata["monomial"] for f in fields(MomentSet))
 
 
-def evolve_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON) -> np.ndarray:
-    """Spectral evolution of a whole time grid: row j is psi(ts[j]) = V exp(-i Lambda t) V^T |alpha>.
+def _group_key(params_list) -> tuple:
+    """(lam, dim) shared by every params of a group; ValueError if they differ."""
+    lam, dim = params_list[0].lam, params_list[0].dim
+    if any((p.lam, p.dim) != (lam, dim) for p in params_list):
+        raise ValueError(f"a group shares one lam and one dim, got {list(params_list)}")
+    return lam, dim
 
-    One stacked matrix-vector product over the (T, dim) block of phased
-    eigenbasis coefficients; each row is bit-identical to evolving its time
-    alone.  Every row's norm is checked; an H or a state that overflowed
-    raises FloatingPointError.  ``horizon`` bounds |t|; callers sweeping
-    longer grids pass their own bound.
+
+def evolve_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
+    """Spectral evolution of a whole time grid for each params of a group that
+    shares lam and dim: yields, per params, the (T, dim) block whose row j is
+    psi(ts[j]) = V exp(-i Lambda t) V^T |alpha>.
+
+    H, its ``eigh`` and the (T, dim) phase table exp(-i w t) are built once per
+    group, at the first block, and dropped when the last is done.  Each block is
+    one stacked matrix-vector product over the phased eigenbasis coefficients
+    of its own input; each row is bit-identical to evolving its time alone, in
+    any group.  Every row's norm is checked; an H or a state that overflowed
+    raises FloatingPointError naming the params (for H, the group's first).
+    ``horizon`` bounds |t|; callers sweeping longer grids pass their own bound.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     worst = float(np.max(np.abs(ts), initial=0.0))
     if worst > horizon + 1e-12:
         raise ValueError(f"|t|={worst} exceeds the configured horizon {horizon}")
-    w, v = np.linalg.eigh(require_finite(hamiltonian(params.lam, params.dim), params, "H"))
-    b = v.T @ coherent_state(params.alpha, params.dim).amplitudes
-    phased = np.exp(-1j * w * ts[:, None]) * b
-    psi = require_finite((v @ phased[:, :, None])[:, :, 0], params, "the evolved state")
-    check_normalized(psi)
+    lam, dim = _group_key(params_list)
+    w, v = np.linalg.eigh(require_finite(hamiltonian(lam, dim), params_list[0], "H"))
+    phase = np.exp(-1j * w * ts[:, None])
+    for params in params_list:
+        b = v.T @ coherent_state(params.alpha, dim).amplitudes
+        psi = require_finite((v @ (phase * b)[:, :, None])[:, :, 0], params, "the evolved state")
+        check_normalized(psi)
+        yield psi
+
+
+def evolve_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON) -> np.ndarray:
+    """``evolve_blocks`` of the one-slice group ``[params]``."""
+    [psi] = evolve_blocks([params], ts, horizon)
     return psi
 
 
@@ -141,16 +164,15 @@ def ladder_moment_block(bands, psi: np.ndarray) -> np.ndarray:
     (T, dim) block ``psi``, where b is the operator with diagonals ``bands``
     (see ``apply_banded``).
 
-    Each b^k psi is built by repeated banded application, and each entry is a
-    stacked dot product, bit-identical to ``np.vdot`` of the two kets.
+    Each b^k psi is built by repeated banded application, and each entry is
+    ``np.vecdot`` of two kets, bit-identical to ``np.vdot`` of each row pair.
     """
     kets = [psi]
     for _ in range(4):
         kets.append(apply_banded(bands, kets[-1]))
-    bras = [np.conj(k)[:, None, :] for k in kets]
     block = np.empty((psi.shape[0], len(MONOMIALS)), dtype=complex)
     for j, (m, n) in enumerate(MONOMIALS):
-        block[:, j] = (bras[m] @ kets[n][:, :, None])[:, 0, 0]
+        block[:, j] = np.vecdot(kets[m], kets[n])
     return block
 
 
@@ -171,9 +193,17 @@ def interaction_moment_block(psi: np.ndarray, ts) -> np.ndarray:
     return block
 
 
+def exact_moment_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
+    """Yield, per params of a group that shares lam and dim, the moments of the
+    exactly evolved state at every t of ``ts``, one row per t (see ``evolve_blocks``)."""
+    for psi in evolve_blocks(params_list, ts, horizon):
+        yield interaction_moment_block(psi, ts)
+
+
 def exact_moment_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON) -> np.ndarray:
-    """Moments of the exactly evolved state at every t of ``ts``, one row per t."""
-    return interaction_moment_block(evolve_block(params, ts, horizon), ts)
+    """``exact_moment_blocks`` of the one-slice group ``[params]``."""
+    [block] = exact_moment_blocks([params], ts, horizon)
+    return block
 
 
 def coherent_moment_set(alpha: complex) -> MomentSet:

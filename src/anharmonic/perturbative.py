@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ladder_moment_block
+from .dynamics import _group_key, ladder_moment_block
 from .fock import ModelParams, coherent_state
 
 
@@ -291,22 +291,32 @@ def _bracket_coefficients(lam: float, t):
     return (1.0 + s * (6.0 * t), s * (6.0 * t), s * (6.0 * f), s * g, s * (6.0 * f), s * (2.0 * fbar))
 
 
-def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:
-    """Moments of the first-order operator over the initial coherent state at
-    every t of ``ts``, as a (T, len(MONOMIALS)) block (see ``dynamics.MONOMIALS``).
+def first_order_moment_blocks(params_list, ts):
+    """Yield, per params of a group that shares lam and dim, the moments of the
+    first-order operator over its initial coherent state at every t of ``ts``,
+    as a (T, len(MONOMIALS)) block (see ``dynamics.MONOMIALS``).
 
     <a_1^dag^m a_1^n> is evaluated as (a_1^m psi0)^dag (a_1^n psi0); the
     operator already lives in the rotating frame, so no extra phases apply.
     a_1(t) has four nonzero diagonals (offsets +-1 and +-3), so it acts on the
     (T, dim) block of kets as weighted shifts with one coefficient row per t:
-    O(dim T) per application, and no dim x dim matrix per t.  Agrees with the
-    exact oracle to O(lam^2) -- the dropped cross terms of the Dyson series.
+    O(dim T) per application, and no dim x dim matrix per t.  The diagonals
+    depend on lam and dim only, so they are built once per group, at the first
+    block, and dropped when the last is done.  Agrees with the exact oracle to
+    O(lam^2) -- the dropped cross terms of the Dyson series.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
+    lam, dim = _group_key(params_list)
     bands = {}
-    for c, (k, diag) in zip(_bracket_coefficients(params.lam, ts), _bracket_bands(params.dim)):
+    for c, (k, diag) in zip(_bracket_coefficients(lam, ts), _bracket_bands(dim)):
         term = c[:, None] * diag
         bands[k] = bands[k] + term if k in bands else term
-    psi0 = coherent_state(params.alpha, params.dim).amplitudes
-    return ladder_moment_block(bands.items(), np.broadcast_to(psi0, (ts.size, params.dim)))
+    for params in params_list:
+        psi0 = coherent_state(params.alpha, dim).amplitudes
+        yield ladder_moment_block(bands.items(), np.broadcast_to(psi0, (ts.size, dim)))
 
+
+def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:
+    """``first_order_moment_blocks`` of the one-slice group ``[params]``."""
+    [block] = first_order_moment_blocks([params], ts)
+    return block

@@ -21,10 +21,10 @@ vectorized steps:
    lopsided) and non-finite values.  All of those go through ``repr`` itself.
 4. Lay out.  The 17 digits of the candidate, a sign, '.', '0', 'e' and the
    exponent sit in one byte row per value; a template per (sign, digit
-   count, decimal point) picks the output bytes from it in one flat gather,
-   following ``repr``: exponent form when the decimal point lies 4 or more
-   places left of the first digit or more than 16 right of it, at least two
-   exponent digits, and '.0' after a whole number.
+   count, decimal point) picks the output bytes from it in flat gathers of
+   ``_GATHER`` rows, following ``repr``: exponent form when the decimal point
+   lies 4 or more places left of the first digit or more than 16 right of it,
+   at least two exponent digits, and '.0' after a whole number.
 
 The tables are built once at import from exact integer arithmetic; nothing is
 cached per call.
@@ -36,6 +36,10 @@ import numpy as np
 
 #: Values per vectorized pass; keeps each temporary near 1 MB.
 CHUNK = 8192
+
+#: Rows per gather of the layout step; its (rows, 24) intp index is the
+#: widest temporary per value, so it is built a sub-block at a time.
+_GATHER = 512
 
 #: Distance, in units of y's last digit, a decision must clear; the
 #: arithmetic errs by under 1e-14.
@@ -121,7 +125,7 @@ def _template(sign: bytes, n: int, slot: int) -> bytes:
 _TEMPLATES = np.frombuffer(b"".join(_template(sign, n, slot) for sign in (b"", b"-")
                                     for n in range(1, 18) for slot in range(_SLOTS)),
                            dtype=np.uint8).reshape(-1, _WIDTH).astype(np.intp)
-_ROW_STARTS = np.arange(0, CHUNK * _ROW, _ROW)
+_ROW_STARTS = np.arange(0, _GATHER * _ROW, _ROW)
 
 
 def _scaled(a, k):
@@ -207,7 +211,8 @@ def _shortest(x):
 
 def _layout(x, src, index, out):
     """Write the repr bytes of x into the rows of ``out`` and return the
-    indices left to ``repr``; ``src`` and ``index`` are work buffers."""
+    indices left to ``repr``; ``src`` and ``index`` are work buffers, the
+    latter of at most ``_GATHER`` rows."""
     c, k, n, unsure = _shortest(x)
     decpt = 17 - k  # the decimal point's place after the first digit
     plain = (decpt >= _PLAIN[0]) & (decpt <= _PLAIN[-1])
@@ -225,9 +230,12 @@ def _layout(x, src, index, out):
         src[:, col + 1] = _QUADS[part - high4 * 10_000]
     src[:, 5] = _E_WORD
     src[:, 6] = _EXPONENTS[np.where(plain, 0, decpt - 1) + 300]
-    np.take(_TEMPLATES, layout, axis=0, out=index, mode="clip")
-    index += _ROW_STARTS[:x.size, None]
-    np.take(src.view(np.uint8).ravel(), index, out=out, mode="clip")
+    for lo in range(0, x.size, _GATHER):
+        hi = min(lo + _GATHER, x.size)
+        rows = index[:hi - lo]
+        np.take(_TEMPLATES, layout[lo:hi], axis=0, out=rows, mode="clip")
+        rows += _ROW_STARTS[:hi - lo, None]
+        np.take(src[lo:hi].view(np.uint8).ravel(), rows, out=out[lo:hi], mode="clip")
     return np.flatnonzero(unsure)
 
 
@@ -236,7 +244,7 @@ def float_reprs(values) -> list:
     x = np.asarray(values, dtype=np.float64).ravel()
     m = min(x.size, CHUNK)
     src = np.empty((m, _ROW // 4), dtype="<u4")
-    index = np.empty((m, _WIDTH), dtype=np.intp)
+    index = np.empty((min(m, _GATHER), _WIDTH), dtype=np.intp)
     out = np.empty((m, _WIDTH), dtype=np.uint8)
     reprs = []
     for start in range(0, x.size, CHUNK):

@@ -142,16 +142,24 @@ def test_lowering_band_is_the_annihilation_matrix():
     assert np.array_equal(shifted, (a @ kets.T).T)
 
 
-def test_ladder_moment_block_is_vdot():
+@pytest.mark.parametrize("dim", [11, 54, 582])
+@pytest.mark.parametrize("broadcast", [False, True], ids=["block", "broadcast"])
+def test_ladder_moment_block_is_vdot(dim, broadcast):
+    # compared as integers, so the sign bit of every zero counts too; the
+    # broadcast case is the first-order path's one input repeated per row
     rng = np.random.default_rng(6)
-    psi = rng.normal(size=(4, 11)) + 1j * rng.normal(size=(4, 11))
-    bands = [(k, rng.normal(size=11 - abs(k)) + 1j * rng.normal(size=11 - abs(k))) for k in (-3, 1, 3)]
+    if broadcast:
+        psi = np.broadcast_to(rng.normal(size=dim) + 1j * rng.normal(size=dim), (4, dim))
+    else:
+        psi = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
+    bands = [(k, rng.normal(size=(4, dim - abs(k))) + 1j * rng.normal(size=(4, dim - abs(k))))
+             for k in (-3, 1, 3)]
     kets = [psi]
     for _ in range(4):
         kets.append(apply_banded(bands, kets[-1]))
     block = ladder_moment_block(bands, psi)
-    for i in range(4):
-        assert block[i].tolist() == [np.vdot(kets[m][i], kets[n][i]) for m, n in MONOMIALS]
+    vdots = np.array([[np.vdot(kets[m][i], kets[n][i]) for m, n in MONOMIALS] for i in range(4)])
+    assert np.array_equal(block.view(np.uint64), vdots.view(np.uint64))
 
 
 def test_time_grid_beyond_horizon_is_refused():

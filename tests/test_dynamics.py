@@ -150,8 +150,9 @@ def test_overflow_is_refused_naming_the_parameters(lam, t, what):
 
 class TestRetention:
     def test_evolving_many_lams_keeps_no_eigensystem_alive(self):
-        # each slice takes its own eigh; after it returns, nothing of the
-        # size of a D x D matrix may stay behind
+        # a group's eigensystem lives only while its slices are evaluated;
+        # after a call returns, nothing of the size of a D x D matrix may stay
+        # behind (tests/test_groups.py checks the same between a sweep's groups)
         dim = 200
         _quartic(dim)
         tracemalloc.start()

@@ -9,6 +9,7 @@ decimal midpoints, the ends of the scaled range and the sign of zero.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -78,3 +79,19 @@ def test_shape_and_chunks():
     values = np.random.default_rng(3).standard_normal(2 * CHUNK + 3)
     values[CHUNK - 1:CHUNK + 2] = [0.0, np.nan, -np.inf]
     assert_reprs(values)
+
+
+def test_memory_per_value_is_bounded():
+    # the layout's (rows, 24) intp gather index, 192 B per row, is built a
+    # sub-block of rows at a time, so a whole chunk stays near 230 B per value,
+    # the returned bytes included
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(CHUNK) * 10.0 ** rng.integers(-5, 5, CHUNK)
+    float_reprs(values[:10])
+    tracemalloc.start()
+    try:
+        float_reprs(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * CHUNK
