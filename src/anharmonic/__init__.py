@@ -22,9 +22,7 @@ from .dynamics import (
     MONOMIALS,
     MomentSet,
     coherent_moment_set,
-    evolve_block,
     evolve_blocks,
-    exact_moment_block,
     exact_moment_blocks,
     hamiltonian,
 )
@@ -47,7 +45,6 @@ from .perturbative import (
     delta_y1_squared,
     first_order_delta_y1_squared,
     first_order_hoa_d,
-    first_order_moment_block,
     first_order_moment_blocks,
     first_order_squeezing_f,
     hoa_witness_d,

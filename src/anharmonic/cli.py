@@ -5,11 +5,12 @@ Angles and times are radians; the literal tokens ``pi``, ``2pi``, ``pi/2``,
 t = 2*theta) are hit bit-exactly rather than through truncated decimals.
 Exit status: 0 on success (``--help`` included, printed to ``main``'s
 ``out``), 2 for specification errors (an unknown flag or mode, a pi literal
-that divides by zero, a grid above ``fock.MAX_GRID_CELLS``, an unreadable
-``--config`` and an ``--out`` naming a directory included; ``main`` returns it
-rather than raising ``SystemExit``), 3 for numerical precondition failures (a
-truncation dimension too small, above ``fock.MAX_DIM`` or beyond the float
-range, an overflowed value, or a failed ``--check-convergence``).  Building
+that divides by zero, a t span beyond the float range, a grid above
+``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
+directory included; ``main`` returns it rather than raising ``SystemExit``),
+3 for numerical precondition failures (a truncation dimension too small,
+above ``fock.MAX_DIM`` or beyond the float range, an overflowed value, or a
+failed ``--check-convergence``; stderr then holds one line).  Building
 the ``SweepSpec`` refuses every spec error and then an unsafe dimension, so a
 spec error wins over a dimension error; ``--check-convergence`` then refuses a
 mode other than exact or compare (2) and an unsafe doubled dimension (3).  No

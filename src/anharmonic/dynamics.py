@@ -22,7 +22,7 @@ A whole time grid is evaluated in one pass: ``evolve_blocks`` yields the
 (T, dim) block of states of each slice of a group and ``exact_moment_blocks``
 its (T, 10) block of moments, with a applied as a sqrt(n)-weighted shift, so
 the work per grid is O(dim^2 T) for the evolution and O(dim T) for the
-moments.  ``evolve_block`` and ``exact_moment_block`` are the one-slice group.
+moments.  A single slice is the group ``[params]``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fock import ModelParams, check_normalized, coherent_state, require_finite
+from .fock import check_normalized, coherent_state, require_finite
 
 #: Largest |t| the oracle is validated for by default (two full revivals).
 DEFAULT_TIME_HORIZON = 4.0 * math.pi
@@ -136,12 +136,6 @@ def evolve_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
         yield psi
 
 
-def evolve_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON) -> np.ndarray:
-    """``evolve_blocks`` of the one-slice group ``[params]``."""
-    [psi] = evolve_blocks([params], ts, horizon)
-    return psi
-
-
 def apply_banded(bands, kets: np.ndarray) -> np.ndarray:
     """Apply the operator with diagonals ``(k, diag)`` (entries [i, i + k],
     |k| < dim) to every row of the (T, dim) block ``kets``.
@@ -176,34 +170,25 @@ def ladder_moment_block(bands, psi: np.ndarray) -> np.ndarray:
     return block
 
 
-def interaction_moment_block(psi: np.ndarray, ts) -> np.ndarray:
-    """Interaction-frame moments of the (T, dim) state block ``psi`` at times ``ts``.
+def exact_moment_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
+    """Yield, per params of a group that shares lam and dim, the interaction-frame
+    moments of the exactly evolved state at every t of ``ts``, one row per t (see
+    ``evolve_blocks``).
 
     For each monomial: <a^dag^m a^n>_I = e^{i(n-m)t} <psi_t| a^dag^m a^n |psi_t>,
     with a^k psi built by repeated sqrt(n)-weighted shifts, O(dim) per state.
+    The (T, 10) table e^{i(n-m)t} is built once per group, before its first block.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    raw = ladder_moment_block(((1, np.sqrt(np.arange(1.0, psi.shape[-1]))),), psi)
     phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
-    # the product is written out in real arithmetic so that it rounds like the
-    # scalar complex product and does not depend on the block's length
-    block = np.empty_like(raw)
-    block.real = phase.real * raw.real - phase.imag * raw.imag
-    block.imag = phase.real * raw.imag + phase.imag * raw.real
-    return block
-
-
-def exact_moment_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
-    """Yield, per params of a group that shares lam and dim, the moments of the
-    exactly evolved state at every t of ``ts``, one row per t (see ``evolve_blocks``)."""
     for psi in evolve_blocks(params_list, ts, horizon):
-        yield interaction_moment_block(psi, ts)
-
-
-def exact_moment_block(params: ModelParams, ts, horizon: float = DEFAULT_TIME_HORIZON) -> np.ndarray:
-    """``exact_moment_blocks`` of the one-slice group ``[params]``."""
-    [block] = exact_moment_blocks([params], ts, horizon)
-    return block
+        raw = ladder_moment_block(((1, np.sqrt(np.arange(1.0, psi.shape[-1]))),), psi)
+        # the product is written out in real arithmetic so that it rounds like the
+        # scalar complex product and does not depend on the block's length
+        block = np.empty_like(raw)
+        block.real = phase.real * raw.real - phase.imag * raw.imag
+        block.imag = phase.real * raw.imag + phase.imag * raw.real
+        yield block
 
 
 def coherent_moment_set(alpha: complex) -> MomentSet:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _group_key, ladder_moment_block
-from .fock import ModelParams, coherent_state
+from .fock import coherent_state
 
 
 @dataclass(frozen=True)
@@ -314,9 +314,3 @@ def first_order_moment_blocks(params_list, ts):
     for params in params_list:
         psi0 = coherent_state(params.alpha, dim).amplitudes
         yield ladder_moment_block(bands.items(), np.broadcast_to(psi0, (ts.size, dim)))
-
-
-def first_order_moment_block(params: ModelParams, ts) -> np.ndarray:
-    """``first_order_moment_blocks`` of the one-slice group ``[params]``."""
-    [block] = first_order_moment_blocks([params], ts)
-    return block

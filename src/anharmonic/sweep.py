@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .criteria import classify, hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
-from .dynamics import MomentSet, exact_moment_block, exact_moment_blocks
+from .dynamics import MomentSet, exact_moment_blocks
 from .fock import MAX_DIM, MAX_GRID_CELLS, MIN_DIM, ModelParams, default_dim, require_finite
 from .perturbative import (
     ClosedFormInputs,
@@ -109,12 +109,12 @@ class SweepSpec:
     ``dim`` of None means the truncation heuristic is applied per alpha grid
     point.  ``witnesses`` is an ordered subset of ``WITNESS_NAMES``.
     Construction refuses, with a ``SweepSpecError`` naming the field, an
-    empty, negative or non-finite grid, fewer than two t steps, an unknown
-    mode or witness, a zero lambda in mode ``compare``, a ``dim`` below
-    ``MIN_DIM``, a grid above ``MAX_GRID_CELLS`` and an ``output_path`` that
-    names a directory or lies in a missing one.  Then a ``dim`` that is unsafe
-    for some alpha (below its truncation floor or above ``MAX_DIM``) raises
-    ``TruncationError``.
+    empty, negative or non-finite grid, a t span beyond the float range, fewer
+    than two t steps, an unknown mode or witness, a zero lambda in mode
+    ``compare``, a ``dim`` below ``MIN_DIM``, a grid above ``MAX_GRID_CELLS``
+    and an ``output_path`` that names a directory or lies in a missing one.
+    Then a ``dim`` that is unsafe for some alpha (below its truncation floor
+    or above ``MAX_DIM``) raises ``TruncationError``.
     """
 
     alpha_mag: tuple
@@ -165,6 +165,9 @@ class SweepSpec:
                              ("t_end", (self.t_end,))):
             if not all(math.isfinite(x) for x in values):
                 raise SweepSpecError(f"{name}: values must be finite, got {values}")
+        if not math.isfinite(self.t_end - self.t_start):
+            raise SweepSpecError(f"t_end: the span from t_start={self.t_start} to "
+                                 f"t_end={self.t_end} leaves the float range")
         cells = (len(self.alpha_mag) * len(self.theta) * len(self.lam) * self.t_steps
                  * len(self.witnesses))
         if self.mode != "closed_form" or any(WITNESSES[w].needs_first_order for w in self.witnesses):
@@ -246,26 +249,31 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     grid = (len(spec.alpha_mag), len(spec.theta), len(spec.lam), *shape[1:])
     cf = value_cf.reshape(grid)
     ex = value_exact.reshape(grid) if need_exact else None
-    for i, a in enumerate(spec.alpha_mag):
-        for l, lam in enumerate(spec.lam):
-            group = [ModelParams(a, th, lam, spec.dim_for(a)) for th in spec.theta]
-            fo_blocks = (first_order_moment_blocks(group, ts) if need_fo
-                         else repeat(None, len(group)))
-            exact_blocks = (exact_moment_blocks(group, ts, horizon) if need_exact
-                            else repeat(None, len(group)))
-            # strict runs each kernel to its end, which drops the group's
-            # eigensystem and bands before the next group builds its own
-            for j, (params, fo, exact) in enumerate(zip(group, fo_blocks, exact_blocks,
-                                                        strict=True)):
-                inputs = ClosedFormInputs(a, params.theta, lam, ts)
-                fo = None if fo is None else MomentSet(*fo.T)
-                exact = None if exact is None else MomentSet(*exact.T)
-                for k, w in enumerate(spec.witnesses):
-                    cf[i, j, l, :, k] = WITNESSES[w].closed_form(inputs, fo)
-                    if need_exact:
-                        ex[i, j, l, :, k] = WITNESSES[w].exact(exact)
-                # exact values come from a normalized state, bounded by dim^k
-                require_finite(cf[i, j, l], params, "a closed-form value")
+    # A value that leaves the float range is refused: H and the evolved state in
+    # the kernels, a closed-form value below.  The exact values are bounded: a
+    # normalized state's moments are at most dim^4, and a phase e^{i(n-m)t},
+    # n - m <= 4, overflows only where w t does for the top eigenvalue
+    # w >= dim - 1/2 >= 19.5 of H, and that state is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, a in enumerate(spec.alpha_mag):
+            for l, lam in enumerate(spec.lam):
+                group = [ModelParams(a, th, lam, spec.dim_for(a)) for th in spec.theta]
+                fo_blocks = (first_order_moment_blocks(group, ts) if need_fo
+                             else repeat(None, len(group)))
+                exact_blocks = (exact_moment_blocks(group, ts, horizon) if need_exact
+                                else repeat(None, len(group)))
+                # strict runs each kernel to its end, which drops the group's
+                # eigensystem and bands before the next group builds its own
+                for j, (params, fo, exact) in enumerate(zip(group, fo_blocks, exact_blocks,
+                                                            strict=True)):
+                    inputs = ClosedFormInputs(a, params.theta, lam, ts)
+                    fo = None if fo is None else MomentSet(*fo.T)
+                    exact = None if exact is None else MomentSet(*exact.T)
+                    for k, w in enumerate(spec.witnesses):
+                        cf[i, j, l, :, k] = WITNESSES[w].closed_form(inputs, fo)
+                        if need_exact:
+                            ex[i, j, l, :, k] = WITNESSES[w].exact(exact)
+                    require_finite(cf[i, j, l], params, "a closed-form value")
 
     abs_error = np.abs(value_cf - value_exact) if spec.mode == "compare" else None
     primary = value_cf if value_exact is None else value_exact
@@ -419,12 +427,14 @@ def convergence_check(spec: SweepSpec) -> ConvergenceReport:
     horizon = spec.horizon()
 
     worst = 0.0
-    for a, th, lam in combos[::stride][:CONVERGENCE_MAX_SLICES]:
-        dim = spec.dim_for(a)
-        m1 = exact_moment_block(ModelParams(a, th, lam, dim), sample_ts, horizon=horizon)
-        m2 = exact_moment_block(ModelParams(a, th, lam, 2 * dim), sample_ts, horizon=horizon)
-        for row1, row2 in zip(m1.tolist(), m2.tolist()):
-            drift = max(abs(x1 - x2) / max(1.0, abs(x2)) for x1, x2 in zip(row1, row2))
-            worst = max(worst, drift)
+    # an H or a state that overflows is refused, and the moments are bounded (see run_sweep)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, th, lam in combos[::stride][:CONVERGENCE_MAX_SLICES]:
+            dim = spec.dim_for(a)
+            [m1] = exact_moment_blocks([ModelParams(a, th, lam, dim)], sample_ts, horizon)
+            [m2] = exact_moment_blocks([ModelParams(a, th, lam, 2 * dim)], sample_ts, horizon)
+            for row1, row2 in zip(m1.tolist(), m2.tolist()):
+                drift = max(abs(x1 - x2) / max(1.0, abs(x2)) for x1, x2 in zip(row1, row2))
+                worst = max(worst, drift)
     return ConvergenceReport(max_drift=worst, tolerance=CONVERGENCE_TOL,
                              passed=worst < CONVERGENCE_TOL)

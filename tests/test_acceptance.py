@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments
-from anharmonic.dynamics import MomentSet, evolve_block, exact_moment_block, hamiltonian
+from anharmonic.dynamics import MomentSet, evolve_blocks, exact_moment_blocks, hamiltonian
 from anharmonic.fock import (
     EIGENVALUE_RESIDUAL_TOL,
     FockVector,
@@ -85,7 +85,8 @@ def scaling_table():
             for lam in LAMBDAS:
                 params = ModelParams(alpha, th, lam, dim)
                 worst = {(fam, form): 0.0 for fam in ("compact", "first_order") for form in FORMS}
-                for t, row in zip(T_GRID_64.tolist(), exact_moment_block(params, T_GRID_64).tolist()):
+                [block] = exact_moment_blocks([params], T_GRID_64)
+                for t, row in zip(T_GRID_64.tolist(), block.tolist()):
                     ex = exact_values(MomentSet(*row))
                     ci = ClosedFormInputs(alpha, th, lam, t)
                     for form in FORMS:
@@ -196,7 +197,8 @@ class TestCriterion1OracleEquivalence:
                 params = ModelParams(alpha, th, lam, dim)
                 worst = 0.0
                 ts = T_GRID_64[::4]
-                for t, row in zip(ts.tolist(), exact_moment_block(params, ts).tolist()):
+                [block] = exact_moment_blocks([params], ts)
+                for t, row in zip(ts.tolist(), block.tolist()):
                     m = MomentSet(*row)
                     exact_dy1 = hillery_squeezing(m) + 2.0 * m.ada.real + 1.0
                     cf = first_order_delta_y1_squared(ClosedFormInputs(alpha, th, lam, t))
@@ -317,10 +319,12 @@ class TestCriterion7StructuralSuite:
         # unitarity and energy conservation over the horizon
         params = ModelParams.auto(1.5, 0.7, 1e-2)
         h = hamiltonian(params.lam, params.dim)
-        e0 = expectation(FockVector(evolve_block(params, [0.0])[0]), h).real
+        [[psi0]] = evolve_blocks([params], [0.0])
+        e0 = expectation(FockVector(psi0), h).real
         worst_norm = 0.0
         worst_energy = 0.0
-        for psi in evolve_block(params, np.linspace(0.0, 4 * np.pi, 48)):
+        [block] = evolve_blocks([params], np.linspace(0.0, 4 * np.pi, 48))
+        for psi in block:
             st = FockVector(psi)
             worst_norm = max(worst_norm, abs(st.norm() - 1.0))
             worst_energy = max(worst_energy, abs(expectation(st, h).real - e0) / abs(e0))
@@ -334,8 +338,9 @@ class TestCriterion7StructuralSuite:
             base = ModelParams.auto(alpha_mag, np.pi / 4, 1e-2)
             doubled = ModelParams(alpha_mag, np.pi / 4, 1e-2, 2 * base.dim)
             ts = [0.0, 2 * np.pi, 4 * np.pi]
-            for row1, row2 in zip(exact_moment_block(base, ts).tolist(),
-                                  exact_moment_block(doubled, ts).tolist()):
+            [block1] = exact_moment_blocks([base], ts)
+            [block2] = exact_moment_blocks([doubled], ts)
+            for row1, row2 in zip(block1.tolist(), block2.tolist()):
                 m1, m2 = MomentSet(*row1), MomentSet(*row2)
                 worst_drift = max(worst_drift, max(
                     abs(getattr(m1, f) - getattr(m2, f)) / max(1.0, abs(getattr(m2, f)))

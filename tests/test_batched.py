@@ -1,11 +1,9 @@
 """Properties of the per-slice batched evaluation of the two matrix paths.
 
-``exact_moment_block`` and ``first_order_moment_block`` evaluate a whole time
-grid at once.  The properties are drawn at random over the safe region
-|alpha| <= 4, lam <= 1e-2, |t| <= 4 pi.
+``exact_moment_blocks`` and ``first_order_moment_blocks`` evaluate a whole
+time grid at once, here for one-slice groups.  The properties are drawn at
+random over the safe region |alpha| <= 4, lam <= 1e-2, |t| <= 4 pi.
 """
-
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,16 +13,15 @@ from hypothesis import strategies as st
 from anharmonic.dynamics import (
     MONOMIALS,
     apply_banded,
-    coherent_moment_set,
-    evolve_block,
-    exact_moment_block,
+    evolve_blocks,
+    exact_moment_blocks,
     ladder_moment_block,
 )
 from anharmonic.fock import ModelParams, coherent_state, make_ladder_ops
 from anharmonic.perturbative import (
     _bracket_bands,
     _bracket_coefficients,
-    first_order_moment_block,
+    first_order_moment_blocks,
 )
 
 DIAGONAL = [j for j, (m, n) in enumerate(MONOMIALS) if m == n]
@@ -61,7 +58,7 @@ def dense_first_order_moments(params, t, words):
 @given(alphas, thetas, lams, grids)
 def test_banded_first_order_matches_dense_matrix(a, th, lam, ts):
     params = ModelParams.auto(a, th, lam)
-    block = first_order_moment_block(params, ts)
+    [block] = first_order_moment_blocks([params], ts)
     words = dense_words(params.dim)
     for row, t in zip(block, ts):
         dense = dense_first_order_moments(params, t, words)
@@ -72,17 +69,19 @@ def test_banded_first_order_matches_dense_matrix(a, th, lam, ts):
 @given(alphas, thetas, lams, grids)
 def test_batch_rows_are_bit_identical_to_single_times(a, th, lam, ts):
     params = ModelParams.auto(a, th, lam)
-    fo = first_order_moment_block(params, ts)
-    ex = exact_moment_block(params, ts)
+    [fo] = first_order_moment_blocks([params], ts)
+    [ex] = exact_moment_blocks([params], ts)
     for j, t in enumerate(ts):
-        assert np.array_equal(fo[j], first_order_moment_block(params, [t])[0])
-        assert np.array_equal(ex[j], exact_moment_block(params, [t])[0])
+        [[fo_t]] = first_order_moment_blocks([params], [t])
+        [[ex_t]] = exact_moment_blocks([params], [t])
+        assert np.array_equal(fo[j], fo_t)
+        assert np.array_equal(ex[j], ex_t)
 
 
 @PROPERTY
 @given(alphas, thetas, lams, grids)
 def test_norm_is_conserved(a, th, lam, ts):
-    psi = evolve_block(ModelParams.auto(a, th, lam), ts)
+    [psi] = evolve_blocks([ModelParams.auto(a, th, lam)], ts)
     assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) < 1e-12)
 
 
@@ -90,7 +89,8 @@ def test_norm_is_conserved(a, th, lam, ts):
 @given(alphas, thetas, lams, grids)
 def test_even_level_population_is_conserved(a, th, lam, ts):
     params = ModelParams.auto(a, th, lam)
-    even = np.abs(evolve_block(params, ts)[:, ::2]) ** 2
+    [psi] = evolve_blocks([params], ts)
+    even = np.abs(psi[:, ::2]) ** 2
     start = np.sum(np.abs(coherent_state(params.alpha, params.dim).amplitudes[::2]) ** 2)
     assert np.all(np.abs(even.sum(axis=1) - start) <= 1e-12)
 
@@ -99,17 +99,10 @@ def test_even_level_population_is_conserved(a, th, lam, ts):
 @given(alphas, thetas, lams, grids)
 def test_diagonal_moments_are_real(a, th, lam, ts):
     params = ModelParams.auto(a, th, lam)
-    for block in (exact_moment_block(params, ts), first_order_moment_block(params, ts)):
+    [ex] = exact_moment_blocks([params], ts)
+    [fo] = first_order_moment_blocks([params], ts)
+    for block in (ex, fo):
         assert np.all(np.abs(block[:, DIAGONAL].imag) <= 1e-12 * scale(a)[DIAGONAL])
-
-
-@PROPERTY
-@given(alphas, thetas, grids)
-def test_free_moments_are_coherent(a, th, ts):
-    params = ModelParams.auto(a, th, 0.0)
-    coherent = np.array(astuple(coherent_moment_set(params.alpha)))
-    for block in (exact_moment_block(params, ts), first_order_moment_block(params, ts)):
-        assert np.all(np.abs(block - coherent) <= 1e-10 * scale(a))
 
 
 #: Offset k of the one nonzero diagonal (entries [i, i + k]) of each dense word.
@@ -165,5 +158,6 @@ def test_ladder_moment_block_is_vdot(dim, broadcast):
 def test_time_grid_beyond_horizon_is_refused():
     params = ModelParams.auto(1.0, 0.0, 1e-3)
     with pytest.raises(ValueError, match="horizon"):
-        exact_moment_block(params, [0.0, 5 * np.pi])
-    assert exact_moment_block(params, [0.0, 5 * np.pi], horizon=5 * np.pi).shape == (2, 10)
+        list(exact_moment_blocks([params], [0.0, 5 * np.pi]))
+    [block] = exact_moment_blocks([params], [0.0, 5 * np.pi], horizon=5 * np.pi)
+    assert block.shape == (2, 10)

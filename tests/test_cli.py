@@ -1,9 +1,13 @@
+import contextlib
+import csv
 import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,8 @@ from anharmonic.cli import (
     parse_number_list,
     read_config,
 )
-from anharmonic.sweep import CSV_HEADER, WITNESSES, SweepSpecError
+from anharmonic.fock import MIN_DIM, default_dim
+from anharmonic.sweep import CSV_HEADER, MODES, WITNESS_NAMES, WITNESSES, SweepSpecError
 
 NON_FINITE_ARGS = [
     ("--lambda", "nan"),
@@ -46,6 +51,50 @@ pi_tokens = st.builds(
     st.one_of(st.none(), st.sampled_from(["0", "0.", "0.0"]),
               st.from_regex(r"[0-9]{1,4}(\.[0-9]{0,4})?", fullmatch=True)),
 )
+
+#: Finite number tokens of each field: signed zeros, the ends of the float
+#: range and pi literals; the amplitudes stay at or below 3.
+ANGLES = ("0", "-0", "5e-324", "1e-300", "1e300", "-1e300", "1e308", "-1e308",
+          "pi", "-pi/2", "3pi/4", "2pi")
+COUPLINGS = ("0", "-0", "5e-324", "1e-300", "1e-3", "1e300", "1e308", "pi")
+AMPLITUDES = ("0", "-0", "5e-324", "1e-300", "0.5", "pi/2", "3")
+#: Tokens that a spec refuses in some field or that no truncation holds.
+REFUSED = ("inf", "-inf", "nan", "-1", "1e300")
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv without --out, rows a run of it writes): every flag of the grammar,
+    with lists that repeat values, t_start >= t_end as often as not, a --dim at
+    and around MIN_DIM and the truncation floor of the largest amplitude, and
+    at most one field (or none) that may draw refused tokens too."""
+    spoiled = draw(st.sampled_from([None, "--alpha", "--theta", "--lambda", "--t-start",
+                                    "--t-end", "--t-steps"]))
+
+    def tokens(flag, pool, max_size=3):
+        pool += REFUSED if flag == spoiled else ()
+        return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
+
+    alphas = tokens("--alpha", AMPLITUDES)
+    runnable = [abs(a) for a in map(parse_number, alphas) if abs(a) <= 3.0]
+    floor = default_dim(max(runnable, default=0.0))
+    args = {
+        "--alpha": alphas,
+        "--theta": tokens("--theta", ANGLES),
+        "--lambda": tokens("--lambda", COUPLINGS),
+        "--t-start": tokens("--t-start", ANGLES, 1),
+        "--t-end": tokens("--t-end", ANGLES, 1),
+        "--t-steps": [str(draw(st.integers(0 if spoiled == "--t-steps" else 2, 8)))],
+        "--dim": [str(draw(st.sampled_from(["auto", "auto", floor, floor + 1, floor - 1,
+                                            MIN_DIM - 1, MIN_DIM, MIN_DIM + 1])))],
+        "--mode": [draw(st.sampled_from(MODES))],
+        "--witness": draw(st.lists(st.sampled_from(WITNESS_NAMES), min_size=1, max_size=3)),
+    }
+    argv = [token for flag, values in args.items() for token in (flag, ",".join(values))]
+    if draw(st.booleans()):
+        argv.append("--check-convergence")
+    rows = math.prod(len(args[flag]) for flag in ("--alpha", "--theta", "--lambda", "--witness"))
+    return argv, rows * int(args["--t-steps"][0])
 
 
 @pytest.fixture
@@ -202,7 +251,8 @@ class TestMain:
 
     @pytest.mark.parametrize("argv", [("--witness", "not-a-witness"), ("--dim", "1"),
                                       ("--dim", "0"), ("--dim", "-5"), ("--theta", "pi/0"),
-                                      ("--t-end", "2pi/0.0")] + NON_FINITE_ARGS)
+                                      ("--t-end", "2pi/0.0"),
+                                      ("--t-start=-1e308", "--t-end", "1e308")] + NON_FINITE_ARGS)
     def test_spec_error_exit_code(self, argv):
         code, text = self.run(*argv)
         assert code == EXIT_SPEC_ERROR
@@ -233,17 +283,42 @@ class TestMain:
         assert text == "" and not out_csv.exists()
         assert "spec error: t_steps:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["closed_form", "exact"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_values_refused(self, tmp_path, mode, capsys):
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("flag, value", [("--lambda", "1e308"), ("--lambda", "1e300"),
+                                             ("--t-end", "1e300"), ("--theta", "1e308")])
+    def test_non_finite_values_refused(self, tmp_path, mode, flag, value, capsys):
+        # the overflow on the way to the refusal prints no numpy warning
         out_csv = tmp_path / "rows.csv"
-        code, text = self.run("--lambda", "1e308", "--t-steps", "3", "--witness", "N,f,d1",
-                              "--mode", mode, "--out", str(out_csv))
-        assert code == EXIT_PRECONDITION
-        assert text == "" and not out_csv.exists()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = self.run("--mode", mode, "--t-steps", "3", flag, value,
+                                  "--out", str(out_csv))
+        assert (code, text, caught) == (EXIT_PRECONDITION, "", [])
+        assert not out_csv.exists()
         err = capsys.readouterr().err
-        assert "alpha_mag=1.0, theta=0.0, lam=1e+308," in err and "not finite" in err
+        assert err.startswith("precondition error: ModelParams(alpha_mag=1.0, "), err
+        assert err.endswith(" is not finite\n") and err.count("\n") == 1, err
+
+    @settings(max_examples=300, deadline=None)
+    @given(cli_argvs())
+    def test_the_exit_contract_holds_on_edge_values(self, argv_rows):
+        argv, rows = argv_rows
+        with tempfile.TemporaryDirectory() as tmp:
+            out_csv = Path(tmp) / "rows.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, text = self.run(*argv, "--out", str(out_csv))
+            assert code in (EXIT_OK, EXIT_SPEC_ERROR, EXIT_PRECONDITION)
+            if code != EXIT_OK:
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+                assert text == "" and not out_csv.exists()
+                return
+            with open(out_csv, newline="", encoding="ascii") as f:
+                table = list(csv.DictReader(f))
+        assert len(table) == rows
+        for row in table:
+            for column in ("value_cf", "value_exact", "abs_error"):
+                assert row[column] == "" or math.isfinite(float(row[column])), row
 
     def test_convergence_dim_refused_before_the_sweep(self, tmp_path, no_dense_allocation):
         # D = 1160 is admissible, the doubled 2320 is above fock.MAX_DIM

@@ -30,7 +30,7 @@ from anharmonic.dynamics import (
     MONOMIALS,
     MomentSet,
     coherent_moment_set,
-    exact_moment_block,
+    exact_moment_blocks,
 )
 from anharmonic.fock import ModelParams
 from anharmonic.perturbative import (
@@ -38,7 +38,7 @@ from anharmonic.perturbative import (
     delta_y1_squared,
     first_order_delta_y1_squared,
     first_order_hoa_d,
-    first_order_moment_block,
+    first_order_moment_blocks,
     first_order_squeezing_f,
     hoa_witness_d,
     hoa_witness_d_special,
@@ -133,8 +133,10 @@ def assert_columns_are_rows(block):
 @example(20.01, np.pi / 2, 1e-4, np.linspace(0.0, np.pi, 16))
 def test_column_witnesses_are_their_row_witnesses_on_oracle_moments(a, th, lam, ts):
     params = ModelParams.auto(a, th, lam)
-    assert_columns_are_rows(exact_moment_block(params, ts, horizon=np.pi))
-    assert_columns_are_rows(first_order_moment_block(params, ts))
+    [ex] = exact_moment_blocks([params], ts, horizon=np.pi)
+    [fo] = first_order_moment_blocks([params], ts)
+    assert_columns_are_rows(ex)
+    assert_columns_are_rows(fo)
 
 
 moments = st.floats(-1e11, 1e11, allow_subnormal=False)
@@ -150,7 +152,7 @@ def test_column_witnesses_are_their_row_witnesses_on_any_moments(rows):
 
 def test_column_values_classify_like_row_values():
     # t = 0 is the coherent input, where every witness sits in the boundary band
-    block = exact_moment_block(ModelParams.auto(2.0, 0.4, 1e-2), np.linspace(0.0, np.pi, 9))
+    [block] = exact_moment_blocks([ModelParams.auto(2.0, 0.4, 1e-2)], np.linspace(0.0, np.pi, 9))
     for name, witness in WITNESS_VALUES.items():
         labels = classify(witness(column_set(block)))
         assert labels.tolist() == [classify(witness(MomentSet(*row))) for row in block.tolist()], name
@@ -161,7 +163,7 @@ def test_column_values_classify_like_row_values():
 def test_witnesses_return_a_float_for_scalars_and_an_array_for_columns(name):
     witness = WITNESS_VALUES[name]
     assert type(witness(coherent_moment_set(1.3 * np.exp(0.4j)))) is float
-    block = exact_moment_block(ModelParams.auto(1.3, 0.4, 1e-3), np.linspace(0.0, 1.0, 3))
+    [block] = exact_moment_blocks([ModelParams.auto(1.3, 0.4, 1e-3)], np.linspace(0.0, 1.0, 3))
     values = witness(column_set(block))
     assert type(values) is np.ndarray and values.dtype == float and values.shape == (3,)
 

@@ -16,8 +16,8 @@ from anharmonic.criteria import (
 from anharmonic.dynamics import (
     MomentSet,
     coherent_moment_set,
-    exact_moment_block,
-    interaction_moment_block,
+    exact_moment_blocks,
+    ladder_moment_block,
 )
 from anharmonic.fock import ModelParams, number_state
 
@@ -29,9 +29,10 @@ ALL_WITNESSES = {
 
 
 def number_state_moments(n, dim=24):
-    """Moments of |n> via the same machinery the oracle uses at t = 0."""
+    """Moments of |n> via the ladder machinery the oracle uses, with no phase (t = 0)."""
     psi = number_state(n, dim).amplitudes[None, :]
-    return MomentSet(*interaction_moment_block(psi, [0.0]).tolist()[0])
+    [row] = ladder_moment_block(((1, np.sqrt(np.arange(1.0, dim))),), psi).tolist()
+    return MomentSet(*row)
 
 
 class TestClassification:
@@ -64,7 +65,8 @@ class TestCoherentNullity:
 
     def test_boundary_on_numerically_built_coherent_state(self):
         p = ModelParams.auto(1.5, 0.9, 0.0)
-        m = MomentSet(*exact_moment_block(p, [0.0]).tolist()[0])
+        [[row]] = exact_moment_blocks([p], [0.0])
+        m = MomentSet(*row.tolist())
         for witness in ALL_WITNESSES.values():
             assert classify(witness(m)) == BOUNDARY
 
@@ -82,7 +84,8 @@ class TestQuadratureSqueezing:
         # weak quartic interaction at alpha = 1, theta = pi/2, t = 1:
         # the quadrature variance grows, no ordinary squeezing at this point
         p = ModelParams.auto(1.0, np.pi / 2, 1e-3)
-        value = quadrature_squeezing(MomentSet(*exact_moment_block(p, [1.0]).tolist()[0]))
+        [[row]] = exact_moment_blocks([p], [1.0])
+        value = quadrature_squeezing(MomentSet(*row.tolist()))
         assert value > 1e-4
         assert classify(value) == CLASSICAL
 
@@ -100,7 +103,8 @@ class TestAntibunching:
         # (|alpha|=1, theta=pi/4, lam=1e-3, t=pi/4): the closed form gives
         # -3 lam < 0, and the exact witness shares the sign
         p = ModelParams(1.0, np.pi / 4, 1e-3, 29)
-        value = hoa_d_from_moments(MomentSet(*exact_moment_block(p, [np.pi / 4]).tolist()[0]), 1)
+        [[row]] = exact_moment_blocks([p], [np.pi / 4])
+        value = hoa_d_from_moments(MomentSet(*row.tolist()), 1)
         assert value < -1e-4
         assert classify(value) == NONCLASSICAL
 
@@ -110,7 +114,8 @@ class TestHillerySqueezing:
         # theta = pi/2, lam = 1e-3, |alpha| = 1, t = pi/2: first order gives
         # -(3 lam / 4) * 20 = -0.015; exact deviates only at O(lam^2)
         p = ModelParams.auto(1.0, np.pi / 2, 1e-3)
-        value = hillery_squeezing(MomentSet(*exact_moment_block(p, [np.pi / 2]).tolist()[0]))
+        [[row]] = exact_moment_blocks([p], [np.pi / 2])
+        value = hillery_squeezing(MomentSet(*row.tolist()))
         assert abs(value - (-0.015)) < 5e-4
         assert classify(value) == NONCLASSICAL
 
@@ -132,7 +137,7 @@ class TestLeeR:
             lee_R(number_state_moments(0), 1, 1)
 
     def test_columns_give_the_row_values(self):
-        block = exact_moment_block(ModelParams.auto(1.3, 0.4, 1e-2), np.linspace(0.0, 1.0, 5))
+        [block] = exact_moment_blocks([ModelParams.auto(1.3, 0.4, 1e-2)], np.linspace(0.0, 1.0, 5))
         values = lee_R(MomentSet(*block.T), 2, 1)
         rows = [lee_R(MomentSet(*row), 2, 1) for row in block.tolist()]
         assert type(values) is np.ndarray and all(type(v) is float for v in rows)
@@ -162,7 +167,8 @@ class TestHoaD:
         assert abs(hoa_witness_d(3, ci) - (-7.5e-5)) < 1e-12
 
         p = ModelParams(1.0, np.pi / 4, 1e-4, 29)
-        value = hoa_d_from_moments(MomentSet(*exact_moment_block(p, [np.pi / 4]).tolist()[0]), 3)
+        [[row]] = exact_moment_blocks([p], [np.pi / 4])
+        value = hoa_d_from_moments(MomentSet(*row.tolist()), 3)
         assert abs(value - first_order_hoa_d(3, ci)) < 5e-5
         assert classify(value) == NONCLASSICAL
 

@@ -14,10 +14,9 @@ from anharmonic.dynamics import (
     MomentSet,
     _quartic,
     coherent_moment_set,
-    evolve_block,
-    exact_moment_block,
+    evolve_blocks,
+    exact_moment_blocks,
     hamiltonian,
-    interaction_moment_block,
 )
 from anharmonic.fock import FockVector, ModelParams, coherent_state, expectation, make_ladder_ops
 
@@ -97,44 +96,48 @@ class TestParity:
         assert np.count_nonzero(h[~off]) > 0
 
 
-class TestEvolveBlock:
+class TestEvolveBlocks:
     def test_identity_at_t_zero(self):
         p = ModelParams.auto(1.2, 0.7, 1e-2)
-        psi = evolve_block(p, [0.0])[0]
+        [[psi]] = evolve_blocks([p], [0.0])
         ref = coherent_state(p.alpha, p.dim)
         assert np.allclose(psi, ref.amplitudes, atol=1e-13)
 
     def test_free_evolution_conserves_occupations(self):
         p = ModelParams.auto(1.5, 0.3, 0.0)
         ref = np.abs(coherent_state(p.alpha, p.dim).amplitudes)
-        for psi in evolve_block(p, [0.5, 2.0, 11.0]):
+        [block] = evolve_blocks([p], [0.5, 2.0, 11.0])
+        for psi in block:
             assert np.allclose(np.abs(psi), ref, atol=1e-13)
 
     @pytest.mark.parametrize("alpha_mag,lam", [(1.0, 1e-2), (2.0, 1e-3)])
     def test_unitarity_over_horizon(self, alpha_mag, lam):
         p = ModelParams.auto(alpha_mag, 0.4, lam)
-        psi = evolve_block(p, np.linspace(0.0, 4 * np.pi, 40))
+        [psi] = evolve_blocks([p], np.linspace(0.0, 4 * np.pi, 40))
         assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) < 1e-10)
 
     def test_energy_conservation(self):
         p = ModelParams.auto(1.5, np.pi / 3, 1e-2)
         h = hamiltonian(p.lam, p.dim)
-        e0 = expectation(FockVector(evolve_block(p, [0.0])[0]), h).real
-        for psi in evolve_block(p, np.linspace(0.1, 4 * np.pi, 17)):
+        [[psi0]] = evolve_blocks([p], [0.0])
+        e0 = expectation(FockVector(psi0), h).real
+        [block] = evolve_blocks([p], np.linspace(0.1, 4 * np.pi, 17))
+        for psi in block:
             et = expectation(FockVector(psi), h).real
             assert abs(et - e0) < 1e-9 * abs(e0)
 
     def test_horizon_guard(self):
         p = ModelParams.auto(1.0, 0.0, 1e-3)
         with pytest.raises(ValueError):
-            evolve_block(p, [5 * np.pi])
-        evolve_block(p, [5 * np.pi], horizon=6 * np.pi)
+            list(evolve_blocks([p], [5 * np.pi]))
+        [psi] = evolve_blocks([p], [5 * np.pi], horizon=6 * np.pi)
+        assert psi.shape == (1, p.dim)
         assert DEFAULT_TIME_HORIZON == pytest.approx(4 * np.pi)
 
     def test_deterministic_across_calls(self):
         p = ModelParams.auto(1.0, 0.2, 1e-3)
-        s1 = evolve_block(p, [1.3])[0]
-        s2 = evolve_block(p, [1.3])[0]
+        [s1] = evolve_blocks([p], [1.3])
+        [s2] = evolve_blocks([p], [1.3])
         assert np.array_equal(s1, s2)
 
 
@@ -145,7 +148,7 @@ class TestEvolveBlock:
 def test_overflow_is_refused_naming_the_parameters(lam, t, what):
     message = f"(alpha_mag=0.5, theta=0.25, lam={lam!r}, dim=25): {what} is not finite"
     with pytest.raises(FloatingPointError, match=re.escape(message)):
-        evolve_block(ModelParams(0.5, 0.25, lam, 25), [t], horizon=abs(t))
+        list(evolve_blocks([ModelParams(0.5, 0.25, lam, 25)], [t], horizon=abs(t)))
 
 
 class TestRetention:
@@ -158,7 +161,7 @@ class TestRetention:
         tracemalloc.start()
         try:
             for j in range(100):
-                evolve_block(ModelParams(1.0, 0.3, 1e-4 * (j + 1), dim), [0.5])
+                [psi] = evolve_blocks([ModelParams(1.0, 0.3, 1e-4 * (j + 1), dim)], [0.5])
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
@@ -177,7 +180,8 @@ class TestRetention:
 class TestInteractionMoments:
     def test_initial_condition_matches_coherent_moments(self):
         p = ModelParams.auto(1.4, 0.9, 1e-2)
-        m = MomentSet(*exact_moment_block(p, [0.0]).tolist()[0])
+        [block] = exact_moment_blocks([p], [0.0])
+        m = MomentSet(*block.tolist()[0])
         ref = coherent_moment_set(p.alpha)
         for f in MOMENT_FIELDS:
             assert abs(getattr(m, f) - getattr(ref, f)) < 1e-11 * max(1.0, abs(getattr(ref, f)))
@@ -185,14 +189,16 @@ class TestInteractionMoments:
     def test_free_case_is_static_in_the_rotating_frame(self):
         p = ModelParams.auto(1.4, 0.9, 0.0)
         ref = coherent_moment_set(p.alpha)
-        for row in exact_moment_block(p, [0.7, 3.1, 9.4]).tolist():
+        [block] = exact_moment_blocks([p], [0.7, 3.1, 9.4])
+        for row in block.tolist():
             m = MomentSet(*row)
             for f in MOMENT_FIELDS:
                 assert abs(getattr(m, f) - getattr(ref, f)) < 1e-11 * max(1.0, abs(getattr(ref, f)))
 
     def test_diagonal_moments_real_nonnegative(self):
         p = ModelParams.auto(1.8, 1.1, 1e-2)
-        for row in exact_moment_block(p, [0.0, 1.0, 5.5]).tolist():
+        [block] = exact_moment_blocks([p], [0.0, 1.0, 5.5])
+        for row in block.tolist():
             m = MomentSet(*row)
             for f in ("ada", "ad2a2", "ad3a3", "ad4a4"):
                 v = getattr(m, f)
@@ -205,8 +211,9 @@ class TestInteractionMoments:
         p = ModelParams.auto(1.3, 0.5, 1e-2)
         _, _, n = make_ladder_ops(p.dim)
         ts = [0.4, 2.2, 6.0]
-        psi = evolve_block(p, ts)
-        for row, moments in zip(psi, interaction_moment_block(psi, ts).tolist()):
+        [psi] = evolve_blocks([p], ts)
+        [block] = exact_moment_blocks([p], ts)
+        for row, moments in zip(psi, block.tolist()):
             m = MomentSet(*moments)
             assert m.ada.imag == 0.0 or abs(m.ada.imag) < 1e-13
             assert abs(m.ada.real - expectation(FockVector(row), n).real) < 1e-13
@@ -216,8 +223,9 @@ class TestInteractionMoments:
             base = ModelParams.auto(alpha_mag, np.pi / 4, 1e-2)
             doubled = ModelParams(alpha_mag, np.pi / 4, 1e-2, 2 * base.dim)
             ts = [0.0, np.pi, 4 * np.pi]
-            for row1, row2 in zip(exact_moment_block(base, ts).tolist(),
-                                  exact_moment_block(doubled, ts).tolist()):
+            [block1] = exact_moment_blocks([base], ts)
+            [block2] = exact_moment_blocks([doubled], ts)
+            for row1, row2 in zip(block1.tolist(), block2.tolist()):
                 m1, m2 = MomentSet(*row1), MomentSet(*row2)
                 for f in MOMENT_FIELDS:
                     v1, v2 = getattr(m1, f), getattr(m2, f)

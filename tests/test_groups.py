@@ -3,7 +3,7 @@
 ``run_sweep`` evaluates the theta slices of one (|alpha|, lambda) as a group
 that builds H, its ``eigh``, the exp(-iwt) table and the bands of a_1(t) once
 (``exact_moment_blocks``, ``first_order_moment_blocks``).  Every slice must
-come out bit for bit as the one-slice calls give it, and each group's arrays
+come out bit for bit as the one-slice group ``[params]`` gives it, and each group's arrays
 must be gone before the next group's ``eigh``.
 """
 
@@ -19,15 +19,12 @@ from hypothesis import strategies as st
 from anharmonic import perturbative
 from anharmonic.dynamics import (
     MomentSet,
-    evolve_block,
     evolve_blocks,
-    exact_moment_block,
     exact_moment_blocks,
 )
 from anharmonic.fock import ModelParams, default_dim
 from anharmonic.perturbative import (
     ClosedFormInputs,
-    first_order_moment_block,
     first_order_moment_blocks,
 )
 from anharmonic.sweep import WITNESS_NAMES, WITNESSES, SweepSpec, run_sweep
@@ -46,17 +43,21 @@ def bits(values):
 
 
 def one_slice_walk(spec):
-    """value_cf and value_exact of ``spec`` from one-slice calls, slice by slice."""
+    """value_cf and value_exact of ``spec`` from one-slice groups, slice by slice."""
     ts, horizon = spec.t_grid(), spec.horizon()
     need_fo = any(WITNESSES[w].needs_first_order for w in spec.witnesses)
     cf, exact = [], []
     for a, th, lam in product(spec.alpha_mag, spec.theta, spec.lam):
         params = ModelParams(a, th, lam, spec.dim_for(a))
-        fo = MomentSet(*first_order_moment_block(params, ts).T) if need_fo else None
+        fo = None
+        if need_fo:
+            [block] = first_order_moment_blocks([params], ts)
+            fo = MomentSet(*block.T)
         inputs = ClosedFormInputs(a, th, lam, ts)
         cf.append([WITNESSES[w].closed_form(inputs, fo) for w in spec.witnesses])
         if spec.mode != "closed_form":
-            m = MomentSet(*exact_moment_block(params, ts, horizon).T)
+            [block] = exact_moment_blocks([params], ts, horizon)
+            m = MomentSet(*block.T)
             exact.append([WITNESSES[w].exact(m) for w in spec.witnesses])
     return (np.array(cf).transpose(0, 2, 1),
             np.array(exact).transpose(0, 2, 1) if exact else None)
@@ -85,12 +86,12 @@ def test_group_kernels_yield_the_one_slice_blocks():
     ts = np.linspace(-2.0, 3.0, 7)
     group = [ModelParams(a, th, 3e-3, 34) for a, th in
              [(1.3, 0.0), (1.3, -0.0), (0.4, 0.7), (1.3, 0.7), (1.3, 0.7)]]
-    for kernel, one in ((evolve_blocks, evolve_block), (exact_moment_blocks, exact_moment_block),
-                        (first_order_moment_blocks, first_order_moment_block)):
+    for kernel in (evolve_blocks, exact_moment_blocks, first_order_moment_blocks):
         blocks = list(kernel(group, ts))
         assert len(blocks) == len(group)
         for params, block in zip(group, blocks):
-            assert np.array_equal(bits(block), bits(one(params, ts)))
+            [one] = kernel([params], ts)
+            assert np.array_equal(bits(block), bits(one))
 
 
 @pytest.mark.parametrize("kernel", [evolve_blocks, exact_moment_blocks, first_order_moment_blocks])

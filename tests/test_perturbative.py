@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments
-from anharmonic.dynamics import MomentSet, coherent_moment_set, exact_moment_block, ladder_moment_block
+from anharmonic.dynamics import (
+    MomentSet,
+    coherent_moment_set,
+    exact_moment_blocks,
+    ladder_moment_block,
+)
 from anharmonic.fock import ModelParams, coherent_state
 from anharmonic.perturbative import (
     ClosedFormInputs,
@@ -10,7 +15,7 @@ from anharmonic.perturbative import (
     delta_y1_squared,
     first_order_delta_y1_squared,
     first_order_hoa_d,
-    first_order_moment_block,
+    first_order_moment_blocks,
     first_order_squeezing_f,
     hoa_witness_d,
     hoa_witness_d_special,
@@ -36,7 +41,8 @@ def inputs(r, th, lam, t):
 
 def exact_witness(r, th, lam, t, key):
     p = ModelParams(r, th, lam, ModelParams.auto(r).dim)
-    m = MomentSet(*exact_moment_block(p, [t], horizon=8 * np.pi).tolist()[0])
+    [[row]] = exact_moment_blocks([p], [t], horizon=8 * np.pi)
+    m = MomentSet(*row.tolist())
     if key == "N":
         return m.ada.real
     if key == "f":
@@ -232,18 +238,20 @@ class TestFirstOrderMatrix:
         coefs = _bracket_coefficients(0.0, ts)
         assert np.all(coefs[0] == 1.0) and all(np.all(c == 0.0) for c in coefs[1:])
         p = ModelParams.auto(1.0, 0.0, 0.0)
-        block = first_order_moment_block(p, ts)
+        [block] = first_order_moment_blocks([p], ts)
         assert np.array_equal(block, np.repeat(self.annihilation_moments(p), ts.size, axis=0))
 
     def test_initial_time_is_annihilation(self):
         assert _bracket_coefficients(1e-3, 0.0) == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         p = ModelParams.auto(1.0, 0.0, 1e-3)
-        assert np.array_equal(first_order_moment_block(p, [0.0]), self.annihilation_moments(p))
+        [block] = first_order_moment_blocks([p], [0.0])
+        assert np.array_equal(block, self.annihilation_moments(p))
 
     def test_matrix_photon_number_matches_closed_form(self):
         # residual is the dropped O(lam^2) cross term of the operator product
         p = ModelParams.auto(1.0, 0.0, 1e-4)
-        m = MomentSet(*first_order_moment_block(p, [0.5]).tolist()[0])
+        [[row]] = first_order_moment_blocks([p], [0.5])
+        m = MomentSet(*row.tolist())
         cf = mean_photon_number(inputs(1.0, 0.0, 1e-4, 0.5))
         assert abs(m.ada.real - cf) < 1e-7
 
@@ -252,15 +260,17 @@ class TestFirstOrderMatrix:
         for lam in (1e-3, 1e-5):
             p = ModelParams(1.3, 0.4, lam, ModelParams.auto(1.3).dim)
             ts = np.linspace(0.3, 2 * np.pi, 9)
-            m = MomentSet(*first_order_moment_block(p, ts).T)
-            ex = MomentSet(*exact_moment_block(p, ts).T)
+            [fo] = first_order_moment_blocks([p], ts)
+            [ex] = exact_moment_blocks([p], ts)
+            m, ex = MomentSet(*fo.T), MomentSet(*ex.T)
             errs[lam] = np.max(np.abs(m.ada.real - ex.ada.real))
         # two decades of lam: a first-order-exact path gains ~four decades
         assert errs[1e-3] / errs[1e-5] > 2e3
 
     def test_matrix_moments_at_lam_zero_are_coherent(self):
         p = ModelParams.auto(1.2, 0.8, 0.0)
-        m = MomentSet(*first_order_moment_block(p, [3.0]).tolist()[0])
+        [[row]] = first_order_moment_blocks([p], [3.0])
+        m = MomentSet(*row.tolist())
         ref = coherent_moment_set(p.alpha)
         for f in MOMENT_FIELDS:
             assert abs(getattr(m, f) - getattr(ref, f)) < 1e-10 * max(1.0, abs(getattr(ref, f)))
@@ -271,7 +281,8 @@ class TestFirstOrderMatrix:
         residuals = {}
         for lam in (1e-3, 1e-4):
             p = ModelParams(1.0, 0.6, lam, 29)
-            m = MomentSet(*first_order_moment_block(p, [1.1]).tolist()[0])
+            [[row]] = first_order_moment_blocks([p], [1.1])
+            m = MomentSet(*row.tolist())
             d1_matrix = m.ad2a2.real - m.ada.real**2
             residuals[lam] = abs(d1_matrix - hoa_witness_d(1, inputs(1.0, 0.6, lam, 1.1)))
         assert residuals[1e-4] < 1e-6
@@ -285,7 +296,8 @@ class TestExactVsClosedFormBand:
             worst = 0.0
             for th in (0.0, 0.7):
                 p = ModelParams(1.0, th, lam, 29)
-                ex = MomentSet(*exact_moment_block(p, [1.0]).tolist()[0]).ada.real
+                [[row]] = exact_moment_blocks([p], [1.0])
+                ex = MomentSet(*row.tolist()).ada.real
                 cf = mean_photon_number(inputs(1.0, th, lam, 1.0))
                 worst = max(worst, abs(ex - cf))
             errs[lam] = worst

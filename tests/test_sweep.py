@@ -10,11 +10,11 @@ import pytest
 
 from anharmonic import cli, criteria, dynamics, sweep
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
-from anharmonic.dynamics import MomentSet, exact_moment_block
+from anharmonic.dynamics import MomentSet, exact_moment_blocks
 from anharmonic.fock import MAX_GRID_CELLS, ModelParams, TruncationError, default_dim
 from anharmonic.perturbative import (
     ClosedFormInputs,
-    first_order_moment_block,
+    first_order_moment_blocks,
     first_order_squeezing_f,
     hoa_witness_d,
     mean_photon_number,
@@ -305,8 +305,9 @@ class TestWitnessTable:
         t = float(spec.t_grid()[1])
         ci = ClosedFormInputs(a, th, lam, t)
         params = ModelParams(a, th, lam, default_dim(a))
-        fo = MomentSet(*first_order_moment_block(params, [t]).tolist()[0])
-        ex = MomentSet(*exact_moment_block(params, [t], horizon=spec.horizon()).tolist()[0])
+        [[fo]] = first_order_moment_blocks([params], [t])
+        [[ex]] = exact_moment_blocks([params], [t], horizon=spec.horizon())
+        fo, ex = MomentSet(*fo.tolist()), MomentSet(*ex.tolist())
         expected = {
             "f": (squeezing_witness_f(ci), hillery_squeezing(ex)),
             "d1": (hoa_witness_d(1, ci), hoa_d_from_moments(ex, 1)),
