@@ -177,11 +177,14 @@ def exact_moment_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
 
     For each monomial: <a^dag^m a^n>_I = e^{i(n-m)t} <psi_t| a^dag^m a^n |psi_t>,
     with a^k psi built by repeated sqrt(n)-weighted shifts, O(dim) per state.
-    The (T, 10) table e^{i(n-m)t} is built once per group, before its first block.
+    The (T, 10) table e^{i(n-m)t} is built once per group, with its first block,
+    so that ``evolve_blocks`` has checked the horizon before any arithmetic on ts.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
+    phase = None
     for psi in evolve_blocks(params_list, ts, horizon):
+        if phase is None:
+            phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
         raw = ladder_moment_block(((1, np.sqrt(np.arange(1.0, psi.shape[-1]))),), psi)
         # the product is written out in real arithmetic so that it rounds like the
         # scalar complex product and does not depend on the block's length

@@ -161,3 +161,10 @@ def test_time_grid_beyond_horizon_is_refused():
         list(exact_moment_blocks([params], [0.0, 5 * np.pi]))
     [block] = exact_moment_blocks([params], [0.0, 5 * np.pi], horizon=5 * np.pi)
     assert block.shape == (2, 10)
+
+
+def test_horizon_is_refused_before_any_arithmetic_on_the_grid():
+    # t = 1e308 would overflow the phase table, which warnings turn into errors
+    params = ModelParams.auto(1.0, 0.0, 1e-3)
+    with pytest.raises(ValueError, match="horizon"):
+        list(exact_moment_blocks([params], [0.0, 1e308]))

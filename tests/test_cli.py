@@ -284,19 +284,25 @@ class TestMain:
         assert "spec error: t_steps:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("flag, value", [("--lambda", "1e308"), ("--lambda", "1e300"),
-                                             ("--t-end", "1e300"), ("--theta", "1e308")])
-    def test_non_finite_values_refused(self, tmp_path, mode, flag, value, capsys):
-        # the overflow on the way to the refusal prints no numpy warning
+    @pytest.mark.parametrize("argv", [("--lambda", "1e308", "--witness", "N,f,d1"),
+                                      ("--lambda", "1e300"), ("--t-end", "1e300"),
+                                      ("--theta", "1e308")])
+    def test_non_finite_values_refused(self, tmp_path, mode, argv, capsys):
+        # the overflow on the way to the refusal prints no numpy warning, and
+        # the one line it prints names the slice's alpha, theta and lambda
         out_csv = tmp_path / "rows.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, text = self.run("--mode", mode, "--t-steps", "3", flag, value,
+            code, text = self.run("--mode", mode, "--t-steps", "3", *argv,
                                   "--out", str(out_csv))
         assert (code, text, caught) == (EXIT_PRECONDITION, "", [])
         assert not out_csv.exists()
+        given = dict(zip(argv[::2], argv[1::2]))
+        theta = parse_number(given.get("--theta", DEFAULTS["theta"]))
+        lam = parse_number(given.get("--lambda", DEFAULTS["lambda"]))
         err = capsys.readouterr().err
-        assert err.startswith("precondition error: ModelParams(alpha_mag=1.0, "), err
+        assert err.startswith("precondition error: ModelParams(alpha_mag=1.0, "
+                              f"theta={theta!r}, lam={lam!r}, "), err
         assert err.endswith(" is not finite\n") and err.count("\n") == 1, err
 
     @settings(max_examples=300, deadline=None)
