@@ -9,9 +9,17 @@ against this checkout's ``src``, each in a fresh interpreter with one BLAS
 thread, in its own empty directory.  The CSV bytes and the CLI stdout of the
 two runs are compared.  Prints one line per workload and seed; exits 0 when
 every pair is identical and 1 when any pair differs or any run fails.
+
+When two CSVs differ but their rows line up (same header, row count and first
+five cells), the pair's line is followed by a value report: one line per
+witness and value column that moved, with its largest |delta| in units of
+the benchmark's reference tolerance (``sweepbench/check.py::tolerance``),
+then the number of relabelled rows and the first few of them.  Otherwise the
+line names the first differing CSV line.
 """
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEPBENCH = ROOT / "sweepbench"
 CSV_NAME = "sweep.csv"
 CHILD_TIMEOUT_S = 600
+VALUE_COLUMNS = ("value_cf", "value_exact", "abs_error")
+#: Relabelled rows the value report lists.
+RELABELLED_SHOWN = 3
 
 # run in the child: import the package from the given src, run one workload
 CHILD = """
@@ -58,6 +69,34 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"lengths {len(a)} and {len(b)} bytes"
 
 
+def value_report(a: bytes, b: bytes):
+    """Lines saying how the values of CSV ``b`` moved from ``a``, or None when
+    the rows do not line up (header, row count and first five cells)."""
+    from check import tolerance
+
+    rows_a = [line.decode().split(",") for line in a.splitlines()]
+    rows_b = [line.decode().split(",") for line in b.splitlines()]
+    if (len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]
+            or any(x[:5] != y[:5] or len(x) != len(y) for x, y in zip(rows_a, rows_b))):
+        return None
+    worst = {}  # (witness, column) -> largest |delta| / tolerance
+    relabelled = []
+    for line, (x, y) in enumerate(zip(rows_a[1:], rows_b[1:]), start=2):
+        if x == y:
+            continue
+        tol = tolerance(x[4], float(x[0]))
+        for column, u, v in zip(VALUE_COLUMNS, x[5:8], y[5:8]):
+            if u != v:
+                # a cell filled on one side only moved without bound
+                delta = abs(float(v) - float(u)) / tol if u and v else math.inf
+                worst[x[4], column] = max(worst.get((x[4], column), 0.0), delta)
+        if x[8:] != y[8:]:
+            relabelled.append(f"    line {line} ({','.join(x[:5])}): {x[8]} -> {y[8]}")
+    return ([f"  {witness} {column}: largest |delta| {delta:.3g} x tolerance"
+             for (witness, column), delta in worst.items()]
+            + [f"  {len(relabelled)} relabelled rows"] + relabelled[:RELABELLED_SHOWN])
+
+
 def main(argv) -> int:
     sys.path.insert(0, str(SWEEPBENCH))
     from workloads import WORKLOADS
@@ -81,11 +120,18 @@ def main(argv) -> int:
                 print(f"{name} seed={seed}: run failed: {exc}")
                 ok = False
                 continue
-            diffs = [f"{what} differs, {first_difference(a, b)}"
-                     for what, a, b in zip(("csv", "stdout"), before, after) if a != b]
+            diffs, report = [], None
+            if before[0] != after[0]:
+                report = value_report(before[0], after[0])
+                diffs.append("csv differs, " + ("in values" if report is not None
+                                                else first_difference(before[0], after[0])))
+            if before[1] != after[1]:
+                diffs.append(f"stdout differs, {first_difference(before[1], after[1])}")
             ok = ok and not diffs
             print(f"{name} seed={seed}: " + ("; ".join(diffs) if diffs else
                   f"identical ({len(after[0])} csv bytes, {len(after[1])} stdout bytes)"))
+            for line in report or ():
+                print(line)
     print("same output" if ok else "output differs")
     return 0 if ok else 1
 

@@ -2,12 +2,13 @@
 
 Every witness here consumes moments, not states, so the same code path
 classifies values coming from the exact oracle, from the first-order
-operator matrix, or from scalar closed forms -- the comparison harness
+operator a_1(t), or from scalar closed forms -- the comparison harness
 relies on that seam.  A witness returns its value; only ``classify`` labels
 it: below -tolerance is nonclassical, within +-tolerance is boundary
 (coherent-state level), above is classical.  The witnesses and ``classify``
 also work elementwise on arrays, e.g. on a MomentSet of (T, 10) block
-columns; ``np.float_power`` rounds like float ``**``.
+columns, bit for bit like the scalar call: ``np.float_power`` rounds like C
+``pow`` on both, where numpy's array ``**`` differs in the last bit.
 """
 
 from __future__ import annotations
@@ -38,17 +39,12 @@ def classify(value: float, tolerance: float = DEFAULT_BOUNDARY_TOL) -> str:
     return _LABELS[2 - (value <= tolerance) - (value < -tolerance)]
 
 
-def _value(value):
-    """A witness value: a Python float, or the array for column moments."""
-    return value if isinstance(value, np.ndarray) else float(value)
-
-
 def quadrature_squeezing(moments: MomentSet) -> float:
     """(Delta X)^2 - 1/2 for X = (a^dag + a)/sqrt(2); negative means squeezed.
 
     Expansion: <X^2> = Re<a^2> + <a^dag a> + 1/2 and <X> = sqrt(2) Re<a>.
     """
-    return _value(moments.a2.real + moments.ada.real - 2.0 * np.float_power(moments.a.real, 2))
+    return moments.a2.real + moments.ada.real - 2.0 * np.float_power(moments.a.real, 2)
 
 
 def hillery_squeezing(moments: MomentSet) -> float:
@@ -59,7 +55,7 @@ def hillery_squeezing(moments: MomentSet) -> float:
     [a, a^dag] folds a^2 a^dag^2 onto normally ordered pieces) and
     <Y1> = sqrt(2) Re<a^2>; the <2N + 1> reference cancels the 2<N> + 1 part.
     """
-    return _value(moments.a4.real + moments.ad2a2.real - 2.0 * np.float_power(moments.a2.real, 2))
+    return moments.a4.real + moments.ad2a2.real - 2.0 * np.float_power(moments.a2.real, 2)
 
 
 def lee_R(moments: MomentSet, l: int, m: int) -> float:
@@ -80,7 +76,7 @@ def lee_R(moments: MomentSet, l: int, m: int) -> float:
         raise VacuumDenominatorError(
             f"<N^({l})> <N^({m})> = 0 (vacuum-dominated state); R(l, m) undefined"
         )
-    return _value(nfac[l + 1] * nfac[m - 1] / denom - 1.0)
+    return nfac[l + 1] * nfac[m - 1] / denom - 1.0
 
 
 def hoa_d_from_moments(moments: MomentSet, l: int) -> float:
@@ -94,4 +90,4 @@ def hoa_d_from_moments(moments: MomentSet, l: int) -> float:
     fm = moments.factorial_moments()
     if l + 1 > len(fm):
         raise ValueError(f"need factorial moments up to order {l + 1}, have {len(fm)}")
-    return _value(fm[l] - np.float_power(fm[0], l + 1))
+    return fm[l] - np.float_power(fm[0], l + 1)

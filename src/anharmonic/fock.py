@@ -80,9 +80,12 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
         try:
-            object.__setattr__(self, "dim", int(self.dim))
-        except (ValueError, OverflowError):
-            raise ValueError(f"dim must be a finite integer, got {self.dim!r}") from None
+            dim = int(self.dim)
+        except (TypeError, ValueError, OverflowError):
+            dim = None
+        if dim is None or dim != self.dim:
+            raise ValueError(f"dim must be a finite integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", dim)
         if self.alpha_mag < 0.0:
             raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
         if self.lam < 0.0:

@@ -24,8 +24,8 @@ conventions to one place and preserves the exact floating-point zeros on the
 t = 2*theta locus (the argument t - 2*theta is computed as written, so it is
 exactly 0.0 there).
 
-Every closed form takes ``t`` as a float (giving a Python float) or an array
-of times (giving one value per time, bit-identical to the float call).
+Every closed form takes ``t`` as a float (giving numpy's float64) or an
+array of times (giving one value per time, bit-identical to the float call).
 
 The first-order operator solution in the rotating frame is
 
@@ -74,26 +74,20 @@ class ClosedFormInputs:
 # shared bracket pieces (separately testable)
 # ---------------------------------------------------------------------------
 
-def _sin(x):
-    """np.sin, as a Python float for a float argument."""
-    s = np.sin(x)
-    return s if isinstance(s, np.ndarray) else float(s)
-
-
 def phase_fundamental(theta: float, t: float) -> float:
     """P1 = sin(t - 2 theta) sin(t); exactly 0.0 on the t = 2*theta locus."""
-    return _sin(t - 2.0 * theta) * _sin(t)
+    return np.sin(t - 2.0 * theta) * np.sin(t)
 
 
 def phase_second_harmonic(theta: float, t: float) -> float:
     """P2 = sin(2 (t - 2 theta)) sin(2 t); exactly 0.0 at t = 2*theta."""
-    return _sin(2.0 * (t - 2.0 * theta)) * _sin(2.0 * t)
+    return np.sin(2.0 * (t - 2.0 * theta)) * np.sin(2.0 * t)
 
 
 def secular_factor(theta: float, t: float) -> float:
     """S = t sin(4 theta).  Linear growth is physical at first order; the
     argument is never reduced modulo 2*pi."""
-    return t * _sin(4.0 * theta)
+    return t * np.sin(4.0 * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +152,9 @@ def _squeezing_f(inputs: ClosedFormInputs, sin2_sign: float) -> float:
     """Both f forms; ``sin2_sign`` is the sign of their sin^2(2t) term."""
     r2 = inputs.alpha_mag**2
     s = secular_factor(inputs.theta, inputs.t)
-    s2t = _sin(2.0 * inputs.t)
+    s2t = np.sin(2.0 * inputs.t)
     return -(3.0 * inputs.lam / 4.0) * (
-        -4.0 * r2 * (2.0 * r2 + 3.0) * _sin(inputs.t) * _sin(inputs.t + 2.0 * inputs.theta)
+        -4.0 * r2 * (2.0 * r2 + 3.0) * np.sin(inputs.t) * np.sin(inputs.t + 2.0 * inputs.theta)
         - 4.0 * r2 * r2 * s
         + sin2_sign * (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * s2t * s2t
     )
@@ -211,8 +205,8 @@ def squeezing_witness_f_special(inputs: ClosedFormInputs) -> float:
     ``theta`` field of ``inputs`` is ignored.
     """
     r2 = inputs.alpha_mag**2
-    st = _sin(inputs.t)
-    s2t = _sin(2.0 * inputs.t)
+    st = np.sin(inputs.t)
+    s2t = np.sin(2.0 * inputs.t)
     return -(3.0 * inputs.lam / 4.0) * (
         4.0 * r2 * (2.0 * r2 + 3.0) * st * st
         + (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * s2t * s2t
@@ -253,8 +247,8 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
     The ``theta`` field of ``inputs`` is ignored.
     """
     r4 = inputs.alpha_mag**4
-    st = _sin(inputs.t)
-    s2t = _sin(2.0 * inputs.t)
+    st = np.sin(inputs.t)
+    s2t = np.sin(2.0 * inputs.t)
     if order == 2:
         return (3.0 * inputs.lam * r4 / 2.0) * (-st * st + s2t * s2t)
     if order == 3:

@@ -4,7 +4,7 @@ A sweep walks the grid alpha x theta x lambda x t in a fixed nested order and
 emits one row per grid point per witness, so identical specs produce byte
 identical CSV files.  ``WITNESSES`` is the one table of witnesses: for each
 name it gives the closed-form value (a scalar closed form for f, d1, d2, d3
-and N; moments of the first-order operator matrix for quadrature and
+and N; moments of the first-order operator a_1(t) for quadrature and
 hillery), the value from exact-oracle moments (modes ``exact`` and
 ``compare``) and the reference a value is classified against.
 
@@ -48,7 +48,7 @@ class Witness:
 
     ``closed_form(inputs, fo_moments)`` and ``exact(moments)`` give a slice's
     two values per t (``inputs.t`` is the grid, MomentSet fields are moment
-    columns); ``fo_moments`` are the first-order operator matrix's moments when
+    columns); ``fo_moments`` are the first-order operator's moments when
     ``needs_first_order``.  A row is classified by value - ``reference(alpha_mag)``.
     """
 
@@ -108,9 +108,10 @@ class SweepSpec:
 
     ``dim`` of None means the truncation heuristic is applied per alpha grid
     point.  ``witnesses`` is an ordered subset of ``WITNESS_NAMES``.
-    Construction refuses, with a ``SweepSpecError`` naming the field, an
-    empty, negative or non-finite grid, a t span beyond the float range, fewer
-    than two t steps, an unknown mode or witness, a zero lambda in mode
+    Construction refuses, with a ``SweepSpecError`` naming the field, a value
+    that is not a number, a string grid, a non-integral ``t_steps`` or ``dim``,
+    an empty, negative or non-finite grid, a t span beyond the float range,
+    fewer than two t steps, an unknown mode or witness, a zero lambda in mode
     ``compare``, a ``dim`` below ``MIN_DIM``, a grid above ``MAX_GRID_CELLS``
     and an ``output_path`` that names a directory or lies in a missing one.
     Then a ``dim`` that is unsafe for some alpha (below its truncation floor
@@ -129,14 +130,19 @@ class SweepSpec:
     output_path: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("alpha_mag", "theta", "lam"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        object.__setattr__(self, "t_start", float(self.t_start))
-        object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "t_steps", int(self.t_steps))
+        for name, kind in (("alpha_mag", tuple), ("theta", tuple), ("lam", tuple), ("t_start", float),
+                           ("t_end", float), ("t_steps", int), ("dim", int)):
+            value = getattr(self, name)
+            if value is None and name == "dim":
+                continue
+            try:
+                if (kind is tuple and isinstance(value, str)) or (kind is int and int(value) != value):
+                    raise TypeError(f"expected {'numbers' if kind is tuple else 'an integer'}, got {value!r}")
+                converted = tuple(float(x) for x in value) if kind is tuple else kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SweepSpecError(f"{'lambda' if name == 'lam' else name}: {exc}") from None
+            object.__setattr__(self, name, converted)
         object.__setattr__(self, "witnesses", tuple(self.witnesses))
-        if self.dim is not None:
-            object.__setattr__(self, "dim", int(self.dim))
         if not self.alpha_mag:
             raise SweepSpecError("alpha_mag: grid must be nonempty")
         if any(a < 0 for a in self.alpha_mag):

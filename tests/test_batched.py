@@ -2,7 +2,10 @@
 
 ``exact_moment_blocks`` and ``first_order_moment_blocks`` evaluate a whole
 time grid at once, here for one-slice groups.  The properties are drawn at
-random over the safe region |alpha| <= 4, lam <= 1e-2, |t| <= 4 pi.
+random over |alpha| <= 4, lam <= 1e-2, |t| <= 4 pi.  At the default dim the
+population of the top 4 levels there peaks at 6.3e-13 at |alpha| = 2,
+1.6e-10 at 3 and 1.8e-8 at 4 (D = 68), measured at theta = 0, lam = 1e-2
+over 257 times on [-4 pi, 4 pi].
 """
 
 import numpy as np

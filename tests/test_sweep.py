@@ -103,6 +103,28 @@ class TestSpecValidation:
         with pytest.raises(SweepSpecError, match="^out: "):
             small_spec(alpha_mag=(3.0,), dim=15, output_path=str(tmp_path))
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("t_steps", dict(t_steps=3.9)),
+        ("t_steps", dict(t_steps="x")),
+        ("t_steps", dict(t_steps=math.nan)),
+        ("dim", dict(dim=29.9)),
+        ("dim", dict(dim=math.nan)),
+        ("dim", dict(dim="auto")),
+        # a string grid would be read one character at a time
+        ("alpha_mag", dict(alpha_mag="12")),
+        ("alpha_mag", dict(alpha_mag=("a",))),
+        ("lambda", dict(lam="0.1")),
+        ("t_start", dict(t_start="x")),
+    ])
+    def test_malformed_values_named_in_error(self, field, overrides):
+        with pytest.raises(SweepSpecError, match=f"^{field}: "):
+            small_spec(**overrides)
+
+    @pytest.mark.parametrize("t_steps", [2.0, np.int64(3)])
+    def test_integral_t_steps_accepted(self, t_steps):
+        spec = small_spec(t_steps=t_steps, dim=np.int64(30))
+        assert (type(spec.t_steps), spec.t_steps, type(spec.dim)) == (int, t_steps, int)
+
     @pytest.mark.parametrize("dim", [1, 0, -5])
     def test_dim_below_two_named_in_error(self, dim):
         with pytest.raises(SweepSpecError, match="^dim: must be >= 2"):
