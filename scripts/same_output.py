@@ -1,4 +1,5 @@
-"""Check that a source tree writes the same output as this one on every benchmark workload.
+"""Check that a source tree writes the same output as this one on every benchmark
+workload and on one fixed CLI case.
 
     python scripts/same_output.py PARENT_SRC [--seeds 0 7] [--workload NAME ...]
 
@@ -9,6 +10,12 @@ against this checkout's ``src``, each in a fresh interpreter with one BLAS
 thread, in its own empty directory.  The CSV bytes and the CLI stdout of the
 two runs are compared.  Prints one line per workload and seed; exits 0 when
 every pair is identical and 1 when any pair differs or any run fails.
+
+The workload ``cli_edge_case`` is ``CLI_CASE``, run once through
+``anharmonic.cli.main`` with ``--out sweep.csv`` (seeds do not apply).  It
+reaches what the benchmark grids do not: |alpha| = 0, whose vacuum input
+writes -0.0 cells, negative t, one ``--dim`` shared by two |alpha|, and the
+one-slice groups of ``--check-convergence``.
 
 When two CSVs differ but their rows line up (same header, row count and first
 five cells), the pair's line is followed by a value report: one line per
@@ -33,8 +40,13 @@ CHILD_TIMEOUT_S = 600
 VALUE_COLUMNS = ("value_cf", "value_exact", "abs_error")
 #: Relabelled rows the value report lists.
 RELABELLED_SHOWN = 3
+CLI_CASE_NAME = "cli_edge_case"
+CLI_CASE = ("--alpha", "0,2.5", "--theta=-pi/4,pi", "--lambda", "1e-3,1e-4",
+            "--t-start=-2pi", "--t-end", "2pi", "--t-steps", "33", "--dim", "60",
+            "--mode", "compare", "--check-convergence")
 
-# run in the child: import the package from the given src, run one workload
+# run in the child: import the package from the given src, then run one
+# workload at one seed, or the CLI with the given arguments
 CHILD = """
 import sys
 from pathlib import Path
@@ -42,20 +54,26 @@ import anharmonic
 src = Path(sys.argv[1]).resolve()
 if src not in Path(anharmonic.__file__).resolve().parents:
     sys.exit(f"anharmonic was imported from {anharmonic.__file__}, not from {src}")
+if sys.argv[2] == "--cli":
+    from anharmonic.cli import main
+    sys.exit(main(sys.argv[3:]))
 from workloads import WORKLOADS
 sys.stdout.write(WORKLOADS[sys.argv[2]].inputs(int(sys.argv[3])).run(sys.argv[4]))
 """
 
 
-def run_workload(src: Path, name: str, seed: int):
-    """(csv bytes, stdout) of one workload run against ``src``."""
+def run_workload(src: Path, name: str, seed):
+    """(csv bytes, stdout) of one workload run against ``src`` at ``seed``, or
+    of ``cli_edge_case``, whose seed is None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join((str(src), str(SWEEPBENCH)))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    args = (("--cli", *CLI_CASE, "--out", CSV_NAME) if name == CLI_CASE_NAME
+            else (name, str(seed), CSV_NAME))
     with tempfile.TemporaryDirectory() as work:
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, str(src), name, str(seed), CSV_NAME],
+            [sys.executable, "-c", CHILD, str(src), *args],
             cwd=work, env=env, capture_output=True, timeout=CHILD_TIMEOUT_S)
         if proc.returncode != 0:
             raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.decode(errors='replace').strip()}")
@@ -104,34 +122,37 @@ def main(argv) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent_src", type=Path)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
-    p.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS), default=sorted(WORKLOADS))
+    names = [*sorted(WORKLOADS), CLI_CASE_NAME]
+    p.add_argument("--workload", nargs="+", choices=names, default=names)
     args = p.parse_args(argv)
     parent = args.parent_src.resolve()
     if not (parent / "anharmonic" / "__init__.py").is_file():
         p.error(f"{parent} holds no anharmonic package")
 
     ok = True
-    for name in args.workload:
-        for seed in args.seeds:
-            try:
-                before = run_workload(parent, name, seed)
-                after = run_workload(ROOT / "src", name, seed)
-            except (RuntimeError, OSError, subprocess.SubprocessError) as exc:
-                print(f"{name} seed={seed}: run failed: {exc}")
-                ok = False
-                continue
-            diffs, report = [], None
-            if before[0] != after[0]:
-                report = value_report(before[0], after[0])
-                diffs.append("csv differs, " + ("in values" if report is not None
-                                                else first_difference(before[0], after[0])))
-            if before[1] != after[1]:
-                diffs.append(f"stdout differs, {first_difference(before[1], after[1])}")
-            ok = ok and not diffs
-            print(f"{name} seed={seed}: " + ("; ".join(diffs) if diffs else
-                  f"identical ({len(after[0])} csv bytes, {len(after[1])} stdout bytes)"))
-            for line in report or ():
-                print(line)
+    runs = [(name, seed) for name in args.workload
+            for seed in ((None,) if name == CLI_CASE_NAME else args.seeds)]
+    for name, seed in runs:
+        label = name if seed is None else f"{name} seed={seed}"
+        try:
+            before = run_workload(parent, name, seed)
+            after = run_workload(ROOT / "src", name, seed)
+        except (RuntimeError, OSError, subprocess.SubprocessError) as exc:
+            print(f"{label}: run failed: {exc}")
+            ok = False
+            continue
+        diffs, report = [], None
+        if before[0] != after[0]:
+            report = value_report(before[0], after[0])
+            diffs.append("csv differs, " + ("in values" if report is not None
+                                            else first_difference(before[0], after[0])))
+        if before[1] != after[1]:
+            diffs.append(f"stdout differs, {first_difference(before[1], after[1])}")
+        ok = ok and not diffs
+        print(f"{label}: " + ("; ".join(diffs) if diffs else
+              f"identical ({len(after[0])} csv bytes, {len(after[1])} stdout bytes)"))
+        for line in report or ():
+            print(line)
     print("same output" if ok else "output differs")
     return 0 if ok else 1
 

@@ -23,6 +23,12 @@ A whole time grid is evaluated in one pass: ``evolve_blocks`` yields the
 its (T, 10) block of moments, with a applied as a sqrt(n)-weighted shift, so
 the work per grid is O(dim^2 T) for the evolution and O(dim T) for the
 moments.  A single slice is the group ``[params]``.
+
+A banded operator is laid out once per group (``lay_out_bands``) over the
+C-ordered (T, dim) ket block read as one flat row, with zeros where a
+diagonal leaves the basis, so ``apply_banded`` makes one contiguous pass per
+diagonal over the whole block; each row keeps the bits of applying its ket
+alone.
 """
 
 from __future__ import annotations
@@ -136,32 +142,66 @@ def evolve_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
         yield psi
 
 
-def apply_banded(bands, kets: np.ndarray) -> np.ndarray:
-    """Apply the operator with diagonals ``(k, diag)`` (entries [i, i + k],
-    |k| < dim) to every row of the (T, dim) block ``kets``.
+def lay_out_bands(bands, rows: int, dim: int):
+    """Lay out the operator with diagonals ``(k, diag)`` (entries [i, i + k]) for
+    ``apply_banded`` on a (rows, dim) ket block; a repeated k adds its diagonal to
+    the earlier ones, in order, promoting the band's dtype as ``+`` would.
 
-    ``diag`` has length dim - |k| and may carry a leading axis with one row
-    per ket; each band costs O(dim) per ket.
+    ``diag`` has length dim - |k| and may carry a leading axis with one row per
+    ket.  Each band is written into a zeroed (rows, dim) array, raveled and cut
+    to rows * dim - |k| entries.  Read against the raveled C-ordered ket block,
+    each band is then one contiguous run: the |k| zeros padding each row sit
+    where i + k leaves the basis, and meet the neighbouring row's kets.  A
+    diagonal with |k| >= dim holds no entry of the basis and is dropped.
     """
-    dim = kets.shape[-1]
-    out = np.zeros(kets.shape, dtype=complex)
+    laid = {}
     for k, diag in bands:
-        if k >= 0:
-            out[:, :dim - k] += diag * kets[:, k:]
+        n = dim - abs(k)
+        if n <= 0:
+            continue
+        if k in laid:
+            laid[k] = laid[k].astype(np.result_type(laid[k], diag), copy=False)
+            laid[k][:, :n] += diag
         else:
-            out[:, -k:] += diag * kets[:, :dim + k]
-    return out
+            laid[k] = np.zeros((rows, dim), dtype=np.result_type(diag))
+            laid[k][:, :n] = diag
+    return tuple((k, band.reshape(-1)[:band.size - abs(k)]) for k, band in laid.items())
+
+
+def apply_banded(bands, kets: np.ndarray) -> np.ndarray:
+    """Apply the operator laid out by ``lay_out_bands`` to every row of the
+    (T, dim) block ``kets`` it was laid out for.
+
+    Each band is one contiguous multiply-add over the raveled block, O(dim T),
+    where a row-wise pass would take T strided ones.  Each row gets the bits of
+    applying its ket alone: every entry is the same products, added in the same
+    band order onto the same +0 start.  A padded zero adds 0 times a
+    neighbouring row's entry, which is +-0 and moves nothing, as a sum that
+    starts at +0 is never -0.  The exception is an inf or nan entry: 0 * inf
+    makes the neighbouring row nan too, silently inside the sweep's
+    ``np.errstate``, and the slice that holds the non-finite row is refused
+    anyway.
+    """
+    x = kets.reshape(-1)
+    out = np.zeros(x.size, dtype=complex)
+    for k, band in bands:
+        if k >= 0:
+            out[:x.size - k] += band * x[k:]
+        else:
+            out[-k:] += band * x[:x.size + k]
+    return out.reshape(kets.shape)
 
 
 def ladder_moment_block(bands, psi: np.ndarray) -> np.ndarray:
     """(T, len(MONOMIALS)) block of <b^m psi|b^n psi> for each row psi of the
-    (T, dim) block ``psi``, where b is the operator with diagonals ``bands``
-    (see ``apply_banded``).
+    (T, dim) block ``psi``, where b is the operator laid out for it by
+    ``lay_out_bands``.
 
-    Each b^k psi is built by repeated banded application, and each entry is
-    ``np.vecdot`` of two kets, bit-identical to ``np.vdot`` of each row pair.
+    ``psi`` is made C-contiguous once (a broadcast input is copied), each b^k psi
+    is built by repeated ``apply_banded``, and each entry is ``np.vecdot`` of
+    two contiguous kets, bit-identical to ``np.vdot`` of each row pair.
     """
-    kets = [psi]
+    kets = [np.ascontiguousarray(psi)]
     for _ in range(4):
         kets.append(apply_banded(bands, kets[-1]))
     block = np.empty((psi.shape[0], len(MONOMIALS)), dtype=complex)
@@ -177,7 +217,8 @@ def exact_moment_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
 
     For each monomial: <a^dag^m a^n>_I = e^{i(n-m)t} <psi_t| a^dag^m a^n |psi_t>,
     with a^k psi built by repeated sqrt(n)-weighted shifts, O(dim) per state.
-    The (T, 10) table e^{i(n-m)t} is built once per group, with its first block,
+    The (T, 10) table e^{i(n-m)t} and the sqrt(n) band laid out over the (T, dim)
+    block (see ``lay_out_bands``) are built once per group, with its first block,
     so that ``evolve_blocks`` has checked the horizon before any arithmetic on ts.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -185,7 +226,9 @@ def exact_moment_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
     for psi in evolve_blocks(params_list, ts, horizon):
         if phase is None:
             phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
-        raw = ladder_moment_block(((1, np.sqrt(np.arange(1.0, psi.shape[-1]))),), psi)
+            dim = psi.shape[-1]
+            bands = lay_out_bands(((1, np.sqrt(np.arange(1.0, dim))),), ts.size, dim)
+        raw = ladder_moment_block(bands, psi)
         # the product is written out in real arithmetic so that it rounds like the
         # scalar complex product and does not depend on the block's length
         block = np.empty_like(raw)

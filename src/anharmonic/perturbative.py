@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _group_key, ladder_moment_block
+from .dynamics import _group_key, ladder_moment_block, lay_out_bands
 from .fock import coherent_state
 
 
@@ -294,17 +294,18 @@ def first_order_moment_blocks(params_list, ts):
     operator already lives in the rotating frame, so no extra phases apply.
     a_1(t) has four nonzero diagonals (offsets +-1 and +-3), so it acts on the
     (T, dim) block of kets as weighted shifts with one coefficient row per t:
-    O(dim T) per application, and no dim x dim matrix per t.  The diagonals
-    depend on lam and dim only, so they are built once per group, at the first
-    block, and dropped when the last is done.  Agrees with the exact oracle to
-    O(lam^2) -- the dropped cross terms of the Dyson series.
+    O(dim T) per application, and no dim x dim matrix per t.  The bands depend
+    on lam, dim and ts only, so they are merged per offset straight into their
+    layout over the (T, dim) block (see ``dynamics.lay_out_bands``), their one
+    copy, once per group, at the first block, and dropped when the last is
+    done.  Agrees with the exact oracle to O(lam^2) -- the dropped cross terms
+    of the Dyson series.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     lam, dim = _group_key(params_list)
-    bands = {}
-    for c, (k, diag) in zip(_bracket_coefficients(lam, ts), _bracket_bands(dim)):
-        term = c[:, None] * diag
-        bands[k] = bands[k] + term if k in bands else term
+    bands = lay_out_bands(((k, c[:, None] * diag) for c, (k, diag)
+                           in zip(_bracket_coefficients(lam, ts), _bracket_bands(dim))),
+                          ts.size, dim)
     for params in params_list:
         psi0 = coherent_state(params.alpha, dim).amplitudes
-        yield ladder_moment_block(bands.items(), np.broadcast_to(psi0, (ts.size, dim)))
+        yield ladder_moment_block(bands, np.broadcast_to(psi0, (ts.size, dim)))

@@ -109,11 +109,13 @@ class SweepSpec:
     ``dim`` of None means the truncation heuristic is applied per alpha grid
     point.  ``witnesses`` is an ordered subset of ``WITNESS_NAMES``.
     Construction refuses, with a ``SweepSpecError`` naming the field, a value
-    that is not a number, a string grid, a non-integral ``t_steps`` or ``dim``,
-    an empty, negative or non-finite grid, a t span beyond the float range,
+    that is not a number, a string grid or witness list, a witness list that
+    is not an iterable of names, a non-integral ``t_steps`` or ``dim``, an
+    empty, negative or non-finite grid, a t span beyond the float range,
     fewer than two t steps, an unknown mode or witness, a zero lambda in mode
     ``compare``, a ``dim`` below ``MIN_DIM``, a grid above ``MAX_GRID_CELLS``
-    and an ``output_path`` that names a directory or lies in a missing one.
+    and an ``output_path`` that is not a str or path, names a directory or
+    lies in a missing one.
     Then a ``dim`` that is unsafe for some alpha (below its truncation floor
     or above ``MAX_DIM``) raises ``TruncationError``.
     """
@@ -142,7 +144,12 @@ class SweepSpec:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SweepSpecError(f"{'lambda' if name == 'lam' else name}: {exc}") from None
             object.__setattr__(self, name, converted)
-        object.__setattr__(self, "witnesses", tuple(self.witnesses))
+        if isinstance(self.witnesses, str):
+            raise SweepSpecError(f"witness: expected a list of names, got {self.witnesses!r}")
+        try:
+            object.__setattr__(self, "witnesses", tuple(self.witnesses))
+        except TypeError as exc:
+            raise SweepSpecError(f"witness: {exc}") from None
         if not self.alpha_mag:
             raise SweepSpecError("alpha_mag: grid must be nonempty")
         if any(a < 0 for a in self.alpha_mag):
@@ -160,7 +167,7 @@ class SweepSpec:
         if not self.witnesses:
             raise SweepSpecError("witness: list must be nonempty")
         for w in self.witnesses:
-            if w not in WITNESSES:
+            if not isinstance(w, str) or w not in WITNESSES:
                 raise SweepSpecError(f"witness: {w!r} is not one of {WITNESS_NAMES}")
         if self.mode == "compare" and any(l == 0.0 for l in self.lam):
             raise SweepSpecError("lambda: compare mode requires every lambda > 0")
@@ -183,7 +190,10 @@ class SweepSpec:
             raise SweepSpecError(f"t_steps: the grid holds {cells} values in one array, "
                                  f"above MAX_GRID_CELLS={MAX_GRID_CELLS}")
         if self.output_path is not None:
-            out = Path(self.output_path)
+            try:
+                out = Path(self.output_path)
+            except TypeError as exc:
+                raise SweepSpecError(f"out: {exc}") from None
             if out.is_dir():
                 raise SweepSpecError(f"out: {self.output_path!r} names a directory, not a file")
             if not out.resolve().parent.is_dir():

@@ -19,6 +19,7 @@ from anharmonic.dynamics import (
     evolve_blocks,
     exact_moment_blocks,
     ladder_moment_block,
+    lay_out_bands,
 )
 from anharmonic.fock import ModelParams, coherent_state, make_ladder_ops
 from anharmonic.perturbative import (
@@ -129,33 +130,140 @@ def test_bracket_bands_hold_no_dense_matrix():
         assert diag.base is None
 
 
+def same_bits(x, y):
+    """Equal as integers, so the sign bit of every zero counts too."""
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def rowwise_banded(bands, kets):
+    """The operator with diagonals ``(k, diag)`` applied to each row of ``kets``
+    alone, by shifted plain slices: the bands in order, added onto +0."""
+    rows, dim = kets.shape
+    out = np.zeros((rows, dim), dtype=complex)
+    for k, diag in bands:
+        if abs(k) >= dim:
+            continue
+        diag = np.broadcast_to(diag, (rows, dim - abs(k)))
+        for j in range(rows):
+            if k >= 0:
+                out[j, :dim - k] += diag[j] * kets[j, k:]
+            else:
+                out[j, -k:] += diag[j] * kets[j, :dim + k]
+    return out
+
+
+def laid_out_apply(bands, kets):
+    """``apply_banded`` of ``bands`` laid out for the (T, dim) block ``kets``."""
+    return apply_banded(lay_out_bands(bands, *kets.shape), kets)
+
+
+def signed_zero_kets(rng, rows, dim):
+    """Random complex kets with -0.0 and +-0.0j entries, and an all-zero row
+    when there are two or more."""
+    kets = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    zeros = rng.random((rows, dim)) < 0.3
+    kets[zeros] = rng.choice([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                              complex(0.0, 0.0), complex(1.5, -0.0), complex(-0.0, 2.0)],
+                             size=int(zeros.sum()))
+    if rows > 1:
+        kets[rows // 2] = complex(-0.0, -0.0)
+    return kets
+
+
+def random_bands(rng, rows, dim, kind):
+    """The sqrt(n) band of a, or random diagonals at the offsets of a_1(t), real
+    or complex, with or without a leading axis of one row per ket, with some
+    -0.0 entries."""
+    if kind == "lowering":
+        return [(1, np.sqrt(np.arange(1.0, dim)))]
+    bands = []
+    for k in (1, -1, -3, 3):
+        shape = (max(dim - abs(k), 0),) if kind.endswith("1d") else (rows, max(dim - abs(k), 0))
+        diag = rng.normal(size=shape)
+        if kind.startswith("complex"):
+            diag = diag + 1j * rng.normal(size=shape)
+        diag[rng.random(shape) < 0.2] = -0.0
+        bands.append((k, diag))
+    return bands
+
+
+KINDS = ["lowering", "real_1d", "real_2d", "complex_1d", "complex_2d"]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 11, 54])
+@pytest.mark.parametrize("rows", [1, 4, 257])
+@pytest.mark.parametrize("kind", KINDS)
+def test_laid_out_bands_are_the_rowwise_shifts_bit_for_bit(dim, rows, kind):
+    rng = np.random.default_rng([dim, rows, KINDS.index(kind)])
+    kets = signed_zero_kets(rng, rows, dim)
+    bands = random_bands(rng, rows, dim, kind)
+    assert same_bits(laid_out_apply(bands, kets), rowwise_banded(bands, kets))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 11, 54])
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_row_is_its_one_row_block(dim, kind):
+    rng = np.random.default_rng([dim, KINDS.index(kind), 1])
+    kets = signed_zero_kets(rng, 4, dim)
+    bands = random_bands(rng, 4, dim, kind)
+    block = laid_out_apply(bands, kets)
+    moments = ladder_moment_block(lay_out_bands(bands, 4, dim), kets)
+    for j in range(4):
+        row_bands = [(k, diag if diag.ndim == 1 else diag[j]) for k, diag in bands]
+        assert same_bits(block[j], laid_out_apply(row_bands, kets[j:j + 1])[0])
+        assert same_bits(moments[j], ladder_moment_block(lay_out_bands(row_bands, 1, dim),
+                                                         kets[j:j + 1])[0])
+
+
+def test_a_repeated_offset_adds_its_diagonal_in_order():
+    rng = np.random.default_rng(4)
+    d1, d2 = (rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10)) for _ in range(2))
+    [(k, merged)] = lay_out_bands([(1, d1), (1, d2)], 3, 11)
+    [(_, summed)] = lay_out_bands([(1, d1 + d2)], 3, 11)
+    assert k == 1 and same_bits(merged, summed)
+    # a complex diagonal after a real one promotes the band, as ``+`` does
+    real = rng.normal(size=10)
+    [(_, promoted)] = lay_out_bands([(1, real), (1, d1)], 3, 11)
+    [(_, summed)] = lay_out_bands([(1, real + d1)], 3, 11)
+    assert promoted.dtype == complex and same_bits(promoted, summed)
+
+
+def test_laid_out_band_pads_each_row_and_drops_an_empty_diagonal():
+    diag = np.arange(1.0, 7.0).reshape(2, 3)
+    [(k, band)] = lay_out_bands([(-2, diag), (5, np.zeros(0)), (-5, np.zeros(0))], 2, 5)
+    assert k == -2
+    assert band.tolist() == [1.0, 2.0, 3.0, 0.0, 0.0, 4.0, 5.0, 6.0]
+
+
 def test_lowering_band_is_the_annihilation_matrix():
     rng = np.random.default_rng(5)
     dim = 17
     kets = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     a = make_ladder_ops(dim)[0]
-    shifted = apply_banded(((1, np.sqrt(np.arange(1.0, dim))),), kets)
+    shifted = laid_out_apply(((1, np.sqrt(np.arange(1.0, dim))),), kets)
     assert np.array_equal(shifted, (a @ kets.T).T)
 
 
-@pytest.mark.parametrize("dim", [11, 54, 582])
+@pytest.mark.parametrize("dim", [2, 3, 4, 11, 54, 582])
+@pytest.mark.parametrize("rows", [1, 4, 257])
 @pytest.mark.parametrize("broadcast", [False, True], ids=["block", "broadcast"])
-def test_ladder_moment_block_is_vdot(dim, broadcast):
-    # compared as integers, so the sign bit of every zero counts too; the
-    # broadcast case is the first-order path's one input repeated per row
-    rng = np.random.default_rng(6)
+@pytest.mark.parametrize("kind", ["lowering", "complex_2d"])
+def test_ladder_moment_block_is_vdot(dim, rows, broadcast, kind):
+    # the broadcast case is the first-order path's one input repeated per row;
+    # the expected kets are built row by row, independently of ``apply_banded``
+    rng = np.random.default_rng([dim, rows, broadcast, KINDS.index(kind)])
     if broadcast:
-        psi = np.broadcast_to(rng.normal(size=dim) + 1j * rng.normal(size=dim), (4, dim))
+        psi = np.broadcast_to(signed_zero_kets(rng, 1, dim)[0], (rows, dim))
     else:
-        psi = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
-    bands = [(k, rng.normal(size=(4, dim - abs(k))) + 1j * rng.normal(size=(4, dim - abs(k))))
-             for k in (-3, 1, 3)]
+        psi = signed_zero_kets(rng, rows, dim)
+    bands = random_bands(rng, rows, dim, kind)
     kets = [psi]
     for _ in range(4):
-        kets.append(apply_banded(bands, kets[-1]))
-    block = ladder_moment_block(bands, psi)
-    vdots = np.array([[np.vdot(kets[m][i], kets[n][i]) for m, n in MONOMIALS] for i in range(4)])
-    assert np.array_equal(block.view(np.uint64), vdots.view(np.uint64))
+        kets.append(rowwise_banded(bands, kets[-1]))
+    block = ladder_moment_block(lay_out_bands(bands, rows, dim), psi)
+    vdots = np.array([[np.vdot(kets[m][i], kets[n][i]) for m, n in MONOMIALS]
+                      for i in range(rows)])
+    assert same_bits(block, vdots)
 
 
 def test_time_grid_beyond_horizon_is_refused():

@@ -18,6 +18,7 @@ from anharmonic.dynamics import (
     coherent_moment_set,
     exact_moment_blocks,
     ladder_moment_block,
+    lay_out_bands,
 )
 from anharmonic.fock import ModelParams, number_state
 
@@ -31,7 +32,8 @@ ALL_WITNESSES = {
 def number_state_moments(n, dim=24):
     """Moments of |n> via the ladder machinery the oracle uses, with no phase (t = 0)."""
     psi = number_state(n, dim).amplitudes[None, :]
-    [row] = ladder_moment_block(((1, np.sqrt(np.arange(1.0, dim))),), psi).tolist()
+    bands = lay_out_bands(((1, np.sqrt(np.arange(1.0, dim))),), 1, dim)
+    [row] = ladder_moment_block(bands, psi).tolist()
     return MomentSet(*row)
 
 

@@ -7,6 +7,7 @@ from anharmonic.dynamics import (
     coherent_moment_set,
     exact_moment_blocks,
     ladder_moment_block,
+    lay_out_bands,
 )
 from anharmonic.fock import ModelParams, coherent_state
 from anharmonic.perturbative import (
@@ -231,7 +232,8 @@ class TestFirstOrderMatrix:
     def annihilation_moments(p):
         """Moments of a itself over the coherent input, as one block row."""
         psi0 = coherent_state(p.alpha, p.dim).amplitudes[None, :]
-        return ladder_moment_block(((1, np.sqrt(np.arange(1.0, p.dim))),), psi0)
+        return ladder_moment_block(lay_out_bands(((1, np.sqrt(np.arange(1.0, p.dim))),), 1, p.dim),
+                                   psi0)
 
     def test_free_limit_is_annihilation(self):
         ts = np.linspace(-4 * np.pi, 4 * np.pi, 9)

@@ -1,6 +1,7 @@
 """scripts/same_output.py passes a tree against itself and catches a changed byte."""
 
 import importlib.util
+import math
 import shutil
 from pathlib import Path
 
@@ -45,3 +46,31 @@ def test_moved_values_are_reported_per_witness_and_column(tmp_path, capsys):
     assert lines[0] == "exact_large_alpha seed=0: csv differs, in values"
     assert lines[1].startswith("  N value_cf: largest |delta| ")
     assert lines[2:] == ["  0 relabelled rows", "output differs"]
+
+
+def test_cli_edge_case_reaches_its_edges(capsys):
+    csv, stdout = same_output.run_workload(ROOT / "src", same_output.CLI_CASE_NAME, None)
+    lines = stdout.decode().splitlines()
+    assert lines[0] == "rows=1848 mode=compare csv=sweep.csv"
+    assert lines[-1].startswith("convergence ") and lines[-1].endswith(" passed=True")
+    rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+    assert {r[0] for r in rows} == {"0.0", "2.5"}
+    assert min(float(r[3]) for r in rows) == -2 * math.pi
+    # the vacuum input's closed forms write signed zeros
+    assert any("-0.0" in r[5:8] for r in rows if r[0] == "0.0")
+    assert same_output.main([str(ROOT / "src"), "--workload", same_output.CLI_CASE_NAME]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"cli_edge_case: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)",
+        "same output"]
+
+
+def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
+    src = changed_copy(tmp_path, "perturbative.py",
+                       "return (3.0 * inputs.lam * r2 * r2 / 4.0) * p2",
+                       "return (3.0 * inputs.lam * r2 * r2 / 4.0) * p2 + 0.0")
+    assert same_output.main([str(src), "--workload", same_output.CLI_CASE_NAME]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("cli_edge_case: csv differs, in values")
+    assert "  d3 value_cf: largest |delta| 0 x tolerance" in lines
+    assert lines[-1] == "output differs"

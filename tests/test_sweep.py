@@ -115,6 +115,14 @@ class TestSpecValidation:
         ("alpha_mag", dict(alpha_mag=("a",))),
         ("lambda", dict(lam="0.1")),
         ("t_start", dict(t_start="x")),
+        # a string witness list, as a string grid
+        ("witness", dict(witnesses="N")),
+        ("witness", dict(witnesses="d1")),
+        ("witness", dict(witnesses=None)),
+        ("witness", dict(witnesses=3)),
+        ("witness", dict(witnesses=[["N"]])),
+        ("out", dict(output_path=3)),
+        ("out", dict(output_path=b"rows.csv")),
     ])
     def test_malformed_values_named_in_error(self, field, overrides):
         with pytest.raises(SweepSpecError, match=f"^{field}: "):
