@@ -1,5 +1,5 @@
 """Check that a source tree writes the same output as this one on every benchmark
-workload and on one fixed CLI case.
+workload and on two fixed CLI cases.
 
     python scripts/same_output.py PARENT_SRC [--seeds 0 7] [--workload NAME ...]
 
@@ -11,11 +11,13 @@ thread, in its own empty directory.  The CSV bytes and the CLI stdout of the
 two runs are compared.  Prints one line per workload and seed; exits 0 when
 every pair is identical and 1 when any pair differs or any run fails.
 
-The workload ``cli_edge_case`` is ``CLI_CASE``, run once through
-``anharmonic.cli.main`` with ``--out sweep.csv`` (seeds do not apply).  It
-reaches what the benchmark grids do not: |alpha| = 0, whose vacuum input
-writes -0.0 cells, negative t, one ``--dim`` shared by two |alpha|, and the
-one-slice groups of ``--check-convergence``.
+The workloads of ``CLI_CASES`` each run once through ``anharmonic.cli.main``
+with ``--out sweep.csv`` (seeds do not apply).  They reach what the benchmark
+grids do not.  ``cli_edge_case`` has |alpha| = 0, whose vacuum input writes
+-0.0 cells, negative t, one ``--dim`` shared by two |alpha|, and the
+one-slice groups of ``--check-convergence``.  ``cli_first_order_case`` runs
+mode ``closed_form`` with the witnesses whose closed-form column comes from
+the moments of a_1(t), next to scalar closed forms, at |alpha| = 0 too.
 
 When two CSVs differ but their rows line up (same header, row count and first
 five cells), the pair's line is followed by a value report: one line per
@@ -40,10 +42,14 @@ CHILD_TIMEOUT_S = 600
 VALUE_COLUMNS = ("value_cf", "value_exact", "abs_error")
 #: Relabelled rows the value report lists.
 RELABELLED_SHOWN = 3
-CLI_CASE_NAME = "cli_edge_case"
-CLI_CASE = ("--alpha", "0,2.5", "--theta=-pi/4,pi", "--lambda", "1e-3,1e-4",
-            "--t-start=-2pi", "--t-end", "2pi", "--t-steps", "33", "--dim", "60",
-            "--mode", "compare", "--check-convergence")
+CLI_CASES = {
+    "cli_edge_case": ("--alpha", "0,2.5", "--theta=-pi/4,pi", "--lambda", "1e-3,1e-4",
+                      "--t-start=-2pi", "--t-end", "2pi", "--t-steps", "33", "--dim", "60",
+                      "--mode", "compare", "--check-convergence"),
+    "cli_first_order_case": ("--alpha", "0,1.5", "--theta=-pi/4,pi/2", "--lambda", "1e-3,1e-2",
+                             "--t-start=-pi", "--t-end", "2pi", "--t-steps", "17",
+                             "--mode", "closed_form", "--witness", "quadrature,hillery,N,f"),
+}
 
 # run in the child: import the package from the given src, then run one
 # workload at one seed, or the CLI with the given arguments
@@ -64,12 +70,12 @@ sys.stdout.write(WORKLOADS[sys.argv[2]].inputs(int(sys.argv[3])).run(sys.argv[4]
 
 def run_workload(src: Path, name: str, seed):
     """(csv bytes, stdout) of one workload run against ``src`` at ``seed``, or
-    of ``cli_edge_case``, whose seed is None."""
+    of one of ``CLI_CASES``, whose seed is None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join((str(src), str(SWEEPBENCH)))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    args = (("--cli", *CLI_CASE, "--out", CSV_NAME) if name == CLI_CASE_NAME
+    args = (("--cli", *CLI_CASES[name], "--out", CSV_NAME) if name in CLI_CASES
             else (name, str(seed), CSV_NAME))
     with tempfile.TemporaryDirectory() as work:
         proc = subprocess.run(
@@ -122,7 +128,7 @@ def main(argv) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent_src", type=Path)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
-    names = [*sorted(WORKLOADS), CLI_CASE_NAME]
+    names = [*sorted(WORKLOADS), *CLI_CASES]
     p.add_argument("--workload", nargs="+", choices=names, default=names)
     args = p.parse_args(argv)
     parent = args.parent_src.resolve()
@@ -131,7 +137,7 @@ def main(argv) -> int:
 
     ok = True
     runs = [(name, seed) for name in args.workload
-            for seed in ((None,) if name == CLI_CASE_NAME else args.seeds)]
+            for seed in ((None,) if name in CLI_CASES else args.seeds)]
     for name, seed in runs:
         label = name if seed is None else f"{name} seed={seed}"
         try:

@@ -14,7 +14,11 @@ failed ``--check-convergence``; stderr then holds one line).  Building
 the ``SweepSpec`` refuses every spec error and then an unsafe dimension, so a
 spec error wins over a dimension error; ``--check-convergence`` then refuses a
 mode other than exact or compare (2) and an unsafe doubled dimension (3).  No
-refusal comes after a row is printed or any CSV written.  A value that starts
+refusal comes after a row is printed or any CSV written, with one exception:
+an ``--out`` that cannot be written to (a full device, say) is found while the
+CSV is written, and exits 2 with ``spec error: out: <reason>``; the part
+already written stays.  A closed stdout (``anharmonic-sweep ... | head -1``)
+ends the run with exit 1 and nothing on stderr.  A value that starts
 with '-' may follow its flag after a space (``--theta -pi/2``) or an '='
 (``--theta=-pi/2``).  ``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
 """
@@ -26,7 +30,6 @@ import contextlib
 import math
 import re
 import sys
-from itertools import product
 from pathlib import Path
 
 from .fock import TruncationError
@@ -159,8 +162,7 @@ def _print_result(result, conv, out) -> None:
     digests = [result.vmin, result.vmax, result.zero_crossings]
     if result.max_abs_error is not None:
         digests.append(result.max_abs_error)
-    slices = product(spec.alpha_mag, spec.theta, spec.lam)
-    for (a, th, lam), *per_slice in zip(slices, *(d.tolist() for d in digests)):
+    for (a, th, lam), *per_slice in zip(spec.slices(), *(d.tolist() for d in digests)):
         for w, vmin, vmax, crossings, *error in zip(spec.witnesses, *per_slice):
             print(f"witness={w} alpha={a!r} theta={th!r} lambda={lam!r} min={vmin!r} "
                   f"max={vmax!r} zero_crossings={crossings}"
@@ -232,7 +234,11 @@ def main(argv=None, out=None) -> int:
         if conv is not None and not conv.passed:
             print(_convergence_line(conv), file=sys.stderr)
             return EXIT_PRECONDITION
-        _print_result(run_sweep(spec), conv, out)
+        try:
+            result = run_sweep(spec)
+        except OSError as exc:  # the CSV cannot be written, e.g. on a full device
+            raise SweepSpecError(f"out: {exc}") from None
+        _print_result(result, conv, out)
     except (TruncationError, FloatingPointError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -243,7 +249,16 @@ def main(argv=None, out=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at exit
+        # does not raise again, and exit 1 as Python does on EPIPE
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

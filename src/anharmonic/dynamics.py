@@ -227,7 +227,8 @@ def exact_moment_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
         if phase is None:
             phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
             dim = psi.shape[-1]
-            bands = lay_out_bands(((1, np.sqrt(np.arange(1.0, dim))),), ts.size, dim)
+            root_n = np.sqrt(np.arange(1.0, dim)).astype(complex)  # not cast per apply
+            bands = lay_out_bands(((1, root_n),), ts.size, dim)
         raw = ladder_moment_block(bands, psi)
         # the product is written out in real arithmetic so that it rounds like the
         # scalar complex product and does not depend on the block's length

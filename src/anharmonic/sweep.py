@@ -3,10 +3,9 @@
 A sweep walks the grid alpha x theta x lambda x t in a fixed nested order and
 emits one row per grid point per witness, so identical specs produce byte
 identical CSV files.  ``WITNESSES`` is the one table of witnesses: for each
-name it gives the closed-form value (a scalar closed form for f, d1, d2, d3
-and N; moments of the first-order operator a_1(t) for quadrature and
-hillery), the value from exact-oracle moments (modes ``exact`` and
-``compare``) and the reference a value is classified against.
+name it gives the witness on moments (of the exact oracle, and of the
+first-order operator a_1(t) where there is no scalar closed form), the scalar
+closed form if any and the reference a value is classified against.
 
 A ``SweepSpec`` is checked once, when it is built: a spec that constructs is
 one ``run_sweep`` can run.  Each (alpha, theta, lambda) slice is evaluated
@@ -29,7 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .criteria import classify, hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
+from .criteria import (BOUNDARY, CLASSICAL, NONCLASSICAL, classify, hillery_squeezing,
+                       hoa_d_from_moments, quadrature_squeezing)
 from .dynamics import MomentSet, exact_moment_blocks
 from .fock import MAX_DIM, MAX_GRID_CELLS, MIN_DIM, ModelParams, default_dim, require_finite
 from .perturbative import (
@@ -46,35 +46,29 @@ from .reprs import CHUNK, float_reprs
 class Witness:
     """How a sweep evaluates and classifies one witness.
 
-    ``closed_form(inputs, fo_moments)`` and ``exact(moments)`` give a slice's
-    two values per t (``inputs.t`` is the grid, MomentSet fields are moment
-    columns); ``fo_moments`` are the first-order operator's moments when
-    ``needs_first_order``.  A row is classified by value - ``reference(alpha_mag)``.
+    ``moments(m)`` on MomentSet columns gives the exact value from oracle
+    moments.  The closed-form value is ``closed_form(inputs)`` on the t grid
+    ``inputs.t`` or, where that is None, ``moments`` on a_1(t)'s moments.
+    A row is classified by value - ``reference(alpha_mag)``.
     """
 
-    closed_form: Callable[[ClosedFormInputs, Optional[MomentSet]], np.ndarray]
-    exact: Callable[[MomentSet], np.ndarray]
+    moments: Callable[[MomentSet], np.ndarray]
+    closed_form: Optional[Callable[[ClosedFormInputs], np.ndarray]] = None
     reference: Callable[[float], float] = lambda alpha_mag: 0.0
-    needs_first_order: bool = False
 
 
 # The entries look the witness functions up in this module's globals at call
 # time, so rebinding e.g. ``sweep.squeezing_witness_f`` reaches the sweep.
 WITNESSES = {
-    "f": Witness(lambda ci, fo: squeezing_witness_f(ci), lambda m: hillery_squeezing(m)),
-    "d1": Witness(lambda ci, fo: hoa_witness_d(1, ci), lambda m: hoa_d_from_moments(m, 1)),
-    "d2": Witness(lambda ci, fo: hoa_witness_d(2, ci), lambda m: hoa_d_from_moments(m, 2)),
-    "d3": Witness(lambda ci, fo: hoa_witness_d(3, ci), lambda m: hoa_d_from_moments(m, 3)),
+    "f": Witness(lambda m: hillery_squeezing(m), lambda ci: squeezing_witness_f(ci)),
+    "d1": Witness(lambda m: hoa_d_from_moments(m, 1), lambda ci: hoa_witness_d(1, ci)),
+    "d2": Witness(lambda m: hoa_d_from_moments(m, 2), lambda ci: hoa_witness_d(2, ci)),
+    "d3": Witness(lambda m: hoa_d_from_moments(m, 3), lambda ci: hoa_witness_d(3, ci)),
     # the mean photon number is classified by its deviation from the free value
-    "N": Witness(lambda ci, fo: mean_photon_number(ci),
-                 lambda m: m.ada.real,
+    "N": Witness(lambda m: m.ada.real, lambda ci: mean_photon_number(ci),
                  reference=lambda alpha_mag: alpha_mag**2),
-    "quadrature": Witness(lambda ci, fo: quadrature_squeezing(fo),
-                          lambda m: quadrature_squeezing(m),
-                          needs_first_order=True),
-    "hillery": Witness(lambda ci, fo: hillery_squeezing(fo),
-                       lambda m: hillery_squeezing(m),
-                       needs_first_order=True),
+    "quadrature": Witness(lambda m: quadrature_squeezing(m)),
+    "hillery": Witness(lambda m: hillery_squeezing(m)),
 }
 
 WITNESS_NAMES = tuple(WITNESSES)
@@ -183,7 +177,7 @@ class SweepSpec:
                                  f"t_end={self.t_end} leaves the float range")
         cells = (len(self.alpha_mag) * len(self.theta) * len(self.lam) * self.t_steps
                  * len(self.witnesses))
-        if self.mode != "closed_form" or any(WITNESSES[w].needs_first_order for w in self.witnesses):
+        if self.mode != "closed_form" or any(WITNESSES[w].closed_form is None for w in self.witnesses):
             # the (t_steps, dim) ket blocks; a dim above MAX_DIM is refused below
             cells = max(cells, self.t_steps * min(MAX_DIM, max(map(self.dim_for, self.alpha_mag))))
         if cells > MAX_GRID_CELLS:
@@ -211,6 +205,10 @@ class SweepSpec:
     def dim_for(self, alpha_mag: float) -> int:
         return self.dim if self.dim is not None else default_dim(alpha_mag)
 
+    def slices(self):
+        """(alpha, theta, lambda) of each slice, in grid order."""
+        return product(self.alpha_mag, self.theta, self.lam)
+
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
@@ -236,11 +234,6 @@ class SweepResult:
         return self.value_cf.size
 
 
-def _slices(spec: SweepSpec):
-    """(alpha, theta, lambda) of each slice, in grid order."""
-    return product(spec.alpha_mag, spec.theta, spec.lam)
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, return its columns, write CSV if asked.
 
@@ -255,9 +248,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     ts = spec.t_grid()
     horizon = spec.horizon()
     need_exact = spec.mode in ("exact", "compare")
-    need_fo = any(WITNESSES[w].needs_first_order for w in spec.witnesses)
+    entries = [WITNESSES[w] for w in spec.witnesses]
+    need_fo = any(e.closed_form is None for e in entries)
 
-    slices = list(_slices(spec))
+    slices = list(spec.slices())
     shape = (len(slices), ts.size, len(spec.witnesses))
     value_cf = np.empty(shape)
     value_exact = np.empty(shape) if need_exact else None
@@ -285,15 +279,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     inputs = ClosedFormInputs(a, params.theta, lam, ts)
                     fo = None if fo is None else MomentSet(*fo.T)
                     exact = None if exact is None else MomentSet(*exact.T)
-                    for k, w in enumerate(spec.witnesses):
-                        cf[i, j, l, :, k] = WITNESSES[w].closed_form(inputs, fo)
+                    for k, e in enumerate(entries):
+                        cf[i, j, l, :, k] = (e.moments(fo) if e.closed_form is None
+                                             else e.closed_form(inputs))
                         if need_exact:
-                            ex[i, j, l, :, k] = WITNESSES[w].exact(exact)
+                            ex[i, j, l, :, k] = e.moments(exact)
                     require_finite(cf[i, j, l], params, "a closed-form value")
 
     abs_error = np.abs(value_cf - value_exact) if spec.mode == "compare" else None
     primary = value_cf if value_exact is None else value_exact
-    reference = np.array([[WITNESSES[w].reference(a) for w in spec.witnesses] for a, _, _ in slices])
+    reference = np.array([[e.reference(a) for e in entries] for a, _, _ in slices])
     result = SweepResult(spec, value_cf, value_exact, abs_error,
                          classify(primary - reference[:, None, :]),
                          *_reductions(primary, abs_error))
@@ -333,7 +328,7 @@ def write_csv(result: SweepResult, path) -> None:
     n = len(tw)
     slices = product(*axes)
     empty = b"," * (3 - len(filled))  # the unfilled columns, ahead of the label
-    tails = {}
+    tails = {label: empty + label.encode() for label in (NONCLASSICAL, BOUNDARY, CLASSICAL)}
     rows = result.row_count
     step = max(1, _CSV_RUN // len(filled))
     with open(path, "wb") as f:
@@ -343,8 +338,6 @@ def write_csv(result: SweepResult, path) -> None:
             values = float_reprs(np.concatenate([c[start:stop] for c in filled]))
             columns = [values[i:i + stop - start] for i in range(0, len(values), stop - start)]
             labels = result.classification.reshape(-1)[start:stop].tolist()
-            for label in set(labels).difference(tails):
-                tails[label] = empty + label.encode()
             cuts = [start, *range(start - start % n + n, stop, n), stop]
             for lo, hi in zip(cuts, cuts[1:]):  # the part of each slice in this run
                 j, r0, r1 = lo % n, lo - start, hi - start  # in the slice, in the run
@@ -436,7 +429,7 @@ def convergence_check(spec: SweepSpec) -> ConvergenceReport:
         raise SweepSpecError("mode: convergence_check requires mode 'exact' or 'compare'")
     for a in spec.alpha_mag:  # the doubled dimensions, before any evolution
         ModelParams(a, 0.0, max(spec.lam), 2 * spec.dim_for(a))
-    combos = list(_slices(spec))
+    combos = list(spec.slices())
     stride = max(1, len(combos) // CONVERGENCE_MAX_SLICES)
     ts = spec.t_grid()
     sample_ts = sorted({float(ts[0]), float(ts[len(ts) // 2]), float(ts[-1])})

@@ -359,6 +359,16 @@ class TestMain:
         assert text == "" and list(tmp_path.iterdir()) == []
         assert "spec error: out: " in capsys.readouterr().err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_unwritable_out_is_a_one_line_spec_error(self, capsys):
+        # every write to /dev/full fails with ENOSPC, after the sweep has run
+        code, text = self.run("--alpha", "1", "--t-steps", "4", "--witness", "N",
+                              "--out", "/dev/full")
+        assert (code, text) == (EXIT_SPEC_ERROR, "")
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: out: [Errno 28] ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [("--mode", "bogus"), ("--no-such-flag",), ("--t-steps",),
                                       ("--theta", "--alpha", "1")])
     def test_usage_error_returns_2(self, argv, capsys):
@@ -446,13 +456,15 @@ class TestMain:
 
 
 class TestModuleEntry:
-    def run_module(self, *argv):
+    def env(self):
         src = str(Path(anharmonic.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run_module(self, *argv):
         return subprocess.run(
             [sys.executable, "-m", "anharmonic.cli", *argv],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, env=self.env(),
         )
 
     def test_runs_the_cli(self):
@@ -465,6 +477,26 @@ class TestModuleEntry:
         assert proc.returncode == EXIT_OK and proc.stdout.startswith("usage: anharmonic-sweep")
         proc = self.run_module("--mode", "bogus")
         assert proc.returncode == EXIT_SPEC_ERROR and "invalid choice" in proc.stderr
+
+    @pytest.mark.parametrize("argv, first_line", [
+        # 1,200 summary lines, far more than a pipe holds: the child blocks on
+        # stdout until the reader has closed it after one line
+        (("--alpha", "0.5,1,2", "--theta", ",".join(str(0.05 * i) for i in range(40)),
+          "--lambda", ",".join(f"{i}e-3" for i in range(1, 11)), "--t-steps", "2"), b"rows=2400 "),
+        # two lines, still buffered when the reader closes at once: the last flush fails
+        (("--t-steps", "2"), None),
+    ], ids=["blocked", "buffered"])
+    def test_closed_stdout_ends_the_run_quietly(self, argv, first_line):
+        env = self.env()
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as on a pipe by default
+        with subprocess.Popen([sys.executable, "-m", "anharmonic.cli", *argv, "--witness", "N"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            if first_line is not None:
+                assert proc.stdout.readline().startswith(first_line)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert err == b"", err.decode()  # no BrokenPipeError traceback
 
     def test_spec_error_exit_code(self):
         proc = self.run_module("--alpha", "nan")

@@ -9,14 +9,13 @@ must be gone before the next group's ``eigh``.
 
 import gc
 import weakref
-from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anharmonic import perturbative
+from anharmonic import perturbative, sweep
 from anharmonic.dynamics import (
     MomentSet,
     evolve_blocks,
@@ -43,22 +42,22 @@ def bits(values):
 
 
 def one_slice_walk(spec):
-    """value_cf and value_exact of ``spec`` from one-slice groups, slice by slice."""
+    """value_cf and value_exact of ``spec`` from one-slice groups, slice by slice:
+    an entry without a scalar closed form takes its closed-form value from a_1(t)."""
     ts, horizon = spec.t_grid(), spec.horizon()
-    need_fo = any(WITNESSES[w].needs_first_order for w in spec.witnesses)
+    entries = [WITNESSES[w] for w in spec.witnesses]
     cf, exact = [], []
-    for a, th, lam in product(spec.alpha_mag, spec.theta, spec.lam):
+    for a, th, lam in spec.slices():
         params = ModelParams(a, th, lam, spec.dim_for(a))
-        fo = None
-        if need_fo:
-            [block] = first_order_moment_blocks([params], ts)
-            fo = MomentSet(*block.T)
+        [block] = first_order_moment_blocks([params], ts)
+        fo = MomentSet(*block.T)
         inputs = ClosedFormInputs(a, th, lam, ts)
-        cf.append([WITNESSES[w].closed_form(inputs, fo) for w in spec.witnesses])
+        cf.append([e.moments(fo) if e.closed_form is None else e.closed_form(inputs)
+                   for e in entries])
         if spec.mode != "closed_form":
             [block] = exact_moment_blocks([params], ts, horizon)
             m = MomentSet(*block.T)
-            exact.append([WITNESSES[w].exact(m) for w in spec.witnesses])
+            exact.append([e.moments(m) for e in entries])
     return (np.array(cf).transpose(0, 2, 1),
             np.array(exact).transpose(0, 2, 1) if exact else None)
 
@@ -127,3 +126,25 @@ def test_one_eigensystem_per_group_and_none_kept(monkeypatch, mode):
     groups = len(spec.alpha_mag) * len(spec.lam)
     assert len(earlier) == groups == 8
     assert len(bands_built) == groups
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "exact", "compare"])
+@pytest.mark.parametrize("witnesses, needed", [(("f", "d1", "N"), False),
+                                               (("quadrature", "hillery"), True),
+                                               (("N", "hillery"), True)],
+                         ids=["scalar", "first-order", "mixed"])
+def test_first_order_runs_once_per_group_exactly_when_an_entry_has_no_closed_form(
+        monkeypatch, mode, witnesses, needed):
+    calls = []
+
+    def counted(group, ts):
+        calls.append(len(group))
+        return first_order_moment_blocks(group, ts)
+
+    monkeypatch.setattr(sweep, "first_order_moment_blocks", counted)
+    spec = SweepSpec(alpha_mag=(0.5, 1.0), theta=(0.0, np.pi / 4, np.pi / 2), lam=(1e-3, 1e-2, 3e-2),
+                     t_start=0.0, t_end=1.0, t_steps=3, mode=mode, witnesses=witnesses)
+    run_sweep(spec)
+    assert any(WITNESSES[w].closed_form is None for w in witnesses) == needed
+    # one call per (|alpha|, lambda) group, each with the group's theta slices
+    assert calls == ([len(spec.theta)] * len(spec.alpha_mag) * len(spec.lam) if needed else [])

@@ -49,7 +49,7 @@ def test_moved_values_are_reported_per_witness_and_column(tmp_path, capsys):
 
 
 def test_cli_edge_case_reaches_its_edges(capsys):
-    csv, stdout = same_output.run_workload(ROOT / "src", same_output.CLI_CASE_NAME, None)
+    csv, stdout = same_output.run_workload(ROOT / "src", "cli_edge_case", None)
     lines = stdout.decode().splitlines()
     assert lines[0] == "rows=1848 mode=compare csv=sweep.csv"
     assert lines[-1].startswith("convergence ") and lines[-1].endswith(" passed=True")
@@ -58,9 +58,23 @@ def test_cli_edge_case_reaches_its_edges(capsys):
     assert min(float(r[3]) for r in rows) == -2 * math.pi
     # the vacuum input's closed forms write signed zeros
     assert any("-0.0" in r[5:8] for r in rows if r[0] == "0.0")
-    assert same_output.main([str(ROOT / "src"), "--workload", same_output.CLI_CASE_NAME]) == 0
+    assert same_output.main([str(ROOT / "src"), "--workload", "cli_edge_case"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"cli_edge_case: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)",
+        "same output"]
+
+
+def test_cli_first_order_case_reaches_a1_in_closed_form_mode(capsys):
+    csv, stdout = same_output.run_workload(ROOT / "src", "cli_first_order_case", None)
+    assert stdout.decode().splitlines()[0] == "rows=544 mode=closed_form csv=sweep.csv"
+    rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+    assert {r[4] for r in rows} == {"quadrature", "hillery", "N", "f"}
+    # closed_form mode: only value_cf is filled, a_1(t)'s witnesses included
+    assert all(r[5] and r[6:8] == ["", ""] for r in rows)
+    assert {r[0] for r in rows} == {"0.0", "1.5"} and float(rows[0][3]) == -math.pi
+    assert same_output.main([str(ROOT / "src"), "--workload", "cli_first_order_case"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"cli_first_order_case: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)",
         "same output"]
 
 
@@ -69,7 +83,7 @@ def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
     src = changed_copy(tmp_path, "perturbative.py",
                        "return (3.0 * inputs.lam * r2 * r2 / 4.0) * p2",
                        "return (3.0 * inputs.lam * r2 * r2 / 4.0) * p2 + 0.0")
-    assert same_output.main([str(src), "--workload", same_output.CLI_CASE_NAME]) == 1
+    assert same_output.main([str(src), "--workload", "cli_edge_case"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("cli_edge_case: csv differs, in values")
     assert "  d3 value_cf: largest |delta| 0 x tolerance" in lines
