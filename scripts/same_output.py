@@ -14,10 +14,10 @@ every pair is identical and 1 when any pair differs or any run fails.
 The workloads of ``CLI_CASES`` each run once through ``anharmonic.cli.main``
 with ``--out sweep.csv`` (seeds do not apply).  They reach what the benchmark
 grids do not.  ``cli_edge_case`` has |alpha| = 0, whose vacuum input writes
--0.0 cells, negative t, one ``--dim`` shared by two |alpha|, and the
-one-slice groups of ``--check-convergence``.  ``cli_first_order_case`` runs
-mode ``closed_form`` with the witnesses whose closed-form column comes from
-the moments of a_1(t), next to scalar closed forms, at |alpha| = 0 too.
+-0.0 cells, negative t, one ``--dim`` shared by two |alpha|, and the scaling
+report of two lambdas.  ``cli_first_order_case`` runs mode ``closed_form``
+with the witnesses whose closed-form column comes from the moments of a_1(t),
+next to scalar closed forms, at |alpha| = 0 too.
 
 When two CSVs differ but their rows line up (same header, row count and first
 five cells), the pair's line is followed by a value report: one line per
@@ -45,7 +45,7 @@ RELABELLED_SHOWN = 3
 CLI_CASES = {
     "cli_edge_case": ("--alpha", "0,2.5", "--theta=-pi/4,pi", "--lambda", "1e-3,1e-4",
                       "--t-start=-2pi", "--t-end", "2pi", "--t-steps", "33", "--dim", "60",
-                      "--mode", "compare", "--check-convergence"),
+                      "--mode", "compare"),
     "cli_first_order_case": ("--alpha", "0,1.5", "--theta=-pi/4,pi/2", "--lambda", "1e-3,1e-2",
                              "--t-start=-pi", "--t-end", "2pi", "--t-steps", "17",
                              "--mode", "closed_form", "--witness", "quadrature,hillery,N,f"),

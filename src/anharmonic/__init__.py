@@ -61,13 +61,11 @@ from .sweep import (
     MODES,
     WITNESS_NAMES,
     WITNESSES,
-    ConvergenceReport,
     ScalingReport,
     SweepResult,
     SweepSpec,
     SweepSpecError,
     compare_report,
-    convergence_check,
     run_sweep,
     write_csv,
 )

@@ -9,18 +9,19 @@ that divides by zero, a t span beyond the float range, a grid above
 ``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
 directory included; ``main`` returns it rather than raising ``SystemExit``),
 3 for numerical precondition failures (a truncation dimension too small,
-above ``fock.MAX_DIM`` or beyond the float range, an overflowed value, or a
-failed ``--check-convergence``; stderr then holds one line).  Building
-the ``SweepSpec`` refuses every spec error and then an unsafe dimension, so a
-spec error wins over a dimension error; ``--check-convergence`` then refuses a
-mode other than exact or compare (2) and an unsafe doubled dimension (3).  No
-refusal comes after a row is printed or any CSV written, with one exception:
-an ``--out`` that cannot be written to (a full device, say) is found while the
-CSV is written, and exits 2 with ``spec error: out: <reason>``; the part
-already written stays.  A closed stdout (``anharmonic-sweep ... | head -1``)
-ends the run with exit 1 and nothing on stderr.  A value that starts
-with '-' may follow its flag after a space (``--theta -pi/2``) or an '='
-(``--theta=-pi/2``).  ``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
+above ``fock.MAX_DIM`` or beyond the float range, an overflowed value, or an
+exact state that reaches the top ``fock.EDGE_LEVELS`` levels of its basis;
+stderr then holds one line).  Building the ``SweepSpec`` refuses every spec
+error and then an unsafe dimension, so a spec error wins over a dimension
+error; the sweep then refuses the first slice in (alpha, lambda, theta) order
+whose value overflows or whose state reaches the edge.  No refusal comes after
+a row is printed or any CSV written, with one exception: an ``--out`` that
+cannot be written to (a full device, say) is found while the CSV is written,
+and exits 2 with ``spec error: out: <reason>``; the part already written
+stays.  A closed stdout (``anharmonic-sweep ... | head -1``) ends the run with
+exit 1 and nothing on stderr.  A value that starts with '-' may follow its flag
+after a space (``--theta -pi/2``) or an '=' (``--theta=-pi/2``).
+``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .sweep import (
     SweepSpec,
     SweepSpecError,
     compare_report,
-    convergence_check,
     run_sweep,
 )
 
@@ -155,7 +155,7 @@ def build_spec(settings: dict) -> SweepSpec:
     )
 
 
-def _print_result(result, conv, out) -> None:
+def _print_result(result, out) -> None:
     spec = result.spec
     print(f"rows={result.row_count} mode={spec.mode}"
           + (f" csv={spec.output_path}" if spec.output_path else ""), file=out)
@@ -173,13 +173,6 @@ def _print_result(result, conv, out) -> None:
             slope = "n/a" if e.slope is None else repr(round(e.slope, 4))
             print(f"scaling witness={e.witness} alpha={e.alpha_mag!r} "
                   f"theta={e.theta!r} slope={slope} status={e.status}", file=out)
-    if conv is not None:
-        print(_convergence_line(conv), file=out)
-
-
-def _convergence_line(conv) -> str:
-    return (f"convergence max_drift={conv.max_drift!r} "
-            f"tolerance={conv.tolerance!r} passed={conv.passed}")
 
 
 #: Flags whose values may start with '-': argparse reads '--theta -pi/2' as a
@@ -220,8 +213,6 @@ def main(argv=None, out=None) -> int:
                         help=f"witness name(s), repeatable or comma separated; from {WITNESS_NAMES}")
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--check-convergence", action="store_true",
-                        help="recompute sampled points at doubled dimension and report drift")
     try:
         with contextlib.redirect_stdout(out):  # where argparse prints --help
             args = parser.parse_args(_attach_signed_values(argv))
@@ -230,15 +221,11 @@ def main(argv=None, out=None) -> int:
 
     try:
         spec = build_spec(_merge_settings(args))
-        conv = convergence_check(spec) if args.check_convergence else None
-        if conv is not None and not conv.passed:
-            print(_convergence_line(conv), file=sys.stderr)
-            return EXIT_PRECONDITION
         try:
             result = run_sweep(spec)
         except OSError as exc:  # the CSV cannot be written, e.g. on a full device
             raise SweepSpecError(f"out: {exc}") from None
-        _print_result(result, conv, out)
+        _print_result(result, out)
     except (TruncationError, FloatingPointError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

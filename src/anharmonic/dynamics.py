@@ -8,10 +8,13 @@ third-order nonlinear medium is
 a real symmetric matrix once truncated.  Because H is time independent, the
 evolution exp(-iHt)|alpha> of a time grid is computed from one eigendecomposition
 -- no time stepping, no time ordering, exact to machine precision in the truncated
-space.  Slices that share lam and dim (a sweep's theta slices at one |alpha|)
-form a group, which builds H, its ``eigh`` and the exp(-iwt) table once and
-drops them when its last slice is done; each slice projects its own input.
-Only the lam-independent (a^dag + a)^4 is kept between calls, for the latest dim.
+space.  The truncation cuts the x^4 couplings of the top 4 levels, so a state
+that reaches them, at any time of any slice, is refused (``fock.EDGE_TOLERANCE``)
+before its block is used.  Slices that share lam and dim (a sweep's theta slices
+at one |alpha|) form a group, which builds H, its ``eigh`` and the exp(-iwt)
+table once and drops them when its last slice is done; each slice projects its
+own input.  Only the lam-independent (a^dag + a)^4 is kept between calls, for
+the latest dim.
 
 Moments are reported in the interaction frame that removes the free rotation:
 a normally ordered monomial a^dag^m a^n evaluated in the evolved state picks
@@ -39,7 +42,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fock import check_normalized, coherent_state, require_finite
+from .fock import (EDGE_LEVELS, EDGE_TOLERANCE, TruncationError, check_normalized, coherent_state,
+                   require_finite)
 
 #: Largest |t| the oracle is validated for by default (two full revivals).
 DEFAULT_TIME_HORIZON = 4.0 * math.pi
@@ -124,8 +128,11 @@ def evolve_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
     group, at the first block, and dropped when the last is done.  Each block is
     one stacked matrix-vector product over the phased eigenbasis coefficients
     of its own input; each row is bit-identical to evolving its time alone, in
-    any group.  Every row's norm is checked; an H or a state that overflowed
-    raises FloatingPointError naming the params (for H, the group's first).
+    any group.  An H or a state that overflowed raises FloatingPointError naming
+    the params (for H, the group's first).  From each block's populations, every
+    row's norm is checked, and a block whose top ``EDGE_LEVELS`` levels hold more
+    than ``EDGE_TOLERANCE`` at some t has reached the edge of the basis: it
+    raises TruncationError naming the params, before the block is yielded.
     ``horizon`` bounds |t|; callers sweeping longer grids pass their own bound.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -138,7 +145,11 @@ def evolve_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
     for params in params_list:
         b = v.T @ coherent_state(params.alpha, dim).amplitudes
         psi = require_finite((v @ (phase * b)[:, :, None])[:, :, 0], params, "the evolved state")
-        check_normalized(psi)
+        edge = float(np.max(check_normalized(psi)[:, -EDGE_LEVELS:].sum(axis=1), initial=0.0))
+        if not edge <= EDGE_TOLERANCE:
+            raise TruncationError(
+                f"{params}: the evolved state holds {edge:.3e} in its top {EDGE_LEVELS} "
+                f"levels, above {EDGE_TOLERANCE:.0e}; it needs a dim (--dim) above {dim}")
         yield psi
 
 

@@ -23,6 +23,17 @@ import numpy as np
 #: Maximum admissible Poisson tail mass left outside the truncated basis.
 TAIL_TOLERANCE = 1e-12
 
+#: H couples levels at most 4 apart, so the truncation cuts the x^4 couplings
+#: of the top 4 levels of the basis: the edge an evolved state must not reach.
+EDGE_LEVELS = 4
+
+#: Most total population an evolved state may hold in its top ``EDGE_LEVELS``
+#: levels at any t.  That population, maximised over t, bounds the drift of the
+#: moments at doubled dimension (relative to max(1, |moment|)): at the bound, the
+#: drift reached 3e-10 (at |alpha| near 0.84, lam near 0.045) over 390 slices of
+#: |alpha| <= 6, lam <= 0.3 and 17 times on [-4 pi, 4 pi], and 2.2e-9 at 1e-14.
+EDGE_TOLERANCE = 1e-15
+
 #: Residual bound for the coherent-state eigenvalue relation ||(a - alpha)|alpha>||.
 EIGENVALUE_RESIDUAL_TOL = 1e-8
 
@@ -32,7 +43,8 @@ NORM_TOLERANCE = 1e-9
 MIN_DIM = 2
 
 #: Largest truncation dimension a parameter set may ask for: one dense complex
-#: D x D matrix is then 64 MB.  Admits |alpha| = 20 (D = 581) at doubled D.
+#: D x D matrix is then 64 MB.  Admits the default dim of every |alpha| up to 41
+#: (D = 2029).
 MAX_DIM = 2048
 
 #: Most values a sweep may hold in one array: a column of its rows, at 8 B per
@@ -142,12 +154,15 @@ def require_finite(values: np.ndarray, params: ModelParams, what: str) -> np.nda
     return values
 
 
-def check_normalized(amplitudes: np.ndarray) -> None:
-    """Raise ValueError unless every state along the last axis has unit norm."""
-    nrm = np.linalg.norm(amplitudes, axis=-1)
+def check_normalized(amplitudes: np.ndarray) -> np.ndarray:
+    """The populations |amplitude|^2; raises ValueError unless every state along
+    the last axis has unit norm."""
+    populations = amplitudes.real**2 + amplitudes.imag**2
+    nrm = np.sqrt(populations.sum(axis=-1))
     worst = float(np.max(np.abs(nrm - 1.0), initial=0.0))
     if not worst <= NORM_TOLERANCE:
         raise ValueError(f"state norm deviates from 1 by {worst!r}, beyond {NORM_TOLERANCE}")
+    return populations
 
 
 def make_ladder_ops(dim: int):

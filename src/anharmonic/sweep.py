@@ -1,4 +1,4 @@
-"""Parameter sweeps, CSV emission, oracle comparison and convergence checks.
+"""Parameter sweeps, CSV emission and oracle comparison.
 
 A sweep walks the grid alpha x theta x lambda x t in a fixed nested order and
 emits one row per grid point per witness, so identical specs produce byte
@@ -7,8 +7,11 @@ name it gives the witness on moments (of the exact oracle, and of the
 first-order operator a_1(t) where there is no scalar closed form), the scalar
 closed form if any and the reference a value is classified against.
 
-A ``SweepSpec`` is checked once, when it is built: a spec that constructs is
-one ``run_sweep`` can run.  Each (alpha, theta, lambda) slice is evaluated
+A ``SweepSpec`` is checked once, when it is built.  What only the evaluation
+finds, ``run_sweep`` refuses before it writes anything: a value that leaves the
+float range, or an exact state that reaches the edge of its truncated basis
+(see ``dynamics.evolve_blocks``), in the first slice to fail in
+(alpha, lambda, theta) order.  Each (alpha, theta, lambda) slice is evaluated
 over its whole t grid on arrays, and a result holds columns: the rows shaped
 (slices, T, witnesses) and their reductions over t shaped (slices, witnesses).
 
@@ -82,14 +85,9 @@ SCALING_SLOPE_THRESHOLD = 1.8
 #: Below this error the fit is noise-dominated and reported as floor-limited.
 SCALING_ERROR_FLOOR = 1e-13
 
-CONVERGENCE_TOL = 1e-9
-
 #: Most values ``write_csv`` formats in one ``float_reprs`` call; the call
 #: holds about 230 B per value while it runs, its output included.
 _CSV_RUN = CHUNK // 2
-
-#: Most (alpha, theta, lambda) slices ``convergence_check`` recomputes.
-CONVERGENCE_MAX_SLICES = 8
 
 
 class SweepSpecError(ValueError):
@@ -323,12 +321,13 @@ def write_csv(result: SweepResult, path) -> None:
     coords = [spec.t_grid(), *map(np.array, (spec.alpha_mag, spec.theta, spec.lam))]
     cells = iter(float_reprs(np.concatenate(coords)))
     ts, *axes = [list(islice(cells, c.size)) for c in coords]
-    # the t and witness cells are the same in every slice
-    tw = [t + b"," + w.encode() for t in ts for w in spec.witnesses]
+    # the t and witness cells, with their trailing comma, are the same in every slice
+    tw = [t + b"," + w.encode() + b"," for t in ts for w in spec.witnesses]
     n = len(tw)
     slices = product(*axes)
     empty = b"," * (3 - len(filled))  # the unfilled columns, ahead of the label
-    tails = {label: empty + label.encode() for label in (NONCLASSICAL, BOUNDARY, CLASSICAL)}
+    tails = {label: b"," + empty + label.encode() for label in (NONCLASSICAL, BOUNDARY, CLASSICAL)}
+    width = 2 * len(filled) + 1  # items a row: t and witness, values and their commas, tail
     rows = result.row_count
     step = max(1, _CSV_RUN // len(filled))
     with open(path, "wb") as f:
@@ -343,10 +342,18 @@ def write_csv(result: SweepResult, path) -> None:
                 j, r0, r1 = lo % n, lo - start, hi - start  # in the slice, in the run
                 if j == 0:
                     prefix = b"\n" + b",".join(next(slices)) + b","
+                    # each row's tail leads into the next row of the slice
+                    ends = {label: tail + prefix for label, tail in tails.items()}
+                # one flat list of the part's items, joined once; its last row ends
+                # without the prefix, which the next part writes first
+                items = [b","] * ((r1 - r0) * width)
+                items[0::width] = tw[j:j + r1 - r0]
+                for k, c in enumerate(columns):
+                    items[2 * k + 1::width] = c[r0:r1]
+                items[width - 1::width] = map(ends.__getitem__, labels[r0:r1])
+                items[-1] = tails[labels[r1 - 1]]
                 f.write(prefix)
-                f.write(prefix.join(map(b",".join, zip(
-                    tw[j:j + r1 - r0], *(c[r0:r1] for c in columns),
-                    map(tails.__getitem__, labels[r0:r1])))))
+                f.write(b"".join(items))
         f.write(b"\n")
 
 
@@ -409,41 +416,3 @@ def compare_report(result: SweepResult) -> ScalingReport:
                 status = "pass" if slope >= SCALING_SLOPE_THRESHOLD else "fail"
                 entries.append(ScalingEntry(w, a, th, slope, status))
     return ScalingReport(entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    max_drift: float
-    tolerance: float
-    passed: bool
-
-
-def convergence_check(spec: SweepSpec) -> ConvergenceReport:
-    """Recompute a sampled subset of grid points at doubled truncation.
-
-    At most ``CONVERGENCE_MAX_SLICES`` slices are sampled, at up to three times each.
-    Drift is the worst change of any recorded moment, scaled by
-    max(1, |moment|); passes below ``CONVERGENCE_TOL``.
-    """
-    if spec.mode not in ("exact", "compare"):
-        raise SweepSpecError("mode: convergence_check requires mode 'exact' or 'compare'")
-    for a in spec.alpha_mag:  # the doubled dimensions, before any evolution
-        ModelParams(a, 0.0, max(spec.lam), 2 * spec.dim_for(a))
-    combos = list(spec.slices())
-    stride = max(1, len(combos) // CONVERGENCE_MAX_SLICES)
-    ts = spec.t_grid()
-    sample_ts = sorted({float(ts[0]), float(ts[len(ts) // 2]), float(ts[-1])})
-    horizon = spec.horizon()
-
-    worst = 0.0
-    # an H or a state that overflows is refused, and the moments are bounded (see run_sweep)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, th, lam in combos[::stride][:CONVERGENCE_MAX_SLICES]:
-            dim = spec.dim_for(a)
-            [m1] = exact_moment_blocks([ModelParams(a, th, lam, dim)], sample_ts, horizon)
-            [m2] = exact_moment_blocks([ModelParams(a, th, lam, 2 * dim)], sample_ts, horizon)
-            for row1, row2 in zip(m1.tolist(), m2.tolist()):
-                drift = max(abs(x1 - x2) / max(1.0, abs(x2)) for x1, x2 in zip(row1, row2))
-                worst = max(worst, drift)
-    return ConvergenceReport(max_drift=worst, tolerance=CONVERGENCE_TOL,
-                             passed=worst < CONVERGENCE_TOL)

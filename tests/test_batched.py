@@ -5,7 +5,9 @@ time grid at once, here for one-slice groups.  The properties are drawn at
 random over |alpha| <= 4, lam <= 1e-2, |t| <= 4 pi.  At the default dim the
 population of the top 4 levels there peaks at 6.3e-13 at |alpha| = 2,
 1.6e-10 at 3 and 1.8e-8 at 4 (D = 68), measured at theta = 0, lam = 1e-2
-over 257 times on [-4 pi, 4 pi].
+over 257 times on [-4 pi, 4 pi], so the exact oracle refuses those slices.
+At twice the default dim it peaks at 1.4e-22 (|alpha| = 4), and the
+properties of the exact path are drawn there.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from anharmonic.dynamics import (
     ladder_moment_block,
     lay_out_bands,
 )
-from anharmonic.fock import ModelParams, coherent_state, make_ladder_ops
+from anharmonic.fock import ModelParams, coherent_state, default_dim, make_ladder_ops
 from anharmonic.perturbative import (
     _bracket_bands,
     _bracket_coefficients,
@@ -36,6 +38,11 @@ lams = st.floats(0.0, 1e-2)
 times = st.floats(-4 * np.pi, 4 * np.pi)
 grids = st.lists(times, min_size=1, max_size=9).map(np.array)
 PROPERTY = settings(max_examples=40, deadline=None)
+
+
+def doubled(alpha_mag, theta, lam):
+    """Params at twice the default dim, where the exact oracle accepts every draw."""
+    return ModelParams(alpha_mag, theta, lam, 2 * default_dim(alpha_mag))
 
 
 def scale(alpha_mag):
@@ -72,7 +79,7 @@ def test_banded_first_order_matches_dense_matrix(a, th, lam, ts):
 @PROPERTY
 @given(alphas, thetas, lams, grids)
 def test_batch_rows_are_bit_identical_to_single_times(a, th, lam, ts):
-    params = ModelParams.auto(a, th, lam)
+    params = doubled(a, th, lam)
     [fo] = first_order_moment_blocks([params], ts)
     [ex] = exact_moment_blocks([params], ts)
     for j, t in enumerate(ts):
@@ -85,14 +92,14 @@ def test_batch_rows_are_bit_identical_to_single_times(a, th, lam, ts):
 @PROPERTY
 @given(alphas, thetas, lams, grids)
 def test_norm_is_conserved(a, th, lam, ts):
-    [psi] = evolve_blocks([ModelParams.auto(a, th, lam)], ts)
+    [psi] = evolve_blocks([doubled(a, th, lam)], ts)
     assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) < 1e-12)
 
 
 @PROPERTY
 @given(alphas, thetas, lams, grids)
 def test_even_level_population_is_conserved(a, th, lam, ts):
-    params = ModelParams.auto(a, th, lam)
+    params = doubled(a, th, lam)
     [psi] = evolve_blocks([params], ts)
     even = np.abs(psi[:, ::2]) ** 2
     start = np.sum(np.abs(coherent_state(params.alpha, params.dim).amplitudes[::2]) ** 2)
@@ -102,7 +109,7 @@ def test_even_level_population_is_conserved(a, th, lam, ts):
 @PROPERTY
 @given(alphas, thetas, lams, grids)
 def test_diagonal_moments_are_real(a, th, lam, ts):
-    params = ModelParams.auto(a, th, lam)
+    params = doubled(a, th, lam)
     [ex] = exact_moment_blocks([params], ts)
     [fo] = first_order_moment_blocks([params], ts)
     for block in (ex, fo):

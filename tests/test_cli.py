@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -10,8 +11,9 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anharmonic
@@ -28,7 +30,8 @@ from anharmonic.cli import (
     parse_number_list,
     read_config,
 )
-from anharmonic.fock import MIN_DIM, default_dim
+from anharmonic.dynamics import DEFAULT_TIME_HORIZON, exact_moment_blocks
+from anharmonic.fock import MIN_DIM, ModelParams, TruncationError, default_dim
 from anharmonic.sweep import CSV_HEADER, MODES, WITNESS_NAMES, WITNESSES, SweepSpecError
 
 NON_FINITE_ARGS = [
@@ -91,10 +94,35 @@ def cli_argvs(draw):
         "--witness": draw(st.lists(st.sampled_from(WITNESS_NAMES), min_size=1, max_size=3)),
     }
     argv = [token for flag, values in args.items() for token in (flag, ",".join(values))]
-    if draw(st.booleans()):
-        argv.append("--check-convergence")
     rows = math.prod(len(args[flag]) for flag in ("--alpha", "--theta", "--lambda", "--witness"))
     return argv, rows * int(args["--t-steps"][0])
+
+
+#: Runs whose exact state reaches the top 4 levels of the default basis, each
+#: with the (alpha, theta, lambda) of its first slice to do so.  Without the
+#: edge check they printed rows and exited 0: N read 39.74 at D = 68 where
+#: doubled dimensions read about 44 (the first), and 6.63 at D = 29 (the last).
+EDGE_RUNS = [
+    (("--alpha", "4", "--theta", "0", "--lambda", "0.05,0.1", "--t-end", "4pi",
+      "--t-steps", "65", "--witness", "N"), (4.0, 0.0, 0.05)),
+    (("--alpha", "4", "--theta", "0", "--lambda", "0.1", "--t-end", "4pi",
+      "--t-steps", "65", "--witness", "N"), (4.0, 0.0, 0.1)),
+    (("--alpha", "1", "--theta", "0", "--lambda", "2", "--t-end", "4pi", "--t-steps", "5"),
+     (1.0, 0.0, 2.0)),
+    (("--alpha", "1", "--lambda", "5", "--t-steps", "2", "--witness", "N"), (1.0, 0.0, 5.0)),
+]
+
+
+#: Largest drift at doubled dimension, relative to max(1, |moment|), of the
+#: moments of a slice the exact oracle accepts.
+CONVERGENCE_TOL = 1e-9
+
+
+def doubled_dim_drift(block, params, ts):
+    """Largest change of the moments ``block`` of ``params``'s slice on ``ts``
+    when the slice is evaluated at twice its dim, relative to max(1, |moment|)."""
+    [doubled] = exact_moment_blocks([dataclasses.replace(params, dim=2 * params.dim)], ts)
+    return float(np.max(np.abs(block - doubled) / np.maximum(1.0, np.abs(doubled))))
 
 
 @pytest.fixture
@@ -219,23 +247,49 @@ class TestMain:
         assert "scaling witness=N" in text
         assert "status=pass" in text
 
-    def test_convergence_flag(self):
-        code, text = self.run(
-            "--alpha", "1", "--lambda", "1e-3", "--mode", "exact",
-            "--t-steps", "3", "--witness", "N", "--check-convergence",
-        )
-        assert code == EXIT_OK
-        assert "convergence max_drift=" in text and "passed=True" in text
-
-    def test_failed_convergence_exits_before_the_sweep(self, tmp_path, capsys):
-        # alpha = 4 at lam = 0.1 is not converged at the default truncation
+    @pytest.mark.parametrize("mode", ["exact", "compare"])
+    @pytest.mark.parametrize("argv, refused", EDGE_RUNS)
+    def test_a_state_at_the_basis_edge_is_refused_before_the_sweep(self, tmp_path, capsys,
+                                                                   mode, argv, refused):
         out_csv = tmp_path / "rows.csv"
-        code, text = self.run("--alpha", "4", "--theta", "0", "--lambda", "0.1", "--mode", "exact",
-                              "--t-end", "4pi", "--t-steps", "65", "--witness", "N",
-                              "--check-convergence", "--out", str(out_csv))
-        assert code == EXIT_PRECONDITION
-        assert text == "" and not out_csv.exists()
-        assert "passed=False" in capsys.readouterr().err
+        code, text = self.run(*argv, "--mode", mode, "--out", str(out_csv))
+        assert (code, text) == (EXIT_PRECONDITION, "") and not out_csv.exists()
+        err = capsys.readouterr().err
+        a, th, lam = refused
+        assert err.startswith(f"precondition error: ModelParams(alpha_mag={a!r}, "
+                              f"theta={th!r}, lam={lam!r}, "), err
+        population = re.search(r": the evolved state holds (\S+) in its top 4 levels, ", err)
+        assert population and float(population.group(1)) > fock.EDGE_TOLERANCE, err
+        assert err.count("\n") == 1, err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 6.0), st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(0.0, 0.3) | st.floats(-6.0, math.log10(0.3)).map(lambda e: min(0.3, 10.0**e)))
+    @example(1.0, np.pi / 4, 1e-2)
+    def test_the_oracle_accepts_only_slices_that_hold_at_doubled_dimension(self, a, th, lam):
+        # the default dim, at most 104 here, and 17 times on [-4 pi, 4 pi]
+        params = ModelParams.auto(a, th, lam)
+        ts = np.linspace(-4 * np.pi, 4 * np.pi, 17)
+        try:
+            [block] = exact_moment_blocks([params], ts)
+        except TruncationError:
+            with tempfile.TemporaryDirectory() as tmp:
+                out_csv = Path(tmp) / "rows.csv"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code, text = self.run("--alpha", repr(a), f"--theta={th!r}", "--lambda", repr(lam),
+                                          "--t-start=-4pi", "--t-end", "4pi", "--t-steps", "17",
+                                          "--mode", "exact", "--witness", "N", "--out", str(out_csv))
+                assert (code, text) == (EXIT_PRECONDITION, "") and not out_csv.exists()
+            assert err.getvalue().startswith("precondition error: ")
+            assert err.getvalue().count("\n") == 1
+            return
+        assert doubled_dim_drift(block, params, ts) < CONVERGENCE_TOL
+
+    def test_the_free_vacuum_is_the_same_at_doubled_dimension(self):
+        params, ts = ModelParams.auto(0.0), np.linspace(-4 * np.pi, 4 * np.pi, 17)
+        [block] = exact_moment_blocks([params], ts)
+        assert doubled_dim_drift(block, params, ts) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(pi_tokens)
@@ -303,7 +357,11 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("precondition error: ModelParams(alpha_mag=1.0, "
                               f"theta={theta!r}, lam={lam!r}, "), err
-        assert err.endswith(" is not finite\n") and err.count("\n") == 1, err
+        # at lam = 1e300 H and the evolved state stay finite, and the state
+        # fills the top of the basis before a closed form overflows
+        edge = mode != "closed_form" and argv == ("--lambda", "1e300")
+        assert err.endswith(" above 29\n" if edge else " is not finite\n"), err
+        assert err.count("\n") == 1, err
 
     @settings(max_examples=300, deadline=None)
     @given(cli_argvs())
@@ -325,15 +383,16 @@ class TestMain:
         for row in table:
             for column in ("value_cf", "value_exact", "abs_error"):
                 assert row[column] == "" or math.isfinite(float(row[column])), row
-
-    def test_convergence_dim_refused_before_the_sweep(self, tmp_path, no_dense_allocation):
-        # D = 1160 is admissible, the doubled 2320 is above fock.MAX_DIM
-        out_csv = tmp_path / "rows.csv"
-        code, text = self.run("--alpha", "30", "--mode", "exact", "--t-steps", "2",
-                              "--witness", "N", "--check-convergence", "--out", str(out_csv))
-        assert code == EXIT_PRECONDITION
-        assert text == ""
-        assert not out_csv.exists()
+        # every exact slice the run printed holds at doubled dimension; rounding
+        # in the phases w t at longer times is not what the edge check bounds
+        spec = build_spec(dict(DEFAULTS, **{flag[2:].replace("-", "_"): value
+                                            for flag, value in zip(argv[::2], argv[1::2])}))
+        if spec.mode != "closed_form" and spec.horizon() <= DEFAULT_TIME_HORIZON:
+            ts = spec.t_grid()
+            for a, th, lam in spec.slices():
+                params = ModelParams(a, th, lam, spec.dim_for(a))
+                [block] = exact_moment_blocks([params], ts)
+                assert doubled_dim_drift(block, params, ts) < CONVERGENCE_TOL, params
 
     @pytest.mark.parametrize("to_dir", [True, False], ids=["directory", "empty"])
     def test_out_naming_a_directory_refused_before_the_sweep(self, tmp_path, to_dir, capsys,
@@ -345,16 +404,16 @@ class TestMain:
         assert text == "" and list(tmp_path.iterdir()) == []
         assert "spec error: out: " in capsys.readouterr().err
 
-    def test_out_directory_refused_before_the_convergence_check(self, tmp_path, capsys,
-                                                               monkeypatch, no_dense_allocation):
-        # the failing convergence run of test_failed_convergence_exits_before_the_sweep
+    def test_out_directory_refused_before_the_edge_check(self, tmp_path, capsys,
+                                                        monkeypatch, no_dense_allocation):
+        # a run whose state reaches the edge of the basis (see EDGE_RUNS)
         def refuse(*args, **kwargs):
             raise AssertionError("a Hamiltonian was about to be built")
 
         monkeypatch.setattr(dynamics, "hamiltonian", refuse)
         code, text = self.run("--alpha", "4", "--theta", "0", "--lambda", "0.1", "--mode", "exact",
                               "--t-end", "4pi", "--t-steps", "65", "--witness", "N",
-                              "--check-convergence", "--out", str(tmp_path))
+                              "--out", str(tmp_path))
         assert code == EXIT_SPEC_ERROR
         assert text == "" and list(tmp_path.iterdir()) == []
         assert "spec error: out: " in capsys.readouterr().err
@@ -382,17 +441,16 @@ class TestMain:
         assert code == EXIT_OK and text.startswith("usage: anharmonic-sweep")
         assert capsys.readouterr() == ("", "")
 
+    def test_the_options_are_the_settings_and_config(self):
+        _, text = self.run("--help")
+        options = re.findall(r"^  (--[a-z-]+)", text, re.MULTILINE)
+        assert sorted(options) == sorted(["--config", *(f"--{key.replace('_', '-')}"
+                                                        for key in DEFAULTS)])
+        assert len(options) == 11
+
     @pytest.mark.parametrize("argv, code, prefix", [
         (("--out", "{dir}", "--dim", "5"), EXIT_SPEC_ERROR, "spec error: out: "),
         (("--dim", "5"), EXIT_PRECONDITION, "precondition error: dim=5 is below"),
-        (("--mode", "closed_form", "--check-convergence", "--out", "{dir}"),
-         EXIT_SPEC_ERROR, "spec error: out: "),
-        # a spec whose dim is unsafe is refused when it is built, before the mode check
-        (("--mode", "closed_form", "--check-convergence", "--dim", "5"),
-         EXIT_PRECONDITION, "precondition error: dim=5 is below"),
-        (("--mode", "exact", "--alpha", "30", "--t-steps", "2", "--witness", "N",
-          "--check-convergence"),
-         EXIT_PRECONDITION, "precondition error: dim=2320 exceeds the dense-matrix ceiling MAX_DIM"),
     ])
     def test_refusal_order(self, tmp_path, monkeypatch, capsys, no_dense_allocation,
                            argv, code, prefix):
@@ -428,13 +486,6 @@ class TestMain:
         row, column = cell
         lines = (tmp_path / "spaced.csv").read_text(encoding="ascii").splitlines()[1:]
         assert lines[row].split(",")[column] == repr(parse_number_list(token)[0])
-
-    def test_convergence_mode_refused_before_the_sweep(self, tmp_path, no_dense_allocation):
-        out_csv = tmp_path / "rows.csv"
-        code, text = self.run("--mode", "closed_form", "--check-convergence", "--out", str(out_csv))
-        assert code == EXIT_SPEC_ERROR
-        assert text == ""
-        assert not out_csv.exists()
 
     def test_default_witnesses_are_the_table(self):
         assert build_spec(dict(DEFAULTS)).witnesses == tuple(WITNESSES)

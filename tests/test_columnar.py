@@ -32,7 +32,7 @@ from anharmonic.dynamics import (
     coherent_moment_set,
     exact_moment_blocks,
 )
-from anharmonic.fock import ModelParams
+from anharmonic.fock import ModelParams, default_dim
 from anharmonic.perturbative import (
     ClosedFormInputs,
     delta_y1_squared,
@@ -132,7 +132,8 @@ def assert_columns_are_rows(block):
        st.lists(st.floats(0.0, np.pi), min_size=1, max_size=9).map(np.array))
 @example(20.01, np.pi / 2, 1e-4, np.linspace(0.0, np.pi, 16))
 def test_column_witnesses_are_their_row_witnesses_on_oracle_moments(a, th, lam, ts):
-    params = ModelParams.auto(a, th, lam)
+    # at twice the default dim, where the exact oracle accepts every draw
+    params = ModelParams(a, th, lam, 2 * default_dim(a))
     [ex] = exact_moment_blocks([params], ts, horizon=np.pi)
     [fo] = first_order_moment_blocks([params], ts)
     assert_columns_are_rows(ex)
@@ -151,8 +152,9 @@ def test_column_witnesses_are_their_row_witnesses_on_any_moments(rows):
 
 
 def test_column_values_classify_like_row_values():
-    # t = 0 is the coherent input, where every witness sits in the boundary band
-    [block] = exact_moment_blocks([ModelParams.auto(2.0, 0.4, 1e-2)], np.linspace(0.0, np.pi, 9))
+    # t = 0 is the coherent input, where every witness sits in the boundary band;
+    # twice the default dim holds the state away from the edge of the basis
+    [block] = exact_moment_blocks([ModelParams(2.0, 0.4, 1e-2, 80)], np.linspace(0.0, np.pi, 9))
     for name, witness in WITNESS_VALUES.items():
         labels = classify(witness(column_set(block)))
         assert labels.tolist() == [classify(witness(MomentSet(*row))) for row in block.tolist()], name

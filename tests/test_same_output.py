@@ -52,7 +52,9 @@ def test_cli_edge_case_reaches_its_edges(capsys):
     csv, stdout = same_output.run_workload(ROOT / "src", "cli_edge_case", None)
     lines = stdout.decode().splitlines()
     assert lines[0] == "rows=1848 mode=compare csv=sweep.csv"
-    assert lines[-1].startswith("convergence ") and lines[-1].endswith(" passed=True")
+    # the summary ends with the scaling report of the last slice
+    assert lines[-1].startswith("scaling witness=hillery alpha=2.5 theta=3.141592653589793 ")
+    assert lines[-1].endswith(" status=pass")
     rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
     assert {r[0] for r in rows} == {"0.0", "2.5"}
     assert min(float(r[3]) for r in rows) == -2 * math.pi

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anharmonic import cli, criteria, dynamics, sweep
+from anharmonic import cli, criteria, sweep
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
 from anharmonic.dynamics import MomentSet, exact_moment_blocks
 from anharmonic.fock import MAX_GRID_CELLS, ModelParams, TruncationError, default_dim
@@ -32,7 +32,6 @@ from anharmonic.sweep import (
     SweepSpec,
     SweepSpecError,
     compare_report,
-    convergence_check,
     run_sweep,
     write_csv,
 )
@@ -309,7 +308,7 @@ class TestColumns:
         assert got == expected
         assert result.vmin.shape == (len(expected) // len(spec.witnesses), len(spec.witnesses))
         out = io.StringIO()
-        cli._print_result(result, None, out)
+        cli._print_result(result, out)
         assert [line for line in out.getvalue().splitlines()
                 if line.startswith("witness=")] == lines
 
@@ -579,31 +578,3 @@ class TestCompareReport:
         report = compare_report(run_sweep(spec))
         assert report.status_of("d1") == "floor-limited"
 
-
-class TestConvergenceCheck:
-    def test_auto_dim_converged(self):
-        spec = small_spec(mode="exact", theta=(np.pi / 4,), lam=(1e-2,), t_steps=5)
-        report = convergence_check(spec)
-        assert report.passed
-        assert report.max_drift < 1e-9
-
-    def test_free_vacuum_drift_zero(self):
-        spec = small_spec(alpha_mag=(0.0,), theta=(0.0,), lam=(0.0,),
-                          mode="exact", t_steps=3)
-        report = convergence_check(spec)
-        assert report.max_drift == 0.0
-
-    def test_requires_exact_or_compare(self):
-        with pytest.raises(SweepSpecError, match="mode"):
-            convergence_check(small_spec(mode="closed_form"))
-
-    def test_doubled_dim_checked_up_front(self, monkeypatch):
-        # D = 1160 is admissible, the doubled 2320 is above fock.MAX_DIM
-        spec = small_spec(alpha_mag=(30.0,), mode="exact", t_steps=2)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an eigh was about to run")
-
-        monkeypatch.setattr(dynamics.np.linalg, "eigh", refuse)
-        with pytest.raises(TruncationError, match="MAX_DIM"):
-            convergence_check(spec)

@@ -12,11 +12,14 @@ and the first-order operator a_1(t) both satisfy:
 
 Each property holds for one-slice groups and for a group of several thetas,
 at times in [-4 pi, 4 pi], to ``TOL`` times max(1, |moment|) rather than bit
-for bit, so that a kernel that rounds differently must keep them too.  The
-worst residuals measured on a grid of |alpha| <= 4 were 0.0 (time reversal),
-1.5e-14 (parity) and 3.1e-15 (free evolution) on the exact path, and 3.4e-15
-(parity) and 6.7e-16 (free evolution) on the first-order path; random draws
-reach parity residuals above 2e-14.
+for bit, so that a kernel that rounds differently must keep them too.  Both
+kernels run at twice the default dim, where the exact oracle accepts every
+draw (at the default dim, theta = 0 and lam = 1e-2 it refuses |alpha| = 1, 2,
+3 and 4).  The worst residuals measured at the default dim on a grid of
+|alpha| <= 4 were 0.0 (time reversal), 1.5e-14 (parity) and 3.1e-15 (free
+evolution) on the exact path, and 3.4e-15 (parity) and 6.7e-16 (free
+evolution) on the first-order path; random draws reach parity residuals above
+2e-14.
 
 Through ``run_sweep`` every witness reads only real parts of even functions
 of the block, so in mode ``compare`` both value columns are unchanged by
@@ -34,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anharmonic.dynamics import MONOMIALS, coherent_moment_set, exact_moment_blocks
-from anharmonic.fock import ModelParams
+from anharmonic.fock import ModelParams, default_dim
 from anharmonic.perturbative import first_order_moment_blocks
 from anharmonic.sweep import WITNESS_NAMES, SweepSpec, run_sweep
 
@@ -56,7 +59,7 @@ kernels = pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS)
 def blocks(kernel, alpha_mag, thetas, lam, ts):
     """The blocks of ``thetas`` at (alpha_mag, lam), from one group of all of
     them and then from one-slice groups, in theta order."""
-    group = [ModelParams.auto(alpha_mag, th, lam) for th in thetas]
+    group = [ModelParams(alpha_mag, th, lam, 2 * default_dim(alpha_mag)) for th in thetas]
     return [*kernel(group, ts), *(block for p in group for block in kernel([p], ts))]
 
 
@@ -100,7 +103,7 @@ def test_free_evolution_keeps_the_coherent_moments(kernel, a, thetas, ts):
 def test_sweep_values_keep_time_reversal_and_parity(a, thetas, lam, t_end, t_steps):
     def values(thetas, t_end):
         spec = SweepSpec(alpha_mag=(a,), theta=tuple(thetas), lam=(lam,), t_start=0.0,
-                         t_end=t_end, t_steps=t_steps, mode="compare")
+                         t_end=t_end, t_steps=t_steps, dim=2 * default_dim(a), mode="compare")
         result = run_sweep(spec)
         return result.value_cf, result.value_exact
 
