@@ -17,7 +17,10 @@ grids do not.  ``cli_edge_case`` has |alpha| = 0, whose vacuum input writes
 -0.0 cells, negative t, one ``--dim`` shared by two |alpha|, and the scaling
 report of two lambdas.  ``cli_first_order_case`` runs mode ``closed_form``
 with the witnesses whose closed-form column comes from the moments of a_1(t),
-next to scalar closed forms, at |alpha| = 0 too.
+next to scalar closed forms, at |alpha| = 0 too.  ``cli_spec_error_case``
+(exit 2) and ``cli_overflow_case`` (an H beyond the float range, exit 3) are
+refused; a CLI case may exit non-zero, and then its exit status, its stderr
+line and the absence of its CSV are what is compared.
 
 When two CSVs differ but their rows line up (same header, row count and first
 five cells), the pair's line is followed by a value report: one line per
@@ -34,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEPBENCH = ROOT / "sweepbench"
@@ -49,6 +53,8 @@ CLI_CASES = {
     "cli_first_order_case": ("--alpha", "0,1.5", "--theta=-pi/4,pi/2", "--lambda", "1e-3,1e-2",
                              "--t-start=-pi", "--t-end", "2pi", "--t-steps", "17",
                              "--mode", "closed_form", "--witness", "quadrature,hillery,N,f"),
+    "cli_spec_error_case": ("--t-steps", "1"),
+    "cli_overflow_case": ("--lambda", "1e308", "--mode", "exact", "--t-steps", "3"),
 }
 
 # run in the child: import the package from the given src, then run one
@@ -68,9 +74,20 @@ sys.stdout.write(WORKLOADS[sys.argv[2]].inputs(int(sys.argv[3])).run(sys.argv[4]
 """
 
 
-def run_workload(src: Path, name: str, seed):
-    """(csv bytes, stdout) of one workload run against ``src`` at ``seed``, or
-    of one of ``CLI_CASES``, whose seed is None."""
+class Run(NamedTuple):
+    """What one run leaves: its exit status, its CSV (None if it wrote none),
+    its stdout and its stderr."""
+
+    code: int
+    csv: Optional[bytes]
+    stdout: bytes
+    stderr: bytes
+
+
+def run_workload(src: Path, name: str, seed) -> Run:
+    """One workload run against ``src`` at ``seed``, or one of ``CLI_CASES``,
+    whose seed is None.  A workload that exits non-zero raises RuntimeError; a
+    CLI case may, as a refusal does."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join((str(src), str(SWEEPBENCH)))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -81,9 +98,11 @@ def run_workload(src: Path, name: str, seed):
         proc = subprocess.run(
             [sys.executable, "-c", CHILD, str(src), *args],
             cwd=work, env=env, capture_output=True, timeout=CHILD_TIMEOUT_S)
-        if proc.returncode != 0:
+        if proc.returncode != 0 and name not in CLI_CASES:
             raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.decode(errors='replace').strip()}")
-        return (Path(work) / CSV_NAME).read_bytes(), proc.stdout
+        csv = Path(work) / CSV_NAME
+        return Run(proc.returncode, csv.read_bytes() if csv.exists() else None,
+                   proc.stdout, proc.stderr)
 
 
 def first_difference(a: bytes, b: bytes) -> str:
@@ -148,15 +167,22 @@ def main(argv) -> int:
             ok = False
             continue
         diffs, report = [], None
-        if before[0] != after[0]:
-            report = value_report(before[0], after[0])
+        if before.code != after.code:
+            diffs.append(f"exit {before.code} != {after.code}")
+        if None in (before.csv, after.csv) and before.csv != after.csv:
+            diffs.append("csv written by one run only")
+        elif before.csv != after.csv:
+            report = value_report(before.csv, after.csv)
             diffs.append("csv differs, " + ("in values" if report is not None
-                                            else first_difference(before[0], after[0])))
-        if before[1] != after[1]:
-            diffs.append(f"stdout differs, {first_difference(before[1], after[1])}")
+                                            else first_difference(before.csv, after.csv)))
+        for stream in ("stdout", "stderr"):
+            if getattr(before, stream) != getattr(after, stream):
+                diffs.append(f"{stream} differs, "
+                             f"{first_difference(getattr(before, stream), getattr(after, stream))}")
         ok = ok and not diffs
-        print(f"{label}: " + ("; ".join(diffs) if diffs else
-              f"identical ({len(after[0])} csv bytes, {len(after[1])} stdout bytes)"))
+        same = (f"exit {after.code}, {len(after.stderr)} stderr bytes" if after.code else
+                f"{len(after.csv)} csv bytes, {len(after.stdout)} stdout bytes")
+        print(f"{label}: " + ("; ".join(diffs) if diffs else f"identical ({same})"))
         for line in report or ():
             print(line)
     print("same output" if ok else "output differs")

@@ -18,7 +18,6 @@ from .criteria import (
     quadrature_squeezing,
 )
 from .dynamics import (
-    DEFAULT_TIME_HORIZON,
     MONOMIALS,
     MomentSet,
     coherent_moment_set,

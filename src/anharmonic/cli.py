@@ -9,18 +9,20 @@ that divides by zero, a t span beyond the float range, a grid above
 ``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
 directory included; ``main`` returns it rather than raising ``SystemExit``),
 3 for numerical precondition failures (a truncation dimension too small,
-above ``fock.MAX_DIM`` or beyond the float range, an overflowed value, or an
-exact state that reaches the top ``fock.EDGE_LEVELS`` levels of its basis;
+above ``fock.MAX_DIM`` or beyond the float range, an overflowed value, an
+exact time grid whose phases w t round past ``dynamics.PHASE_TOLERANCE``, or
+an exact state that reaches the top ``fock.EDGE_LEVELS`` levels of its basis;
 stderr then holds one line).  Building the ``SweepSpec`` refuses every spec
 error and then an unsafe dimension, so a spec error wins over a dimension
 error; the sweep then refuses the first slice in (alpha, lambda, theta) order
-whose value overflows or whose state reaches the edge.  No refusal comes after
-a row is printed or any CSV written, with one exception: an ``--out`` that
-cannot be written to (a full device, say) is found while the CSV is written,
-and exits 2 with ``spec error: out: <reason>``; the part already written
-stays.  A closed stdout (``anharmonic-sweep ... | head -1``) ends the run with
-exit 1 and nothing on stderr.  A value that starts with '-' may follow its flag
-after a space (``--theta -pi/2``) or an '=' (``--theta=-pi/2``).
+whose value overflows, whose grid is too long for its phases or whose state
+reaches the edge.  No refusal comes after a row is printed or any CSV written,
+with one exception: an ``--out`` that cannot be written to (a full device,
+say) is found while the CSV is written, and exits 2 with
+``spec error: out: <reason>``; the part already written stays.  A closed
+stdout (``anharmonic-sweep ... | head -1``) ends the run with exit 1 and
+nothing on stderr.  A value that starts with '-' may follow its flag after a
+space (``--theta -pi/2``) or an '=' (``--theta=-pi/2``).
 ``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
 """
 

@@ -10,11 +10,12 @@ evolution exp(-iHt)|alpha> of a time grid is computed from one eigendecompositio
 -- no time stepping, no time ordering, exact to machine precision in the truncated
 space.  The truncation cuts the x^4 couplings of the top 4 levels, so a state
 that reaches them, at any time of any slice, is refused (``fock.EDGE_TOLERANCE``)
-before its block is used.  Slices that share lam and dim (a sweep's theta slices
-at one |alpha|) form a group, which builds H, its ``eigh`` and the exp(-iwt)
-table once and drops them when its last slice is done; each slice projects its
-own input.  Only the lam-independent (a^dag + a)^4 is kept between calls, for
-the latest dim.
+before its block is used, and so is a grid long enough that the rounding of its
+phases w t, eps |t| max(w), passes ``PHASE_TOLERANCE``.  Slices that share lam
+and dim (a sweep's theta slices at one |alpha|) form a group, which builds H,
+its ``eigh`` and the exp(-iwt) table once and drops them when its last slice is
+done; each slice projects its own input.  Only the lam-independent
+(a^dag + a)^4 is kept between calls, for the latest dim.
 
 Moments are reported in the interaction frame that removes the free rotation:
 a normally ordered monomial a^dag^m a^n evaluated in the evolved state picks
@@ -37,7 +38,7 @@ alone.
 from __future__ import annotations
 
 import functools
-import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -45,8 +46,21 @@ import numpy as np
 from .fock import (EDGE_LEVELS, EDGE_TOLERANCE, TruncationError, check_normalized, coherent_state,
                    require_finite)
 
-#: Largest |t| the oracle is validated for by default (two full revivals).
-DEFAULT_TIME_HORIZON = 4.0 * math.pi
+#: Most eps |t| max(w) a group's time grid may reach, where max(w) = ||H||_2 is
+#: the top eigenvalue of the positive definite H.  ``eigh`` rounds every w by
+#: about eps ||H||, so the phases w t drift by about eps |t| ||H||, and with them
+#: the moments on their natural scale.  Against a 40-digit mpmath evolution
+#: (``mp.eigsy`` on the same x2 @ x2), the error grew linearly in t and the worst
+#: |delta <a^dag^m a^n>| stayed below 0.5 eps |t| ||H|| (|alpha|^2 + 1)^((m+n)/2)
+#: (at most 0.42 of it) at alpha=1, lam=1e-3, D=29, ||H||=28.6 (t to 1e10);
+#: alpha=0.5, lam=0.05, D=40, ||H||=89.4 (to 1e10); alpha=3, lam=1e-3, D=53,
+#: ||H||=53.0 (to 1e7); alpha=1, lam=0.05, D=100, ||H||=497 (to 1e8), whose
+#: populated w reach only about 54, so ||H|| and not the populated spread sets the
+#: scale; and alpha=10, lam=1e-3, D=200, ||H||=229 (to 1e6).  D=581 is out of
+#: reach (``eigsy`` took 376 s at D=200).  So within the bound the moments hold to
+#: 5e-11 of their natural scale.  The canonical grids reach 6.2e-13 (D=581, t=pi),
+#: and the test grids at most 4.2e-11 (lam=pi at doubled dim 108, t=2 pi).
+PHASE_TOLERANCE = 1e-10
 
 
 @functools.lru_cache(maxsize=1)
@@ -119,7 +133,7 @@ def _group_key(params_list) -> tuple:
     return lam, dim
 
 
-def evolve_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
+def evolve_blocks(params_list, ts):
     """Spectral evolution of a whole time grid for each params of a group that
     shares lam and dim: yields, per params, the (T, dim) block whose row j is
     psi(ts[j]) = V exp(-i Lambda t) V^T |alpha>.
@@ -129,18 +143,26 @@ def evolve_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
     one stacked matrix-vector product over the phased eigenbasis coefficients
     of its own input; each row is bit-identical to evolving its time alone, in
     any group.  An H or a state that overflowed raises FloatingPointError naming
-    the params (for H, the group's first).  From each block's populations, every
-    row's norm is checked, and a block whose top ``EDGE_LEVELS`` levels hold more
-    than ``EDGE_TOLERANCE`` at some t has reached the edge of the basis: it
-    raises TruncationError naming the params, before the block is yielded.
-    ``horizon`` bounds |t|; callers sweeping longer grids pass their own bound.
+    the params (for H, the group's first).  A grid whose largest |t| rounds the
+    phases w t by eps |t| max(w) above ``PHASE_TOLERANCE`` raises TruncationError
+    naming the group's first params, after ``eigh`` and before the phase table is
+    built.  From each block's populations, every row's norm is checked, and a
+    block whose top ``EDGE_LEVELS`` levels hold more than ``EDGE_TOLERANCE`` at
+    some t has reached the edge of the basis: it raises TruncationError naming
+    the params, before the block is yielded.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    worst = float(np.max(np.abs(ts), initial=0.0))
-    if worst > horizon + 1e-12:
-        raise ValueError(f"|t|={worst} exceeds the configured horizon {horizon}")
     lam, dim = _group_key(params_list)
     w, v = np.linalg.eigh(require_finite(hamiltonian(lam, dim), params_list[0], "H"))
+    # in Python floats, where an overflow is inf without a warning; a nan t refuses too
+    worst = float(np.max(np.abs(ts), initial=0.0))
+    scale = sys.float_info.epsilon * float(w[-1])
+    figure = worst * scale
+    if not figure <= PHASE_TOLERANCE:
+        raise TruncationError(
+            f"{params_list[0]}: the phases w t at |t| = {worst!r} round by eps |t| max(w) = "
+            f"{figure:.3e}, above {PHASE_TOLERANCE:.0e}; at dim {dim} |t| may reach about "
+            f"{PHASE_TOLERANCE / scale:.4g}")
     phase = np.exp(-1j * w * ts[:, None])
     for params in params_list:
         b = v.T @ coherent_state(params.alpha, dim).amplitudes
@@ -149,7 +171,8 @@ def evolve_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
         if not edge <= EDGE_TOLERANCE:
             raise TruncationError(
                 f"{params}: the evolved state holds {edge:.3e} in its top {EDGE_LEVELS} "
-                f"levels, above {EDGE_TOLERANCE:.0e}; it needs a dim (--dim) above {dim}")
+                f"levels, above {EDGE_TOLERANCE:.0e}; a larger dim (--dim) than {dim} may hold "
+                f"it, though doubling is not always enough")
         yield psi
 
 
@@ -221,7 +244,7 @@ def ladder_moment_block(bands, psi: np.ndarray) -> np.ndarray:
     return block
 
 
-def exact_moment_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
+def exact_moment_blocks(params_list, ts):
     """Yield, per params of a group that shares lam and dim, the interaction-frame
     moments of the exactly evolved state at every t of ``ts``, one row per t (see
     ``evolve_blocks``).
@@ -230,11 +253,11 @@ def exact_moment_blocks(params_list, ts, horizon: float = DEFAULT_TIME_HORIZON):
     with a^k psi built by repeated sqrt(n)-weighted shifts, O(dim) per state.
     The (T, 10) table e^{i(n-m)t} and the sqrt(n) band laid out over the (T, dim)
     block (see ``lay_out_bands``) are built once per group, with its first block,
-    so that ``evolve_blocks`` has checked the horizon before any arithmetic on ts.
+    so that ``evolve_blocks`` has checked the time bound before any arithmetic on ts.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     phase = None
-    for psi in evolve_blocks(params_list, ts, horizon):
+    for psi in evolve_blocks(params_list, ts):
         if phase is None:
             phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
             dim = psi.shape[-1]

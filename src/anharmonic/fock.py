@@ -182,7 +182,10 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
     Amplitudes follow the stable recurrence c_{n+1} = c_n alpha / sqrt(n+1)
     from c_0 = exp(-|alpha|^2 / 2), avoiding explicit factorials.  Raises
     ``TruncationError`` when the Poisson mass left outside the basis exceeds
-    ``TAIL_TOLERANCE``.
+    ``TAIL_TOLERANCE``.  At a dim below ``default_dim`` the message asks for
+    that dim; at or above it the float64 recurrence is at fault, not the dim:
+    c_0 underflows from |alpha| near 38.6, and from about 37.9 the captured
+    mass can round past ``TAIL_TOLERANCE``, at any dim up to ``MAX_DIM``.
     """
     alpha = complex(alpha)
     if dim < MIN_DIM:
@@ -194,10 +197,12 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
     captured = float(np.sum(np.abs(c) ** 2))
     tail = max(0.0, 1.0 - captured)
     if tail >= TAIL_TOLERANCE:
+        floor = default_dim(abs(alpha))
         raise TruncationError(
             f"coherent-state tail mass {tail:.3e} at dim={dim} exceeds "
             f"{TAIL_TOLERANCE:.0e} for |alpha|={abs(alpha)}; "
-            f"need dim >= {default_dim(abs(alpha))}"
+            + (f"need dim >= {floor}" if dim < floor else
+               "the float64 recurrence cannot hold this |alpha|, and no dim (--dim) helps")
         )
     return FockVector(c / math.sqrt(captured))
 

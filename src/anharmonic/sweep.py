@@ -9,11 +9,12 @@ closed form if any and the reference a value is classified against.
 
 A ``SweepSpec`` is checked once, when it is built.  What only the evaluation
 finds, ``run_sweep`` refuses before it writes anything: a value that leaves the
-float range, or an exact state that reaches the edge of its truncated basis
-(see ``dynamics.evolve_blocks``), in the first slice to fail in
-(alpha, lambda, theta) order.  Each (alpha, theta, lambda) slice is evaluated
-over its whole t grid on arrays, and a result holds columns: the rows shaped
-(slices, T, witnesses) and their reductions over t shaped (slices, witnesses).
+float range, a time grid too long for the exact oracle's phases, or an exact
+state that reaches the edge of its truncated basis (see
+``dynamics.evolve_blocks``), in the first slice to fail in (alpha, lambda,
+theta) order.  Each (alpha, theta, lambda) slice is evaluated over its whole t
+grid on arrays, and a result holds columns: the rows shaped (slices, T,
+witnesses) and their reductions over t shaped (slices, witnesses).
 
 ``compare`` mode also records |closed form - exact| per row; the scaling
 report fits log-log slopes of those errors across the lambda grid, the
@@ -196,10 +197,6 @@ class SweepSpec:
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.t_steps)
 
-    def horizon(self) -> float:
-        """Largest |t| on the grid, the bound handed to the exact oracle."""
-        return float(max(abs(self.t_start), abs(self.t_end)))
-
     def dim_for(self, alpha_mag: float) -> int:
         return self.dim if self.dim is not None else default_dim(alpha_mag)
 
@@ -244,7 +241,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     group's.  Each slice's values are bit-identical to evaluating it alone.
     """
     ts = spec.t_grid()
-    horizon = spec.horizon()
     need_exact = spec.mode in ("exact", "compare")
     entries = [WITNESSES[w] for w in spec.witnesses]
     need_fo = any(e.closed_form is None for e in entries)
@@ -261,14 +257,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     # the kernels, a closed-form value below.  The exact values are bounded: a
     # normalized state's moments are at most dim^4, and a phase e^{i(n-m)t},
     # n - m <= 4, overflows only where w t does for the top eigenvalue
-    # w >= dim - 1/2 >= 19.5 of H, and that state is refused.
+    # w >= dim - 1/2 >= 19.5 of H, and the time bound refuses it before the phase
+    # table is built.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, a in enumerate(spec.alpha_mag):
             for l, lam in enumerate(spec.lam):
                 group = [ModelParams(a, th, lam, spec.dim_for(a)) for th in spec.theta]
                 fo_blocks = (first_order_moment_blocks(group, ts) if need_fo
                              else repeat(None, len(group)))
-                exact_blocks = (exact_moment_blocks(group, ts, horizon) if need_exact
+                exact_blocks = (exact_moment_blocks(group, ts) if need_exact
                                 else repeat(None, len(group)))
                 # strict runs each kernel to its end, which drops the group's
                 # eigensystem and bands before the next group builds its own

@@ -316,7 +316,7 @@ class TestCriterion7StructuralSuite:
             worst_res < EIGENVALUE_RESIDUAL_TOL
         )
 
-        # unitarity and energy conservation over the horizon
+        # unitarity and energy conservation over two revivals
         params = ModelParams.auto(1.5, 0.7, 1e-2)
         h = hamiltonian(params.lam, params.dim)
         [[psi0]] = evolve_blocks([params], [0.0])

@@ -10,6 +10,8 @@ At twice the default dim it peaks at 1.4e-22 (|alpha| = 4), and the
 properties of the exact path are drawn there.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,8 @@ from anharmonic.dynamics import (
     ladder_moment_block,
     lay_out_bands,
 )
-from anharmonic.fock import ModelParams, coherent_state, default_dim, make_ladder_ops
+from anharmonic.fock import (ModelParams, TruncationError, coherent_state, default_dim,
+                             make_ladder_ops)
 from anharmonic.perturbative import (
     _bracket_bands,
     _bracket_coefficients,
@@ -273,16 +276,19 @@ def test_ladder_moment_block_is_vdot(dim, rows, broadcast, kind):
     assert same_bits(block, vdots)
 
 
-def test_time_grid_beyond_horizon_is_refused():
+def test_time_grid_beyond_the_time_bound_is_refused():
+    # at D = 29, max(w) = 28.6, so eps |t| max(w) is 6.4e-6 at t = 1e9
     params = ModelParams.auto(1.0, 0.0, 1e-3)
-    with pytest.raises(ValueError, match="horizon"):
-        list(exact_moment_blocks([params], [0.0, 5 * np.pi]))
-    [block] = exact_moment_blocks([params], [0.0, 5 * np.pi], horizon=5 * np.pi)
+    with pytest.raises(TruncationError, match=re.escape(
+            "at |t| = 1000000000.0 round by eps |t| max(w) = 6.352e-06, above 1e-10")):
+        list(exact_moment_blocks([params], [0.0, 1e9]))
+    [block] = exact_moment_blocks([params], [0.0, 1e4])
     assert block.shape == (2, 10)
 
 
-def test_horizon_is_refused_before_any_arithmetic_on_the_grid():
+@pytest.mark.parametrize("t", [1e308, np.nan])
+def test_time_bound_is_checked_before_any_arithmetic_on_the_grid(t):
     # t = 1e308 would overflow the phase table, which warnings turn into errors
     params = ModelParams.auto(1.0, 0.0, 1e-3)
-    with pytest.raises(ValueError, match="horizon"):
-        list(exact_moment_blocks([params], [0.0, 1e308]))
+    with pytest.raises(TruncationError, match=re.escape(f"at |t| = {t!r} round by ")):
+        list(exact_moment_blocks([params], [0.0, t]))

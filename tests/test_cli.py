@@ -30,7 +30,7 @@ from anharmonic.cli import (
     parse_number_list,
     read_config,
 )
-from anharmonic.dynamics import DEFAULT_TIME_HORIZON, exact_moment_blocks
+from anharmonic.dynamics import exact_moment_blocks
 from anharmonic.fock import MIN_DIM, ModelParams, TruncationError, default_dim
 from anharmonic.sweep import CSV_HEADER, MODES, WITNESS_NAMES, WITNESSES, SweepSpecError
 
@@ -260,7 +260,36 @@ class TestMain:
                               f"theta={th!r}, lam={lam!r}, "), err
         population = re.search(r": the evolved state holds (\S+) in its top 4 levels, ", err)
         assert population and float(population.group(1)) > fock.EDGE_TOLERANCE, err
+        # a larger dim is not promised to hold it: doubling fails at lam = 0.1
+        assert err.endswith(" may hold it, though doubling is not always enough\n"), err
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [("--witness", "N", "--mode", "exact", "--t-end", "1e9"),
+                                      ("--witness", "N", "--mode", "exact", "--t-end", "1e300"),
+                                      ("--witness", "d1", "--mode", "compare", "--t-end", "1e12")])
+    def test_a_grid_past_the_time_bound_is_refused_before_the_sweep(self, tmp_path, capsys, argv):
+        # each printed rows and exited 0 without the time bound: N max read
+        # 1.0011 at t = 1e300, and d1 was labelled classical at 1e12
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run("--alpha", "1", "--t-steps", "3", *argv, "--out", str(out_csv))
+        assert (code, text) == (EXIT_PRECONDITION, "") and not out_csv.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: ModelParams(alpha_mag=1.0, theta=0.0, "
+                              f"lam=0.001, dim=29): the phases w t at |t| = {float(argv[-1])!r} "
+                              "round by "), err
+        assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("alpha, dim", [("37.9", 1760), ("40", 1940)])
+    def test_an_amplitude_beyond_the_coherent_recurrence_asks_for_no_dim(self, capsys, alpha, dim):
+        # c_0 underflows at 40; at 37.9 the captured mass rounds past TAIL_TOLERANCE
+        code, text = self.run("--alpha", alpha, "--witness", "quadrature", "--t-steps", "2")
+        assert (code, text) == (EXIT_PRECONDITION, "")
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: coherent-state tail mass "), err
+        assert f" at dim={dim} " in err, err
+        assert err.endswith("; the float64 recurrence cannot hold this |alpha|, "
+                            "and no dim (--dim) helps\n"), err
+        assert "need dim" not in err and err.count("\n") == 1, err
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 6.0), st.floats(allow_nan=False, allow_infinity=False),
@@ -357,10 +386,11 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("precondition error: ModelParams(alpha_mag=1.0, "
                               f"theta={theta!r}, lam={lam!r}, "), err
-        # at lam = 1e300 H and the evolved state stay finite, and the state
-        # fills the top of the basis before a closed form overflows
-        edge = mode != "closed_form" and argv == ("--lambda", "1e300")
-        assert err.endswith(" above 29\n" if edge else " is not finite\n"), err
+        # at lam = 1e300 H stays finite, and like t = 1e300 it rounds the phases
+        # w t past the time bound before a closed form overflows
+        timed = mode != "closed_form" and argv in (("--lambda", "1e300"), ("--t-end", "1e300"))
+        time_bound = r": the phases w t at \|t\| = \S+ round by .* \|t\| may reach about \S+\n$"
+        assert re.search(time_bound, err) if timed else err.endswith(" is not finite\n"), err
         assert err.count("\n") == 1, err
 
     @settings(max_examples=300, deadline=None)
@@ -383,11 +413,10 @@ class TestMain:
         for row in table:
             for column in ("value_cf", "value_exact", "abs_error"):
                 assert row[column] == "" or math.isfinite(float(row[column])), row
-        # every exact slice the run printed holds at doubled dimension; rounding
-        # in the phases w t at longer times is not what the edge check bounds
+        # every exact slice the run printed holds at doubled dimension
         spec = build_spec(dict(DEFAULTS, **{flag[2:].replace("-", "_"): value
                                             for flag, value in zip(argv[::2], argv[1::2])}))
-        if spec.mode != "closed_form" and spec.horizon() <= DEFAULT_TIME_HORIZON:
+        if spec.mode != "closed_form":
             ts = spec.t_grid()
             for a, th, lam in spec.slices():
                 params = ModelParams(a, th, lam, spec.dim_for(a))

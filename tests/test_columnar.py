@@ -134,7 +134,7 @@ def assert_columns_are_rows(block):
 def test_column_witnesses_are_their_row_witnesses_on_oracle_moments(a, th, lam, ts):
     # at twice the default dim, where the exact oracle accepts every draw
     params = ModelParams(a, th, lam, 2 * default_dim(a))
-    [ex] = exact_moment_blocks([params], ts, horizon=np.pi)
+    [ex] = exact_moment_blocks([params], ts)
     [fo] = first_order_moment_blocks([params], ts)
     assert_columns_are_rows(ex)
     assert_columns_are_rows(fo)

@@ -10,7 +10,7 @@ import pytest
 
 import anharmonic
 from anharmonic.dynamics import (
-    DEFAULT_TIME_HORIZON,
+    PHASE_TOLERANCE,
     MomentSet,
     _quartic,
     coherent_moment_set,
@@ -18,7 +18,8 @@ from anharmonic.dynamics import (
     exact_moment_blocks,
     hamiltonian,
 )
-from anharmonic.fock import FockVector, ModelParams, coherent_state, expectation, make_ladder_ops
+from anharmonic.fock import (FockVector, ModelParams, TruncationError, coherent_state, expectation,
+                             make_ladder_ops)
 
 MOMENT_FIELDS = ("a", "a2", "a4", "ada", "ada2", "ad2a2", "ada3", "ad2a4", "ad3a3", "ad4a4")
 
@@ -111,7 +112,7 @@ class TestEvolveBlocks:
             assert np.allclose(np.abs(psi), ref, atol=1e-13)
 
     @pytest.mark.parametrize("alpha_mag,lam", [(1.0, 1e-2), (2.0, 1e-3)])
-    def test_unitarity_over_horizon(self, alpha_mag, lam):
+    def test_unitarity_over_two_revivals(self, alpha_mag, lam):
         p = ModelParams.auto(alpha_mag, 0.4, lam)
         [psi] = evolve_blocks([p], np.linspace(0.0, 4 * np.pi, 40))
         assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) < 1e-10)
@@ -126,13 +127,19 @@ class TestEvolveBlocks:
             et = expectation(FockVector(psi), h).real
             assert abs(et - e0) < 1e-9 * abs(e0)
 
-    def test_horizon_guard(self):
+    def test_time_bound(self):
+        # the longest |t| whose phases w t round by at most PHASE_TOLERANCE
         p = ModelParams.auto(1.0, 0.0, 1e-3)
-        with pytest.raises(ValueError):
-            list(evolve_blocks([p], [5 * np.pi]))
-        [psi] = evolve_blocks([p], [5 * np.pi], horizon=6 * np.pi)
-        assert psi.shape == (1, p.dim)
-        assert DEFAULT_TIME_HORIZON == pytest.approx(4 * np.pi)
+        longest = PHASE_TOLERANCE / (sys.float_info.epsilon * float(np.linalg.eigvalsh(
+            hamiltonian(p.lam, p.dim))[-1]))
+        assert 1.5e4 < longest < 1.6e4  # max(w) = 28.6 at D = 29
+        [psi] = evolve_blocks([p], [0.0, -longest * (1 - 1e-6)])
+        assert psi.shape == (2, p.dim)
+        message = (f"{p}: the phases w t at |t| = {longest * (1 + 1e-6)!r} round by "
+                   f"eps |t| max(w) = 1.000e-10, above 1e-10; at dim 29 |t| may reach about "
+                   f"{longest:.4g}")
+        with pytest.raises(TruncationError, match=re.escape(message)):
+            list(evolve_blocks([p], [0.0, longest * (1 + 1e-6)]))
 
     def test_deterministic_across_calls(self):
         p = ModelParams.auto(1.0, 0.2, 1e-3)
@@ -143,12 +150,20 @@ class TestEvolveBlocks:
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("lam, t, what", [(1e308, 1.0, "H"), (1e306, 1.0, "H"),
-                                          (1e302, 1e10, "the evolved state")])
+@pytest.mark.parametrize("lam, t, what", [(1e308, 1.0, "H"), (1e306, 1.0, "H")])
 def test_overflow_is_refused_naming_the_parameters(lam, t, what):
     message = f"(alpha_mag=0.5, theta=0.25, lam={lam!r}, dim=25): {what} is not finite"
     with pytest.raises(FloatingPointError, match=re.escape(message)):
-        list(evolve_blocks([ModelParams(0.5, 0.25, lam, 25)], [t], horizon=abs(t)))
+        list(evolve_blocks([ModelParams(0.5, 0.25, lam, 25)], [t]))
+
+
+def test_a_grid_whose_state_would_overflow_meets_the_time_bound():
+    # from a finite H, the state is a unitary image of the input unless w t
+    # overflows, which the time bound refuses first
+    message = ("(alpha_mag=0.5, theta=0.25, lam=1e+302, dim=25): "
+               "the phases w t at |t| = 10000000000.0 ")
+    with pytest.raises(TruncationError, match=re.escape(message)):
+        list(evolve_blocks([ModelParams(0.5, 0.25, 1e302, 25)], [1e10]))
 
 
 class TestRetention:

@@ -89,7 +89,8 @@ class TestCoherentState:
         assert abs(st.norm() - 1.0) < 1e-14
 
     def test_tail_mass_rejection(self):
-        with pytest.raises(TruncationError):
+        # below the truncation floor, the message asks for the floor
+        with pytest.raises(TruncationError, match=r"; need dim >= 53$"):
             coherent_state(3.0, 15)
 
 

@@ -45,7 +45,7 @@ def bits(values):
 def one_slice_walk(spec):
     """value_cf and value_exact of ``spec`` from one-slice groups, slice by slice:
     an entry without a scalar closed form takes its closed-form value from a_1(t)."""
-    ts, horizon = spec.t_grid(), spec.horizon()
+    ts = spec.t_grid()
     entries = [WITNESSES[w] for w in spec.witnesses]
     cf, exact = [], []
     for a, th, lam in spec.slices():
@@ -56,7 +56,7 @@ def one_slice_walk(spec):
         cf.append([e.moments(fo) if e.closed_form is None else e.closed_form(inputs)
                    for e in entries])
         if spec.mode != "closed_form":
-            [block] = exact_moment_blocks([params], ts, horizon)
+            [block] = exact_moment_blocks([params], ts)
             m = MomentSet(*block.T)
             exact.append([e.moments(m) for e in entries])
     return (np.array(cf).transpose(0, 2, 1),

@@ -42,7 +42,7 @@ def inputs(r, th, lam, t):
 
 def exact_witness(r, th, lam, t, key):
     p = ModelParams(r, th, lam, ModelParams.auto(r).dim)
-    [[row]] = exact_moment_blocks([p], [t], horizon=8 * np.pi)
+    [[row]] = exact_moment_blocks([p], [t])
     m = MomentSet(*row.tolist())
     if key == "N":
         return m.ada.real

@@ -49,7 +49,8 @@ def test_moved_values_are_reported_per_witness_and_column(tmp_path, capsys):
 
 
 def test_cli_edge_case_reaches_its_edges(capsys):
-    csv, stdout = same_output.run_workload(ROOT / "src", "cli_edge_case", None)
+    code, csv, stdout, stderr = same_output.run_workload(ROOT / "src", "cli_edge_case", None)
+    assert (code, stderr) == (0, b"")
     lines = stdout.decode().splitlines()
     assert lines[0] == "rows=1848 mode=compare csv=sweep.csv"
     # the summary ends with the scaling report of the last slice
@@ -67,7 +68,9 @@ def test_cli_edge_case_reaches_its_edges(capsys):
 
 
 def test_cli_first_order_case_reaches_a1_in_closed_form_mode(capsys):
-    csv, stdout = same_output.run_workload(ROOT / "src", "cli_first_order_case", None)
+    code, csv, stdout, stderr = same_output.run_workload(ROOT / "src", "cli_first_order_case",
+                                                         None)
+    assert (code, stderr) == (0, b"")
     assert stdout.decode().splitlines()[0] == "rows=544 mode=closed_form csv=sweep.csv"
     rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
     assert {r[4] for r in rows} == {"quadrature", "hillery", "N", "f"}
@@ -89,4 +92,31 @@ def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("cli_edge_case: csv differs, in values")
     assert "  d3 value_cf: largest |delta| 0 x tolerance" in lines
+    assert lines[-1] == "output differs"
+
+
+REFUSALS = {"cli_spec_error_case": (2, "spec error: t_steps: need at least 2 grid points"),
+            "cli_overflow_case": (3, "precondition error: ModelParams(alpha_mag=1.0, theta=0.0, "
+                                     "lam=1e+308, dim=29): H is not finite")}
+
+
+def test_refused_cli_cases_compare_their_exit_and_stderr_line(capsys):
+    for name, (code, line) in REFUSALS.items():
+        run = same_output.run_workload(ROOT / "src", name, None)
+        assert run == (code, None, b"", f"{line}\n".encode())
+    assert same_output.main([str(ROOT / "src"), "--workload", *REFUSALS]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"{name}: identical (exit {code}, {len(line) + 1} stderr bytes)"
+          for name, (code, line) in REFUSALS.items()),
+        "same output"]
+
+
+def test_a_changed_refusal_is_reported(tmp_path, capsys):
+    src = changed_copy(tmp_path, "fock.py", '{what} is not finite"', '{what} overflowed"')
+    assert same_output.main([str(src), "--workload", "cli_overflow_case"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("cli_overflow_case: stderr differs, line 1: ")
+    # the copy is the parent: its line comes first
+    assert lines[0].endswith("H overflowed' != 'precondition error: ModelParams(alpha_mag=1.0, "
+                             "theta=0.0, lam=1e+308, dim=29): H is not finite'")
     assert lines[-1] == "output differs"

@@ -335,7 +335,7 @@ class TestWitnessTable:
         ci = ClosedFormInputs(a, th, lam, t)
         params = ModelParams(a, th, lam, default_dim(a))
         [[fo]] = first_order_moment_blocks([params], [t])
-        [[ex]] = exact_moment_blocks([params], [t], horizon=spec.horizon())
+        [[ex]] = exact_moment_blocks([params], [t])
         fo, ex = MomentSet(*fo.tolist()), MomentSet(*ex.tolist())
         expected = {
             "f": (squeezing_witness_f(ci), hillery_squeezing(ex)),
