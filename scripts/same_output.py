@@ -1,5 +1,5 @@
 """Check that a source tree writes the same output as this one on every benchmark
-workload and on two fixed CLI cases.
+workload and on the fixed CLI cases.
 
     python scripts/same_output.py PARENT_SRC [--seeds 0 7] [--workload NAME ...]
 
@@ -17,7 +17,9 @@ grids do not.  ``cli_edge_case`` has |alpha| = 0, whose vacuum input writes
 -0.0 cells, negative t, one ``--dim`` shared by two |alpha|, and the scaling
 report of two lambdas.  ``cli_first_order_case`` runs mode ``closed_form``
 with the witnesses whose closed-form column comes from the moments of a_1(t),
-next to scalar closed forms, at |alpha| = 0 too.  ``cli_spec_error_case``
+next to scalar closed forms, at |alpha| = 0 too.  ``cli_large_alpha_first_order_case``
+reaches those witnesses at |alpha| = 20, where no workload evaluates a_1(t).
+``cli_spec_error_case``
 (exit 2) and ``cli_overflow_case`` (an H beyond the float range, exit 3) are
 refused; a CLI case may exit non-zero, and then its exit status, its stderr
 line and the absence of its CSV are what is compared.
@@ -53,6 +55,9 @@ CLI_CASES = {
     "cli_first_order_case": ("--alpha", "0,1.5", "--theta=-pi/4,pi/2", "--lambda", "1e-3,1e-2",
                              "--t-start=-pi", "--t-end", "2pi", "--t-steps", "17",
                              "--mode", "closed_form", "--witness", "quadrature,hillery,N,f"),
+    "cli_large_alpha_first_order_case": ("--alpha", "20", "--theta", "0,pi/2",
+                                         "--lambda", "1e-3,1e-2", "--t-steps", "9",
+                                         "--mode", "closed_form", "--witness", "quadrature,hillery"),
     "cli_spec_error_case": ("--t-steps", "1"),
     "cli_overflow_case": ("--lambda", "1e308", "--mode", "exact", "--t-steps", "3"),
 }

@@ -36,7 +36,10 @@ The first-order operator solution in the rotating frame is
 obtained from the unitary sandwich U^dag a U with the first-order Dyson
 propagator; the sign of every bracket term was adjudicated against the
 oracle (the a^dag^3 coefficient in particular must be +e^{2it} sin 2t for
-the lam-scaling test to hold).
+the lam-scaling test to hold).  It is an operator identity, so its moments over
+the coherent input need no Fock basis: with a = alpha + b the input is the
+vacuum of b, and they are taken exactly on 13 levels of b, for every |alpha|
+(``first_order_moment_blocks``).  Only the exact oracle owns a truncated basis.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _group_key, ladder_moment_block, lay_out_bands
-from .fock import coherent_state
+from .dynamics import ladder_moment_block, lay_out_bands
 
 
 @dataclass(frozen=True)
@@ -257,27 +259,28 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# first-order operator solution, by the diagonals of its words
+# first-order operator solution, in the displaced frame
 # ---------------------------------------------------------------------------
 
-def _bracket_bands(dim: int):
-    """(offset k, diagonal) of each word of a_1(t), in the order a, a^dag a^2,
-    a^dag^2 a, a^dag^3, a^dag, a^3; each word has one nonzero diagonal (entries
-    [i, i + k], k = lowering minus raising operators).  Each entry is the
-    product of its ladder factors, rounded as the dense truncated product
-    rounds it, truncation edge included; only these O(dim) diagonals are built."""
-    s = np.sqrt(np.arange(1.0, dim))
-    return ((1, s),
-            (1, np.concatenate(([0.0], s[:-1] * (s[:-1] * s[1:])))),
-            (-1, np.concatenate(([0.0], s[1:] * (s[:-1] * s[:-1])))),
-            (-3, s[2:] * (s[1:-1] * s[:-2])),
-            (-1, s),
-            (3, s[:-2] * (s[1:-1] * s[2:])))
+#: Levels of b in a = alpha + b: each word of a_1(t) is normally ordered, so its
+#: truncated product is exact on them, and a_1^4 |0> raises b's vacuum by at most 12.
+_LEVELS = 13
+
+
+def _displaced_words(alpha: complex):
+    """((p, q), W) of each word W = a^dag^p a^q of a_1(t), in
+    ``_bracket_coefficients`` order, as a dense ``_LEVELS`` x ``_LEVELS`` product
+    with a = alpha + b.  a^q is upper and a^dag^p lower triangular, so W is the
+    top-left block of the untruncated word, with diagonals -p .. q only."""
+    a = alpha * np.eye(_LEVELS) + np.diag(np.sqrt(np.arange(1.0, _LEVELS)), 1)
+    ad = a.conj().T
+    return (((0, 1), a), ((1, 2), ad @ a @ a), ((2, 1), ad @ ad @ a),
+            ((3, 0), ad @ ad @ ad), ((1, 0), ad), ((0, 3), a @ a @ a))
 
 
 def _bracket_coefficients(lam: float, t):
-    """Coefficients c_w(t) of a_1(t) = sum_w c_w(t) W_w over the words W_w of
-    ``_bracket_bands``; ``t`` is a float or an array of times."""
+    """Coefficients c_w(t) of a_1(t) = sum_w c_w(t) W_w over the words a, a^dag a^2,
+    a^dag^2 a, a^dag^3, a^dag, a^3; ``t`` is a float or an array of times."""
     f = np.exp(1j * t) * np.sin(t)
     g = np.exp(2j * t) * np.sin(2.0 * t)
     fbar = np.exp(-1j * t) * np.sin(t)
@@ -286,26 +289,28 @@ def _bracket_coefficients(lam: float, t):
 
 
 def first_order_moment_blocks(params_list, ts):
-    """Yield, per params of a group that shares lam and dim, the moments of the
+    """Yield, per params of a group that shares lam, the moments of the
     first-order operator over its initial coherent state at every t of ``ts``,
     as a (T, len(MONOMIALS)) block (see ``dynamics.MONOMIALS``).
 
-    <a_1^dag^m a_1^n> is evaluated as (a_1^m psi0)^dag (a_1^n psi0); the
-    operator already lives in the rotating frame, so no extra phases apply.
-    a_1(t) has four nonzero diagonals (offsets +-1 and +-3), so it acts on the
-    (T, dim) block of kets as weighted shifts with one coefficient row per t:
-    O(dim T) per application, and no dim x dim matrix per t.  The bands depend
-    on lam, dim and ts only, so they are merged per offset straight into their
-    layout over the (T, dim) block (see ``dynamics.lay_out_bands``), their one
-    copy, once per group, at the first block, and dropped when the last is
-    done.  Agrees with the exact oracle to O(lam^2) -- the dropped cross terms
-    of the Dyson series.
+    <alpha| a_1^dag^m a_1^n |alpha> is (a_1^m e0)^dag (a_1^n e0) in the displaced
+    frame, e0 the vacuum of b, on ``_LEVELS`` levels; the dim of a params is not
+    read.  The operator already lives in the rotating frame, so no extra phases
+    apply.  Each word a^dag^p a^q is a dense 13 x 13 product with diagonals -p .. q,
+    so a_1(t) acts on the (T, 13) block of kets as weighted shifts on 7 offsets,
+    laid out per slice (``dynamics.lay_out_bands``) with one coefficient row per t;
+    the group shares only the coefficient rows.  Agrees with the exact oracle to
+    O(lam^2) -- the dropped cross terms of the Dyson series.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    lam, dim = _group_key(params_list)
-    bands = lay_out_bands(((k, c[:, None] * diag) for c, (k, diag)
-                           in zip(_bracket_coefficients(lam, ts), _bracket_bands(dim))),
-                          ts.size, dim)
+    lam = params_list[0].lam
+    if any(p.lam != lam for p in params_list):
+        raise ValueError(f"a first-order group shares one lam, got {list(params_list)}")
+    coefs = _bracket_coefficients(lam, ts)
+    vacuum = np.broadcast_to(np.eye(_LEVELS, dtype=complex)[0], (ts.size, _LEVELS))
     for params in params_list:
-        psi0 = coherent_state(params.alpha, dim).amplitudes
-        yield ladder_moment_block(bands, np.broadcast_to(psi0, (ts.size, dim)))
+        bands = lay_out_bands(((k, c[:, None] * np.diagonal(w, k))
+                               for c, ((p, q), w) in zip(coefs, _displaced_words(params.alpha))
+                               for k in range(-p, q + 1)),
+                              ts.size, _LEVELS)
+        yield ladder_moment_block(bands, vacuum)

@@ -177,7 +177,8 @@ class SweepSpec:
         cells = (len(self.alpha_mag) * len(self.theta) * len(self.lam) * self.t_steps
                  * len(self.witnesses))
         if self.mode != "closed_form" or any(WITNESSES[w].closed_form is None for w in self.witnesses):
-            # the (t_steps, dim) ket blocks; a dim above MAX_DIM is refused below
+            # the (t_steps, dim) ket blocks of the oracle, which over-count a_1(t)'s
+            # (t_steps, 13) ones (dim >= 20); a dim above MAX_DIM is refused below
             cells = max(cells, self.t_steps * min(MAX_DIM, max(map(self.dim_for, self.alpha_mag))))
         if cells > MAX_GRID_CELLS:
             raise SweepSpecError(f"t_steps: the grid holds {cells} values in one array, "
@@ -235,9 +236,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Row order is witness-innermost within the fixed alpha, theta, lambda, t
     nesting; two runs of the same spec produce byte-identical CSV output.
     Evaluation runs in (alpha, lambda, theta) order instead: the theta slices
-    of one (alpha, lambda) form a group that shares H, its eigh, the phase
-    table and the bands of a_1(t) (see ``exact_moment_blocks`` and
-    ``first_order_moment_blocks``), built once and dropped before the next
+    of one (alpha, lambda) form a group that shares H, its eigh and the phase
+    table (see ``exact_moment_blocks``), or for a_1(t) only the coefficient rows
+    (see ``first_order_moment_blocks``), built once and dropped before the next
     group's.  Each slice's values are bit-identical to evaluating it alone.
     """
     ts = spec.t_grid()

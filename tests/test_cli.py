@@ -281,8 +281,10 @@ class TestMain:
 
     @pytest.mark.parametrize("alpha, dim", [("37.9", 1760), ("40", 1940)])
     def test_an_amplitude_beyond_the_coherent_recurrence_asks_for_no_dim(self, capsys, alpha, dim):
-        # c_0 underflows at 40; at 37.9 the captured mass rounds past TAIL_TOLERANCE
-        code, text = self.run("--alpha", alpha, "--witness", "quadrature", "--t-steps", "2")
+        # c_0 underflows at 40; at 37.9 the captured mass rounds past TAIL_TOLERANCE.
+        # Only the oracle builds the coherent state.
+        code, text = self.run("--alpha", alpha, "--witness", "quadrature", "--t-steps", "2",
+                              "--mode", "exact")
         assert (code, text) == (EXIT_PRECONDITION, "")
         err = capsys.readouterr().err
         assert err.startswith("precondition error: coherent-state tail mass "), err
@@ -290,6 +292,17 @@ class TestMain:
         assert err.endswith("; the float64 recurrence cannot hold this |alpha|, "
                             "and no dim (--dim) helps\n"), err
         assert "need dim" not in err and err.count("\n") == 1, err
+
+    def test_a_first_order_witness_needs_no_coherent_state(self, capsys, tmp_path):
+        # a_1(t) is evaluated in the displaced frame, so no Fock basis limits |alpha|
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run("--alpha", "37.9,40", "--witness", "quadrature,hillery",
+                              "--t-steps", "3", "--out", str(out_csv))
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        assert "rows=12 mode=closed_form" in text
+        rows = list(csv.DictReader(out_csv.read_text(encoding="ascii").splitlines()))
+        assert len(rows) == 12 and {r["alpha_mag"] for r in rows} == {"37.9", "40.0"}
+        assert all(math.isfinite(float(r["value_cf"])) for r in rows)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 6.0), st.floats(allow_nan=False, allow_infinity=False),

@@ -1,8 +1,8 @@
 """A sweep's (|alpha|, lambda) groups: shared work, the same bits, nothing kept.
 
 ``run_sweep`` evaluates the theta slices of one (|alpha|, lambda) as a group
-that builds H, its ``eigh``, the exp(-iwt) table and the bands of a_1(t) once
-(``exact_moment_blocks``, ``first_order_moment_blocks``).  Every slice must
+that builds H, its ``eigh`` and the exp(-iwt) table once (``exact_moment_blocks``)
+and the coefficient rows of a_1(t) once (``first_order_moment_blocks``).  Every slice must
 come out bit for bit as the one-slice group ``[params]`` gives it, and each group's arrays
 must be gone before the next group's ``eigh``.
 """
@@ -94,11 +94,24 @@ def test_group_kernels_yield_the_one_slice_blocks():
             assert np.array_equal(bits(block), bits(one))
 
 
-@pytest.mark.parametrize("kernel", [evolve_blocks, exact_moment_blocks, first_order_moment_blocks])
+@pytest.mark.parametrize("kernel", [evolve_blocks, exact_moment_blocks])
 @pytest.mark.parametrize("other", [ModelParams(1.0, 0.2, 2e-3, 30), ModelParams(1.0, 0.2, 1e-3, 31)])
 def test_a_group_shares_lam_and_dim(kernel, other):
     with pytest.raises(ValueError, match="one lam and one dim"):
         next(kernel([ModelParams(1.0, 0.0, 1e-3, 30), other], [0.5]))
+
+
+def test_a_first_order_group_shares_lam_only():
+    first = ModelParams(1.0, 0.0, 1e-3, 30)
+    with pytest.raises(ValueError, match="one lam, got"):
+        next(first_order_moment_blocks([first, ModelParams(1.0, 0.2, 2e-3, 30)], [0.5]))
+    # a_1(t) needs no basis, so the dim of a slice is not read
+    group = [first, ModelParams(1.0, 0.2, 1e-3, 31), ModelParams(1.0, 0.2, 1e-3, 60)]
+    blocks = list(first_order_moment_blocks(group, [0.5, 2.0]))
+    assert np.array_equal(bits(blocks[1]), bits(blocks[2]))
+    for params, block in zip(group, blocks):
+        [one] = first_order_moment_blocks([params], [0.5, 2.0])
+        assert np.array_equal(bits(block), bits(one))
 
 
 @pytest.mark.parametrize("mode", ["exact", "compare"])
@@ -106,8 +119,8 @@ def test_one_eigensystem_per_group_and_none_kept(monkeypatch, mode):
     # the compare workload's grid shape: 4 amplitudes x 3 phases x 2 couplings
     spec = SweepSpec(alpha_mag=(0.5, 1.0, 2.0, 3.0), theta=(0.0, np.pi / 4, np.pi / 2),
                      lam=(1e-3, 1e-4), t_start=0.0, t_end=2 * np.pi, t_steps=5, mode=mode)
-    eigh, bracket_bands = np.linalg.eigh, perturbative._bracket_bands
-    earlier, bands_built = [], []
+    eigh, bracket_coefficients = np.linalg.eigh, perturbative._bracket_coefficients
+    earlier, coefficients_built = [], []
 
     def checked_eigh(h):
         gc.collect()
@@ -117,16 +130,16 @@ def test_one_eigensystem_per_group_and_none_kept(monkeypatch, mode):
         earlier.append(weakref.ref(result.eigenvectors))
         return result
 
-    def counted_bands(dim):
-        bands_built.append(dim)
-        return bracket_bands(dim)
+    def counted_coefficients(lam, t):
+        coefficients_built.append(lam)
+        return bracket_coefficients(lam, t)
 
     monkeypatch.setattr(np.linalg, "eigh", checked_eigh)
-    monkeypatch.setattr(perturbative, "_bracket_bands", counted_bands)
+    monkeypatch.setattr(perturbative, "_bracket_coefficients", counted_coefficients)
     run_sweep(spec)
     groups = len(spec.alpha_mag) * len(spec.lam)
     assert len(earlier) == groups == 8
-    assert len(bands_built) == groups
+    assert coefficients_built == list(spec.lam) * len(spec.alpha_mag)
 
 
 @pytest.mark.parametrize("mode", ["closed_form", "exact", "compare"])

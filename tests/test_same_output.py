@@ -83,6 +83,23 @@ def test_cli_first_order_case_reaches_a1_in_closed_form_mode(capsys):
         "same output"]
 
 
+def test_cli_large_alpha_first_order_case_reaches_a1_at_large_alpha(capsys):
+    code, csv, stdout, stderr = same_output.run_workload(
+        ROOT / "src", "cli_large_alpha_first_order_case", None)
+    assert (code, stderr) == (0, b"")
+    assert stdout.decode().splitlines()[0] == "rows=72 mode=closed_form csv=sweep.csv"
+    rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+    assert {r[0] for r in rows} == {"20.0"} and {r[2] for r in rows} == {"0.001", "0.01"}
+    assert {r[4] for r in rows} == {"quadrature", "hillery"}
+    assert all(r[5] and r[6:8] == ["", ""] for r in rows)
+    assert same_output.main([str(ROOT / "src"), "--workload",
+                             "cli_large_alpha_first_order_case"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"cli_large_alpha_first_order_case: identical ({len(csv)} csv bytes, "
+        f"{len(stdout)} stdout bytes)",
+        "same output"]
+
+
 def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
     # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
     src = changed_copy(tmp_path, "perturbative.py",
