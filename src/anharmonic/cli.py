@@ -3,26 +3,26 @@
 Angles and times are radians; the literal tokens ``pi``, ``2pi``, ``pi/2``,
 ``3pi/4`` etc. are parsed exactly so the special loci (theta = pi/2,
 t = 2*theta) are hit bit-exactly rather than through truncated decimals.
-Exit status: 0 on success (``--help`` included, printed to ``main``'s
-``out``), 2 for specification errors (an unknown flag or mode, a pi literal
-that divides by zero, a t span beyond the float range, a grid above
-``fock.MAX_GRID_CELLS``, an unreadable ``--config`` and an ``--out`` naming a
-directory included; ``main`` returns it rather than raising ``SystemExit``),
-3 for numerical precondition failures (a truncation dimension too small,
-above ``fock.MAX_DIM`` or beyond the float range, an overflowed value, an
-exact time grid whose phases w t round past ``dynamics.PHASE_TOLERANCE``, or
-an exact state that reaches the top ``fock.EDGE_LEVELS`` levels of its basis;
-stderr then holds one line).  Building the ``SweepSpec`` refuses every spec
-error and then an unsafe dimension, so a spec error wins over a dimension
-error; the sweep then refuses the first slice in (alpha, lambda, theta) order
-whose value overflows, whose grid is too long for its phases or whose state
-reaches the edge.  No refusal comes after a row is printed or any CSV written,
-with one exception: an ``--out`` that cannot be written to (a full device,
-say) is found while the CSV is written, and exits 2 with
-``spec error: out: <reason>``; the part already written stays.  A closed
-stdout (``anharmonic-sweep ... | head -1``) ends the run with exit 1 and
-nothing on stderr.  A value that starts with '-' may follow its flag after a
-space (``--theta -pi/2``) or an '=' (``--theta=-pi/2``).
+Exit status: 0 on success (``--help`` included, printed to ``main``'s ``out``),
+2 for specification errors (an unknown flag or mode, a pi literal that divides
+by zero, a t span beyond the float range, a grid above ``fock.MAX_GRID_CELLS``,
+an unreadable ``--config`` and an ``--out`` naming a directory included;
+``main`` returns it rather than raising ``SystemExit``), 3 for numerical
+precondition failures (in modes ``exact`` and ``compare``, a truncation
+dimension too small, above ``fock.MAX_DIM`` or beyond the float range; a value
+beyond the float range, a closed-form one included; an exact time grid whose
+phases w t round past ``dynamics.PHASE_TOLERANCE``, or an exact state that
+reaches the top ``fock.EDGE_LEVELS`` levels of its basis; stderr then holds one
+line).  Building the ``SweepSpec`` refuses every spec error and then an unsafe
+dimension, so a spec error wins over a dimension error; the sweep then refuses
+the first slice in (alpha, lambda, theta) order whose value overflows, whose
+grid is too long for its phases or whose state reaches the edge.  No refusal
+comes after a row is printed or any CSV written, with one exception: an
+``--out`` that cannot be written to (a full device, say) is found while the CSV
+is written, and exits 2 with ``spec error: out: <reason>``; the part already
+written stays.  A closed stdout (``anharmonic-sweep ... | head -1``) ends the
+run with exit 1 and nothing on stderr.  A value that starts with '-' may follow
+its flag after a space (``--theta -pi/2``) or an '=' (``--theta=-pi/2``).
 ``python -m anharmonic.cli`` runs ``anharmonic-sweep``.
 """
 
@@ -209,7 +209,7 @@ def main(argv=None, out=None) -> int:
     parser.add_argument("--t-start", help="grid start time (pi literals ok)")
     parser.add_argument("--t-end", help="grid end time (pi literals ok)")
     parser.add_argument("--t-steps", help="number of time points (>= 2)")
-    parser.add_argument("--dim", help="truncation dimension or 'auto'")
+    parser.add_argument("--dim", help="truncation dimension or 'auto'; modes exact and compare only")
     parser.add_argument("--mode", choices=MODES, help="evaluation mode")
     parser.add_argument("--witness", action="append",
                         help=f"witness name(s), repeatable or comma separated; from {WITNESS_NAMES}")

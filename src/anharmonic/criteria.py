@@ -6,7 +6,7 @@ operator a_1(t), or from scalar closed forms -- the comparison harness
 relies on that seam.  A witness returns its value; only ``classify`` labels
 it: below -tolerance is nonclassical, within +-tolerance is boundary
 (coherent-state level), above is classical.  The witnesses and ``classify``
-also work elementwise on arrays, e.g. on a MomentSet of (T, 10) block
+also work elementwise on arrays, e.g. on a MomentSet of (T, 7) block
 columns, bit for bit like the scalar call: ``np.float_power`` rounds like C
 ``pow`` on both, where numpy's array ``**`` differs in the last bit.
 """

@@ -11,9 +11,10 @@ evolution exp(-iHt)|alpha> of a time grid is computed from one eigendecompositio
 space.  The truncation cuts the x^4 couplings of the top 4 levels, so a state
 that reaches them, at any time of any slice, is refused (``fock.EDGE_TOLERANCE``)
 before its block is used, and so is a grid long enough that the rounding of its
-phases w t, eps |t| max(w), passes ``PHASE_TOLERANCE``.  Slices that share lam
-and dim (a sweep's theta slices at one |alpha|) form a group, which builds H,
-its ``eigh`` and the exp(-iwt) table once and drops them when its last slice is
+phases w t, eps |t| max(w), passes ``PHASE_TOLERANCE``.  Each call takes its
+dim and checks it for every params (``fock.check_dim``).  Slices that share lam
+(a sweep's theta slices at one |alpha|) form a group, which builds H, its
+``eigh`` and the exp(-iwt) table once and drops them when its last slice is
 done; each slice projects its own input.  Only the lam-independent
 (a^dag + a)^4 is kept between calls, for the latest dim.
 
@@ -24,7 +25,7 @@ so photon statistics need no phase bookkeeping at all.
 
 A whole time grid is evaluated in one pass: ``evolve_blocks`` yields the
 (T, dim) block of states of each slice of a group and ``exact_moment_blocks``
-its (T, 10) block of moments, with a applied as a sqrt(n)-weighted shift, so
+its (T, 7) block of moments, with a applied as a sqrt(n)-weighted shift, so
 the work per grid is O(dim^2 T) for the evolution and O(dim T) for the
 moments.  A single slice is the group ``[params]``.
 
@@ -43,8 +44,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fock import (EDGE_LEVELS, EDGE_TOLERANCE, TruncationError, check_normalized, coherent_state,
-                   require_finite)
+from .fock import (EDGE_LEVELS, EDGE_TOLERANCE, TruncationError, check_dim, check_normalized,
+                   coherent_state, require_finite)
 
 #: Most eps |t| max(w) a group's time grid may reach, where max(w) = ||H||_2 is
 #: the top eigenvalue of the positive definite H.  ``eigh`` rounds every w by
@@ -99,8 +100,8 @@ def _monomial(m: int, n: int):
 class MomentSet:
     """Interaction-frame expectation values sufficient for every witness here.
 
-    Field names spell the normally ordered monomial: ``ad2a4`` is
-    <a^dag^2 a^4>, etc.; each field carries its powers (m, n).  Diagonal
+    Field names spell the normally ordered monomial: ``ad2a2`` is
+    <a^dag^2 a^2>, etc.; each field carries its powers (m, n).  Diagonal
     entries (equal dagger and plain powers) are the factorial moments of the
     photon number and are real up to rounding.
     """
@@ -109,10 +110,7 @@ class MomentSet:
     a2: complex = _monomial(0, 2)
     a4: complex = _monomial(0, 4)
     ada: complex = _monomial(1, 1)
-    ada2: complex = _monomial(1, 2)
     ad2a2: complex = _monomial(2, 2)
-    ada3: complex = _monomial(1, 3)
-    ad2a4: complex = _monomial(2, 4)
     ad3a3: complex = _monomial(3, 3)
     ad4a4: complex = _monomial(4, 4)
 
@@ -125,35 +123,38 @@ class MomentSet:
 MONOMIALS = tuple(f.metadata["monomial"] for f in fields(MomentSet))
 
 
-def _group_key(params_list) -> tuple:
-    """(lam, dim) shared by every params of a group; ValueError if they differ."""
-    lam, dim = params_list[0].lam, params_list[0].dim
-    if any((p.lam, p.dim) != (lam, dim) for p in params_list):
-        raise ValueError(f"a group shares one lam and one dim, got {list(params_list)}")
-    return lam, dim
+def group_lam(params_list) -> float:
+    """The lam shared by every params of a group; ValueError if they differ."""
+    lam = params_list[0].lam
+    if any(p.lam != lam for p in params_list):
+        raise ValueError(f"a group shares one lam, got {list(params_list)}")
+    return lam
 
 
-def evolve_blocks(params_list, ts):
-    """Spectral evolution of a whole time grid for each params of a group that
-    shares lam and dim: yields, per params, the (T, dim) block whose row j is
-    psi(ts[j]) = V exp(-i Lambda t) V^T |alpha>.
+def evolve_blocks(params_list, ts, dim: int):
+    """Spectral evolution of a whole time grid, in ``dim`` levels, for each params
+    of a group that shares lam: yields, per params, the (T, dim) block whose row j
+    is psi(ts[j]) = V exp(-i Lambda t) V^T |alpha>.
 
-    H, its ``eigh`` and the (T, dim) phase table exp(-i w t) are built once per
-    group, at the first block, and dropped when the last is done.  Each block is
+    Every params is checked against ``dim`` first (``fock.check_dim``).  H, its
+    ``eigh`` and the (T, dim) phase table exp(-i w t) are built once per group,
+    at the first block, and dropped when the last is done.  Each block is
     one stacked matrix-vector product over the phased eigenbasis coefficients
     of its own input; each row is bit-identical to evolving its time alone, in
     any group.  An H or a state that overflowed raises FloatingPointError naming
-    the params (for H, the group's first).  A grid whose largest |t| rounds the
-    phases w t by eps |t| max(w) above ``PHASE_TOLERANCE`` raises TruncationError
-    naming the group's first params, after ``eigh`` and before the phase table is
-    built.  From each block's populations, every row's norm is checked, and a
-    block whose top ``EDGE_LEVELS`` levels hold more than ``EDGE_TOLERANCE`` at
-    some t has reached the edge of the basis: it raises TruncationError naming
-    the params, before the block is yielded.
+    the params (for H, the group's first, and the dim).  A grid whose largest |t|
+    rounds the phases w t by eps |t| max(w) above ``PHASE_TOLERANCE`` raises
+    TruncationError naming the group's first params, after ``eigh`` and before
+    the phase table is built.  From each block's populations, every row's norm
+    is checked, and a block whose top ``EDGE_LEVELS`` levels hold more than
+    ``EDGE_TOLERANCE`` at some t has reached the edge of the basis: it raises
+    TruncationError naming the params, before the block is yielded.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    lam, dim = _group_key(params_list)
-    w, v = np.linalg.eigh(require_finite(hamiltonian(lam, dim), params_list[0], "H"))
+    lam = group_lam(params_list)
+    for params in params_list:
+        dim = check_dim(params.alpha_mag, dim)
+    w, v = np.linalg.eigh(require_finite(hamiltonian(lam, dim), params_list[0], f"H at dim {dim}"))
     # in Python floats, where an overflow is inf without a warning; a nan t refuses too
     worst = float(np.max(np.abs(ts), initial=0.0))
     scale = sys.float_info.epsilon * float(w[-1])
@@ -244,20 +245,20 @@ def ladder_moment_block(bands, psi: np.ndarray) -> np.ndarray:
     return block
 
 
-def exact_moment_blocks(params_list, ts):
-    """Yield, per params of a group that shares lam and dim, the interaction-frame
-    moments of the exactly evolved state at every t of ``ts``, one row per t (see
-    ``evolve_blocks``).
+def exact_moment_blocks(params_list, ts, dim: int):
+    """Yield, per params of a group that shares lam, the interaction-frame moments
+    of the state exactly evolved in ``dim`` levels at every t of ``ts``, one row
+    per t (see ``evolve_blocks``).
 
     For each monomial: <a^dag^m a^n>_I = e^{i(n-m)t} <psi_t| a^dag^m a^n |psi_t>,
     with a^k psi built by repeated sqrt(n)-weighted shifts, O(dim) per state.
-    The (T, 10) table e^{i(n-m)t} and the sqrt(n) band laid out over the (T, dim)
+    The (T, 7) table e^{i(n-m)t} and the sqrt(n) band laid out over the (T, dim)
     block (see ``lay_out_bands``) are built once per group, with its first block,
     so that ``evolve_blocks`` has checked the time bound before any arithmetic on ts.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     phase = None
-    for psi in evolve_blocks(params_list, ts):
+    for psi in evolve_blocks(params_list, ts, dim):
         if phase is None:
             phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
             dim = psi.shape[-1]

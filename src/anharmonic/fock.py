@@ -69,6 +69,30 @@ def default_dim(alpha_mag: float) -> int:
     return math.ceil(dim)
 
 
+def check_dim(alpha_mag: float, dim) -> int:
+    """``dim`` as an int, if the exact oracle may evolve ``|alpha| = alpha_mag`` in
+    that many levels: an integer, at least ``MIN_DIM`` (else ValueError), at most
+    ``MAX_DIM`` and at least the ``default_dim`` floor, so that truncation error stays
+    far below the O(lam^2) effects under study (else TruncationError)."""
+    try:
+        checked = int(dim)
+    except (TypeError, ValueError, OverflowError):
+        checked = None
+    if checked is None or checked != dim:
+        raise ValueError(f"dim must be a finite integer, got {dim!r}")
+    if checked < MIN_DIM:
+        raise ValueError(f"dim must be >= {MIN_DIM}, got {checked}")
+    if checked > MAX_DIM:
+        raise TruncationError(f"dim={checked} exceeds the dense-matrix ceiling MAX_DIM={MAX_DIM}")
+    floor = default_dim(alpha_mag)
+    if checked < floor:
+        raise TruncationError(
+            f"dim={checked} is below the safe truncation floor {floor} "
+            f"for |alpha|={alpha_mag} (tail mass would not be negligible)"
+        )
+    return checked
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameter set of the quartic-oscillator model.
@@ -76,14 +100,11 @@ class ModelParams:
     alpha_mag: coherent amplitude |alpha| >= 0 of the input field.
     theta:     phase of the input field, radians (alpha = |alpha| e^{i theta}).
     lam:       quartic coupling, dimensionless, weak-coupling regime lam << 1.
-    dim:       truncation dimension; must respect the ``default_dim`` floor so
-               truncation error stays far below the O(lam^2) effects under study.
     """
 
     alpha_mag: float
     theta: float
     lam: float
-    dim: int
 
     def __post_init__(self):
         for name in ("alpha_mag", "theta", "lam"):
@@ -91,34 +112,10 @@ class ModelParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        try:
-            dim = int(self.dim)
-        except (TypeError, ValueError, OverflowError):
-            dim = None
-        if dim is None or dim != self.dim:
-            raise ValueError(f"dim must be a finite integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", dim)
         if self.alpha_mag < 0.0:
             raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
         if self.lam < 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.dim < MIN_DIM:
-            raise ValueError(f"dim must be >= {MIN_DIM}, got {self.dim}")
-        if self.dim > MAX_DIM:
-            raise TruncationError(
-                f"dim={self.dim} exceeds the dense-matrix ceiling MAX_DIM={MAX_DIM}"
-            )
-        floor = default_dim(self.alpha_mag)
-        if self.dim < floor:
-            raise TruncationError(
-                f"dim={self.dim} is below the safe truncation floor {floor} "
-                f"for |alpha|={self.alpha_mag} (tail mass would not be negligible)"
-            )
-
-    @classmethod
-    def auto(cls, alpha_mag: float, theta: float = 0.0, lam: float = 0.0) -> "ModelParams":
-        """Build params with the heuristic truncation dimension."""
-        return cls(alpha_mag, theta, lam, default_dim(float(alpha_mag)))
 
     @property
     def alpha(self) -> complex:

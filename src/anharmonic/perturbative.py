@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ladder_moment_block, lay_out_bands
+from .dynamics import group_lam, ladder_moment_block, lay_out_bands
 
 
 @dataclass(frozen=True)
@@ -264,15 +264,15 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
 
 #: Levels of b in a = alpha + b: each word of a_1(t) is normally ordered, so its
 #: truncated product is exact on them, and a_1^4 |0> raises b's vacuum by at most 12.
-_LEVELS = 13
+LEVELS = 13
 
 
 def _displaced_words(alpha: complex):
     """((p, q), W) of each word W = a^dag^p a^q of a_1(t), in
-    ``_bracket_coefficients`` order, as a dense ``_LEVELS`` x ``_LEVELS`` product
+    ``_bracket_coefficients`` order, as a dense ``LEVELS`` x ``LEVELS`` product
     with a = alpha + b.  a^q is upper and a^dag^p lower triangular, so W is the
     top-left block of the untruncated word, with diagonals -p .. q only."""
-    a = alpha * np.eye(_LEVELS) + np.diag(np.sqrt(np.arange(1.0, _LEVELS)), 1)
+    a = alpha * np.eye(LEVELS) + np.diag(np.sqrt(np.arange(1.0, LEVELS)), 1)
     ad = a.conj().T
     return (((0, 1), a), ((1, 2), ad @ a @ a), ((2, 1), ad @ ad @ a),
             ((3, 0), ad @ ad @ ad), ((1, 0), ad), ((0, 3), a @ a @ a))
@@ -294,23 +294,20 @@ def first_order_moment_blocks(params_list, ts):
     as a (T, len(MONOMIALS)) block (see ``dynamics.MONOMIALS``).
 
     <alpha| a_1^dag^m a_1^n |alpha> is (a_1^m e0)^dag (a_1^n e0) in the displaced
-    frame, e0 the vacuum of b, on ``_LEVELS`` levels; the dim of a params is not
-    read.  The operator already lives in the rotating frame, so no extra phases
-    apply.  Each word a^dag^p a^q is a dense 13 x 13 product with diagonals -p .. q,
-    so a_1(t) acts on the (T, 13) block of kets as weighted shifts on 7 offsets,
-    laid out per slice (``dynamics.lay_out_bands``) with one coefficient row per t;
-    the group shares only the coefficient rows.  Agrees with the exact oracle to
-    O(lam^2) -- the dropped cross terms of the Dyson series.
+    frame, e0 the vacuum of b, on ``LEVELS`` levels.  The operator already lives
+    in the rotating frame, so no extra phases apply.  Each word a^dag^p a^q is a
+    dense 13 x 13 product with diagonals -p .. q, so a_1(t) acts on the (T, 13)
+    block of kets as weighted shifts on 7 offsets, laid out per slice
+    (``dynamics.lay_out_bands``) with one coefficient row per t; the group shares
+    only the coefficient rows.  Agrees with the exact oracle to O(lam^2) -- the
+    dropped cross terms of the Dyson series.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    lam = params_list[0].lam
-    if any(p.lam != lam for p in params_list):
-        raise ValueError(f"a first-order group shares one lam, got {list(params_list)}")
-    coefs = _bracket_coefficients(lam, ts)
-    vacuum = np.broadcast_to(np.eye(_LEVELS, dtype=complex)[0], (ts.size, _LEVELS))
+    coefs = _bracket_coefficients(group_lam(params_list), ts)
+    vacuum = np.broadcast_to(np.eye(LEVELS, dtype=complex)[0], (ts.size, LEVELS))
     for params in params_list:
         bands = lay_out_bands(((k, c[:, None] * np.diagonal(w, k))
                                for c, ((p, q), w) in zip(coefs, _displaced_words(params.alpha))
                                for k in range(-p, q + 1)),
-                              ts.size, _LEVELS)
+                              ts.size, LEVELS)
         yield ladder_moment_block(bands, vacuum)

@@ -35,8 +35,9 @@ import numpy as np
 from .criteria import (BOUNDARY, CLASSICAL, NONCLASSICAL, classify, hillery_squeezing,
                        hoa_d_from_moments, quadrature_squeezing)
 from .dynamics import MomentSet, exact_moment_blocks
-from .fock import MAX_DIM, MAX_GRID_CELLS, MIN_DIM, ModelParams, default_dim, require_finite
+from .fock import MAX_DIM, MAX_GRID_CELLS, MIN_DIM, ModelParams, check_dim, default_dim, require_finite
 from .perturbative import (
+    LEVELS,
     ClosedFormInputs,
     first_order_moment_blocks,
     hoa_witness_d,
@@ -99,8 +100,8 @@ class SweepSpecError(ValueError):
 class SweepSpec:
     """Grid specification for one sweep run, checked when it is built.
 
-    ``dim`` of None means the truncation heuristic is applied per alpha grid
-    point.  ``witnesses`` is an ordered subset of ``WITNESS_NAMES``.
+    ``dim`` of None means the oracle's truncation heuristic is applied per alpha
+    grid point.  ``witnesses`` is an ordered subset of ``WITNESS_NAMES``.
     Construction refuses, with a ``SweepSpecError`` naming the field, a value
     that is not a number, a string grid or witness list, a witness list that
     is not an iterable of names, a non-integral ``t_steps`` or ``dim``, an
@@ -109,8 +110,8 @@ class SweepSpec:
     ``compare``, a ``dim`` below ``MIN_DIM``, a grid above ``MAX_GRID_CELLS``
     and an ``output_path`` that is not a str or path, names a directory or
     lies in a missing one.
-    Then a ``dim`` that is unsafe for some alpha (below its truncation floor
-    or above ``MAX_DIM``) raises ``TruncationError``.
+    Then, in modes ``exact`` and ``compare``, a ``dim`` that is unsafe for some
+    alpha (``fock.check_dim``) raises ``TruncationError``.
     """
 
     alpha_mag: tuple
@@ -176,10 +177,13 @@ class SweepSpec:
                                  f"t_end={self.t_end} leaves the float range")
         cells = (len(self.alpha_mag) * len(self.theta) * len(self.lam) * self.t_steps
                  * len(self.witnesses))
-        if self.mode != "closed_form" or any(WITNESSES[w].closed_form is None for w in self.witnesses):
-            # the (t_steps, dim) ket blocks of the oracle, which over-count a_1(t)'s
-            # (t_steps, 13) ones (dim >= 20); a dim above MAX_DIM is refused below
-            cells = max(cells, self.t_steps * min(MAX_DIM, max(map(self.dim_for, self.alpha_mag))))
+        if any(WITNESSES[w].closed_form is None for w in self.witnesses):
+            cells = max(cells, self.t_steps * LEVELS)  # a_1(t)'s (t_steps, LEVELS) ket blocks
+        if self.mode != "closed_form":
+            # the oracle's (t_steps, dim) ket blocks; a dim above MAX_DIM is refused below,
+            # and the heuristic dim of |alpha| = MAX_DIM is above it but finite
+            dim = self.dim_for(min(max(self.alpha_mag), MAX_DIM))
+            cells = max(cells, self.t_steps * min(MAX_DIM, dim))
         if cells > MAX_GRID_CELLS:
             raise SweepSpecError(f"t_steps: the grid holds {cells} values in one array, "
                                  f"above MAX_GRID_CELLS={MAX_GRID_CELLS}")
@@ -192,8 +196,9 @@ class SweepSpec:
                 raise SweepSpecError(f"out: {self.output_path!r} names a directory, not a file")
             if not out.resolve().parent.is_dir():
                 raise SweepSpecError(f"out: directory {out.resolve().parent} does not exist")
-        for a in self.alpha_mag:
-            ModelParams(a, 0.0, max(self.lam), self.dim_for(a))
+        if self.mode != "closed_form":
+            for a in self.alpha_mag:
+                check_dim(a, self.dim_for(a))
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.t_steps)
@@ -237,9 +242,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     nesting; two runs of the same spec produce byte-identical CSV output.
     Evaluation runs in (alpha, lambda, theta) order instead: the theta slices
     of one (alpha, lambda) form a group that shares H, its eigh and the phase
-    table (see ``exact_moment_blocks``), or for a_1(t) only the coefficient rows
-    (see ``first_order_moment_blocks``), built once and dropped before the next
-    group's.  Each slice's values are bit-identical to evaluating it alone.
+    table (see ``exact_moment_blocks``, at ``spec.dim_for(alpha)``), or for a_1(t)
+    only the coefficient rows (see ``first_order_moment_blocks``), built once and
+    dropped before the next group's.  Each slice's values are bit-identical to
+    evaluating it alone.  A closed form that overflows Python's float ``**`` is inf.
     """
     ts = spec.t_grid()
     need_exact = spec.mode in ("exact", "compare")
@@ -263,10 +269,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for i, a in enumerate(spec.alpha_mag):
             for l, lam in enumerate(spec.lam):
-                group = [ModelParams(a, th, lam, spec.dim_for(a)) for th in spec.theta]
+                group = [ModelParams(a, th, lam) for th in spec.theta]
                 fo_blocks = (first_order_moment_blocks(group, ts) if need_fo
                              else repeat(None, len(group)))
-                exact_blocks = (exact_moment_blocks(group, ts) if need_exact
+                exact_blocks = (exact_moment_blocks(group, ts, spec.dim_for(a)) if need_exact
                                 else repeat(None, len(group)))
                 # strict runs each kernel to its end, which drops the group's
                 # eigensystem and bands before the next group builds its own
@@ -276,8 +282,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     fo = None if fo is None else MomentSet(*fo.T)
                     exact = None if exact is None else MomentSet(*exact.T)
                     for k, e in enumerate(entries):
-                        cf[i, j, l, :, k] = (e.moments(fo) if e.closed_form is None
-                                             else e.closed_form(inputs))
+                        try:
+                            cf[i, j, l, :, k] = (e.moments(fo) if e.closed_form is None
+                                                 else e.closed_form(inputs))
+                        except OverflowError:  # Python's float ** where numpy gives inf
+                            cf[i, j, l, :, k] = math.inf
                         if need_exact:
                             ex[i, j, l, :, k] = e.moments(exact)
                     require_finite(cf[i, j, l], params, "a closed-form value")

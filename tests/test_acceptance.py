@@ -83,9 +83,9 @@ def scaling_table():
         dim = default_dim(alpha)
         for th in THETAS:
             for lam in LAMBDAS:
-                params = ModelParams(alpha, th, lam, dim)
+                params = ModelParams(alpha, th, lam)
                 worst = {(fam, form): 0.0 for fam in ("compact", "first_order") for form in FORMS}
-                [block] = exact_moment_blocks([params], T_GRID_64)
+                [block] = exact_moment_blocks([params], T_GRID_64, dim)
                 for t, row in zip(T_GRID_64.tolist(), block.tolist()):
                     ex = exact_values(MomentSet(*row))
                     ci = ClosedFormInputs(alpha, th, lam, t)
@@ -194,10 +194,10 @@ class TestCriterion1OracleEquivalence:
             dim = default_dim(alpha)
             errs = []
             for lam in LAMBDAS:
-                params = ModelParams(alpha, th, lam, dim)
+                params = ModelParams(alpha, th, lam)
                 worst = 0.0
                 ts = T_GRID_64[::4]
-                [block] = exact_moment_blocks([params], ts)
+                [block] = exact_moment_blocks([params], ts, dim)
                 for t, row in zip(ts.tolist(), block.tolist()):
                     m = MomentSet(*row)
                     exact_dy1 = hillery_squeezing(m) + 2.0 * m.ada.real + 1.0
@@ -317,13 +317,13 @@ class TestCriterion7StructuralSuite:
         )
 
         # unitarity and energy conservation over two revivals
-        params = ModelParams.auto(1.5, 0.7, 1e-2)
-        h = hamiltonian(params.lam, params.dim)
-        [[psi0]] = evolve_blocks([params], [0.0])
+        params, dim = ModelParams(1.5, 0.7, 1e-2), default_dim(1.5)
+        h = hamiltonian(params.lam, dim)
+        [[psi0]] = evolve_blocks([params], [0.0], dim)
         e0 = expectation(FockVector(psi0), h).real
         worst_norm = 0.0
         worst_energy = 0.0
-        [block] = evolve_blocks([params], np.linspace(0.0, 4 * np.pi, 48))
+        [block] = evolve_blocks([params], np.linspace(0.0, 4 * np.pi, 48), dim)
         for psi in block:
             st = FockVector(psi)
             worst_norm = max(worst_norm, abs(st.norm() - 1.0))
@@ -333,13 +333,12 @@ class TestCriterion7StructuralSuite:
 
         # truncation-doubling drift on recorded moments
         worst_drift = 0.0
-        fields = ("a", "a2", "a4", "ada", "ada2", "ad2a2", "ada3", "ad2a4", "ad3a3", "ad4a4")
+        fields = ("a", "a2", "a4", "ada", "ad2a2", "ad3a3", "ad4a4")
         for alpha_mag in (1.0, 2.0):
-            base = ModelParams.auto(alpha_mag, np.pi / 4, 1e-2)
-            doubled = ModelParams(alpha_mag, np.pi / 4, 1e-2, 2 * base.dim)
+            params, dim = ModelParams(alpha_mag, np.pi / 4, 1e-2), default_dim(alpha_mag)
             ts = [0.0, 2 * np.pi, 4 * np.pi]
-            [block1] = exact_moment_blocks([base], ts)
-            [block2] = exact_moment_blocks([doubled], ts)
+            [block1] = exact_moment_blocks([params], ts, dim)
+            [block2] = exact_moment_blocks([params], ts, 2 * dim)
             for row1, row2 in zip(block1.tolist(), block2.tolist()):
                 m1, m2 = MomentSet(*row1), MomentSet(*row2)
                 worst_drift = max(worst_drift, max(

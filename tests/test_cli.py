@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import math
 import os
@@ -118,10 +117,10 @@ EDGE_RUNS = [
 CONVERGENCE_TOL = 1e-9
 
 
-def doubled_dim_drift(block, params, ts):
-    """Largest change of the moments ``block`` of ``params``'s slice on ``ts``
-    when the slice is evaluated at twice its dim, relative to max(1, |moment|)."""
-    [doubled] = exact_moment_blocks([dataclasses.replace(params, dim=2 * params.dim)], ts)
+def doubled_dim_drift(block, params, ts, dim):
+    """Largest change of the moments ``block`` of ``params``'s slice on ``ts`` at
+    ``dim`` when the slice is evaluated at twice that dim, relative to max(1, |moment|)."""
+    [doubled] = exact_moment_blocks([params], ts, 2 * dim)
     return float(np.max(np.abs(block - doubled) / np.maximum(1.0, np.abs(doubled))))
 
 
@@ -257,7 +256,7 @@ class TestMain:
         err = capsys.readouterr().err
         a, th, lam = refused
         assert err.startswith(f"precondition error: ModelParams(alpha_mag={a!r}, "
-                              f"theta={th!r}, lam={lam!r}, "), err
+                              f"theta={th!r}, lam={lam!r}): "), err
         population = re.search(r": the evolved state holds (\S+) in its top 4 levels, ", err)
         assert population and float(population.group(1)) > fock.EDGE_TOLERANCE, err
         # a larger dim is not promised to hold it: doubling fails at lam = 0.1
@@ -275,8 +274,9 @@ class TestMain:
         assert (code, text) == (EXIT_PRECONDITION, "") and not out_csv.exists()
         err = capsys.readouterr().err
         assert err.startswith("precondition error: ModelParams(alpha_mag=1.0, theta=0.0, "
-                              f"lam=0.001, dim=29): the phases w t at |t| = {float(argv[-1])!r} "
+                              f"lam=0.001): the phases w t at |t| = {float(argv[-1])!r} "
                               "round by "), err
+        assert " at dim 29 |t| may reach about " in err, err
         assert err.count("\n") == 1, err
 
     @pytest.mark.parametrize("alpha, dim", [("37.9", 1760), ("40", 1940)])
@@ -310,10 +310,10 @@ class TestMain:
     @example(1.0, np.pi / 4, 1e-2)
     def test_the_oracle_accepts_only_slices_that_hold_at_doubled_dimension(self, a, th, lam):
         # the default dim, at most 104 here, and 17 times on [-4 pi, 4 pi]
-        params = ModelParams.auto(a, th, lam)
+        params, dim = ModelParams(a, th, lam), default_dim(a)
         ts = np.linspace(-4 * np.pi, 4 * np.pi, 17)
         try:
-            [block] = exact_moment_blocks([params], ts)
+            [block] = exact_moment_blocks([params], ts, dim)
         except TruncationError:
             with tempfile.TemporaryDirectory() as tmp:
                 out_csv = Path(tmp) / "rows.csv"
@@ -326,12 +326,12 @@ class TestMain:
             assert err.getvalue().startswith("precondition error: ")
             assert err.getvalue().count("\n") == 1
             return
-        assert doubled_dim_drift(block, params, ts) < CONVERGENCE_TOL
+        assert doubled_dim_drift(block, params, ts, dim) < CONVERGENCE_TOL
 
     def test_the_free_vacuum_is_the_same_at_doubled_dimension(self):
-        params, ts = ModelParams.auto(0.0), np.linspace(-4 * np.pi, 4 * np.pi, 17)
-        [block] = exact_moment_blocks([params], ts)
-        assert doubled_dim_drift(block, params, ts) == 0.0
+        params, ts = ModelParams(0.0, 0.0, 0.0), np.linspace(-4 * np.pi, 4 * np.pi, 17)
+        [block] = exact_moment_blocks([params], ts, 20)
+        assert doubled_dim_drift(block, params, ts, 20) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(pi_tokens)
@@ -355,21 +355,67 @@ class TestMain:
         assert text == ""
 
     def test_precondition_exit_code(self):
-        code, _ = self.run("--alpha", "3", "--dim", "15")
+        code, _ = self.run("--alpha", "3", "--dim", "15", "--mode", "exact")
         assert code == EXIT_PRECONDITION
 
     @pytest.mark.parametrize("argv", [("--alpha", "1e4"), ("--dim", "100000"), ("--alpha", "1e200"),
                                       ("--alpha", "1e160", "--dim", "100")])
     def test_dim_above_ceiling_refused_before_allocating(self, argv, no_dense_allocation):
-        code, _ = self.run(*argv)
+        code, _ = self.run(*argv, "--mode", "exact")
         assert code == EXIT_PRECONDITION
+
+    def test_the_exact_oracle_still_refuses_a_dim_above_the_ceiling(self, capsys,
+                                                                     no_dense_allocation):
+        assert self.run("--alpha", "45", "--mode", "exact") == (EXIT_PRECONDITION, "")
+        assert capsys.readouterr().err == ("precondition error: dim=2405 exceeds the "
+                                           "dense-matrix ceiling MAX_DIM=2048\n")
+
+    @pytest.mark.parametrize("argv", [("--alpha", "1", "--dim", "10"), ("--dim", "100000"),
+                                      ("--alpha", "3", "--dim", "15")])
+    def test_closed_form_mode_reads_no_dim(self, argv, capsys):
+        code, text = self.run(*argv, "--witness", "N,quadrature", "--t-steps", "2")
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        assert text.startswith("rows=4 mode=closed_form\n")
+
+    def test_closed_form_mode_runs_beyond_the_oracle(self, capsys, tmp_path, no_dense_allocation):
+        # the default dims of 45 and 1e4 are above MAX_DIM, and nothing here builds a basis
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run("--alpha", "45,1e4", "--witness", "N,f,quadrature,hillery",
+                              "--t-steps", "3", "--out", str(out_csv))
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        assert text.startswith("rows=24 mode=closed_form")
+        rows = list(csv.DictReader(out_csv.read_text(encoding="ascii").splitlines()))
+        assert len(rows) == 24 and {r["alpha_mag"] for r in rows} == {"45.0", "10000.0"}
+        assert all(math.isfinite(float(r["value_cf"])) for r in rows)
+
+    @pytest.mark.parametrize("witness", ["N", "f", "quadrature", "N,f,d1,d2,d3,quadrature,hillery"])
+    def test_a_closed_form_beyond_the_float_range_is_one_line(self, capsys, tmp_path, witness):
+        # the scalar closed forms reach Python's float **, which raises OverflowError
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run("--alpha", "1e300", "--t-steps", "2", "--witness", witness,
+                              "--out", str(out_csv))
+        assert (code, text) == (EXIT_PRECONDITION, "") and not out_csv.exists()
+        assert capsys.readouterr().err == ("precondition error: ModelParams(alpha_mag=1e+300, "
+                                           "theta=0.0, lam=0.001): a closed-form value is not "
+                                           "finite\n")
+
+    @pytest.mark.parametrize("argv, field", [(("--out", "{dir}"), "out"),
+                                             (("--mode", "exact", "--t-steps", "99999999"),
+                                              "t_steps")])
+    def test_a_spec_error_wins_where_no_dim_holds_alpha(self, tmp_path, capsys, argv, field):
+        # default_dim(1e200) overflows; the grid bound must not ask it first
+        code, text = self.run("--alpha", "1e200", *(a.format(dir=tmp_path) for a in argv))
+        assert (code, text) == (EXIT_SPEC_ERROR, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"spec error: {field}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("argv", [
         ("--t-steps", "1000000000"),
         ("--t-steps", "99999999999999999999"),
         # 50000 rows, but (50000, 53) ket blocks per slice
         ("--alpha", "3", "--t-steps", "50000", "--witness", "N", "--mode", "exact"),
-        ("--alpha", "3", "--t-steps", "50000", "--witness", "hillery"),
+        # 170000 rows, but (170000, 13) ket blocks of a_1(t)
+        ("--alpha", "3", "--t-steps", "170000", "--witness", "hillery"),
     ])
     def test_grid_above_ceiling_refused_before_allocating(self, tmp_path, argv,
                                                           no_dense_allocation, capsys):
@@ -398,7 +444,7 @@ class TestMain:
         lam = parse_number(given.get("--lambda", DEFAULTS["lambda"]))
         err = capsys.readouterr().err
         assert err.startswith("precondition error: ModelParams(alpha_mag=1.0, "
-                              f"theta={theta!r}, lam={lam!r}, "), err
+                              f"theta={theta!r}, lam={lam!r}): "), err
         # at lam = 1e300 H stays finite, and like t = 1e300 it rounds the phases
         # w t past the time bound before a closed form overflows
         timed = mode != "closed_form" and argv in (("--lambda", "1e300"), ("--t-end", "1e300"))
@@ -432,9 +478,9 @@ class TestMain:
         if spec.mode != "closed_form":
             ts = spec.t_grid()
             for a, th, lam in spec.slices():
-                params = ModelParams(a, th, lam, spec.dim_for(a))
-                [block] = exact_moment_blocks([params], ts)
-                assert doubled_dim_drift(block, params, ts) < CONVERGENCE_TOL, params
+                params = ModelParams(a, th, lam)
+                [block] = exact_moment_blocks([params], ts, spec.dim_for(a))
+                assert doubled_dim_drift(block, params, ts, spec.dim_for(a)) < CONVERGENCE_TOL, params
 
     @pytest.mark.parametrize("to_dir", [True, False], ids=["directory", "empty"])
     def test_out_naming_a_directory_refused_before_the_sweep(self, tmp_path, to_dir, capsys,
@@ -491,8 +537,8 @@ class TestMain:
         assert len(options) == 11
 
     @pytest.mark.parametrize("argv, code, prefix", [
-        (("--out", "{dir}", "--dim", "5"), EXIT_SPEC_ERROR, "spec error: out: "),
-        (("--dim", "5"), EXIT_PRECONDITION, "precondition error: dim=5 is below"),
+        (("--out", "{dir}", "--dim", "5", "--mode", "exact"), EXIT_SPEC_ERROR, "spec error: out: "),
+        (("--dim", "5", "--mode", "exact"), EXIT_PRECONDITION, "precondition error: dim=5 is below"),
     ])
     def test_refusal_order(self, tmp_path, monkeypatch, capsys, no_dense_allocation,
                            argv, code, prefix):

@@ -2,7 +2,7 @@
 
 A sweep evaluates each (alpha, theta, lambda) slice over its whole t grid:
 closed forms on an array ``t``, witnesses on a MomentSet whose fields are
-the columns of a (T, 10) moment block, and ``classify`` on arrays.  Each
+the columns of a (T, 7) moment block, and ``classify`` on arrays.  Each
 element must equal the scalar call at its own t exactly, or the CSV would
 change.  A scalar call returns a float: numpy's ``float64``, a ``float``
 subclass, with the bits of its array element.
@@ -133,8 +133,8 @@ def assert_columns_are_rows(block):
 @example(20.01, np.pi / 2, 1e-4, np.linspace(0.0, np.pi, 16))
 def test_column_witnesses_are_their_row_witnesses_on_oracle_moments(a, th, lam, ts):
     # at twice the default dim, where the exact oracle accepts every draw
-    params = ModelParams(a, th, lam, 2 * default_dim(a))
-    [ex] = exact_moment_blocks([params], ts)
+    params = ModelParams(a, th, lam)
+    [ex] = exact_moment_blocks([params], ts, 2 * default_dim(a))
     [fo] = first_order_moment_blocks([params], ts)
     assert_columns_are_rows(ex)
     assert_columns_are_rows(fo)
@@ -154,7 +154,7 @@ def test_column_witnesses_are_their_row_witnesses_on_any_moments(rows):
 def test_column_values_classify_like_row_values():
     # t = 0 is the coherent input, where every witness sits in the boundary band;
     # twice the default dim holds the state away from the edge of the basis
-    [block] = exact_moment_blocks([ModelParams(2.0, 0.4, 1e-2, 80)], np.linspace(0.0, np.pi, 9))
+    [block] = exact_moment_blocks([ModelParams(2.0, 0.4, 1e-2)], np.linspace(0.0, np.pi, 9), 80)
     for name, witness in WITNESS_VALUES.items():
         labels = classify(witness(column_set(block)))
         assert labels.tolist() == [classify(witness(MomentSet(*row))) for row in block.tolist()], name
@@ -165,7 +165,7 @@ def test_column_values_classify_like_row_values():
 def test_witnesses_return_a_float_for_scalars_and_an_array_for_columns(name):
     witness = WITNESS_VALUES[name]
     assert isinstance(witness(coherent_moment_set(1.3 * np.exp(0.4j))), float)
-    [block] = exact_moment_blocks([ModelParams.auto(1.3, 0.4, 1e-3)], np.linspace(0.0, 1.0, 3))
+    [block] = exact_moment_blocks([ModelParams(1.3, 0.4, 1e-3)], np.linspace(0.0, 1.0, 3), 33)
     values = witness(column_set(block))
     assert type(values) is np.ndarray and values.dtype == float and values.shape == (3,)
 

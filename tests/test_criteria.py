@@ -20,7 +20,7 @@ from anharmonic.dynamics import (
     ladder_moment_block,
     lay_out_bands,
 )
-from anharmonic.fock import ModelParams, number_state
+from anharmonic.fock import ModelParams, default_dim, number_state
 
 ALL_WITNESSES = {
     "quadrature": quadrature_squeezing,
@@ -66,8 +66,8 @@ class TestCoherentNullity:
         assert classify(hoa_d_from_moments(m, 3)) == BOUNDARY
 
     def test_boundary_on_numerically_built_coherent_state(self):
-        p = ModelParams.auto(1.5, 0.9, 0.0)
-        [[row]] = exact_moment_blocks([p], [0.0])
+        p = ModelParams(1.5, 0.9, 0.0)
+        [[row]] = exact_moment_blocks([p], [0.0], default_dim(1.5))
         m = MomentSet(*row.tolist())
         for witness in ALL_WITNESSES.values():
             assert classify(witness(m)) == BOUNDARY
@@ -85,8 +85,8 @@ class TestQuadratureSqueezing:
     def test_exact_oracle_sign_established(self):
         # weak quartic interaction at alpha = 1, theta = pi/2, t = 1:
         # the quadrature variance grows, no ordinary squeezing at this point
-        p = ModelParams.auto(1.0, np.pi / 2, 1e-3)
-        [[row]] = exact_moment_blocks([p], [1.0])
+        p = ModelParams(1.0, np.pi / 2, 1e-3)
+        [[row]] = exact_moment_blocks([p], [1.0], 29)
         value = quadrature_squeezing(MomentSet(*row.tolist()))
         assert value > 1e-4
         assert classify(value) == CLASSICAL
@@ -104,8 +104,8 @@ class TestAntibunching:
     def test_sign_agrees_with_compact_closed_form(self):
         # (|alpha|=1, theta=pi/4, lam=1e-3, t=pi/4): the closed form gives
         # -3 lam < 0, and the exact witness shares the sign
-        p = ModelParams(1.0, np.pi / 4, 1e-3, 29)
-        [[row]] = exact_moment_blocks([p], [np.pi / 4])
+        p = ModelParams(1.0, np.pi / 4, 1e-3)
+        [[row]] = exact_moment_blocks([p], [np.pi / 4], 29)
         value = hoa_d_from_moments(MomentSet(*row.tolist()), 1)
         assert value < -1e-4
         assert classify(value) == NONCLASSICAL
@@ -115,8 +115,8 @@ class TestHillerySqueezing:
     def test_exact_oracle_matches_half_pi_closed_form_value(self):
         # theta = pi/2, lam = 1e-3, |alpha| = 1, t = pi/2: first order gives
         # -(3 lam / 4) * 20 = -0.015; exact deviates only at O(lam^2)
-        p = ModelParams.auto(1.0, np.pi / 2, 1e-3)
-        [[row]] = exact_moment_blocks([p], [np.pi / 2])
+        p = ModelParams(1.0, np.pi / 2, 1e-3)
+        [[row]] = exact_moment_blocks([p], [np.pi / 2], 29)
         value = hillery_squeezing(MomentSet(*row.tolist()))
         assert abs(value - (-0.015)) < 5e-4
         assert classify(value) == NONCLASSICAL
@@ -139,7 +139,8 @@ class TestLeeR:
             lee_R(number_state_moments(0), 1, 1)
 
     def test_columns_give_the_row_values(self):
-        [block] = exact_moment_blocks([ModelParams.auto(1.3, 0.4, 1e-2)], np.linspace(0.0, 1.0, 5))
+        [block] = exact_moment_blocks([ModelParams(1.3, 0.4, 1e-2)], np.linspace(0.0, 1.0, 5),
+                                      default_dim(1.3))
         values = lee_R(MomentSet(*block.T), 2, 1)
         rows = [lee_R(MomentSet(*row), 2, 1) for row in block.tolist()]
         assert type(values) is np.ndarray and all(isinstance(v, float) for v in rows)
@@ -168,8 +169,8 @@ class TestHoaD:
         assert abs(first_order_hoa_d(3, ci) - (-3.15e-3)) < 1e-10
         assert abs(hoa_witness_d(3, ci) - (-7.5e-5)) < 1e-12
 
-        p = ModelParams(1.0, np.pi / 4, 1e-4, 29)
-        [[row]] = exact_moment_blocks([p], [np.pi / 4])
+        p = ModelParams(1.0, np.pi / 4, 1e-4)
+        [[row]] = exact_moment_blocks([p], [np.pi / 4], 29)
         value = hoa_d_from_moments(MomentSet(*row.tolist()), 3)
         assert abs(value - first_order_hoa_d(3, ci)) < 5e-5
         assert classify(value) == NONCLASSICAL

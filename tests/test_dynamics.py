@@ -18,10 +18,15 @@ from anharmonic.dynamics import (
     exact_moment_blocks,
     hamiltonian,
 )
-from anharmonic.fock import (FockVector, ModelParams, TruncationError, coherent_state, expectation,
-                             make_ladder_ops)
+from anharmonic.fock import (FockVector, ModelParams, TruncationError, coherent_state, default_dim,
+                             expectation, make_ladder_ops)
 
-MOMENT_FIELDS = ("a", "a2", "a4", "ada", "ada2", "ad2a2", "ada3", "ad2a4", "ad3a3", "ad4a4")
+MOMENT_FIELDS = ("a", "a2", "a4", "ada", "ad2a2", "ad3a3", "ad4a4")
+
+
+def auto(alpha_mag, theta=0.0, lam=0.0):
+    """Params and the default dim of their |alpha|."""
+    return ModelParams(alpha_mag, theta, lam), default_dim(alpha_mag)
 
 
 class TestHamiltonian:
@@ -99,52 +104,52 @@ class TestParity:
 
 class TestEvolveBlocks:
     def test_identity_at_t_zero(self):
-        p = ModelParams.auto(1.2, 0.7, 1e-2)
-        [[psi]] = evolve_blocks([p], [0.0])
-        ref = coherent_state(p.alpha, p.dim)
+        p, dim = auto(1.2, 0.7, 1e-2)
+        [[psi]] = evolve_blocks([p], [0.0], dim)
+        ref = coherent_state(p.alpha, dim)
         assert np.allclose(psi, ref.amplitudes, atol=1e-13)
 
     def test_free_evolution_conserves_occupations(self):
-        p = ModelParams.auto(1.5, 0.3, 0.0)
-        ref = np.abs(coherent_state(p.alpha, p.dim).amplitudes)
-        [block] = evolve_blocks([p], [0.5, 2.0, 11.0])
+        p, dim = auto(1.5, 0.3, 0.0)
+        ref = np.abs(coherent_state(p.alpha, dim).amplitudes)
+        [block] = evolve_blocks([p], [0.5, 2.0, 11.0], dim)
         for psi in block:
             assert np.allclose(np.abs(psi), ref, atol=1e-13)
 
     @pytest.mark.parametrize("alpha_mag,lam", [(1.0, 1e-2), (2.0, 1e-3)])
     def test_unitarity_over_two_revivals(self, alpha_mag, lam):
-        p = ModelParams.auto(alpha_mag, 0.4, lam)
-        [psi] = evolve_blocks([p], np.linspace(0.0, 4 * np.pi, 40))
+        p, dim = auto(alpha_mag, 0.4, lam)
+        [psi] = evolve_blocks([p], np.linspace(0.0, 4 * np.pi, 40), dim)
         assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) < 1e-10)
 
     def test_energy_conservation(self):
-        p = ModelParams.auto(1.5, np.pi / 3, 1e-2)
-        h = hamiltonian(p.lam, p.dim)
-        [[psi0]] = evolve_blocks([p], [0.0])
+        p, dim = auto(1.5, np.pi / 3, 1e-2)
+        h = hamiltonian(p.lam, dim)
+        [[psi0]] = evolve_blocks([p], [0.0], dim)
         e0 = expectation(FockVector(psi0), h).real
-        [block] = evolve_blocks([p], np.linspace(0.1, 4 * np.pi, 17))
+        [block] = evolve_blocks([p], np.linspace(0.1, 4 * np.pi, 17), dim)
         for psi in block:
             et = expectation(FockVector(psi), h).real
             assert abs(et - e0) < 1e-9 * abs(e0)
 
     def test_time_bound(self):
         # the longest |t| whose phases w t round by at most PHASE_TOLERANCE
-        p = ModelParams.auto(1.0, 0.0, 1e-3)
+        p, dim = auto(1.0, 0.0, 1e-3)
         longest = PHASE_TOLERANCE / (sys.float_info.epsilon * float(np.linalg.eigvalsh(
-            hamiltonian(p.lam, p.dim))[-1]))
+            hamiltonian(p.lam, dim))[-1]))
         assert 1.5e4 < longest < 1.6e4  # max(w) = 28.6 at D = 29
-        [psi] = evolve_blocks([p], [0.0, -longest * (1 - 1e-6)])
-        assert psi.shape == (2, p.dim)
+        [psi] = evolve_blocks([p], [0.0, -longest * (1 - 1e-6)], dim)
+        assert psi.shape == (2, dim)
         message = (f"{p}: the phases w t at |t| = {longest * (1 + 1e-6)!r} round by "
                    f"eps |t| max(w) = 1.000e-10, above 1e-10; at dim 29 |t| may reach about "
                    f"{longest:.4g}")
         with pytest.raises(TruncationError, match=re.escape(message)):
-            list(evolve_blocks([p], [0.0, longest * (1 + 1e-6)]))
+            list(evolve_blocks([p], [0.0, longest * (1 + 1e-6)], dim))
 
     def test_deterministic_across_calls(self):
-        p = ModelParams.auto(1.0, 0.2, 1e-3)
-        [s1] = evolve_blocks([p], [1.3])
-        [s2] = evolve_blocks([p], [1.3])
+        p, dim = auto(1.0, 0.2, 1e-3)
+        [s1] = evolve_blocks([p], [1.3], dim)
+        [s2] = evolve_blocks([p], [1.3], dim)
         assert np.array_equal(s1, s2)
 
 
@@ -152,18 +157,18 @@ class TestEvolveBlocks:
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("lam, t, what", [(1e308, 1.0, "H"), (1e306, 1.0, "H")])
 def test_overflow_is_refused_naming_the_parameters(lam, t, what):
-    message = f"(alpha_mag=0.5, theta=0.25, lam={lam!r}, dim=25): {what} is not finite"
+    message = f"(alpha_mag=0.5, theta=0.25, lam={lam!r}): {what} at dim 25 is not finite"
     with pytest.raises(FloatingPointError, match=re.escape(message)):
-        list(evolve_blocks([ModelParams(0.5, 0.25, lam, 25)], [t]))
+        list(evolve_blocks([ModelParams(0.5, 0.25, lam)], [t], 25))
 
 
 def test_a_grid_whose_state_would_overflow_meets_the_time_bound():
     # from a finite H, the state is a unitary image of the input unless w t
     # overflows, which the time bound refuses first
-    message = ("(alpha_mag=0.5, theta=0.25, lam=1e+302, dim=25): "
+    message = ("(alpha_mag=0.5, theta=0.25, lam=1e+302): "
                "the phases w t at |t| = 10000000000.0 ")
     with pytest.raises(TruncationError, match=re.escape(message)):
-        list(evolve_blocks([ModelParams(0.5, 0.25, 1e302, 25)], [1e10]))
+        list(evolve_blocks([ModelParams(0.5, 0.25, 1e302)], [1e10], 25))
 
 
 class TestRetention:
@@ -176,7 +181,7 @@ class TestRetention:
         tracemalloc.start()
         try:
             for j in range(100):
-                [psi] = evolve_blocks([ModelParams(1.0, 0.3, 1e-4 * (j + 1), dim)], [0.5])
+                [psi] = evolve_blocks([ModelParams(1.0, 0.3, 1e-4 * (j + 1))], [0.5], dim)
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
@@ -194,25 +199,25 @@ class TestRetention:
 
 class TestInteractionMoments:
     def test_initial_condition_matches_coherent_moments(self):
-        p = ModelParams.auto(1.4, 0.9, 1e-2)
-        [block] = exact_moment_blocks([p], [0.0])
+        p, dim = auto(1.4, 0.9, 1e-2)
+        [block] = exact_moment_blocks([p], [0.0], dim)
         m = MomentSet(*block.tolist()[0])
         ref = coherent_moment_set(p.alpha)
         for f in MOMENT_FIELDS:
             assert abs(getattr(m, f) - getattr(ref, f)) < 1e-11 * max(1.0, abs(getattr(ref, f)))
 
     def test_free_case_is_static_in_the_rotating_frame(self):
-        p = ModelParams.auto(1.4, 0.9, 0.0)
+        p, dim = auto(1.4, 0.9, 0.0)
         ref = coherent_moment_set(p.alpha)
-        [block] = exact_moment_blocks([p], [0.7, 3.1, 9.4])
+        [block] = exact_moment_blocks([p], [0.7, 3.1, 9.4], dim)
         for row in block.tolist():
             m = MomentSet(*row)
             for f in MOMENT_FIELDS:
                 assert abs(getattr(m, f) - getattr(ref, f)) < 1e-11 * max(1.0, abs(getattr(ref, f)))
 
     def test_diagonal_moments_real_nonnegative(self):
-        p = ModelParams.auto(1.8, 1.1, 1e-2)
-        [block] = exact_moment_blocks([p], [0.0, 1.0, 5.5])
+        p, dim = auto(1.8, 1.1, 1e-2)
+        [block] = exact_moment_blocks([p], [0.0, 1.0, 5.5], dim)
         for row in block.tolist():
             m = MomentSet(*row)
             for f in ("ada", "ad2a2", "ad3a3", "ad4a4"):
@@ -223,11 +228,11 @@ class TestInteractionMoments:
     def test_picture_consistency_for_photon_number(self):
         # N commutes with the free phase, so the rotating-frame <a^dag a>
         # must reproduce the plain Schroedinger expectation
-        p = ModelParams.auto(1.3, 0.5, 1e-2)
-        _, _, n = make_ladder_ops(p.dim)
+        p, dim = auto(1.3, 0.5, 1e-2)
+        _, _, n = make_ladder_ops(dim)
         ts = [0.4, 2.2, 6.0]
-        [psi] = evolve_blocks([p], ts)
-        [block] = exact_moment_blocks([p], ts)
+        [psi] = evolve_blocks([p], ts, dim)
+        [block] = exact_moment_blocks([p], ts, dim)
         for row, moments in zip(psi, block.tolist()):
             m = MomentSet(*moments)
             assert m.ada.imag == 0.0 or abs(m.ada.imag) < 1e-13
@@ -235,11 +240,10 @@ class TestInteractionMoments:
 
     def test_truncation_doubling_leaves_moments_unchanged(self):
         for alpha_mag in (1.0, 2.0):
-            base = ModelParams.auto(alpha_mag, np.pi / 4, 1e-2)
-            doubled = ModelParams(alpha_mag, np.pi / 4, 1e-2, 2 * base.dim)
+            p, dim = auto(alpha_mag, np.pi / 4, 1e-2)
             ts = [0.0, np.pi, 4 * np.pi]
-            [block1] = exact_moment_blocks([base], ts)
-            [block2] = exact_moment_blocks([doubled], ts)
+            [block1] = exact_moment_blocks([p], ts, dim)
+            [block2] = exact_moment_blocks([p], ts, 2 * dim)
             for row1, row2 in zip(block1.tolist(), block2.tolist()):
                 m1, m2 = MomentSet(*row1), MomentSet(*row2)
                 for f in MOMENT_FIELDS:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from anharmonic.fock import (
     FockVector,
     ModelParams,
     TruncationError,
+    check_dim,
     coherent_state,
     default_dim,
     expectation,
@@ -192,51 +195,61 @@ class TestTypes:
 
     def test_model_params_validation(self):
         with pytest.raises(ValueError):
-            ModelParams(-1.0, 0.0, 0.0, 40)
+            ModelParams(-1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            ModelParams(1.0, 0.0, -1e-3, 40)
-        with pytest.raises(TruncationError):
-            ModelParams(3.0, 0.0, 0.0, 15)
-        assert ModelParams(1.0, 0.0, 0.0, 29.0).dim == 29
+            ModelParams(1.0, 0.0, -1e-3)
+        assert [f.name for f in dataclasses.fields(ModelParams)] == ["alpha_mag", "theta", "lam"]
+        assert not hasattr(ModelParams, "auto")
+
+    def test_check_dim_validation(self):
+        with pytest.raises(ValueError, match="^dim must be >= 2"):
+            check_dim(0.0, 1)
+        with pytest.raises(TruncationError, match="below the safe truncation floor 53"):
+            check_dim(3.0, 15)
+        assert check_dim(1.0, 29.0) == 29
+        assert type(check_dim(1.0, 29.0)) is int
 
     @pytest.mark.parametrize("field, args", [
-        ("alpha_mag", (float("nan"), 0.0, 0.0, 40)),
-        ("alpha_mag", (float("inf"), 0.0, 0.0, 40)),
-        ("theta", (1.0, float("nan"), 0.0, 40)),
-        ("theta", (1.0, float("-inf"), 0.0, 40)),
-        ("lam", (1.0, 0.0, float("nan"), 40)),
-        ("lam", (1.0, 0.0, float("inf"), 40)),
-        ("dim", (1.0, 0.0, 0.0, float("nan"))),
-        ("dim", (1.0, 0.0, 0.0, float("inf"))),
-        # int() would truncate it to 29
-        ("dim", (1.0, 0.0, 0.0, 29.99)),
+        ("alpha_mag", (float("nan"), 0.0, 0.0)),
+        ("alpha_mag", (float("inf"), 0.0, 0.0)),
+        ("theta", (1.0, float("nan"), 0.0)),
+        ("theta", (1.0, float("-inf"), 0.0)),
+        ("lam", (1.0, 0.0, float("nan"))),
+        ("lam", (1.0, 0.0, float("inf"))),
     ])
     def test_model_params_rejects_non_finite(self, field, args):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ModelParams(*args)
 
+    @pytest.mark.parametrize("dim", [float("nan"), float("inf"), "29", None,
+                                     # int() would truncate it to 29
+                                     29.99])
+    def test_check_dim_rejects_a_non_integer(self, dim):
+        with pytest.raises(ValueError, match="^dim must be a finite integer"):
+            check_dim(1.0, dim)
+
     def test_dim_ceiling(self):
-        # constructing params allocates nothing, so the refusal is cheap to test
+        # checking a dim allocates nothing, so the refusal is cheap to test
         with pytest.raises(TruncationError, match="MAX_DIM"):
-            ModelParams(1.0, 0.0, 0.0, MAX_DIM + 1)
+            check_dim(1.0, MAX_DIM + 1)
         with pytest.raises(TruncationError, match="MAX_DIM"):
-            ModelParams.auto(1e4)
-        # |alpha| just above 20 (D = 581) stays admissible at the doubled
-        # dimension of a convergence check
-        assert ModelParams(20.02, 0.0, 0.0, 2 * default_dim(20.02)).dim == 1162
+            check_dim(1e4, default_dim(1e4))
+        # |alpha| just above 20 (D = 581) stays admissible at doubled dimension
+        assert check_dim(20.02, 2 * default_dim(20.02)) == 1162
 
     def test_amplitude_beyond_any_dimension(self):
         # |alpha|^2 overflows the float range, so no floor can be computed
         with pytest.raises(TruncationError, match="no truncation dimension"):
-            ModelParams(1e200, 0.0, 0.0, 100)
+            check_dim(1e200, 100)
         with pytest.raises(TruncationError, match="no truncation dimension"):
             default_dim(1e160)
+        # the params themselves hold no dim, so nothing refuses them
+        assert ModelParams(1e200, 0.0, 0.0).alpha_mag == 1e200
 
     def test_auto_dim_heuristic(self):
         assert default_dim(1.0) == 29
-        assert ModelParams.auto(1.0).dim == 29
-        assert ModelParams.auto(0.0).dim == 20
+        assert default_dim(0.0) == 20
 
     def test_alpha_property(self):
-        p = ModelParams.auto(2.0, np.pi / 2)
+        p = ModelParams(2.0, np.pi / 2, 0.0)
         assert abs(p.alpha - 2.0j) < 1e-15

@@ -9,6 +9,7 @@ must be gone before the next group's ``eigh``.
 
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from anharmonic.dynamics import (
     evolve_blocks,
     exact_moment_blocks,
 )
-from anharmonic.fock import ModelParams, default_dim
+from anharmonic.fock import ModelParams, TruncationError, default_dim
 from anharmonic.perturbative import (
     ClosedFormInputs,
     first_order_moment_blocks,
@@ -49,14 +50,14 @@ def one_slice_walk(spec):
     entries = [WITNESSES[w] for w in spec.witnesses]
     cf, exact = [], []
     for a, th, lam in spec.slices():
-        params = ModelParams(a, th, lam, spec.dim_for(a))
+        params = ModelParams(a, th, lam)
         [block] = first_order_moment_blocks([params], ts)
         fo = MomentSet(*block.T)
         inputs = ClosedFormInputs(a, th, lam, ts)
         cf.append([e.moments(fo) if e.closed_form is None else e.closed_form(inputs)
                    for e in entries])
         if spec.mode != "closed_form":
-            [block] = exact_moment_blocks([params], ts)
+            [block] = exact_moment_blocks([params], ts, spec.dim_for(a))
             m = MomentSet(*block.T)
             exact.append([e.moments(m) for e in entries])
     return (np.array(cf).transpose(0, 2, 1),
@@ -82,11 +83,17 @@ def test_group_sweep_is_the_one_slice_walk(alphas, thetas, lams, shared_dim, mod
         assert np.array_equal(bits(result.value_exact), bits(exact))
 
 
+#: The three group kernels, the oracle's at one dim.
+KERNELS = [partial(evolve_blocks, dim=34), partial(exact_moment_blocks, dim=34),
+           first_order_moment_blocks]
+KERNEL_IDS = ["evolve_blocks", "exact_moment_blocks", "first_order_moment_blocks"]
+
+
 def test_group_kernels_yield_the_one_slice_blocks():
     ts = np.linspace(-2.0, 3.0, 7)
-    group = [ModelParams(a, th, 3e-3, 34) for a, th in
+    group = [ModelParams(a, th, 3e-3) for a, th in
              [(1.3, 0.0), (1.3, -0.0), (0.4, 0.7), (1.3, 0.7), (1.3, 0.7)]]
-    for kernel in (evolve_blocks, exact_moment_blocks, first_order_moment_blocks):
+    for kernel in KERNELS:
         blocks = list(kernel(group, ts))
         assert len(blocks) == len(group)
         for params, block in zip(group, blocks):
@@ -94,24 +101,21 @@ def test_group_kernels_yield_the_one_slice_blocks():
             assert np.array_equal(bits(block), bits(one))
 
 
-@pytest.mark.parametrize("kernel", [evolve_blocks, exact_moment_blocks])
-@pytest.mark.parametrize("other", [ModelParams(1.0, 0.2, 2e-3, 30), ModelParams(1.0, 0.2, 1e-3, 31)])
-def test_a_group_shares_lam_and_dim(kernel, other):
-    with pytest.raises(ValueError, match="one lam and one dim"):
-        next(kernel([ModelParams(1.0, 0.0, 1e-3, 30), other], [0.5]))
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_a_group_shares_lam(kernel):
+    with pytest.raises(ValueError, match="^a group shares one lam, got"):
+        next(kernel([ModelParams(1.0, 0.0, 1e-3), ModelParams(1.0, 0.2, 2e-3)], [0.5]))
 
 
-def test_a_first_order_group_shares_lam_only():
-    first = ModelParams(1.0, 0.0, 1e-3, 30)
-    with pytest.raises(ValueError, match="one lam, got"):
-        next(first_order_moment_blocks([first, ModelParams(1.0, 0.2, 2e-3, 30)], [0.5]))
-    # a_1(t) needs no basis, so the dim of a slice is not read
-    group = [first, ModelParams(1.0, 0.2, 1e-3, 31), ModelParams(1.0, 0.2, 1e-3, 60)]
-    blocks = list(first_order_moment_blocks(group, [0.5, 2.0]))
-    assert np.array_equal(bits(blocks[1]), bits(blocks[2]))
-    for params, block in zip(group, blocks):
-        [one] = first_order_moment_blocks([params], [0.5, 2.0])
-        assert np.array_equal(bits(block), bits(one))
+@pytest.mark.parametrize("kernel", KERNELS[:2], ids=KERNEL_IDS[:2])
+def test_the_oracle_checks_its_dim_for_every_params_of_a_group(kernel):
+    # dim 34 holds |alpha| = 1.3 (floor 33) but not 2.0 (floor 40), wherever it sits
+    for group in ([ModelParams(1.3, 0.0, 1e-3), ModelParams(2.0, 0.0, 1e-3)],
+                  [ModelParams(2.0, 0.0, 1e-3), ModelParams(1.3, 0.0, 1e-3)]):
+        with pytest.raises(TruncationError, match="below the safe truncation floor 40"):
+            next(kernel(group, [0.5]))
+    with pytest.raises(ValueError, match="^dim must be a finite integer"):
+        next(kernel.func([ModelParams(1.3, 0.0, 1e-3)], [0.5], 34.5))
 
 
 @pytest.mark.parametrize("mode", ["exact", "compare"])

@@ -100,6 +100,21 @@ def test_cli_large_alpha_first_order_case_reaches_a1_at_large_alpha(capsys):
         "same output"]
 
 
+def test_cli_closed_form_beyond_the_oracle_case_reads_no_dim(capsys):
+    name = "cli_closed_form_beyond_the_oracle_case"
+    code, csv, stdout, stderr = same_output.run_workload(ROOT / "src", name, None)
+    assert (code, stderr) == (0, b"")
+    assert stdout.decode().splitlines()[0] == "rows=40 mode=closed_form csv=sweep.csv"
+    rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+    # default dims 2405 and about 1e8, both above MAX_DIM
+    assert {r[0] for r in rows} == {"45.0", "10000.0"}
+    assert {r[4] for r in rows} == {"N", "f", "quadrature", "hillery"}
+    assert all(math.isfinite(float(r[5])) and r[6:8] == ["", ""] for r in rows)
+    assert same_output.main([str(ROOT / "src"), "--workload", name]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)", "same output"]
+
+
 def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
     # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
     src = changed_copy(tmp_path, "perturbative.py",
@@ -114,7 +129,7 @@ def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
 
 REFUSALS = {"cli_spec_error_case": (2, "spec error: t_steps: need at least 2 grid points"),
             "cli_overflow_case": (3, "precondition error: ModelParams(alpha_mag=1.0, theta=0.0, "
-                                     "lam=1e+308, dim=29): H is not finite")}
+                                     "lam=1e+308): H at dim 29 is not finite")}
 
 
 def test_refused_cli_cases_compare_their_exit_and_stderr_line(capsys):
@@ -134,6 +149,7 @@ def test_a_changed_refusal_is_reported(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("cli_overflow_case: stderr differs, line 1: ")
     # the copy is the parent: its line comes first
-    assert lines[0].endswith("H overflowed' != 'precondition error: ModelParams(alpha_mag=1.0, "
-                             "theta=0.0, lam=1e+308, dim=29): H is not finite'")
+    assert lines[0].endswith("H at dim 29 overflowed' != 'precondition error: "
+                             "ModelParams(alpha_mag=1.0, theta=0.0, lam=1e+308): "
+                             "H at dim 29 is not finite'")
     assert lines[-1] == "output differs"

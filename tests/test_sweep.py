@@ -1,5 +1,6 @@
 import io
 import math
+import tempfile
 import tracemalloc
 import warnings
 from itertools import product
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anharmonic import cli, criteria, sweep
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
@@ -89,18 +92,25 @@ class TestSpecValidation:
         with pytest.raises(SweepSpecError, match=f"^{field}: values must be finite"):
             small_spec(**value)
 
-    def test_dim_too_small_reported_before_compute(self):
+    @pytest.mark.parametrize("mode", ["exact", "compare"])
+    def test_dim_too_small_reported_before_compute(self, mode):
         with pytest.raises(TruncationError, match="below the safe truncation floor"):
-            small_spec(alpha_mag=(3.0,), dim=15)
+            small_spec(alpha_mag=(3.0,), dim=15, mode=mode)
+
+    def test_closed_form_mode_checks_no_dim(self):
+        # below the floor of 3, above MAX_DIM, and no dim holds 1e200: none is read
+        for alpha_mag, dim in (((3.0,), 15), ((1.0,), 10**6), ((1e200,), None)):
+            assert small_spec(alpha_mag=alpha_mag, dim=dim).dim == dim
 
     def test_out_naming_a_directory_refused_when_built(self, tmp_path):
         with pytest.raises(SweepSpecError, match="^out: .* names a directory"):
             small_spec(output_path=str(tmp_path))
         with pytest.raises(SweepSpecError, match="^out: directory .* does not exist"):
             small_spec(output_path=str(tmp_path / "missing" / "rows.csv"))
-        # a spec error wins over an unsafe dim
-        with pytest.raises(SweepSpecError, match="^out: "):
-            small_spec(alpha_mag=(3.0,), dim=15, output_path=str(tmp_path))
+        # a spec error wins over an unsafe dim, and over an |alpha| that no dim holds
+        for alpha_mag, dim in (((3.0,), 15), ((1e200,), None)):
+            with pytest.raises(SweepSpecError, match="^out: "):
+                small_spec(alpha_mag=alpha_mag, dim=dim, mode="exact", output_path=str(tmp_path))
 
     @pytest.mark.parametrize("field, overrides", [
         ("t_steps", dict(t_steps=3.9)),
@@ -140,9 +150,14 @@ class TestSpecValidation:
     @pytest.mark.parametrize("overrides", [
         dict(t_steps=MAX_GRID_CELLS + 1, witnesses=("N",)),
         dict(alpha_mag=(1.0, 2.0), t_steps=MAX_GRID_CELLS // 4, witnesses=("N", "f", "d1")),
-        # one row per t, but every slice holds (t_steps, D = 29) ket blocks
+        # one row per t, but every slice holds (t_steps, D = 29) ket blocks of the
+        # oracle, or (t_steps, 13) ones of a_1(t)
         dict(t_steps=MAX_GRID_CELLS // 29 + 1, witnesses=("N",), mode="exact"),
-        dict(t_steps=MAX_GRID_CELLS // 29 + 1, witnesses=("hillery",)),
+        dict(t_steps=MAX_GRID_CELLS // 29 + 1, witnesses=("hillery",), mode="exact"),
+        dict(t_steps=MAX_GRID_CELLS // 13 + 1, witnesses=("hillery",)),
+        # the oracle's blocks are counted at most MAX_DIM wide, where no dim holds |alpha|
+        dict(alpha_mag=(1e200,), t_steps=MAX_GRID_CELLS // 2048 + 1, witnesses=("N",),
+             mode="exact"),
     ])
     def test_grid_above_the_ceiling_named_in_error(self, overrides):
         with pytest.raises(SweepSpecError, match="^t_steps: .* above MAX_GRID_CELLS"):
@@ -151,13 +166,26 @@ class TestSpecValidation:
     @pytest.mark.parametrize("overrides", [
         dict(t_steps=MAX_GRID_CELLS, witnesses=("N",)),
         dict(t_steps=MAX_GRID_CELLS // 29, witnesses=("N",), mode="exact"),
-        dict(t_steps=MAX_GRID_CELLS // 29, witnesses=("hillery",)),
+        dict(t_steps=MAX_GRID_CELLS // 13, witnesses=("hillery",)),
     ])
     def test_grid_at_the_ceiling_is_accepted(self, overrides):
         assert small_spec(theta=(0.0,), **overrides).t_steps == overrides["t_steps"]
 
 
 class TestRunSweep:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.7, 3.0, 45.0, 1e4]), min_size=1, max_size=2),
+           st.integers(2, 10**9), st.lists(st.sampled_from(WITNESS_NAMES), min_size=1, max_size=3))
+    def test_closed_form_bytes_do_not_depend_on_dim(self, alphas, dim, witnesses):
+        def csv_bytes(dim):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "rows.csv"
+                run_sweep(small_spec(alpha_mag=alphas, dim=dim, t_steps=5, witnesses=witnesses,
+                                     output_path=str(out)))
+                return out.read_bytes()
+
+        assert csv_bytes(dim) == csv_bytes(None)
+
     def test_row_count_formula(self):
         spec = small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), witnesses=("f", "d2", "N"))
         result = run_sweep(spec)
@@ -333,9 +361,9 @@ class TestWitnessTable:
         spec = small_spec(alpha_mag=(a,), theta=(th,), lam=(lam,), mode="compare", t_steps=3)
         t = float(spec.t_grid()[1])
         ci = ClosedFormInputs(a, th, lam, t)
-        params = ModelParams(a, th, lam, default_dim(a))
+        params = ModelParams(a, th, lam)
         [[fo]] = first_order_moment_blocks([params], [t])
-        [[ex]] = exact_moment_blocks([params], [t])
+        [[ex]] = exact_moment_blocks([params], [t], default_dim(a))
         fo, ex = MomentSet(*fo.tolist()), MomentSet(*ex.tolist())
         expected = {
             "f": (squeezing_witness_f(ci), hillery_squeezing(ex)),

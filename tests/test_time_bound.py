@@ -18,10 +18,9 @@ from anharmonic.dynamics import MONOMIALS, PHASE_TOLERANCE, exact_moment_blocks,
 from anharmonic.fock import ModelParams, TruncationError
 
 
-def reference_moments(params: ModelParams, ts) -> np.ndarray:
-    """(T, 10) interaction-frame moments of ``params``'s coherent input evolved
-    in 30 digits, in the truncated basis the oracle uses."""
-    dim = params.dim
+def reference_moments(params: ModelParams, ts, dim: int) -> np.ndarray:
+    """(T, 7) interaction-frame moments of ``params``'s coherent input evolved
+    in 30 digits, in the ``dim``-level basis the oracle uses."""
     with mp.workdps(30):
         x = mp.zeros(dim, dim)
         for n in range(1, dim):
@@ -46,17 +45,17 @@ def reference_moments(params: ModelParams, ts) -> np.ndarray:
     return np.array(rows)
 
 
-@pytest.mark.parametrize("params", [ModelParams(1.0, 0.3, 1e-3, 29),
-                                    ModelParams(0.5, 0.0, 0.05, 40)], ids=["D29", "D40"])
-def test_the_longest_accepted_grid_holds_against_mpmath(params):
-    top = float(np.linalg.eigvalsh(hamiltonian(params.lam, params.dim))[-1])
+@pytest.mark.parametrize("params, dim", [(ModelParams(1.0, 0.3, 1e-3), 29),
+                                         (ModelParams(0.5, 0.0, 0.05), 40)], ids=["D29", "D40"])
+def test_the_longest_accepted_grid_holds_against_mpmath(params, dim):
+    top = float(np.linalg.eigvalsh(hamiltonian(params.lam, dim))[-1])
     scale = sys.float_info.epsilon * top
     longest = PHASE_TOLERANCE / scale * (1 - 1e-9)
     ts = np.array([0.0, longest / 3, -longest, longest])
-    [block] = exact_moment_blocks([params], ts)
+    [block] = exact_moment_blocks([params], ts, dim)
     natural = np.array([(params.alpha_mag**2 + 1.0) ** ((m + n) / 2) for m, n in MONOMIALS])
-    error = np.abs(block - reference_moments(params, ts)) / natural
+    error = np.abs(block - reference_moments(params, ts, dim)) / natural
     # above a rounding floor of 1e-14, met at t = 0
     assert np.all(error <= 0.5 * scale * np.abs(ts)[:, None] + 1e-14), error.max(axis=1)
     with pytest.raises(TruncationError, match=" round by eps "):
-        list(exact_moment_blocks([params], [0.0, longest * (1 + 2e-9)]))
+        list(exact_moment_blocks([params], [0.0, longest * (1 + 2e-9)], dim))
