@@ -21,7 +21,9 @@ next to scalar closed forms, at |alpha| = 0 too.  ``cli_large_alpha_first_order_
 reaches those witnesses at |alpha| = 20, where no workload evaluates a_1(t).
 ``cli_closed_form_beyond_the_oracle_case`` runs mode ``closed_form``, scalar
 closed forms and a_1(t), at |alpha| = 45 and 1e4, whose default dims are above
-``fock.MAX_DIM``: no truncation dimension is read there.  ``cli_spec_error_case``
+``fock.MAX_DIM``: no truncation dimension is read there.  ``cli_small_dim_case``
+runs the oracle at |alpha| = 3 in 47 levels, the smallest dim whose coherent
+input passes the edge check, 6 below the default dim.  ``cli_spec_error_case``
 (exit 2) and ``cli_overflow_case`` (an H beyond the float range, exit 3) are
 refused; a CLI case may exit non-zero, and then its exit status, its stderr
 line and the absence of its CSV are what is compared.
@@ -63,6 +65,8 @@ CLI_CASES = {
     "cli_closed_form_beyond_the_oracle_case": ("--alpha", "45,1e4", "--witness",
                                                "N,f,quadrature,hillery", "--t-steps", "5",
                                                "--mode", "closed_form"),
+    "cli_small_dim_case": ("--alpha", "3", "--theta", "pi/2", "--lambda", "1e-3,1e-4",
+                           "--dim", "47", "--t-steps", "9", "--mode", "compare"),
     "cli_spec_error_case": ("--t-steps", "1"),
     "cli_overflow_case": ("--lambda", "1e308", "--mode", "exact", "--t-steps", "3"),
 }

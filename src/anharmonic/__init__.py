@@ -28,7 +28,6 @@ from .dynamics import (
 from .fock import (
     EIGENVALUE_RESIDUAL_TOL,
     MAX_DIM,
-    TAIL_TOLERANCE,
     FockVector,
     ModelParams,
     TruncationError,

@@ -9,14 +9,14 @@ by zero, a t span beyond the float range, a grid above ``fock.MAX_GRID_CELLS``,
 an unreadable ``--config`` and an ``--out`` naming a directory included;
 ``main`` returns it rather than raising ``SystemExit``), 3 for numerical
 precondition failures (in modes ``exact`` and ``compare``, a truncation
-dimension too small, above ``fock.MAX_DIM`` or beyond the float range; a value
-beyond the float range, a closed-form one included; an exact time grid whose
-phases w t round past ``dynamics.PHASE_TOLERANCE``, or an exact state that
+dimension above ``fock.MAX_DIM`` or beyond the float range, an |alpha| whose
+coherent input underflows (from about 38.61); a value beyond the float range,
+a closed-form one included; an exact time grid whose phases w t round past
+``dynamics.PHASE_TOLERANCE``, or an exact state, the input included, that
 reaches the top ``fock.EDGE_LEVELS`` levels of its basis; stderr then holds one
-line).  Building the ``SweepSpec`` refuses every spec error and then an unsafe
-dimension, so a spec error wins over a dimension error; the sweep then refuses
-the first slice in (alpha, lambda, theta) order whose value overflows, whose
-grid is too long for its phases or whose state reaches the edge.  No refusal
+line).  Building the ``SweepSpec`` refuses every spec error and then a dim
+above the ceiling, so a spec error wins over a dimension error; the sweep then
+refuses the first slice in (alpha, lambda, theta) order that fails.  No refusal
 comes after a row is printed or any CSV written, with one exception: an
 ``--out`` that cannot be written to (a full device, say) is found while the CSV
 is written, and exits 2 with ``spec error: out: <reason>``; the part already

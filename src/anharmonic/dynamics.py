@@ -9,10 +9,11 @@ a real symmetric matrix once truncated.  Because H is time independent, the
 evolution exp(-iHt)|alpha> of a time grid is computed from one eigendecomposition
 -- no time stepping, no time ordering, exact to machine precision in the truncated
 space.  The truncation cuts the x^4 couplings of the top 4 levels, so a state
-that reaches them, at any time of any slice, is refused (``fock.EDGE_TOLERANCE``)
-before its block is used, and so is a grid long enough that the rounding of its
-phases w t, eps |t| max(w), passes ``PHASE_TOLERANCE``.  Each call takes its
-dim and checks it for every params (``fock.check_dim``).  Slices that share lam
+that reaches them, its coherent input or at any time of any slice, is refused
+(``fock.EDGE_TOLERANCE``) before its block is used: the oracle's one truncation
+rule.  So is a grid long enough that the rounding of its phases w t,
+eps |t| max(w), passes ``PHASE_TOLERANCE``.  Each call takes its dim and checks
+it against the dense-matrix ceiling (``fock.check_dim``).  Slices that share lam
 (a sweep's theta slices at one |alpha|) form a group, which builds H, its
 ``eigh`` and the exp(-iwt) table once and drops them when its last slice is
 done; each slice projects its own input.  Only the lam-independent
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .fock import (EDGE_LEVELS, EDGE_TOLERANCE, TruncationError, check_dim, check_normalized,
-                   coherent_state, require_finite)
+                   coherent_state, default_dim, require_finite)
 
 #: Most eps |t| max(w) a group's time grid may reach, where max(w) = ||H||_2 is
 #: the top eigenvalue of the positive definite H.  ``eigh`` rounds every w by
@@ -131,29 +132,41 @@ def group_lam(params_list) -> float:
     return lam
 
 
+def _check_edge(top, params, what: str, remedy: str) -> None:
+    """Refuse ``what`` of ``params`` (TruncationError) unless every row of ``top``, the
+    populations of its top ``EDGE_LEVELS`` levels, sums to at most ``EDGE_TOLERANCE``."""
+    edge = float(np.max(top.sum(axis=-1), initial=0.0))
+    if not edge <= EDGE_TOLERANCE:
+        raise TruncationError(f"{params}: {what} holds {edge:.3e} in its top {EDGE_LEVELS} "
+                              f"levels, above {EDGE_TOLERANCE:.0e}; {remedy}")
+
+
 def evolve_blocks(params_list, ts, dim: int):
     """Spectral evolution of a whole time grid, in ``dim`` levels, for each params
     of a group that shares lam: yields, per params, the (T, dim) block whose row j
     is psi(ts[j]) = V exp(-i Lambda t) V^T |alpha>.
 
-    Every params is checked against ``dim`` first (``fock.check_dim``).  H, its
-    ``eigh`` and the (T, dim) phase table exp(-i w t) are built once per group,
-    at the first block, and dropped when the last is done.  Each block is
-    one stacked matrix-vector product over the phased eigenbasis coefficients
-    of its own input; each row is bit-identical to evolving its time alone, in
-    any group.  An H or a state that overflowed raises FloatingPointError naming
-    the params (for H, the group's first, and the dim).  A grid whose largest |t|
+    ``dim`` is checked first (``fock.check_dim``).  The edge check, the oracle's
+    one truncation rule, refuses (TruncationError, naming the params) a state
+    whose top ``EDGE_LEVELS`` levels hold more than ``EDGE_TOLERANCE``: every
+    coherent input, before H is built, and every block, at each t, before it is
+    yielded.  H, its ``eigh`` and the (T, dim) phase table exp(-i w t) are built
+    once per group and dropped when the last block is done.  Each block is one
+    stacked matrix-vector product over the phased eigenbasis coefficients of its
+    own input; each row is bit-identical to evolving its time alone, in any
+    group.  An H or a state that overflowed raises FloatingPointError naming the
+    params (for H, the group's first, and the dim).  A grid whose largest |t|
     rounds the phases w t by eps |t| max(w) above ``PHASE_TOLERANCE`` raises
     TruncationError naming the group's first params, after ``eigh`` and before
-    the phase table is built.  From each block's populations, every row's norm
-    is checked, and a block whose top ``EDGE_LEVELS`` levels hold more than
-    ``EDGE_TOLERANCE`` at some t has reached the edge of the basis: it raises
-    TruncationError naming the params, before the block is yielded.
+    the phase table is built.  Every row's norm is checked too.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     lam = group_lam(params_list)
-    for params in params_list:
-        dim = check_dim(params.alpha_mag, dim)
+    dim = check_dim(dim)
+    inputs = [coherent_state(params.alpha, dim).amplitudes for params in params_list]
+    for params, psi0 in zip(params_list, inputs):
+        _check_edge(np.abs(psi0[-EDGE_LEVELS:]) ** 2, params, "the input state",
+                    f"the dim {default_dim(params.alpha_mag)} of --dim auto holds it")
     w, v = np.linalg.eigh(require_finite(hamiltonian(lam, dim), params_list[0], f"H at dim {dim}"))
     # in Python floats, where an overflow is inf without a warning; a nan t refuses too
     worst = float(np.max(np.abs(ts), initial=0.0))
@@ -165,15 +178,12 @@ def evolve_blocks(params_list, ts, dim: int):
             f"{figure:.3e}, above {PHASE_TOLERANCE:.0e}; at dim {dim} |t| may reach about "
             f"{PHASE_TOLERANCE / scale:.4g}")
     phase = np.exp(-1j * w * ts[:, None])
-    for params in params_list:
-        b = v.T @ coherent_state(params.alpha, dim).amplitudes
+    for params, psi0 in zip(params_list, inputs):
+        b = v.T @ psi0
         psi = require_finite((v @ (phase * b)[:, :, None])[:, :, 0], params, "the evolved state")
-        edge = float(np.max(check_normalized(psi)[:, -EDGE_LEVELS:].sum(axis=1), initial=0.0))
-        if not edge <= EDGE_TOLERANCE:
-            raise TruncationError(
-                f"{params}: the evolved state holds {edge:.3e} in its top {EDGE_LEVELS} "
-                f"levels, above {EDGE_TOLERANCE:.0e}; a larger dim (--dim) than {dim} may hold "
-                f"it, though doubling is not always enough")
+        _check_edge(check_normalized(psi)[:, -EDGE_LEVELS:], params, "the evolved state",
+                    f"a larger dim (--dim) than {dim} may hold it, though doubling is not "
+                    f"always enough")
         yield psi
 
 

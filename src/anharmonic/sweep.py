@@ -10,7 +10,7 @@ closed form if any and the reference a value is classified against.
 A ``SweepSpec`` is checked once, when it is built.  What only the evaluation
 finds, ``run_sweep`` refuses before it writes anything: a value that leaves the
 float range, a time grid too long for the exact oracle's phases, or an exact
-state that reaches the edge of its truncated basis (see
+state, its input included, that reaches the edge of its truncated basis (see
 ``dynamics.evolve_blocks``), in the first slice to fail in (alpha, lambda,
 theta) order.  Each (alpha, theta, lambda) slice is evaluated over its whole t
 grid on arrays, and a result holds columns: the rows shaped (slices, T,
@@ -110,8 +110,9 @@ class SweepSpec:
     ``compare``, a ``dim`` below ``MIN_DIM``, a grid above ``MAX_GRID_CELLS``
     and an ``output_path`` that is not a str or path, names a directory or
     lies in a missing one.
-    Then, in modes ``exact`` and ``compare``, a ``dim`` that is unsafe for some
-    alpha (``fock.check_dim``) raises ``TruncationError``.
+    Then, in modes ``exact`` and ``compare``, a dim above ``MAX_DIM`` (given, or
+    the heuristic dim of the largest alpha; ``fock.check_dim``) raises
+    ``TruncationError``; whether it holds a slice is for the oracle to say.
     """
 
     alpha_mag: tuple
@@ -197,8 +198,7 @@ class SweepSpec:
             if not out.resolve().parent.is_dir():
                 raise SweepSpecError(f"out: directory {out.resolve().parent} does not exist")
         if self.mode != "closed_form":
-            for a in self.alpha_mag:
-                check_dim(a, self.dim_for(a))
+            check_dim(self.dim_for(max(self.alpha_mag)))  # the largest dim the oracle is given
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.t_steps)

@@ -68,8 +68,9 @@ REFUSED = ("inf", "-inf", "nan", "-1", "1e300")
 def cli_argvs(draw):
     """(argv without --out, rows a run of it writes): every flag of the grammar,
     with lists that repeat values, t_start >= t_end as often as not, a --dim at
-    and around MIN_DIM and the truncation floor of the largest amplitude, and
-    at most one field (or none) that may draw refused tokens too."""
+    and around MIN_DIM and the default dim of the largest amplitude, 12 below
+    it and half of it, where the oracle's edge check alone decides, and at most
+    one field (or none) that may draw refused tokens too."""
     spoiled = draw(st.sampled_from([None, "--alpha", "--theta", "--lambda", "--t-start",
                                     "--t-end", "--t-steps"]))
 
@@ -88,6 +89,7 @@ def cli_argvs(draw):
         "--t-end": tokens("--t-end", ANGLES, 1),
         "--t-steps": [str(draw(st.integers(0 if spoiled == "--t-steps" else 2, 8)))],
         "--dim": [str(draw(st.sampled_from(["auto", "auto", floor, floor + 1, floor - 1,
+                                            floor - 12, floor // 2,
                                             MIN_DIM - 1, MIN_DIM, MIN_DIM + 1])))],
         "--mode": [draw(st.sampled_from(MODES))],
         "--witness": draw(st.lists(st.sampled_from(WITNESS_NAMES), min_size=1, max_size=3)),
@@ -279,19 +281,47 @@ class TestMain:
         assert " at dim 29 |t| may reach about " in err, err
         assert err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("alpha, dim", [("37.9", 1760), ("40", 1940)])
-    def test_an_amplitude_beyond_the_coherent_recurrence_asks_for_no_dim(self, capsys, alpha, dim):
-        # c_0 underflows at 40; at 37.9 the captured mass rounds past TAIL_TOLERANCE.
-        # Only the oracle builds the coherent state.
-        code, text = self.run("--alpha", alpha, "--witness", "quadrature", "--t-steps", "2",
-                              "--mode", "exact")
+    @pytest.mark.parametrize("argv, dim", [(("--alpha", "39"), 1853),
+                                           (("--alpha", "1e160", "--dim", "100"), 100)])
+    def test_an_amplitude_whose_coherent_input_underflows_is_one_line(self, capsys, argv, dim):
+        # c_0 = exp(-|alpha|^2 / 2) underflows from |alpha| near 38.61, at any dim, and
+        # at 1e160 |alpha|^2 is inf.  Only the oracle builds the coherent state.
+        code, text = self.run(*argv, "--mode", "exact")
         assert (code, text) == (EXIT_PRECONDITION, "")
         err = capsys.readouterr().err
-        assert err.startswith("precondition error: coherent-state tail mass "), err
-        assert f" at dim={dim} " in err, err
-        assert err.endswith("; the float64 recurrence cannot hold this |alpha|, "
-                            "and no dim (--dim) helps\n"), err
-        assert "need dim" not in err and err.count("\n") == 1, err
+        assert err == (f"precondition error: the coherent state of |alpha|={float(argv[1])!r} "
+                       f"captures a mass 0.000e+00 in dim={dim} levels, not a normal float: "
+                       "the float64 recurrence cannot hold it\n"), err
+
+    def test_the_recurrence_holds_alpha_37_9(self, capsys, tmp_path):
+        # refused at the parent, whose tail check read the subnormal c_0 as lost mass
+        out_csv = tmp_path / "rows.csv"
+        code, text = self.run("--alpha", "37.9", "--theta", "pi/2", "--lambda", "1e-4",
+                              "--t-end", "pi", "--t-steps", "2", "--mode", "exact",
+                              "--witness", "N,d1", "--out", str(out_csv))
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        assert text.startswith("rows=4 mode=exact")
+        rows = list(csv.DictReader(out_csv.read_text(encoding="ascii").splitlines()))
+        [n0] = [float(r["value_exact"]) for r in rows if r["t"] == "0.0" and r["witness"] == "N"]
+        assert abs(n0 - 37.9**2) <= 1e-12 * 37.9**2
+
+    @pytest.mark.parametrize("dim, code", [("47", EXIT_OK), ("46", EXIT_PRECONDITION)])
+    def test_the_edge_check_alone_judges_an_explicit_dim(self, capsys, monkeypatch, dim, code):
+        # the smallest dim whose input passes, 6 below the default dim 53 that the
+        # old floor required; at 46 the input is refused before H is built
+        built = []
+        monkeypatch.setattr(dynamics, "hamiltonian",
+                            lambda *args, h=dynamics.hamiltonian: built.append(args) or h(*args))
+        assert self.run("--alpha", "3", "--theta", "pi/2", "--dim", dim, "--mode", "exact",
+                        "--t-steps", "9", "--witness", "N")[0] == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert (err, built) == ("", [(1e-3, 47)])
+            return
+        assert built == []
+        assert err == ("precondition error: ModelParams(alpha_mag=3.0, theta=1.5707963267948966, "
+                       "lam=0.001): the input state holds 1.326e-15 in its top 4 levels, above "
+                       "1e-15; the dim 53 of --dim auto holds it\n"), err
 
     def test_a_first_order_witness_needs_no_coherent_state(self, capsys, tmp_path):
         # a_1(t) is evaluated in the displaced frame, so no Fock basis limits |alpha|
@@ -358,8 +388,7 @@ class TestMain:
         code, _ = self.run("--alpha", "3", "--dim", "15", "--mode", "exact")
         assert code == EXIT_PRECONDITION
 
-    @pytest.mark.parametrize("argv", [("--alpha", "1e4"), ("--dim", "100000"), ("--alpha", "1e200"),
-                                      ("--alpha", "1e160", "--dim", "100")])
+    @pytest.mark.parametrize("argv", [("--alpha", "1e4"), ("--dim", "100000"), ("--alpha", "1e200")])
     def test_dim_above_ceiling_refused_before_allocating(self, argv, no_dense_allocation):
         code, _ = self.run(*argv, "--mode", "exact")
         assert code == EXIT_PRECONDITION
@@ -538,10 +567,15 @@ class TestMain:
 
     @pytest.mark.parametrize("argv, code, prefix", [
         (("--out", "{dir}", "--dim", "5", "--mode", "exact"), EXIT_SPEC_ERROR, "spec error: out: "),
-        (("--dim", "5", "--mode", "exact"), EXIT_PRECONDITION, "precondition error: dim=5 is below"),
+        # the edge check reads the 5-entry input state, and refuses it before H
+        (("--dim", "5", "--mode", "exact"), EXIT_PRECONDITION,
+         "precondition error: ModelParams(alpha_mag=1.0, theta=0.0, lam=0.001): the input state "
+         "holds "),
     ])
-    def test_refusal_order(self, tmp_path, monkeypatch, capsys, no_dense_allocation,
-                           argv, code, prefix):
+    def test_refusal_order(self, tmp_path, monkeypatch, capsys, request, argv, code, prefix):
+        if code == EXIT_SPEC_ERROR:
+            request.getfixturevalue("no_dense_allocation")
+
         def refuse(*args, **kwargs):
             raise AssertionError("a Hamiltonian or an eigh was about to run")
 

@@ -1,11 +1,18 @@
 import dataclasses
+from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from anharmonic import dynamics
 from anharmonic.fock import (
+    EDGE_LEVELS,
     EIGENVALUE_RESIDUAL_TOL,
     MAX_DIM,
+    MIN_DIM,
     FockVector,
     ModelParams,
     TruncationError,
@@ -91,10 +98,47 @@ class TestCoherentState:
         st = coherent_state(1.7 - 0.3j, default_dim(abs(1.7 - 0.3j)))
         assert abs(st.norm() - 1.0) < 1e-14
 
-    def test_tail_mass_rejection(self):
-        # below the truncation floor, the message asks for the floor
-        with pytest.raises(TruncationError, match=r"; need dim >= 53$"):
-            coherent_state(3.0, 15)
+    def test_a_short_basis_is_left_to_the_edge_check(self):
+        # 15 levels capture 0.96 of |alpha| = 3: the state is normalized there, and
+        # only the oracle's edge check refuses it
+        st = coherent_state(3.0, 15)
+        assert abs(st.norm() - 1.0) < 1e-14
+        assert np.sum(np.abs(st.amplitudes[-EDGE_LEVELS:]) ** 2) > 1e-3
+
+    @pytest.mark.parametrize("alpha, dim", [
+        (38.61, default_dim(38.61)),  # c_0 underflows, at any dim
+        (39.0, MAX_DIM),
+        (30.0, 10),  # 10 levels capture about 1e-370 of |alpha|^2 = 900
+        (1e160, 100),  # |alpha|^2 is inf, and |alpha| ** 2 would raise OverflowError
+        (1e200j, 100),
+    ])
+    def test_refuses_only_a_captured_mass_that_is_not_a_normal_float(self, alpha, dim):
+        with pytest.raises(TruncationError, match=r"^the coherent state of \|alpha\|=\S+ captures "
+                                                  r"a mass 0\.000e\+00 in dim=\d+ levels, not a "
+                                                  r"normal float: the float64 recurrence cannot hold it$"):
+            coherent_state(alpha, dim)
+
+    @pytest.mark.parametrize("alpha_mag", [37.9, 38.2, 38.5, 38.6])
+    def test_the_recurrence_holds_a_subnormal_c0(self, alpha_mag):
+        # c_0 = exp(-|alpha|^2 / 2) is subnormal here (4.9e-324 at 38.6), yet the
+        # normalized amplitudes match a 40-digit log-space reference
+        dim = default_dim(alpha_mag)
+        for theta in (0.0, 1.1, np.pi / 2):
+            alpha = alpha_mag * complex(np.cos(theta), np.sin(theta))
+            c = coherent_state(alpha, dim).amplitudes
+            with mp.workdps(40):
+                log_alpha, x = mp.log(mp.mpc(alpha.real, alpha.imag)), mp.mpf(abs(alpha)) ** 2
+                terms = [mp.exp(n * log_alpha - x / 2 - mp.loggamma(n + 1) / 2) for n in range(dim)]
+                norm = mp.sqrt(mp.fsum(abs(t) ** 2 for t in terms))
+                ref = np.array([complex(t / norm) for t in terms])
+            bound = 1e-15 * np.abs(ref).max()
+            if theta in (0.0, np.pi / 2):
+                assert np.abs(c - ref).max() <= bound, theta
+            # for a complex alpha, c_0's rounding leaves a global phase (0.015 rad
+            # at 38.6, theta = 1.1), which no moment sees
+            peak = np.argmax(np.abs(ref))
+            phase = c[peak] / ref[peak] / abs(c[peak] / ref[peak])
+            assert np.abs(c - phase * ref).max() <= bound, theta
 
 
 class TestExpectation:
@@ -203,11 +247,11 @@ class TestTypes:
 
     def test_check_dim_validation(self):
         with pytest.raises(ValueError, match="^dim must be >= 2"):
-            check_dim(0.0, 1)
-        with pytest.raises(TruncationError, match="below the safe truncation floor 53"):
-            check_dim(3.0, 15)
-        assert check_dim(1.0, 29.0) == 29
-        assert type(check_dim(1.0, 29.0)) is int
+            check_dim(1)
+        # no floor: whether 15 levels hold |alpha| = 3 is the edge check's to say
+        assert check_dim(15) == 15
+        assert check_dim(29.0) == 29
+        assert type(check_dim(29.0)) is int
 
     @pytest.mark.parametrize("field, args", [
         ("alpha_mag", (float("nan"), 0.0, 0.0)),
@@ -226,23 +270,25 @@ class TestTypes:
                                      29.99])
     def test_check_dim_rejects_a_non_integer(self, dim):
         with pytest.raises(ValueError, match="^dim must be a finite integer"):
-            check_dim(1.0, dim)
+            check_dim(dim)
 
     def test_dim_ceiling(self):
         # checking a dim allocates nothing, so the refusal is cheap to test
         with pytest.raises(TruncationError, match="MAX_DIM"):
-            check_dim(1.0, MAX_DIM + 1)
+            check_dim(MAX_DIM + 1)
         with pytest.raises(TruncationError, match="MAX_DIM"):
-            check_dim(1e4, default_dim(1e4))
+            check_dim(default_dim(1e4))
         # |alpha| just above 20 (D = 581) stays admissible at doubled dimension
-        assert check_dim(20.02, 2 * default_dim(20.02)) == 1162
+        assert check_dim(2 * default_dim(20.02)) == 1162
 
     def test_amplitude_beyond_any_dimension(self):
-        # |alpha|^2 overflows the float range, so no floor can be computed
-        with pytest.raises(TruncationError, match="no truncation dimension"):
-            check_dim(1e200, 100)
+        # |alpha|^2 overflows the float range, so no heuristic dim can be computed
         with pytest.raises(TruncationError, match="no truncation dimension"):
             default_dim(1e160)
+        # a dim is checked alone, and the coherent state refuses in one line
+        assert check_dim(100) == 100
+        with pytest.raises(TruncationError, match=r"^the coherent state of \|alpha\|=1e\+200 "):
+            coherent_state(1e200, 100)
         # the params themselves hold no dim, so nothing refuses them
         assert ModelParams(1e200, 0.0, 0.0).alpha_mag == 1e200
 
@@ -253,3 +299,71 @@ class TestTypes:
     def test_alpha_property(self):
         p = ModelParams(2.0, np.pi / 2, 0.0)
         assert abs(p.alpha - 2.0j) < 1e-15
+
+
+class _Judged(Exception):
+    """The oracle went on to build H: the edge check accepted every input."""
+
+
+def input_passes(alpha_mag, theta, dim):
+    """Whether the oracle's edge check accepts the coherent input of |alpha| e^{i theta}
+    in ``dim`` levels; it judges every input before it builds H."""
+    def judged(lam, dim):
+        raise _Judged
+
+    with mock.patch.object(dynamics, "hamiltonian", judged):
+        try:
+            next(dynamics.evolve_blocks([ModelParams(alpha_mag, theta, 0.0)], [0.0], dim))
+        except _Judged:
+            return True
+        except TruncationError as exc:
+            assert ": the input state holds " in str(exc), exc
+            return False
+    raise AssertionError("evolve_blocks yielded without building H")
+
+
+def smallest_passing_dim(alpha_mag, theta):
+    """The smallest dim whose coherent input passes, found down from the default."""
+    dim = default_dim(alpha_mag)
+    assert input_passes(alpha_mag, theta, dim)
+    while dim > MIN_DIM and input_passes(alpha_mag, theta, dim - 1):
+        dim -= 1
+    return dim
+
+
+def poisson_mass_beyond(alpha_mag, dim):
+    """The exact Poisson mass P(n >= dim) of |alpha> outside ``dim`` levels."""
+    with mp.workdps(30):
+        return float(mp.gammainc(dim, 0, mp.mpf(alpha_mag) ** 2, regularized=True))
+
+
+#: |alpha| up to 38.6, below which c_0 = exp(-|alpha|^2 / 2) does not underflow.
+AMPLITUDES = st.floats(0.0, 38.6)
+PHASES = st.floats(-np.pi, np.pi)
+
+
+class TestOneTruncationRule:
+    """The edge check on the input implies the rules it replaced: the ``default_dim``
+    floor of the dim and the Poisson tail bound of the coherent state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(AMPLITUDES, PHASES, st.integers(0, 64))
+    @example(0.0, 0.0, 0)
+    @example(37.9, np.pi / 2, 0)  # the old tail check refused it at every dim
+    @example(38.6, 0.0, 0)
+    def test_every_dim_at_or_above_the_default_holds_the_input(self, alpha_mag, theta, offset):
+        # so no dim that the old floor admitted is refused at the input
+        assert input_passes(alpha_mag, theta, min(MAX_DIM, default_dim(alpha_mag) + offset))
+
+    @settings(max_examples=40, deadline=None)
+    @given(AMPLITUDES, PHASES, st.integers(0, 16))
+    @example(0.0, 0.0, 0)
+    @example(3.0, np.pi / 2, 0)
+    @example(38.6, 1.1, 0)
+    def test_a_dim_that_holds_the_input_leaves_no_poisson_mass_beyond_it(self, alpha_mag, theta,
+                                                                          offset):
+        smallest = smallest_passing_dim(alpha_mag, theta)
+        # the old floor sat at least 6 levels above the smallest passing dim
+        assert smallest <= default_dim(alpha_mag) - 6
+        assert input_passes(alpha_mag, theta, smallest + offset)
+        assert poisson_mass_beyond(alpha_mag, smallest + offset) <= 1e-15

@@ -109,11 +109,16 @@ def test_a_group_shares_lam(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS[:2], ids=KERNEL_IDS[:2])
 def test_the_oracle_checks_its_dim_for_every_params_of_a_group(kernel):
-    # dim 34 holds |alpha| = 1.3 (floor 33) but not 2.0 (floor 40), wherever it sits
+    # the smallest dims whose input passes the edge check are 25 for |alpha| = 1.3
+    # and 33 for 2.0 (34 holds both), so dim 30 holds 1.3 but not 2.0, wherever it
+    # sits; every input is judged before the group's H is built
     for group in ([ModelParams(1.3, 0.0, 1e-3), ModelParams(2.0, 0.0, 1e-3)],
                   [ModelParams(2.0, 0.0, 1e-3), ModelParams(1.3, 0.0, 1e-3)]):
-        with pytest.raises(TruncationError, match="below the safe truncation floor 40"):
-            next(kernel(group, [0.5]))
+        with pytest.raises(TruncationError, match=r"^ModelParams\(alpha_mag=2\.0, .*: the "
+                                                  r"input state holds .*; the dim 40 of --dim auto"):
+            next(kernel.func(group, [0.5], 30))
+    [block] = kernel.func([ModelParams(1.3, 0.0, 1e-3)], [0.5], 30)
+    assert block.shape[0] == 1
     with pytest.raises(ValueError, match="^dim must be a finite integer"):
         next(kernel.func([ModelParams(1.3, 0.0, 1e-3)], [0.5], 34.5))
 

@@ -115,6 +115,22 @@ def test_cli_closed_form_beyond_the_oracle_case_reads_no_dim(capsys):
         f"{name}: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)", "same output"]
 
 
+def test_cli_small_dim_case_runs_the_oracle_below_the_default_dim(capsys):
+    name = "cli_small_dim_case"
+    code, csv, stdout, stderr = same_output.run_workload(ROOT / "src", name, None)
+    assert (code, stderr) == (0, b"")
+    lines = stdout.decode().splitlines()
+    # 2 couplings x 9 times x the 7 witnesses
+    assert lines[0] == "rows=126 mode=compare csv=sweep.csv"
+    assert lines[-1].startswith("scaling witness=hillery alpha=3.0 theta=1.5707963267948966 ")
+    rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+    assert {(r[0], r[2]) for r in rows} == {("3.0", "0.001"), ("3.0", "0.0001")}
+    assert all(math.isfinite(float(r[6])) for r in rows)
+    assert same_output.main([str(ROOT / "src"), "--workload", name]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)", "same output"]
+
+
 def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
     # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
     src = changed_copy(tmp_path, "perturbative.py",

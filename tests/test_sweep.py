@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from anharmonic import cli, criteria, sweep
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
 from anharmonic.dynamics import MomentSet, exact_moment_blocks
-from anharmonic.fock import MAX_GRID_CELLS, ModelParams, TruncationError, default_dim
+from anharmonic.fock import MAX_DIM, MAX_GRID_CELLS, ModelParams, TruncationError, default_dim
 from anharmonic.perturbative import (
     ClosedFormInputs,
     first_order_moment_blocks,
@@ -93,12 +93,18 @@ class TestSpecValidation:
             small_spec(**value)
 
     @pytest.mark.parametrize("mode", ["exact", "compare"])
-    def test_dim_too_small_reported_before_compute(self, mode):
-        with pytest.raises(TruncationError, match="below the safe truncation floor"):
-            small_spec(alpha_mag=(3.0,), dim=15, mode=mode)
+    def test_dim_too_small_refused_before_the_csv(self, mode, tmp_path):
+        # the spec admits dim 30; the oracle holds |alpha| = 1 in it, and refuses the
+        # input of 3 (smallest passing dim 47) before any CSV is written
+        out = tmp_path / "rows.csv"
+        spec = small_spec(alpha_mag=(1.0, 3.0), dim=30, mode=mode, output_path=str(out))
+        with pytest.raises(TruncationError, match=r"^ModelParams\(alpha_mag=3\.0, theta=0\.0, "
+                                                  r"lam=0\.001\): the input state holds "):
+            run_sweep(spec)
+        assert not out.exists()
 
     def test_closed_form_mode_checks_no_dim(self):
-        # below the floor of 3, above MAX_DIM, and no dim holds 1e200: none is read
+        # too small to hold 3, above MAX_DIM, and no dim holds 1e200: none is read
         for alpha_mag, dim in (((3.0,), 15), ((1.0,), 10**6), ((1e200,), None)):
             assert small_spec(alpha_mag=alpha_mag, dim=dim).dim == dim
 
@@ -107,8 +113,8 @@ class TestSpecValidation:
             small_spec(output_path=str(tmp_path))
         with pytest.raises(SweepSpecError, match="^out: directory .* does not exist"):
             small_spec(output_path=str(tmp_path / "missing" / "rows.csv"))
-        # a spec error wins over an unsafe dim, and over an |alpha| that no dim holds
-        for alpha_mag, dim in (((3.0,), 15), ((1e200,), None)):
+        # a spec error wins over a dim above MAX_DIM, and over an |alpha| that no dim holds
+        for alpha_mag, dim in (((3.0,), MAX_DIM + 1), ((1e200,), None)):
             with pytest.raises(SweepSpecError, match="^out: "):
                 small_spec(alpha_mag=alpha_mag, dim=dim, mode="exact", output_path=str(tmp_path))
 
