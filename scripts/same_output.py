@@ -23,7 +23,10 @@ reaches those witnesses at |alpha| = 20, where no workload evaluates a_1(t).
 closed forms and a_1(t), at |alpha| = 45 and 1e4, whose default dims are above
 ``fock.MAX_DIM``: no truncation dimension is read there.  ``cli_small_dim_case``
 runs the oracle at |alpha| = 3 in 47 levels, the smallest dim whose coherent
-input passes the edge check, 6 below the default dim.  ``cli_spec_error_case``
+input passes the edge check, 6 below the default dim.  ``cli_closed_form_grid_case``
+runs the scalar closed forms over five theta a group, at |alpha| = 0, lambda = 0,
+negative t and theta = pi/2, with t = pi/2 = 2 (pi/4) on the t = 2 theta locus.
+``cli_spec_error_case``
 (exit 2) and ``cli_overflow_case`` (an H beyond the float range, exit 3) are
 refused; a CLI case may exit non-zero, and then its exit status, its stderr
 line and the absence of its CSV are what is compared.
@@ -67,6 +70,10 @@ CLI_CASES = {
                                                "--mode", "closed_form"),
     "cli_small_dim_case": ("--alpha", "3", "--theta", "pi/2", "--lambda", "1e-3,1e-4",
                            "--dim", "47", "--t-steps", "9", "--mode", "compare"),
+    "cli_closed_form_grid_case": ("--alpha", "0,0.5,3", "--theta=-pi/4,0,pi/4,pi/2,1.1",
+                                  "--lambda", "0,1e-3", "--t-start=-pi", "--t-end", "2pi",
+                                  "--t-steps", "37", "--mode", "closed_form",
+                                  "--witness", "f,d1,d2,d3,N"),
     "cli_spec_error_case": ("--t-steps", "1"),
     "cli_overflow_case": ("--lambda", "1e308", "--mode", "exact", "--t-steps", "3"),
 }

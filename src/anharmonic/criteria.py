@@ -25,18 +25,21 @@ NONCLASSICAL = "nonclassical"
 CLASSICAL = "classical"
 BOUNDARY = "boundary"
 
-#: Labels indexed by code: 0 nonclassical, 1 boundary, 2 classical.
-_LABELS = np.array([NONCLASSICAL, BOUNDARY, CLASSICAL], dtype=object)
+#: Labels indexed by classification code, the number of band edges a value
+#: lies below: 0 classical, 1 boundary, 2 nonclassical.
+LABELS = np.array([CLASSICAL, BOUNDARY, NONCLASSICAL], dtype=object)
 
 
 class VacuumDenominatorError(ArithmeticError):
     """A factorial-moment denominator vanished (vacuum-dominated state)."""
 
 
-def classify(value: float, tolerance: float = DEFAULT_BOUNDARY_TOL) -> str:
+def classify(value: float, tolerance: float = DEFAULT_BOUNDARY_TOL, codes: bool = False) -> str:
     """nonclassical iff value < -tolerance; boundary iff |value| <= tolerance;
-    classical otherwise, NaN included.  An ndarray gives an array of labels."""
-    return _LABELS[2 - (value <= tolerance) - (value < -tolerance)]
+    classical otherwise, NaN included.  An ndarray gives an array of labels.
+    With ``codes``, the int8 code of each label in ``LABELS`` instead."""
+    code = np.add(value <= tolerance, value < -tolerance, dtype=np.int8)
+    return code if codes else LABELS[code]
 
 
 def quadrature_squeezing(moments: MomentSet) -> float:

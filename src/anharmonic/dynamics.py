@@ -141,6 +141,18 @@ def _check_edge(top, params, what: str, remedy: str) -> None:
                               f"levels, above {EDGE_TOLERANCE:.0e}; {remedy}")
 
 
+def coherent_inputs(params_list, dim: int) -> list:
+    """The coherent input of each params in ``dim`` levels, as amplitude arrays,
+    all built before any is checked; the edge check refuses (TruncationError,
+    naming the params) the first whose top ``EDGE_LEVELS`` levels hold more than
+    ``EDGE_TOLERANCE``."""
+    inputs = [coherent_state(params.alpha, dim).amplitudes for params in params_list]
+    for params, psi0 in zip(params_list, inputs):
+        _check_edge(np.abs(psi0[-EDGE_LEVELS:]) ** 2, params, "the input state",
+                    f"the dim {default_dim(params.alpha_mag)} of --dim auto holds it")
+    return inputs
+
+
 def evolve_blocks(params_list, ts, dim: int):
     """Spectral evolution of a whole time grid, in ``dim`` levels, for each params
     of a group that shares lam: yields, per params, the (T, dim) block whose row j
@@ -149,13 +161,14 @@ def evolve_blocks(params_list, ts, dim: int):
     ``dim`` is checked first (``fock.check_dim``).  The edge check, the oracle's
     one truncation rule, refuses (TruncationError, naming the params) a state
     whose top ``EDGE_LEVELS`` levels hold more than ``EDGE_TOLERANCE``: every
-    coherent input, before H is built, and every block, at each t, before it is
-    yielded.  H, its ``eigh`` and the (T, dim) phase table exp(-i w t) are built
-    once per group and dropped when the last block is done.  Each block is one
-    stacked matrix-vector product over the phased eigenbasis coefficients of its
-    own input; each row is bit-identical to evolving its time alone, in any
-    group.  An H or a state that overflowed raises FloatingPointError naming the
-    params (for H, the group's first, and the dim).  A grid whose largest |t|
+    coherent input (``coherent_inputs``), before H is built, and every block, at
+    each t, before it is yielded.  H, its ``eigh`` and the (T, dim) phase table
+    exp(-i w t) are built once per group and dropped when the last block is
+    done.  Each block is one stacked matrix-vector product over the phased
+    eigenbasis coefficients of its own input; each row is bit-identical to
+    evolving its time alone, in any group.  An H or a state that overflowed
+    raises FloatingPointError naming the params (for H, the group's first, and
+    the dim).  A grid whose largest |t|
     rounds the phases w t by eps |t| max(w) above ``PHASE_TOLERANCE`` raises
     TruncationError naming the group's first params, after ``eigh`` and before
     the phase table is built.  Every row's norm is checked too.
@@ -163,10 +176,7 @@ def evolve_blocks(params_list, ts, dim: int):
     ts = np.asarray(ts, dtype=float).reshape(-1)
     lam = group_lam(params_list)
     dim = check_dim(dim)
-    inputs = [coherent_state(params.alpha, dim).amplitudes for params in params_list]
-    for params, psi0 in zip(params_list, inputs):
-        _check_edge(np.abs(psi0[-EDGE_LEVELS:]) ** 2, params, "the input state",
-                    f"the dim {default_dim(params.alpha_mag)} of --dim auto holds it")
+    inputs = coherent_inputs(params_list, dim)
     w, v = np.linalg.eigh(require_finite(hamiltonian(lam, dim), params_list[0], f"H at dim {dim}"))
     # in Python floats, where an overflow is inf without a warning; a nan t refuses too
     worst = float(np.max(np.abs(ts), initial=0.0))

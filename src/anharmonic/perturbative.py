@@ -25,7 +25,12 @@ t = 2*theta locus (the argument t - 2*theta is computed as written, so it is
 exactly 0.0 there).
 
 Every closed form takes ``t`` as a float (giving numpy's float64) or an
-array of times (giving one value per time, bit-identical to the float call).
+array of times, and ``theta`` as a float or a 1-d array, whose axis comes
+first: an array gives one value per (theta, t), bit-identical to the float
+call.  The phase pieces of one (theta, t) grid -- P1, P2, sin t, sin 2t,
+sin(t + 2 theta) and S -- are built once, when a closed form first reads them,
+in the inputs' ``PhaseTable``, which inputs on the same grid share
+(``ClosedFormInputs.at``).
 
 The first-order operator solution in the rotating frame is
 
@@ -44,7 +49,8 @@ vacuum of b, and they are taken exactly on 13 levels of b, for every |alpha|
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +59,11 @@ from .dynamics import group_lam, ladder_moment_block, lay_out_bands
 
 @dataclass(frozen=True)
 class ClosedFormInputs:
-    """Arguments of every closed form: (|alpha|, theta, lam, t), t a float or 1-d array."""
+    """Arguments of every closed form: (|alpha|, theta, lam, t).
+
+    ``t`` is a float or an array of times and ``theta`` a float or a 1-d array,
+    whose axis comes first in the values: shaped (len(theta), *t.shape).
+    """
 
     alpha_mag: float
     theta: float
@@ -62,14 +72,46 @@ class ClosedFormInputs:
 
     def __post_init__(self):
         t = np.array(self.t, dtype=float)
-        values = (float(self.alpha_mag), float(self.theta), float(self.lam),
-                  float(t) if t.ndim == 0 else t)
+        theta = np.array(self.theta, dtype=float)
+        if theta.ndim > 1:
+            raise ValueError(f"theta must be a float or a 1-d array, got shape {theta.shape}")
+        values = (float(self.alpha_mag), float(theta) if theta.ndim == 0 else theta,
+                  float(self.lam), float(t) if t.ndim == 0 else t)
         for name, value in zip(("alpha_mag", "theta", "lam", "t"), values):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
             if name in ("alpha_mag", "lam") and value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def phases(self) -> "PhaseTable":
+        """The phase pieces of this theta and t, built when first read."""
+        return PhaseTable(self.theta, self.t)
+
+    def at(self, alpha_mag: float, lam: float) -> "ClosedFormInputs":
+        """These inputs at another |alpha| and lam, sharing their phase table,
+        which is built here if it was not yet."""
+        inputs = replace(self, alpha_mag=alpha_mag, lam=lam)
+        inputs.__dict__["phases"] = self.phases  # where cached_property keeps it
+        return inputs
+
+
+class PhaseTable:
+    """The phase pieces of the closed forms on one (theta, t) grid, as C-contiguous
+    arrays (or float64s): P1 ``p1``, P2 ``p2``, S ``secular`` and sin(t + 2 theta)
+    ``sin_t_2theta``, shaped (len(theta), *t.shape) for a 1-d theta, and sin t
+    ``sin_t`` and sin 2t ``sin_2t``, shaped like t."""
+
+    def __init__(self, theta, t):
+        if np.ndim(theta):  # a column, so that it broadcasts against t
+            theta = theta.reshape(-1, *(1,) * np.ndim(t))
+        self.p1 = phase_fundamental(theta, t)
+        self.p2 = phase_second_harmonic(theta, t)
+        self.secular = secular_factor(theta, t)
+        self.sin_t = np.sin(t)
+        self.sin_2t = np.sin(2.0 * t)
+        self.sin_t_2theta = np.sin(t + 2.0 * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +141,7 @@ def secular_factor(theta: float, t: float) -> float:
 def mean_photon_correction(inputs: ClosedFormInputs) -> float:
     """First-order shift of <N(t)> away from |alpha|^2; exactly linear in lam."""
     r2 = inputs.alpha_mag**2
-    p1 = phase_fundamental(inputs.theta, inputs.t)
-    p2 = phase_second_harmonic(inputs.theta, inputs.t)
+    p1, p2 = inputs.phases.p1, inputs.phases.p2
     return (inputs.lam / 4.0) * (2.0 * r2 * (2.0 * r2 + 3.0) * p1 + r2 * r2 * p2)
 
 
@@ -124,8 +165,7 @@ def first_order_hoa_d(order: int, inputs: ClosedFormInputs) -> float:
     Each validated against the exact-evolution oracle (residual O(lam^2)).
     """
     r2 = inputs.alpha_mag**2
-    p1 = phase_fundamental(inputs.theta, inputs.t)
-    p2 = phase_second_harmonic(inputs.theta, inputs.t)
+    p1, p2 = inputs.phases.p1, inputs.phases.p2
     if order == 1:
         return (3.0 * inputs.lam * r2 / 4.0) * (2.0 * (2.0 * r2 + 1.0) * p1 + r2 * p2)
     if order == 2:
@@ -153,12 +193,11 @@ def first_order_squeezing_f(inputs: ClosedFormInputs) -> float:
 def _squeezing_f(inputs: ClosedFormInputs, sin2_sign: float) -> float:
     """Both f forms; ``sin2_sign`` is the sign of their sin^2(2t) term."""
     r2 = inputs.alpha_mag**2
-    s = secular_factor(inputs.theta, inputs.t)
-    s2t = np.sin(2.0 * inputs.t)
+    ph = inputs.phases
     return -(3.0 * inputs.lam / 4.0) * (
-        -4.0 * r2 * (2.0 * r2 + 3.0) * np.sin(inputs.t) * np.sin(inputs.t + 2.0 * inputs.theta)
-        - 4.0 * r2 * r2 * s
-        + sin2_sign * (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * s2t * s2t
+        -4.0 * r2 * (2.0 * r2 + 3.0) * ph.sin_t * ph.sin_t_2theta
+        - 4.0 * r2 * r2 * ph.secular
+        + sin2_sign * (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * ph.sin_2t * ph.sin_2t
     )
 
 
@@ -204,11 +243,10 @@ def squeezing_witness_f_special(inputs: ClosedFormInputs) -> float:
         f = -(3 lam / 4) [ 4 r^2 (2 r^2 + 3) sin^2 t + (2 r^4 + 4 r^2 + 1) sin^2 2t ]
 
     A sum of squares times a negative prefactor, hence always <= 0.  The
-    ``theta`` field of ``inputs`` is ignored.
+    ``theta`` field of ``inputs`` is ignored, so the values are shaped like t.
     """
     r2 = inputs.alpha_mag**2
-    st = np.sin(inputs.t)
-    s2t = np.sin(2.0 * inputs.t)
+    st, s2t = inputs.phases.sin_t, inputs.phases.sin_2t
     return -(3.0 * inputs.lam / 4.0) * (
         4.0 * r2 * (2.0 * r2 + 3.0) * st * st
         + (2.0 * r2 * r2 + 4.0 * r2 + 1.0) * s2t * s2t
@@ -231,8 +269,7 @@ def hoa_witness_d(order: int, inputs: ClosedFormInputs) -> float:
     if order not in (2, 3):
         return first_order_hoa_d(order, inputs)
     r2 = inputs.alpha_mag**2
-    p1 = phase_fundamental(inputs.theta, inputs.t)
-    p2 = phase_second_harmonic(inputs.theta, inputs.t)
+    p1, p2 = inputs.phases.p1, inputs.phases.p2
     if order == 2:
         return (3.0 * inputs.lam * r2 * r2 / 2.0) * (p1 + p2)
     return (3.0 * inputs.lam * r2 * r2 / 4.0) * p2
@@ -246,11 +283,10 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
 
     d(3) never goes negative here, so third-order antibunching cannot
     coincide with the always-on squeezing of ``squeezing_witness_f_special``.
-    The ``theta`` field of ``inputs`` is ignored.
+    The ``theta`` field of ``inputs`` is ignored, so the values are shaped like t.
     """
     r4 = inputs.alpha_mag**4
-    st = np.sin(inputs.t)
-    s2t = np.sin(2.0 * inputs.t)
+    st, s2t = inputs.phases.sin_t, inputs.phases.sin_2t
     if order == 2:
         return (3.0 * inputs.lam * r4 / 2.0) * (-st * st + s2t * s2t)
     if order == 3:

@@ -8,13 +8,15 @@ first-order operator a_1(t) where there is no scalar closed form), the scalar
 closed form if any and the reference a value is classified against.
 
 A ``SweepSpec`` is checked once, when it is built.  What only the evaluation
-finds, ``run_sweep`` refuses before it writes anything: a value that leaves the
-float range, a time grid too long for the exact oracle's phases, or an exact
-state, its input included, that reaches the edge of its truncated basis (see
+finds, ``run_sweep`` refuses before it writes anything: an exact slice's input
+state that reaches the edge of its truncated basis, for every slice before any
+H is built; then a value that leaves the float range, a time grid too long for
+the exact oracle's phases, or an evolved state that reaches the edge (see
 ``dynamics.evolve_blocks``), in the first slice to fail in (alpha, lambda,
-theta) order.  Each (alpha, theta, lambda) slice is evaluated over its whole t
-grid on arrays, and a result holds columns: the rows shaped (slices, T,
-witnesses) and their reductions over t shaped (slices, witnesses).
+theta) order.  The scalar closed forms are evaluated once per (alpha, lambda)
+group over its (theta, t) block, everything else per (alpha, theta, lambda)
+slice over its whole t grid, on arrays; a result holds columns: the rows shaped
+(slices, T, witnesses) and their reductions over t shaped (slices, witnesses).
 
 ``compare`` mode also records |closed form - exact| per row; the scaling
 report fits log-log slopes of those errors across the lambda grid, the
@@ -32,9 +34,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .criteria import (BOUNDARY, CLASSICAL, NONCLASSICAL, classify, hillery_squeezing,
-                       hoa_d_from_moments, quadrature_squeezing)
-from .dynamics import MomentSet, exact_moment_blocks
+from .criteria import (LABELS, classify, hillery_squeezing, hoa_d_from_moments,
+                       quadrature_squeezing)
+from .dynamics import MomentSet, coherent_inputs, exact_moment_blocks
 from .fock import MAX_DIM, MAX_GRID_CELLS, MIN_DIM, ModelParams, check_dim, default_dim, require_finite
 from .perturbative import (
     LEVELS,
@@ -87,9 +89,11 @@ SCALING_SLOPE_THRESHOLD = 1.8
 #: Below this error the fit is noise-dominated and reported as floor-limited.
 SCALING_ERROR_FLOOR = 1e-13
 
-#: Most values ``write_csv`` formats in one ``float_reprs`` call; the call
-#: holds about 230 B per value while it runs, its output included.
-_CSV_RUN = CHUNK // 2
+#: Most values ``write_csv`` formats in one ``float_reprs`` call, which holds
+#: about 230 B per value while it runs, its output included.  One whole chunk:
+#: the writer's traced peak is 3.0 MB on the benchmark's closed_form_scalar
+#: grid and 2.7 MB on compare_small_alpha (2.2 and 1.5 MB at half a chunk).
+_CSV_RUN = CHUNK
 
 
 class SweepSpecError(ValueError):
@@ -215,7 +219,9 @@ class SweepSpec:
 class SweepResult:
     """A sweep's columns.  The rows are shaped (slices, T, witnesses) so that
     their ravel is in row order; ``value_exact`` is None in mode
-    ``closed_form`` and ``abs_error`` outside mode ``compare``.  The per-slice
+    ``closed_form`` and ``abs_error`` outside mode ``compare``.  ``codes``
+    classifies each row as an int8 code into ``criteria.LABELS``, and
+    ``classification`` reads them as labels.  The per-slice
     digests over t are shaped (slices, witnesses): the classified values'
     ``vmin``, ``vmax`` and ``zero_crossings``, and ``max_abs_error`` (None
     outside mode ``compare``)."""
@@ -224,7 +230,7 @@ class SweepResult:
     value_cf: np.ndarray
     value_exact: Optional[np.ndarray]
     abs_error: Optional[np.ndarray]
-    classification: np.ndarray
+    codes: np.ndarray
     vmin: np.ndarray
     vmax: np.ndarray
     zero_crossings: np.ndarray
@@ -234,6 +240,10 @@ class SweepResult:
     def row_count(self) -> int:
         return self.value_cf.size
 
+    @property
+    def classification(self) -> np.ndarray:
+        return LABELS[self.codes]
+
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, return its columns, write CSV if asked.
@@ -241,11 +251,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Row order is witness-innermost within the fixed alpha, theta, lambda, t
     nesting; two runs of the same spec produce byte-identical CSV output.
     Evaluation runs in (alpha, lambda, theta) order instead: the theta slices
-    of one (alpha, lambda) form a group that shares H, its eigh and the phase
-    table (see ``exact_moment_blocks``, at ``spec.dim_for(alpha)``), or for a_1(t)
-    only the coefficient rows (see ``first_order_moment_blocks``), built once and
-    dropped before the next group's.  Each slice's values are bit-identical to
-    evaluating it alone.  A closed form that overflows Python's float ``**`` is inf.
+    of one (alpha, lambda) form a group.  Each scalar closed form is evaluated
+    once per group, over its (theta, t) block, from the phase table that every
+    group shares (``ClosedFormInputs.at``).  The exact oracle's group shares H,
+    its eigh and the phase table (see ``exact_moment_blocks``, at
+    ``spec.dim_for(alpha)``), and a_1(t)'s group only the coefficient rows (see
+    ``first_order_moment_blocks``), built once and dropped before the next
+    group's.  Each value is bit-identical to evaluating its slice alone.  A
+    closed form that overflows Python's float ``**`` is inf.
+
+    In modes ``exact`` and ``compare`` every slice's coherent input is checked
+    (``dynamics.coherent_inputs``) before the first group's H, so an input
+    refusal wins over any check of an earlier group.  The other refusals come
+    per slice, in (alpha, lambda, theta) order: the oracle's, then a
+    closed-form value that is not finite.
     """
     ts = spec.t_grid()
     need_exact = spec.mode in ("exact", "compare")
@@ -260,6 +279,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     grid = (len(spec.alpha_mag), len(spec.theta), len(spec.lam), *shape[1:])
     cf = value_cf.reshape(grid)
     ex = value_exact.reshape(grid) if need_exact else None
+    inputs = ClosedFormInputs(spec.alpha_mag[0], spec.theta, spec.lam[0], ts)
+    if need_exact:
+        # an input depends on alpha and theta, so the first lambda's slices stand for all
+        for a in spec.alpha_mag:
+            coherent_inputs([ModelParams(a, th, spec.lam[0]) for th in spec.theta],
+                            spec.dim_for(a))
     # A value that leaves the float range is refused: H and the evolved state in
     # the kernels, a closed-form value below.  The exact values are bounded: a
     # normalized state's moments are at most dim^4, and a phase e^{i(n-m)t},
@@ -269,6 +294,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for i, a in enumerate(spec.alpha_mag):
             for l, lam in enumerate(spec.lam):
+                inputs = inputs.at(a, lam)
+                for k, e in enumerate(entries):
+                    if e.closed_form is not None:
+                        try:
+                            cf[i, :, l, :, k] = e.closed_form(inputs)
+                        except OverflowError:  # Python's float ** where numpy gives inf
+                            cf[i, :, l, :, k] = math.inf
                 group = [ModelParams(a, th, lam) for th in spec.theta]
                 fo_blocks = (first_order_moment_blocks(group, ts) if need_fo
                              else repeat(None, len(group)))
@@ -278,15 +310,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 # eigensystem and bands before the next group builds its own
                 for j, (params, fo, exact) in enumerate(zip(group, fo_blocks, exact_blocks,
                                                             strict=True)):
-                    inputs = ClosedFormInputs(a, params.theta, lam, ts)
                     fo = None if fo is None else MomentSet(*fo.T)
                     exact = None if exact is None else MomentSet(*exact.T)
                     for k, e in enumerate(entries):
-                        try:
-                            cf[i, j, l, :, k] = (e.moments(fo) if e.closed_form is None
-                                                 else e.closed_form(inputs))
-                        except OverflowError:  # Python's float ** where numpy gives inf
-                            cf[i, j, l, :, k] = math.inf
+                        if e.closed_form is None:
+                            cf[i, j, l, :, k] = e.moments(fo)
                         if need_exact:
                             ex[i, j, l, :, k] = e.moments(exact)
                     require_finite(cf[i, j, l], params, "a closed-form value")
@@ -295,7 +323,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     primary = value_cf if value_exact is None else value_exact
     reference = np.array([[e.reference(a) for e in entries] for a, _, _ in slices])
     result = SweepResult(spec, value_cf, value_exact, abs_error,
-                         classify(primary - reference[:, None, :]),
+                         classify(primary - reference[:, None, :], codes=True),
                          *_reductions(primary, abs_error))
     if spec.output_path is not None:
         write_csv(result, spec.output_path)
@@ -329,11 +357,13 @@ def write_csv(result: SweepResult, path) -> None:
     cells = iter(float_reprs(np.concatenate(coords)))
     ts, *axes = [list(islice(cells, c.size)) for c in coords]
     # the t and witness cells, with their trailing comma, are the same in every slice
-    tw = [t + b"," + w.encode() + b"," for t in ts for w in spec.witnesses]
+    ws = [b"," + w.encode() + b"," for w in spec.witnesses]
+    tw = [t + w for t in ts for w in ws]
     n = len(tw)
     slices = product(*axes)
     empty = b"," * (3 - len(filled))  # the unfilled columns, ahead of the label
-    tails = {label: b"," + empty + label.encode() for label in (NONCLASSICAL, BOUNDARY, CLASSICAL)}
+    tails = [b"," + empty + label.encode() for label in LABELS]  # by code
+    codes = result.codes.reshape(-1)
     width = 2 * len(filled) + 1  # items a row: t and witness, values and their commas, tail
     rows = result.row_count
     step = max(1, _CSV_RUN // len(filled))
@@ -343,22 +373,21 @@ def write_csv(result: SweepResult, path) -> None:
             stop = min(start + step, rows)
             values = float_reprs(np.concatenate([c[start:stop] for c in filled]))
             columns = [values[i:i + stop - start] for i in range(0, len(values), stop - start)]
-            labels = result.classification.reshape(-1)[start:stop].tolist()
             cuts = [start, *range(start - start % n + n, stop, n), stop]
             for lo, hi in zip(cuts, cuts[1:]):  # the part of each slice in this run
                 j, r0, r1 = lo % n, lo - start, hi - start  # in the slice, in the run
                 if j == 0:
                     prefix = b"\n" + b",".join(next(slices)) + b","
                     # each row's tail leads into the next row of the slice
-                    ends = {label: tail + prefix for label, tail in tails.items()}
+                    ends = np.array([tail + prefix for tail in tails], dtype=object)
                 # one flat list of the part's items, joined once; its last row ends
                 # without the prefix, which the next part writes first
                 items = [b","] * ((r1 - r0) * width)
                 items[0::width] = tw[j:j + r1 - r0]
                 for k, c in enumerate(columns):
                     items[2 * k + 1::width] = c[r0:r1]
-                items[width - 1::width] = map(ends.__getitem__, labels[r0:r1])
-                items[-1] = tails[labels[r1 - 1]]
+                items[width - 1::width] = ends[codes[lo:hi]].tolist()
+                items[-1] = tails[codes[hi - 1]]
                 f.write(prefix)
                 f.write(b"".join(items))
         f.write(b"\n")

@@ -565,6 +565,20 @@ class TestMain:
                                                         for key in DEFAULTS)])
         assert len(options) == 11
 
+    def test_every_input_is_refused_before_the_first_h(self, monkeypatch, capsys):
+        # 1700 levels hold |alpha| = 20, not 38: 38's input is refused before 20's H is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian or an eigh was about to run")
+
+        monkeypatch.setattr(dynamics, "hamiltonian", refuse)
+        monkeypatch.setattr(dynamics.np.linalg, "eigh", refuse)
+        assert self.run("--alpha", "20,38", "--theta", "pi/2", "--dim", "1700", "--mode", "exact",
+                        "--t-steps", "2", "--witness", "N") == (EXIT_PRECONDITION, "")
+        assert capsys.readouterr().err == (
+            "precondition error: ModelParams(alpha_mag=38.0, theta=1.5707963267948966, "
+            "lam=0.001): the input state holds 2.830e-11 in its top 4 levels, above 1e-15; "
+            "the dim 1768 of --dim auto holds it\n")
+
     @pytest.mark.parametrize("argv, code, prefix", [
         (("--out", "{dir}", "--dim", "5", "--mode", "exact"), EXIT_SPEC_ERROR, "spec error: out: "),
         # the edge check reads the 5-entry input state, and refuses it before H

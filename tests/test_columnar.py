@@ -44,20 +44,16 @@ from anharmonic.perturbative import (
     hoa_witness_d_special,
     mean_photon_correction,
     mean_photon_number,
-    phase_fundamental,
-    phase_second_harmonic,
-    secular_factor,
     squeezing_witness_f,
     squeezing_witness_f_special,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
-#: Every closed form as a function of ClosedFormInputs.
+#: Every closed form, and every phase piece they read, as a function of ClosedFormInputs.
 CLOSED_FORMS = {
-    "phase_fundamental": lambda ci: phase_fundamental(ci.theta, ci.t),
-    "phase_second_harmonic": lambda ci: phase_second_harmonic(ci.theta, ci.t),
-    "secular_factor": lambda ci: secular_factor(ci.theta, ci.t),
+    **{piece: (lambda ci, piece=piece: getattr(ci.phases, piece))
+       for piece in ("p1", "p2", "secular", "sin_t", "sin_2t", "sin_t_2theta")},
     "mean_photon_correction": mean_photon_correction,
     "mean_photon_number": mean_photon_number,
     "first_order_squeezing_f": first_order_squeezing_f,
@@ -92,17 +88,41 @@ def same_bits(array_values, scalar_values):
                           np.array(scalar_values, dtype=float).view(np.int64))
 
 
+#: A theta grid: a float, or a 1-d array whose axis comes first in the values.
+theta_grids = st.one_of(thetas, st.lists(thetas, min_size=1, max_size=4).map(np.array))
+
+#: The forms that ignore theta, and so give one value per t.
+THETA_FREE = {"sin_t", "sin_2t", "squeezing_witness_f_special", "hoa_witness_d_special2",
+              "hoa_witness_d_special3"}
+
+
 @PROPERTY
-@given(alphas, thetas, lams, grids)
+@given(alphas, theta_grids, lams, grids)
 @example(20.01, np.pi / 2, 1e-4, np.linspace(0.0, 2 * np.pi, 16))
-def test_closed_forms_on_a_t_array_are_their_scalar_calls(a, th, lam, ts):
-    array_inputs = ClosedFormInputs(a, th, lam, ts)
+@example(20.01, np.array([0.0, np.pi / 4, np.pi / 2]), 1e-4, np.linspace(0.0, 2 * np.pi, 16))
+# t = 2 theta at t = -pi/2, 0 and pi/2, where P1 and P2 are exactly 0.0
+@example(1.5, np.array([-np.pi / 4, 0.0, np.pi / 4, 1.1]), 1e-3,
+         np.array([-np.pi / 2, 0.0, np.pi / 2, 2.2, 3.0]))
+@example(0.0, np.array([0.3, np.pi / 2]), 1e-3, np.linspace(-np.pi, 2 * np.pi, 7))
+@example(2.0, np.array([0.3, np.pi / 2]), 0.0, np.linspace(-np.pi, 2 * np.pi, 7))
+def test_closed_forms_on_a_t_array_are_their_scalar_calls(a, ths, lam, ts):
+    grid_inputs = ClosedFormInputs(a, ths, lam, ts)
+    per_theta = np.ndim(ths) == 1
+    ths = np.atleast_1d(ths)
     for name, form in CLOSED_FORMS.items():
-        scalars = [form(ClosedFormInputs(a, th, lam, t)) for t in ts.tolist()]
-        assert all(isinstance(v, float) for v in scalars), name
-        values = form(array_inputs)
-        assert isinstance(values, np.ndarray) and values.shape == ts.shape, name
-        assert same_bits(values, scalars), name
+        scalars = [[form(ClosedFormInputs(a, th, lam, t)) for t in ts.tolist()]
+                   for th in ths.tolist()]
+        assert all(isinstance(v, float) for row in scalars for v in row), name
+        values = form(grid_inputs)
+        assert isinstance(values, np.ndarray), name
+        if per_theta and name not in THETA_FREE:
+            assert values.shape == (ths.size, ts.size) and same_bits(values, scalars), name
+        else:
+            assert values.shape == ts.shape and same_bits(values, scalars[0]), name
+    if per_theta:  # P1 and P2 are exactly zero, of either sign, on the t = 2 theta locus
+        locus = 2.0 * ths[:, None] == ts
+        assert (grid_inputs.phases.p1[locus] == 0.0).all()
+        assert (grid_inputs.phases.p2[locus] == 0.0).all()
 
 
 def test_closed_form_inputs_keep_a_float_t_and_take_an_array_t():
@@ -111,6 +131,19 @@ def test_closed_form_inputs_keep_a_float_t_and_take_an_array_t():
     assert isinstance(ts, np.ndarray) and ts.dtype == float and ts.tolist() == [0.0, 1.0]
     with pytest.raises(ValueError, match="^t must be finite"):
         ClosedFormInputs(1.0, 0.0, 1e-3, np.array([0.0, math.nan]))
+
+
+def test_closed_form_inputs_take_a_theta_array_and_share_its_phase_table():
+    inputs = ClosedFormInputs(1.0, [0.0, 0.5], 1e-3, [0.0, 1.0, 2.0])
+    assert inputs.theta.tolist() == [0.0, 0.5] and inputs.phases.p1.shape == (2, 3)
+    moved = inputs.at(2.0, 1e-4)
+    assert (moved.alpha_mag, moved.lam) == (2.0, 1e-4) and moved.phases is inputs.phases
+    assert same_bits(mean_photon_number(moved), mean_photon_number(
+        ClosedFormInputs(2.0, [0.0, 0.5], 1e-4, [0.0, 1.0, 2.0])))
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        ClosedFormInputs(1.0, [0.0, math.inf], 1e-3, 0.0)
+    with pytest.raises(ValueError, match="^theta must be a float or a 1-d array"):
+        ClosedFormInputs(1.0, [[0.0]], 1e-3, 0.0)
 
 
 def column_set(block):

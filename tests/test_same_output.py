@@ -131,6 +131,24 @@ def test_cli_small_dim_case_runs_the_oracle_below_the_default_dim(capsys):
         f"{name}: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)", "same output"]
 
 
+def test_cli_closed_form_grid_case_reaches_the_locus_and_the_free_field(capsys):
+    name = "cli_closed_form_grid_case"
+    code, csv, stdout, stderr = same_output.run_workload(ROOT / "src", name, None)
+    assert (code, stderr) == (0, b"")
+    # 3 amplitudes x 5 phases x 2 couplings x 37 times x 5 witnesses
+    assert stdout.decode().splitlines()[0] == "rows=5550 mode=closed_form csv=sweep.csv"
+    rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+    assert {r[0] for r in rows} == {"0.0", "0.5", "3.0"}
+    assert {r[2] for r in rows} == {"0.0", "0.001"}
+    assert float(rows[0][3]) == -math.pi and all(r[6:8] == ["", ""] for r in rows)
+    # t = pi/2 = 2 theta at theta = pi/4: every d is exactly zero there
+    locus = [r for r in rows if float(r[1]) == math.pi / 4 and float(r[3]) == math.pi / 2]
+    assert len(locus) == 30 and all(float(r[5]) == 0.0 for r in locus if r[4][0] == "d")
+    assert same_output.main([str(ROOT / "src"), "--workload", name]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)", "same output"]
+
+
 def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
     # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
     src = changed_copy(tmp_path, "perturbative.py",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anharmonic import cli, criteria, sweep
+from anharmonic import cli, criteria, perturbative, sweep
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
 from anharmonic.dynamics import MomentSet, exact_moment_blocks
 from anharmonic.fock import MAX_DIM, MAX_GRID_CELLS, ModelParams, TruncationError, default_dim
@@ -289,7 +289,8 @@ class TestColumns:
         spec = small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), mode="compare",
                           t_steps=17, output_path=str(tmp_path / "s.csv"))
         run_sweep(spec)
-        assert counts == {"ClosedFormInputs": 8, "MomentSet": 16}
+        # one ClosedFormInputs a sweep, moved to each group's |alpha| and lambda by ``at``
+        assert counts == {"ClosedFormInputs": 1, "MomentSet": 16}
 
     def test_sweep_classifies_once(self, monkeypatch):
         calls = []
@@ -305,6 +306,46 @@ class TestColumns:
         run_sweep(spec)
         # one label array per sweep
         assert len(calls) == 1
+
+    def test_closed_forms_run_once_per_group_on_one_phase_table(self, monkeypatch):
+        tables, pieces, forms = [], [], []
+
+        class RecordedTable(perturbative.PhaseTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        def counted(record, name, form):
+            def call(*args):
+                record.append((name, *args))
+                return form(*args)
+            return call
+
+        monkeypatch.setattr(perturbative, "PhaseTable", RecordedTable)
+        for name in ("phase_fundamental", "phase_second_harmonic", "secular_factor"):
+            monkeypatch.setattr(perturbative, name,
+                                counted(pieces, name, getattr(perturbative, name)))
+        for name in ("squeezing_witness_f", "hoa_witness_d", "mean_photon_number"):
+            monkeypatch.setattr(sweep, name, counted(forms, name, getattr(sweep, name)))
+        spec = small_spec(alpha_mag=(0.5, 1.0, 2.0), theta=(0.0, 0.3, np.pi / 2),
+                          lam=(1e-3, 1e-4), t_steps=17)
+        result = run_sweep(spec)
+        # one table a sweep, which builds each piece once
+        [table] = tables
+        assert set(vars(table)) == {"p1", "p2", "secular", "sin_t", "sin_2t", "sin_t_2theta"}
+        assert sorted(name for name, *_ in pieces) == ["phase_fundamental",
+                                                       "phase_second_harmonic", "secular_factor"]
+        # each closed form once a group, in (alpha, lambda) order, over every theta
+        calls = [(name, order, ci.alpha_mag, ci.lam, ci.theta.tolist())
+                 for name, *args in forms for *order, ci in [args]]
+        assert calls == [(name, order, a, lam, list(spec.theta))
+                         for a, lam in product(spec.alpha_mag, spec.lam)
+                         for name, order in (("squeezing_witness_f", []), ("hoa_witness_d", [1]),
+                                             ("hoa_witness_d", [2]), ("hoa_witness_d", [3]),
+                                             ("mean_photon_number", []))]
+        for s, (a, th, lam) in enumerate(spec.slices()):
+            inputs = ClosedFormInputs(a, th, lam, spec.t_grid())
+            assert result.value_cf[s, :, 0].tolist() == squeezing_witness_f(inputs).tolist()
 
     def test_rebinding_a_closed_form_reaches_the_sweep(self, monkeypatch):
         monkeypatch.setattr(sweep, "squeezing_witness_f", first_order_squeezing_f)
@@ -477,11 +518,11 @@ class TestCsvContract:
                           t_steps=values.size // 2, witnesses=("N",))
         columns = values.reshape(2, -1, 1)
         result = SweepResult(spec, columns, columns[::-1] / 3.0, np.abs(columns),
-                             criteria.classify(columns), None, None, None, None)
+                             criteria.classify(columns, codes=True), None, None, None, None)
         write_csv(result, tmp_path / "fast.csv")
         assert (tmp_path / "fast.csv").read_bytes() == reference_csv(result)
         closed = SweepResult(small_spec(t_steps=columns.shape[1], witnesses=("N",)), columns,
-                             None, None, criteria.classify(columns), None, None, None, None)
+                             None, None, criteria.classify(columns, codes=True), None, None, None, None)
         write_csv(closed, tmp_path / "closed.csv")
         assert (tmp_path / "closed.csv").read_bytes() == reference_csv(closed)
 
@@ -520,7 +561,8 @@ class TestCsvContract:
             small_spec(alpha_mag=(0.5, 1.0), theta=(0.0,), lam=(1e-3, 1e-4), t_steps=t_steps,
                        mode=mode, witnesses=("N", "d1")),
             cf, exact, np.abs(cf - exact) if mode == "compare" else None,
-            criteria.classify(cf if exact is None else exact), None, None, None, None)
+            criteria.classify(cf if exact is None else exact, codes=True), None, None, None,
+            None)
         write_csv(result, tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_bytes() == reference_csv(result)
 
