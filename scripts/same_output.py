@@ -26,7 +26,9 @@ runs the oracle at |alpha| = 3 in 47 levels, the smallest dim whose coherent
 input passes the edge check, 6 below the default dim.  ``cli_closed_form_grid_case``
 runs the scalar closed forms over five theta a group, at |alpha| = 0, lambda = 0,
 negative t and theta = pi/2, with t = pi/2 = 2 (pi/4) on the t = 2 theta locus.
-``cli_spec_error_case``
+``cli_exact_small_dim_case`` runs the oracle on the vacuum in 5 levels, the smallest
+dim whose input passes the edge check, so H's band is cut at its ends, and at
+lambda = -0.0, whose H must hold +0.0 off the diagonal.  ``cli_spec_error_case``
 (exit 2) and ``cli_overflow_case`` (an H beyond the float range, exit 3) are
 refused; a CLI case may exit non-zero, and then its exit status, its stderr
 line and the absence of its CSV are what is compared.
@@ -74,6 +76,8 @@ CLI_CASES = {
                                   "--lambda", "0,1e-3", "--t-start=-pi", "--t-end", "2pi",
                                   "--t-steps", "37", "--mode", "closed_form",
                                   "--witness", "f,d1,d2,d3,N"),
+    "cli_exact_small_dim_case": ("--alpha", "0", "--theta", "0", "--lambda=-0.0", "--dim", "5",
+                                 "--mode", "exact", "--t-steps", "3", "--witness", "N,d1"),
     "cli_spec_error_case": ("--t-steps", "1"),
     "cli_overflow_case": ("--lambda", "1e308", "--mode", "exact", "--t-steps", "3"),
 }

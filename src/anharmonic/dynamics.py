@@ -16,8 +16,9 @@ eps |t| max(w), passes ``PHASE_TOLERANCE``.  Each call takes its dim and checks
 it against the dense-matrix ceiling (``fock.check_dim``).  Slices that share lam
 (a sweep's theta slices at one |alpha|) form a group, which builds H, its
 ``eigh`` and the exp(-iwt) table once and drops them when its last slice is
-done; each slice projects its own input.  Only the lam-independent
-(a^dag + a)^4 is kept between calls, for the latest dim.
+done; each slice projects its own input.  Only the band of the lam-independent
+(a^dag + a)^4, its nine diagonals, is kept between calls, for the latest dim, and
+H is written from it into one zeroed dim x dim array.
 
 Moments are reported in the interaction frame that removes the free rotation:
 a normally ordered monomial a^dag^m a^n evaluated in the evolved state picks
@@ -67,29 +68,47 @@ PHASE_TOLERANCE = 1e-10
 
 @functools.lru_cache(maxsize=1)
 def _quartic(dim: int) -> np.ndarray:
-    """The lam-independent (a^dag + a)^4 as x2 @ x2, x = a^dag + a written from its
-    elements, read-only.  The package's one memo: a sweep visits the lams of one dim in
-    a row, and each hit saves two dim^3 products (4 hits in 6 calls at dim 201 and 581)."""
+    """The lam-independent (a^dag + a)^4 as its band: the (9, dim) array whose row
+    k + 4 holds diagonal k of x2 @ x2, zero-padded at its end, read-only, where
+    x = a^dag + a is written from its elements.  The package's one memo: a sweep
+    visits the lams of one dim in a row, and each hit saves two dim^3 products (4
+    hits in 6 calls at dim 201 and 581).  The two dense products set the bits; the
+    dense result is dropped once its diagonals are read."""
     x = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     x += x.T
     x2 = x @ x
+    del x
     q = x2 @ x2
-    q.flags.writeable = False
-    return q
+    del x2
+    band = np.zeros((9, dim))
+    for k in range(-4, 5):
+        diag = np.diagonal(q, k)
+        band[k + 4, :diag.size] = diag
+    band.flags.writeable = False
+    return band
 
 
 def hamiltonian(lam: float, dim: int) -> np.ndarray:
-    """Dense H = diag(n + 1/2) + (lam/16) (a^dag + a)^4, exactly symmetric.
+    """Dense H = diag(n + 1/2) + (lam/16) (a^dag + a)^4, exactly symmetric, written
+    diagonal by diagonal from the band of ``_quartic`` into one zeroed dim x dim array.
 
     Low-level builder; accepts any dim >= 2 so single matrix elements can be
     checked at small truncations.
     """
-    # in place, with the same elementwise operations as 0.5 * (h + h.T)
-    # for h = diag(n + 1/2) + (lam/16) q, so the bits are the same too
-    h = (lam / 16.0) * _quartic(dim)
-    h += np.diag(np.arange(dim) + 0.5)
-    h += h.T
-    h *= 0.5
+    # each entry gets the elementwise operations of 0.5 * (h + h.T) for
+    # h = diag(n + 1/2) + (lam/16) q, so the bits are the same too: off the
+    # diagonal h is c q + 0.0, which turns a -0.0 into +0.0
+    c = lam / 16.0
+    band = _quartic(dim)
+    h = np.zeros((dim, dim))
+    flat = h.reshape(-1)
+    d = c * band[4] + (np.arange(dim) + 0.5)
+    flat[::dim + 1] = (d + d) * 0.5
+    for k in range(1, min(5, dim)):
+        n = dim - k
+        pair = ((c * band[4 + k, :n] + 0.0) + (c * band[4 - k, :n] + 0.0)) * 0.5
+        flat[k:n * (dim + 1):dim + 1] = pair
+        flat[k * dim::dim + 1] = pair
     return h
 
 

@@ -55,9 +55,10 @@ def dense_hamiltonian(lam, dim):
 
 
 class TestQuarticCache:
-    @pytest.mark.parametrize("dim", [2, 3, 53, 202, 582])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 53, 202, 582])
     def test_hamiltonian_is_the_uncached_formula(self, dim):
-        for lam in (0.0, -0.0, 1e-4, 0.3):
+        # dims 2 to 6 cut the band at every width; -0.0 pins the sign of the zeros
+        for lam in (0.0, -0.0, 1e-4, 5e-2, 0.3):
             h = hamiltonian(lam, dim)
             assert np.array_equal(h.view(np.int64), dense_hamiltonian(lam, dim).view(np.int64))
 
@@ -69,9 +70,9 @@ class TestQuarticCache:
         assert (info.misses, info.hits) == (1, 1)
 
     def test_cached_operator_is_read_only(self):
-        q = _quartic(9)
+        band = _quartic(9)
         with pytest.raises(ValueError):
-            q[0, 0] = 1.0
+            band[4, 0] = 1.0
         assert np.array_equal(hamiltonian(0.3, 9), dense_hamiltonian(0.3, 9))
 
     def test_cache_is_bounded(self):
@@ -177,7 +178,6 @@ class TestRetention:
         # after a call returns, nothing of the size of a D x D matrix may stay
         # behind (tests/test_groups.py checks the same between a sweep's groups)
         dim = 200
-        _quartic(dim)
         tracemalloc.start()
         try:
             for j in range(100):
@@ -195,6 +195,39 @@ class TestRetention:
                  for attr, value in vars(module).items()
                  if hasattr(value, "cache_info") or hasattr(value, "cache_clear")]
         assert memos == ["anharmonic.dynamics._quartic"]
+
+
+def traced(call):
+    """(peak, retained) bytes that tracemalloc sees while ``call()`` runs and after it
+    returns, in units of one dense D x D float matrix at D = 582."""
+    tracemalloc.start()
+    try:
+        call()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (582 * 582 * 8), retained / (582 * 582 * 8)
+
+
+class TestMemory:
+    """The memo is the band of (a^dag + a)^4 and H is its one dense array."""
+
+    def test_memo_is_the_band(self):
+        assert _quartic(582).nbytes <= 9 * 582 * 8
+
+    def test_hamiltonian_allocates_one_dense_array(self):
+        _quartic(582)
+        peak, _ = traced(lambda: hamiltonian(0.3, 582))
+        assert peak <= 1.1  # 2.03 with a dense memo, 1.01 from the band
+
+    def test_cold_group_peak_and_what_it_leaves(self):
+        _quartic.cache_clear()
+        params = ModelParams(1.0, 0.3, 1e-3)
+        peak, retained = traced(
+            lambda: list(exact_moment_blocks([params], np.linspace(0.0, np.pi, 16), 582)))
+        assert peak <= 3.3  # 4.18 with a dense memo, 3.19 from the band
+        assert retained <= 0.05  # the band; a dense memo left 1.00
 
 
 class TestInteractionMoments:

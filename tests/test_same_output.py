@@ -149,6 +149,20 @@ def test_cli_closed_form_grid_case_reaches_the_locus_and_the_free_field(capsys):
         f"{name}: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)", "same output"]
 
 
+def test_cli_exact_small_dim_case_runs_the_oracle_in_five_levels_at_negative_zero(capsys):
+    name = "cli_exact_small_dim_case"
+    code, csv, stdout, stderr = same_output.run_workload(ROOT / "src", name, None)
+    assert (code, stderr) == (0, b"")
+    # 3 times x 2 witnesses
+    assert stdout.decode().splitlines()[0] == "rows=6 mode=exact csv=sweep.csv"
+    rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+    assert {tuple(r[:3]) for r in rows} == {("0.0", "0.0", "-0.0")}
+    assert all(r[6] == "0.0" for r in rows)
+    assert same_output.main([str(ROOT / "src"), "--workload", name]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: identical ({len(csv)} csv bytes, {len(stdout)} stdout bytes)", "same output"]
+
+
 def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
     # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
     src = changed_copy(tmp_path, "perturbative.py",
