@@ -29,9 +29,13 @@ negative t and theta = pi/2, with t = pi/2 = 2 (pi/4) on the t = 2 theta locus.
 ``cli_exact_small_dim_case`` runs the oracle on the vacuum in 5 levels, the smallest
 dim whose input passes the edge check, so H's band is cut at its ends, and at
 lambda = -0.0, whose H must hold +0.0 off the diagonal.  ``cli_spec_error_case``
-(exit 2) and ``cli_overflow_case`` (an H beyond the float range, exit 3) are
-refused; a CLI case may exit non-zero, and then its exit status, its stderr
-line and the absence of its CSV are what is compared.
+(exit 2), ``cli_overflow_case`` (an H beyond the float range, exit 3) and
+``cli_refusal_order_case`` are refused; the last is a closed form that
+overflows at |alpha| = 1000 only at theta = pi/8, after the theta = 0 slice of
+the same (|alpha|, lambda) group has passed (exit 3), so its line names the
+first slice to fail, not the group or its first theta.  A CLI case may exit
+non-zero, and then its exit status, its stderr line and the absence of its CSV
+are what is compared.
 
 When two CSVs differ but their rows line up (same header, row count and first
 five cells), the pair's line is followed by a value report: one line per
@@ -80,6 +84,8 @@ CLI_CASES = {
                                  "--mode", "exact", "--t-steps", "3", "--witness", "N,d1"),
     "cli_spec_error_case": ("--t-steps", "1"),
     "cli_overflow_case": ("--lambda", "1e308", "--mode", "exact", "--t-steps", "3"),
+    "cli_refusal_order_case": ("--alpha", "0.5,1000", "--theta", "0,pi/8", "--lambda", "1e-3,1e-4",
+                               "--t-end", "1e300", "--t-steps", "3", "--witness", "N,f"),
 }
 
 # run in the child: import the package from the given src, then run one

@@ -25,12 +25,14 @@ t = 2*theta locus (the argument t - 2*theta is computed as written, so it is
 exactly 0.0 there).
 
 Every closed form takes ``t`` as a float (giving numpy's float64) or an
-array of times, and ``theta`` as a float or a 1-d array, whose axis comes
-first: an array gives one value per (theta, t), bit-identical to the float
-call.  The phase pieces of one (theta, t) grid -- P1, P2, sin t, sin 2t,
-sin(t + 2 theta) and S -- are built once, when a closed form first reads them,
-in the inputs' ``PhaseTable``, which inputs on the same grid share
-(``ClosedFormInputs.at``).
+array of times, ``theta`` as a float or a 1-d array, whose axis comes first,
+and |alpha| and lam as floats or arrays that broadcast against the (theta, t)
+values: an array gives one value per element, bit-identical to the float
+call.  Each power is ``np.float_power``, which rounds like C ``pow`` on both
+and gives inf beyond the float range, where numpy's array ``**`` differs in
+the last bit and Python's float ``**`` raises ``OverflowError``.  The phase
+pieces of the (theta, t) grid -- P1, P2, sin t, sin 2t, sin(t + 2 theta) and
+S -- are built once per inputs, in their ``PhaseTable``.
 
 The first-order operator solution in the rotating frame is
 
@@ -49,8 +51,7 @@ vacuum of b, and they are taken exactly on 13 levels of b, for every |alpha|
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,42 +60,32 @@ from .dynamics import group_lam, ladder_moment_block, lay_out_bands
 
 @dataclass(frozen=True)
 class ClosedFormInputs:
-    """Arguments of every closed form: (|alpha|, theta, lam, t).
+    """Arguments of every closed form: (|alpha|, theta, lam, t), and ``phases``,
+    the ``PhaseTable`` of theta and t.
 
     ``t`` is a float or an array of times and ``theta`` a float or a 1-d array,
-    whose axis comes first in the values: shaped (len(theta), *t.shape).
+    whose axis comes first in the (theta, t) values: shaped (len(theta), *t.shape).
+    ``alpha_mag`` and ``lam`` are floats or arrays that broadcast against them.
     """
 
     alpha_mag: float
     theta: float
     lam: float
     t: float
+    phases: PhaseTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.array(self.t, dtype=float)
-        theta = np.array(self.theta, dtype=float)
-        if theta.ndim > 1:
-            raise ValueError(f"theta must be a float or a 1-d array, got shape {theta.shape}")
-        values = (float(self.alpha_mag), float(theta) if theta.ndim == 0 else theta,
-                  float(self.lam), float(t) if t.ndim == 0 else t)
-        for name, value in zip(("alpha_mag", "theta", "lam", "t"), values):
+        for name in ("alpha_mag", "theta", "lam", "t"):
+            value = np.array(getattr(self, name), dtype=float)
+            if name == "theta" and value.ndim > 1:
+                raise ValueError(f"theta must be a float or a 1-d array, got shape {value.shape}")
+            value = float(value) if value.ndim == 0 else value
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
-            if name in ("alpha_mag", "lam") and value < 0.0:
+            if name in ("alpha_mag", "lam") and np.any(value < 0.0):
                 raise ValueError(f"{name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)
-
-    @cached_property
-    def phases(self) -> "PhaseTable":
-        """The phase pieces of this theta and t, built when first read."""
-        return PhaseTable(self.theta, self.t)
-
-    def at(self, alpha_mag: float, lam: float) -> "ClosedFormInputs":
-        """These inputs at another |alpha| and lam, sharing their phase table,
-        which is built here if it was not yet."""
-        inputs = replace(self, alpha_mag=alpha_mag, lam=lam)
-        inputs.__dict__["phases"] = self.phases  # where cached_property keeps it
-        return inputs
+        object.__setattr__(self, "phases", PhaseTable(self.theta, self.t))
 
 
 class PhaseTable:
@@ -140,7 +131,7 @@ def secular_factor(theta: float, t: float) -> float:
 
 def mean_photon_correction(inputs: ClosedFormInputs) -> float:
     """First-order shift of <N(t)> away from |alpha|^2; exactly linear in lam."""
-    r2 = inputs.alpha_mag**2
+    r2 = np.float_power(inputs.alpha_mag, 2)
     p1, p2 = inputs.phases.p1, inputs.phases.p2
     return (inputs.lam / 4.0) * (2.0 * r2 * (2.0 * r2 + 3.0) * p1 + r2 * r2 * p2)
 
@@ -151,7 +142,7 @@ def mean_photon_number(inputs: ClosedFormInputs) -> float:
     Exact first-order coefficient of the model (lam-scaling slope 2 against
     the oracle).
     """
-    return inputs.alpha_mag**2 + mean_photon_correction(inputs)
+    return np.float_power(inputs.alpha_mag, 2) + mean_photon_correction(inputs)
 
 
 def first_order_hoa_d(order: int, inputs: ClosedFormInputs) -> float:
@@ -164,7 +155,7 @@ def first_order_hoa_d(order: int, inputs: ClosedFormInputs) -> float:
 
     Each validated against the exact-evolution oracle (residual O(lam^2)).
     """
-    r2 = inputs.alpha_mag**2
+    r2 = np.float_power(inputs.alpha_mag, 2)
     p1, p2 = inputs.phases.p1, inputs.phases.p2
     if order == 1:
         return (3.0 * inputs.lam * r2 / 4.0) * (2.0 * (2.0 * r2 + 1.0) * p1 + r2 * p2)
@@ -173,7 +164,8 @@ def first_order_hoa_d(order: int, inputs: ClosedFormInputs) -> float:
                                                      + (3.0 * r2 + 2.0) * p2)
     if order == 3:
         return (3.0 * inputs.lam / 4.0) * (
-            4.0 * r2**3 * (6.0 * r2 + 7.0) * p1 + 2.0 * r2 * r2 * (3.0 * r2 * r2 + 4.0 * r2 + 1.0) * p2)
+            4.0 * np.float_power(r2, 3) * (6.0 * r2 + 7.0) * p1
+            + 2.0 * r2 * r2 * (3.0 * r2 * r2 + 4.0 * r2 + 1.0) * p2)
     raise ValueError(f"order must be 1, 2 or 3, got {order}: a first-order operator solution "
                      "carries no information about antibunching of fourth or higher order")
 
@@ -192,7 +184,7 @@ def first_order_squeezing_f(inputs: ClosedFormInputs) -> float:
 
 def _squeezing_f(inputs: ClosedFormInputs, sin2_sign: float) -> float:
     """Both f forms; ``sin2_sign`` is the sign of their sin^2(2t) term."""
-    r2 = inputs.alpha_mag**2
+    r2 = np.float_power(inputs.alpha_mag, 2)
     ph = inputs.phases
     return -(3.0 * inputs.lam / 4.0) * (
         -4.0 * r2 * (2.0 * r2 + 3.0) * ph.sin_t * ph.sin_t_2theta
@@ -203,7 +195,7 @@ def _squeezing_f(inputs: ClosedFormInputs, sin2_sign: float) -> float:
 
 def _delta_y1_squared(inputs: ClosedFormInputs, sin2_sign: float) -> float:
     """(Delta Y1)^2 = f + <2N + 1> with the f form of ``_squeezing_f``."""
-    return (2.0 * inputs.alpha_mag**2 + 1.0 + _squeezing_f(inputs, sin2_sign)
+    return (2.0 * np.float_power(inputs.alpha_mag, 2) + 1.0 + _squeezing_f(inputs, sin2_sign)
             + 2.0 * mean_photon_correction(inputs))
 
 
@@ -245,7 +237,7 @@ def squeezing_witness_f_special(inputs: ClosedFormInputs) -> float:
     A sum of squares times a negative prefactor, hence always <= 0.  The
     ``theta`` field of ``inputs`` is ignored, so the values are shaped like t.
     """
-    r2 = inputs.alpha_mag**2
+    r2 = np.float_power(inputs.alpha_mag, 2)
     st, s2t = inputs.phases.sin_t, inputs.phases.sin_2t
     return -(3.0 * inputs.lam / 4.0) * (
         4.0 * r2 * (2.0 * r2 + 3.0) * st * st
@@ -268,7 +260,7 @@ def hoa_witness_d(order: int, inputs: ClosedFormInputs) -> float:
     """
     if order not in (2, 3):
         return first_order_hoa_d(order, inputs)
-    r2 = inputs.alpha_mag**2
+    r2 = np.float_power(inputs.alpha_mag, 2)
     p1, p2 = inputs.phases.p1, inputs.phases.p2
     if order == 2:
         return (3.0 * inputs.lam * r2 * r2 / 2.0) * (p1 + p2)
@@ -285,7 +277,7 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
     coincide with the always-on squeezing of ``squeezing_witness_f_special``.
     The ``theta`` field of ``inputs`` is ignored, so the values are shaped like t.
     """
-    r4 = inputs.alpha_mag**4
+    r4 = np.float_power(inputs.alpha_mag, 4)
     st, s2t = inputs.phases.sin_t, inputs.phases.sin_2t
     if order == 2:
         return (3.0 * inputs.lam * r4 / 2.0) * (-st * st + s2t * s2t)

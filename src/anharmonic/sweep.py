@@ -13,10 +13,10 @@ state that reaches the edge of its truncated basis, for every slice before any
 H is built; then a value that leaves the float range, a time grid too long for
 the exact oracle's phases, or an evolved state that reaches the edge (see
 ``dynamics.evolve_blocks``), in the first slice to fail in (alpha, lambda,
-theta) order.  The scalar closed forms are evaluated once per (alpha, lambda)
-group over its (theta, t) block, everything else per (alpha, theta, lambda)
-slice over its whole t grid, on arrays; a result holds columns: the rows shaped
-(slices, T, witnesses) and their reductions over t shaped (slices, witnesses).
+theta) order.  The scalar closed forms are evaluated once per sweep, over the
+whole grid, everything else per (alpha, theta, lambda) slice over its whole t
+grid, on arrays; a result holds columns: the rows shaped (slices, T, witnesses)
+and their reductions over t shaped (slices, witnesses).
 
 ``compare`` mode also records |closed form - exact| per row; the scaling
 report fits log-log slopes of those errors across the lambda grid, the
@@ -54,8 +54,8 @@ class Witness:
     """How a sweep evaluates and classifies one witness.
 
     ``moments(m)`` on MomentSet columns gives the exact value from oracle
-    moments.  The closed-form value is ``closed_form(inputs)`` on the t grid
-    ``inputs.t`` or, where that is None, ``moments`` on a_1(t)'s moments.
+    moments.  The closed-form value is ``closed_form(inputs)`` on the sweep's
+    whole grid or, where that is None, ``moments`` on a_1(t)'s moments.
     A row is classified by value - ``reference(alpha_mag)``.
     """
 
@@ -252,19 +252,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     nesting; two runs of the same spec produce byte-identical CSV output.
     Evaluation runs in (alpha, lambda, theta) order instead: the theta slices
     of one (alpha, lambda) form a group.  Each scalar closed form is evaluated
-    once per group, over its (theta, t) block, from the phase table that every
-    group shares (``ClosedFormInputs.at``).  The exact oracle's group shares H,
-    its eigh and the phase table (see ``exact_moment_blocks``, at
-    ``spec.dim_for(alpha)``), and a_1(t)'s group only the coefficient rows (see
-    ``first_order_moment_blocks``), built once and dropped before the next
-    group's.  Each value is bit-identical to evaluating its slice alone.  A
-    closed form that overflows Python's float ``**`` is inf.
+    once per sweep, on one ``ClosedFormInputs`` of the whole grid, into the
+    value columns.  The exact oracle's group shares H, its eigh and the phase
+    table (see ``exact_moment_blocks``, at ``spec.dim_for(alpha)``), and
+    a_1(t)'s group only the coefficient rows (see ``first_order_moment_blocks``),
+    built once and dropped before the next group's.  Each value is
+    bit-identical to evaluating its slice alone.
 
     In modes ``exact`` and ``compare`` every slice's coherent input is checked
     (``dynamics.coherent_inputs``) before the first group's H, so an input
     refusal wins over any check of an earlier group.  The other refusals come
     per slice, in (alpha, lambda, theta) order: the oracle's, then a
-    closed-form value that is not finite.
+    closed-form value that is not finite, which the closed forms give as inf
+    or nan rather than raise.
     """
     ts = spec.t_grid()
     need_exact = spec.mode in ("exact", "compare")
@@ -279,7 +279,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     grid = (len(spec.alpha_mag), len(spec.theta), len(spec.lam), *shape[1:])
     cf = value_cf.reshape(grid)
     ex = value_exact.reshape(grid) if need_exact else None
-    inputs = ClosedFormInputs(spec.alpha_mag[0], spec.theta, spec.lam[0], ts)
     if need_exact:
         # an input depends on alpha and theta, so the first lambda's slices stand for all
         for a in spec.alpha_mag:
@@ -292,15 +291,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     # w >= dim - 1/2 >= 19.5 of H, and the time bound refuses it before the phase
     # table is built.
     with np.errstate(over="ignore", invalid="ignore"):
+        if any(e.closed_form is not None for e in entries):
+            # t as one row puts lambda's axis between theta's and t's, and |alpha|'s
+            # goes first: the values broadcast to cf's [alpha, theta, lambda, t]
+            inputs = ClosedFormInputs(np.reshape(spec.alpha_mag, (-1, 1, 1, 1)), spec.theta,
+                                      np.reshape(spec.lam, (-1, 1)), ts[None])
+            for k, e in enumerate(entries):
+                if e.closed_form is not None:
+                    cf[..., k] = e.closed_form(inputs)
         for i, a in enumerate(spec.alpha_mag):
             for l, lam in enumerate(spec.lam):
-                inputs = inputs.at(a, lam)
-                for k, e in enumerate(entries):
-                    if e.closed_form is not None:
-                        try:
-                            cf[i, :, l, :, k] = e.closed_form(inputs)
-                        except OverflowError:  # Python's float ** where numpy gives inf
-                            cf[i, :, l, :, k] = math.inf
                 group = [ModelParams(a, th, lam) for th in spec.theta]
                 fo_blocks = (first_order_moment_blocks(group, ts) if need_fo
                              else repeat(None, len(group)))

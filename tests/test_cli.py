@@ -419,7 +419,7 @@ class TestMain:
 
     @pytest.mark.parametrize("witness", ["N", "f", "quadrature", "N,f,d1,d2,d3,quadrature,hillery"])
     def test_a_closed_form_beyond_the_float_range_is_one_line(self, capsys, tmp_path, witness):
-        # the scalar closed forms reach Python's float **, which raises OverflowError
+        # the closed forms, scalar or on a_1(t)'s moments, leave the float range
         out_csv = tmp_path / "rows.csv"
         code, text = self.run("--alpha", "1e300", "--t-steps", "2", "--witness", witness,
                               "--out", str(out_csv))

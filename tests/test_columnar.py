@@ -1,15 +1,17 @@
 """The array paths a columnar sweep runs on, held to their scalar calls bit for bit.
 
-A sweep evaluates each (alpha, theta, lambda) slice over its whole t grid:
-closed forms on an array ``t``, witnesses on a MomentSet whose fields are
-the columns of a (T, 7) moment block, and ``classify`` on arrays.  Each
-element must equal the scalar call at its own t exactly, or the CSV would
-change.  A scalar call returns a float: numpy's ``float64``, a ``float``
-subclass, with the bits of its array element.
+A sweep evaluates its closed forms over the whole grid at once, on arrays of
+|alpha|, theta, lambda and t, and each (alpha, theta, lambda) slice over its
+whole t grid: witnesses on a MomentSet whose fields are the columns of a
+(T, 7) moment block, and ``classify`` on arrays.  Each element must equal the
+scalar call at its own point exactly, or the CSV would change.  A scalar call
+returns a float: numpy's ``float64``, a ``float`` subclass, with the bits of
+its array element.
 """
 
 import math
 from dataclasses import fields
+from itertools import product
 
 import numpy as np
 import pytest
@@ -91,13 +93,20 @@ def same_bits(array_values, scalar_values):
 #: A theta grid: a float, or a 1-d array whose axis comes first in the values.
 theta_grids = st.one_of(thetas, st.lists(thetas, min_size=1, max_size=4).map(np.array))
 
+#: An |alpha| or lambda grid: a float, or a 1-d array given its own leading axis.
+alpha_grids = st.one_of(alphas, st.lists(alphas, min_size=1, max_size=2).map(np.array))
+lam_grids = st.one_of(lams, st.lists(lams, min_size=1, max_size=2).map(np.array))
+
+#: The phase pieces, which read neither |alpha| nor lambda.
+PIECES = {"p1", "p2", "secular", "sin_t", "sin_2t", "sin_t_2theta"}
+
 #: The forms that ignore theta, and so give one value per t.
 THETA_FREE = {"sin_t", "sin_2t", "squeezing_witness_f_special", "hoa_witness_d_special2",
               "hoa_witness_d_special3"}
 
 
 @PROPERTY
-@given(alphas, theta_grids, lams, grids)
+@given(alpha_grids, theta_grids, lam_grids, grids)
 @example(20.01, np.pi / 2, 1e-4, np.linspace(0.0, 2 * np.pi, 16))
 @example(20.01, np.array([0.0, np.pi / 4, np.pi / 2]), 1e-4, np.linspace(0.0, 2 * np.pi, 16))
 # t = 2 theta at t = -pi/2, 0 and pi/2, where P1 and P2 are exactly 0.0
@@ -105,24 +114,45 @@ THETA_FREE = {"sin_t", "sin_2t", "squeezing_witness_f_special", "hoa_witness_d_s
          np.array([-np.pi / 2, 0.0, np.pi / 2, 2.2, 3.0]))
 @example(0.0, np.array([0.3, np.pi / 2]), 1e-3, np.linspace(-np.pi, 2 * np.pi, 7))
 @example(2.0, np.array([0.3, np.pi / 2]), 0.0, np.linspace(-np.pi, 2 * np.pi, 7))
+# the sweep's arrays, with |alpha| = 0, lambda = 0 and theta = -0.0 on them
+@example(np.array([0.0, 20.01]), np.array([-0.0, 0.0, np.pi / 2]), np.array([0.0, 1e-3]),
+         np.linspace(-np.pi, 2 * np.pi, 7))
+@example(np.array([0.0, 1.5]), -0.0, 0.0, np.array([-0.0, 0.0, 1.0]))
+@example(0.0, np.array([-0.0, 0.7]), np.array([0.0, 1e-4]), np.array([0.0, 1.4]))
+# |alpha| where numpy's array ** rounds |alpha|^2 unlike Python's float ** and C pow
+@example(np.array([6.5208984171594375, 20.6691163272962]), 0.3, 1e-3, np.array([0.5, 1.0]))
 def test_closed_forms_on_a_t_array_are_their_scalar_calls(a, ths, lam, ts):
-    grid_inputs = ClosedFormInputs(a, ths, lam, ts)
-    per_theta = np.ndim(ths) == 1
-    ths = np.atleast_1d(ths)
+    # an array |alpha| and lambda each take one more leading axis: values [lambda, alpha, theta, t]
+    value_axes = np.ndim(ths) + ts.ndim
+    a_grid = a if np.ndim(a) == 0 else a.reshape(-1, *(1,) * value_axes)
+    lam_grid = lam if np.ndim(lam) == 0 else lam.reshape(-1, *(1,) * (value_axes + np.ndim(a)))
+    grid_inputs = ClosedFormInputs(a_grid, ths, lam_grid, ts)
+    full = (*np.shape(lam), *np.shape(a), *np.shape(ths), *ts.shape)
+    points = [ClosedFormInputs(x, th, l, t) for l, x, th, t
+              in product(*(np.ravel(v).tolist() for v in (lam, a, ths, ts)))]
     for name, form in CLOSED_FORMS.items():
-        scalars = [[form(ClosedFormInputs(a, th, lam, t)) for t in ts.tolist()]
-                   for th in ths.tolist()]
-        assert all(isinstance(v, float) for row in scalars for v in row), name
+        scalars = [form(inputs) for inputs in points]
+        assert all(isinstance(v, float) for v in scalars), name
         values = form(grid_inputs)
         assert isinstance(values, np.ndarray), name
-        if per_theta and name not in THETA_FREE:
-            assert values.shape == (ths.size, ts.size) and same_bits(values, scalars), name
-        else:
-            assert values.shape == ts.shape and same_bits(values, scalars[0]), name
-    if per_theta:  # P1 and P2 are exactly zero, of either sign, on the t = 2 theta locus
+        # shaped as the inputs it reads broadcast
+        read = [ts.shape if name in THETA_FREE else (*np.shape(ths), *ts.shape)]
+        if name not in PIECES:
+            read += [np.shape(a_grid), np.shape(lam_grid)]
+        assert values.shape == np.broadcast_shapes(*read), name
+        assert same_bits(np.broadcast_to(values, full), np.reshape(scalars, full)), name
+    if np.ndim(ths) == 1:  # P1 and P2 are exactly zero, of either sign, on the t = 2 theta locus
         locus = 2.0 * ths[:, None] == ts
         assert (grid_inputs.phases.p1[locus] == 0.0).all()
         assert (grid_inputs.phases.p2[locus] == 0.0).all()
+
+
+def test_a_closed_form_beyond_the_float_range_is_inf():
+    # Python's float ** would raise OverflowError at |alpha|^2 = 1e600
+    inputs = ClosedFormInputs(1e300, 0.3, 1e-3, 1.0)
+    with np.errstate(over="ignore"):
+        for form in ("mean_photon_number", "first_order_hoa_d3", "hoa_witness_d_special2"):
+            assert CLOSED_FORMS[form](inputs) == math.inf, form
 
 
 def test_closed_form_inputs_keep_a_float_t_and_take_an_array_t():
@@ -133,17 +163,17 @@ def test_closed_form_inputs_keep_a_float_t_and_take_an_array_t():
         ClosedFormInputs(1.0, 0.0, 1e-3, np.array([0.0, math.nan]))
 
 
-def test_closed_form_inputs_take_a_theta_array_and_share_its_phase_table():
+def test_closed_form_inputs_take_a_theta_array_and_build_its_phase_table():
     inputs = ClosedFormInputs(1.0, [0.0, 0.5], 1e-3, [0.0, 1.0, 2.0])
     assert inputs.theta.tolist() == [0.0, 0.5] and inputs.phases.p1.shape == (2, 3)
-    moved = inputs.at(2.0, 1e-4)
-    assert (moved.alpha_mag, moved.lam) == (2.0, 1e-4) and moved.phases is inputs.phases
-    assert same_bits(mean_photon_number(moved), mean_photon_number(
-        ClosedFormInputs(2.0, [0.0, 0.5], 1e-4, [0.0, 1.0, 2.0])))
     with pytest.raises(ValueError, match="^theta must be finite"):
         ClosedFormInputs(1.0, [0.0, math.inf], 1e-3, 0.0)
     with pytest.raises(ValueError, match="^theta must be a float or a 1-d array"):
         ClosedFormInputs(1.0, [[0.0]], 1e-3, 0.0)
+    with pytest.raises(ValueError, match="^alpha_mag must be >= 0"):
+        ClosedFormInputs([[1.0], [-0.5]], [0.0, 0.5], 1e-3, 0.0)
+    with pytest.raises(ValueError, match="^lam must be finite"):
+        ClosedFormInputs(1.0, 0.0, [1e-3, math.nan], [0.0, 1.0])
 
 
 def column_set(block):

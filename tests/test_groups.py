@@ -2,9 +2,10 @@
 
 ``run_sweep`` evaluates the theta slices of one (|alpha|, lambda) as a group
 that builds H, its ``eigh`` and the exp(-iwt) table once (``exact_moment_blocks``)
-and the coefficient rows of a_1(t) once (``first_order_moment_blocks``).  Every slice must
-come out bit for bit as the one-slice group ``[params]`` gives it, and each group's arrays
-must be gone before the next group's ``eigh``.
+and the coefficient rows of a_1(t) once (``first_order_moment_blocks``); the scalar
+closed forms run once a sweep, over the whole grid.  Every slice must come out bit for
+bit as the one-slice group ``[params]`` and the one-slice closed-form call give it, and
+each group's arrays must be gone before the next group's ``eigh``.
 """
 
 import gc
@@ -29,14 +30,25 @@ from anharmonic.perturbative import (
 )
 from anharmonic.sweep import WITNESS_NAMES, WITNESSES, SweepSpec, run_sweep
 
-#: (mode, witnesses): both matrix paths, and the first-order path alone.
+#: (mode, witnesses): both matrix paths, the first-order path alone, and the
+#: scalar closed forms alone.
 MODES = [("exact", WITNESS_NAMES), ("compare", WITNESS_NAMES),
-         ("closed_form", ("quadrature", "hillery"))]
+         ("closed_form", ("quadrature", "hillery")), ("closed_form", ("f", "d1", "d2", "d3", "N"))]
+SCALAR = MODES[3]
 
 amplitudes = st.lists(st.sampled_from([0.0, 0.4, 1.3, 2.0]), min_size=1, max_size=2)
 phases = st.lists(st.sampled_from([0.0, -0.0, 0.7, np.pi / 2, 2.5]), min_size=1, max_size=3)
 #: At 1e-2 the oracle refuses |alpha| = 1.3 and 2.0 at their default dims.
 couplings = st.lists(st.sampled_from([1e-4, 1e-3, 3e-3]), min_size=1, max_size=2)
+
+
+def mode_grids(mode):
+    """(mode, amplitudes, couplings).  The scalar closed forms run no oracle, so
+    there |alpha| reaches 40 and lambda 0."""
+    if mode == SCALAR:
+        return st.tuples(st.just(mode), st.lists(st.floats(0.0, 40.0), min_size=1, max_size=2),
+                         st.lists(st.sampled_from([0.0, 1e-4, 3e-3]), min_size=1, max_size=2))
+    return st.tuples(st.just(mode), amplitudes, couplings)
 
 
 def bits(values):
@@ -65,11 +77,13 @@ def one_slice_walk(spec):
 
 
 @settings(max_examples=30, deadline=None)
-@given(amplitudes, phases, couplings, st.booleans(), st.sampled_from(MODES),
-       st.integers(2, 5))
-@example([0.4, 1.3], [0.0, -0.0, 0.0], [3e-3, 3e-3], True, MODES[1], 3)
-@example([0.0, 0.0], [-0.0, 2.5, 2.5], [3e-3], False, MODES[2], 2)
-def test_group_sweep_is_the_one_slice_walk(alphas, thetas, lams, shared_dim, mode, t_steps):
+@given(st.sampled_from(MODES).flatmap(mode_grids), phases, st.booleans(), st.integers(2, 5))
+@example((MODES[1], [0.4, 1.3], [3e-3, 3e-3]), [0.0, -0.0, 0.0], True, 3)
+@example((MODES[2], [0.0, 0.0], [3e-3]), [-0.0, 2.5, 2.5], False, 2)
+# at 6.52... numpy's array ** rounds |alpha|^2 unlike C pow
+@example((SCALAR, [40.0, 6.5208984171594375], [0.0, 3e-3]), [0.7, -0.0, np.pi / 2], False, 4)
+def test_group_sweep_is_the_one_slice_walk(grid, thetas, shared_dim, t_steps):
+    mode, alphas, lams = grid
     # a fixed dim puts two amplitudes on one dimension, each still its own group
     dim = default_dim(max(alphas)) + 1 if shared_dim else None
     spec = SweepSpec(alpha_mag=alphas, theta=thetas, lam=lams, t_start=0.0, t_end=3.0,

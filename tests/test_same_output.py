@@ -39,8 +39,9 @@ def test_changed_output_is_reported(tmp_path, capsys):
 
 def test_moved_values_are_reported_per_witness_and_column(tmp_path, capsys):
     src = changed_copy(tmp_path, "perturbative.py",
-                       "return inputs.alpha_mag**2 + mean_photon_correction(inputs)",
-                       "return (inputs.alpha_mag**2 + mean_photon_correction(inputs)) * (1 + 1e-12)")
+                       "return np.float_power(inputs.alpha_mag, 2) + mean_photon_correction(inputs)",
+                       "return (np.float_power(inputs.alpha_mag, 2) + mean_photon_correction(inputs))"
+                       " * (1 + 1e-12)")
     assert same_output.main([str(src), *ARGS]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "exact_large_alpha seed=0: csv differs, in values"
@@ -177,7 +178,11 @@ def test_cli_edge_case_catches_a_flipped_zero(tmp_path, capsys):
 
 REFUSALS = {"cli_spec_error_case": (2, "spec error: t_steps: need at least 2 grid points"),
             "cli_overflow_case": (3, "precondition error: ModelParams(alpha_mag=1.0, theta=0.0, "
-                                     "lam=1e+308): H at dim 29 is not finite")}
+                                     "lam=1e+308): H at dim 29 is not finite"),
+            # the theta = 0 slice of the same (|alpha|, lambda) group passes first
+            "cli_refusal_order_case": (3, "precondition error: ModelParams(alpha_mag=1000.0, "
+                                          "theta=0.39269908169872414, lam=0.001): a closed-form "
+                                          "value is not finite")}
 
 
 def test_refused_cli_cases_compare_their_exit_and_stderr_line(capsys):

@@ -289,7 +289,7 @@ class TestColumns:
         spec = small_spec(alpha_mag=(0.5, 1.0), lam=(1e-3, 1e-4), mode="compare",
                           t_steps=17, output_path=str(tmp_path / "s.csv"))
         run_sweep(spec)
-        # one ClosedFormInputs a sweep, moved to each group's |alpha| and lambda by ``at``
+        # one ClosedFormInputs a sweep, over its whole grid
         assert counts == {"ClosedFormInputs": 1, "MomentSet": 16}
 
     def test_sweep_classifies_once(self, monkeypatch):
@@ -307,7 +307,7 @@ class TestColumns:
         # one label array per sweep
         assert len(calls) == 1
 
-    def test_closed_forms_run_once_per_group_on_one_phase_table(self, monkeypatch):
+    def test_closed_forms_run_once_per_sweep_on_one_phase_table(self, monkeypatch):
         tables, pieces, forms = [], [], []
 
         class RecordedTable(perturbative.PhaseTable):
@@ -335,17 +335,21 @@ class TestColumns:
         assert set(vars(table)) == {"p1", "p2", "secular", "sin_t", "sin_2t", "sin_t_2theta"}
         assert sorted(name for name, *_ in pieces) == ["phase_fundamental",
                                                        "phase_second_harmonic", "secular_factor"]
-        # each closed form once a group, in (alpha, lambda) order, over every theta
-        calls = [(name, order, ci.alpha_mag, ci.lam, ci.theta.tolist())
-                 for name, *args in forms for *order, ci in [args]]
-        assert calls == [(name, order, a, lam, list(spec.theta))
-                         for a, lam in product(spec.alpha_mag, spec.lam)
-                         for name, order in (("squeezing_witness_f", []), ("hoa_witness_d", [1]),
-                                             ("hoa_witness_d", [2]), ("hoa_witness_d", [3]),
-                                             ("mean_photon_number", []))]
+        # each closed form once a sweep, on one inputs that holds that table and
+        # the sweep's |alpha|, theta and lambda as arrays
+        [inputs] = {id(ci): ci for *_, ci in forms}.values()
+        assert inputs.phases is table
+        assert [(name, order) for name, *order, _ in forms] == [
+            ("squeezing_witness_f", []), ("hoa_witness_d", [1]), ("hoa_witness_d", [2]),
+            ("hoa_witness_d", [3]), ("mean_photon_number", [])]
+        assert (inputs.alpha_mag.shape, inputs.theta.shape, inputs.lam.shape) == (
+            (3, 1, 1, 1), (3,), (2, 1))
+        assert [inputs.alpha_mag.ravel().tolist(), inputs.theta.tolist(),
+                inputs.lam.ravel().tolist()] == [list(spec.alpha_mag), list(spec.theta),
+                                                 list(spec.lam)]
         for s, (a, th, lam) in enumerate(spec.slices()):
-            inputs = ClosedFormInputs(a, th, lam, spec.t_grid())
-            assert result.value_cf[s, :, 0].tolist() == squeezing_witness_f(inputs).tolist()
+            point = ClosedFormInputs(a, th, lam, spec.t_grid())
+            assert result.value_cf[s, :, 0].tolist() == squeezing_witness_f(point).tolist()
 
     def test_rebinding_a_closed_form_reaches_the_sweep(self, monkeypatch):
         monkeypatch.setattr(sweep, "squeezing_witness_f", first_order_squeezing_f)
