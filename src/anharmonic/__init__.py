@@ -20,6 +20,7 @@ from .criteria import (
 from .dynamics import (
     MONOMIALS,
     MomentSet,
+    coherent_inputs,
     coherent_moment_set,
     evolve_blocks,
     exact_moment_blocks,

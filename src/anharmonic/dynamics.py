@@ -12,13 +12,14 @@ space.  The truncation cuts the x^4 couplings of the top 4 levels, so a state
 that reaches them, its coherent input or at any time of any slice, is refused
 (``fock.EDGE_TOLERANCE``) before its block is used: the oracle's one truncation
 rule.  So is a grid long enough that the rounding of its phases w t,
-eps |t| max(w), passes ``PHASE_TOLERANCE``.  Each call takes its dim and checks
-it against the dense-matrix ceiling (``fock.check_dim``).  Slices that share lam
-(a sweep's theta slices at one |alpha|) form a group, which builds H, its
-``eigh`` and the exp(-iwt) table once and drops them when its last slice is
-done; each slice projects its own input.  Only the band of the lam-independent
-(a^dag + a)^4, its nine diagonals, is kept between calls, for the latest dim, and
-H is written from it into one zeroed dim x dim array.
+eps |t| max(w), passes ``PHASE_TOLERANCE``.  ``coherent_inputs`` checks a dim
+(``fock.check_dim``) and builds and judges the inputs once; the kernels evolve
+its rows, in as many levels as a row has.  Slices that share lam (a sweep's
+theta slices at one |alpha|) form a group, which builds H, its ``eigh`` and the
+exp(-iwt) table once and drops them when its last slice is done; each slice
+projects its own input.  Only the band of the lam-independent (a^dag + a)^4, its
+nine diagonals, is kept between calls, for the latest dim, and H is written from
+it into one zeroed dim x dim array.
 
 Moments are reported in the interaction frame that removes the free rotation:
 a normally ordered monomial a^dag^m a^n evaluated in the evolved state picks
@@ -160,30 +161,32 @@ def _check_edge(top, params, what: str, remedy: str) -> None:
                               f"levels, above {EDGE_TOLERANCE:.0e}; {remedy}")
 
 
-def coherent_inputs(params_list, dim: int) -> list:
-    """The coherent input of each params in ``dim`` levels, as amplitude arrays,
-    all built before any is checked; the edge check refuses (TruncationError,
-    naming the params) the first whose top ``EDGE_LEVELS`` levels hold more than
-    ``EDGE_TOLERANCE``."""
-    inputs = [coherent_state(params.alpha, dim).amplitudes for params in params_list]
+def coherent_inputs(params_list, dim: int) -> np.ndarray:
+    """The coherent input of each params in ``dim`` levels, the rows of one read-only
+    (len(params_list), dim) array.  ``dim`` is checked first (``fock.check_dim``);
+    every input is built before any is judged, and the edge check refuses
+    (TruncationError, naming the params) the first whose top ``EDGE_LEVELS`` levels
+    hold more than ``EDGE_TOLERANCE``."""
+    dim = check_dim(dim)
+    inputs = np.array([coherent_state(p.alpha, dim).amplitudes for p in params_list])
     for params, psi0 in zip(params_list, inputs):
         _check_edge(np.abs(psi0[-EDGE_LEVELS:]) ** 2, params, "the input state",
                     f"the dim {default_dim(params.alpha_mag)} of --dim auto holds it")
+    inputs.flags.writeable = False
     return inputs
 
 
-def evolve_blocks(params_list, ts, dim: int):
-    """Spectral evolution of a whole time grid, in ``dim`` levels, for each params
-    of a group that shares lam: yields, per params, the (T, dim) block whose row j
-    is psi(ts[j]) = V exp(-i Lambda t) V^T |alpha>.
+def evolve_blocks(params_list, ts, inputs: np.ndarray):
+    """Spectral evolution of a whole time grid for each params of a group that
+    shares lam, from its row of the checked ``inputs`` (``coherent_inputs``, one row
+    a params, zipped strictly): yields, per params, the (T, dim) block whose row j
+    is psi(ts[j]) = V exp(-i Lambda t) V^T |alpha>.  It builds no state.
 
-    ``dim`` is checked first (``fock.check_dim``).  The edge check, the oracle's
-    one truncation rule, refuses (TruncationError, naming the params) a state
-    whose top ``EDGE_LEVELS`` levels hold more than ``EDGE_TOLERANCE``: every
-    coherent input (``coherent_inputs``), before H is built, and every block, at
-    each t, before it is yielded.  H, its ``eigh`` and the (T, dim) phase table
-    exp(-i w t) are built once per group and dropped when the last block is
-    done.  Each block is one stacked matrix-vector product over the phased
+    The edge check, the oracle's one truncation rule, refuses (TruncationError,
+    naming the params) a block whose top ``EDGE_LEVELS`` levels hold more than
+    ``EDGE_TOLERANCE`` at any t, before it is yielded.  H, its ``eigh`` and the
+    (T, dim) phase table exp(-i w t) are built once per group and dropped when the
+    last block is done.  Each block is one stacked matrix-vector product over the phased
     eigenbasis coefficients of its own input; each row is bit-identical to
     evolving its time alone, in any group.  An H or a state that overflowed
     raises FloatingPointError naming the params (for H, the group's first, and
@@ -194,8 +197,7 @@ def evolve_blocks(params_list, ts, dim: int):
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     lam = group_lam(params_list)
-    dim = check_dim(dim)
-    inputs = coherent_inputs(params_list, dim)
+    dim = inputs.shape[-1]
     w, v = np.linalg.eigh(require_finite(hamiltonian(lam, dim), params_list[0], f"H at dim {dim}"))
     # in Python floats, where an overflow is inf without a warning; a nan t refuses too
     worst = float(np.max(np.abs(ts), initial=0.0))
@@ -207,7 +209,7 @@ def evolve_blocks(params_list, ts, dim: int):
             f"{figure:.3e}, above {PHASE_TOLERANCE:.0e}; at dim {dim} |t| may reach about "
             f"{PHASE_TOLERANCE / scale:.4g}")
     phase = np.exp(-1j * w * ts[:, None])
-    for params, psi0 in zip(params_list, inputs):
+    for params, psi0 in zip(params_list, inputs, strict=True):
         b = v.T @ psi0
         psi = require_finite((v @ (phase * b)[:, :, None])[:, :, 0], params, "the evolved state")
         _check_edge(check_normalized(psi)[:, -EDGE_LEVELS:], params, "the evolved state",
@@ -284,10 +286,10 @@ def ladder_moment_block(bands, psi: np.ndarray) -> np.ndarray:
     return block
 
 
-def exact_moment_blocks(params_list, ts, dim: int):
+def exact_moment_blocks(params_list, ts, inputs: np.ndarray):
     """Yield, per params of a group that shares lam, the interaction-frame moments
-    of the state exactly evolved in ``dim`` levels at every t of ``ts``, one row
-    per t (see ``evolve_blocks``).
+    of its row of ``inputs`` (``coherent_inputs``) exactly evolved at every t of
+    ``ts``, one row per t (see ``evolve_blocks``).
 
     For each monomial: <a^dag^m a^n>_I = e^{i(n-m)t} <psi_t| a^dag^m a^n |psi_t>,
     with a^k psi built by repeated sqrt(n)-weighted shifts, O(dim) per state.
@@ -297,7 +299,7 @@ def exact_moment_blocks(params_list, ts, dim: int):
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     phase = None
-    for psi in evolve_blocks(params_list, ts, dim):
+    for psi in evolve_blocks(params_list, ts, inputs):
         if phase is None:
             phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
             dim = psi.shape[-1]

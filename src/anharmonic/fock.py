@@ -3,9 +3,9 @@
 States are complex amplitude vectors over the number basis |0>..|D-1>,
 operators are dense D x D matrices.  Everything in this module is exact
 finite-dimensional algebra; the only physical approximation is the
-truncation itself.  The exact oracle judges it by one rule: a state, its
-coherent input and every evolved one, may hold at most ``EDGE_TOLERANCE`` in
-the top ``EDGE_LEVELS`` levels of its basis (``dynamics.evolve_blocks``).
+truncation itself.  The exact oracle judges it by one rule: a state, its coherent
+input and every evolved one, may hold at most ``EDGE_TOLERANCE`` in the top
+``EDGE_LEVELS`` levels of its basis (``dynamics.coherent_inputs``, ``evolve_blocks``).
 
 The truncated annihilation matrix has a[n-1, n] = sqrt(n); its conjugate
 transpose is the creation matrix, and a^dag a is the number matrix.  The
@@ -46,9 +46,9 @@ MIN_DIM = 2
 #: (D = 2029).
 MAX_DIM = 2048
 
-#: Most values a sweep may hold in one array: a column of its rows, at 8 B per
-#: cell (16 MB), or a slice's (times, D) ket block.  17 times the largest
-#: canonical sweep; the CSV is written in runs of rows and does not scale with it.
+#: Most values a sweep may hold in one array (a column of its rows, at 8 B a cell, 16 MB,
+#: or a slice's (times, D) ket block) and in the (theta, D) inputs per |alpha| its oracle
+#: keeps.  17 times the largest canonical sweep; the CSV is written in runs of rows.
 MAX_GRID_CELLS = 2**21
 
 

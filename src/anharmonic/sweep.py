@@ -111,9 +111,9 @@ class SweepSpec:
     is not an iterable of names, a non-integral ``t_steps`` or ``dim``, an
     empty, negative or non-finite grid, a t span beyond the float range,
     fewer than two t steps, an unknown mode or witness, a zero lambda in mode
-    ``compare``, a ``dim`` below ``MIN_DIM``, a grid above ``MAX_GRID_CELLS``
-    and an ``output_path`` that is not a str or path, names a directory or
-    lies in a missing one.
+    ``compare``, a ``dim`` below ``MIN_DIM``, a grid above ``MAX_GRID_CELLS``, the
+    exact inputs it keeps (theta x the dims of its alphas) above it too, and an
+    ``output_path`` that is not a str or path, names a directory or lies in a missing one.
     Then, in modes ``exact`` and ``compare``, a dim above ``MAX_DIM`` (given, or
     the heuristic dim of the largest alpha; ``fock.check_dim``) raises
     ``TruncationError``; whether it holds a slice is for the oracle to say.
@@ -184,13 +184,17 @@ class SweepSpec:
                  * len(self.witnesses))
         if any(WITNESSES[w].closed_form is None for w in self.witnesses):
             cells = max(cells, self.t_steps * LEVELS)  # a_1(t)'s (t_steps, LEVELS) ket blocks
-        if self.mode != "closed_form":
-            # the oracle's (t_steps, dim) ket blocks; a dim above MAX_DIM is refused below,
-            # and the heuristic dim of |alpha| = MAX_DIM is above it but finite
-            dim = self.dim_for(min(max(self.alpha_mag), MAX_DIM))
-            cells = max(cells, self.t_steps * min(MAX_DIM, dim))
+        # the oracle's (t_steps, dim) ket blocks, and the (theta, dim) inputs it keeps per
+        # alpha; a dim above MAX_DIM is refused below, and the heuristic dim of
+        # |alpha| = MAX_DIM is above it but finite
+        dims = [min(MAX_DIM, self.dim_for(min(a, MAX_DIM))) for a in self.alpha_mag
+                if self.mode != "closed_form"]
+        cells = max(cells, self.t_steps * max(dims, default=0))
         if cells > MAX_GRID_CELLS:
             raise SweepSpecError(f"t_steps: the grid holds {cells} values in one array, "
+                                 f"above MAX_GRID_CELLS={MAX_GRID_CELLS}")
+        if (kept := len(self.theta) * sum(dims)) > MAX_GRID_CELLS:
+            raise SweepSpecError(f"theta: the exact inputs hold {kept} values, "
                                  f"above MAX_GRID_CELLS={MAX_GRID_CELLS}")
         if self.output_path is not None:
             try:
@@ -254,13 +258,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     of one (alpha, lambda) form a group.  Each scalar closed form is evaluated
     once per sweep, on one ``ClosedFormInputs`` of the whole grid, into the
     value columns.  The exact oracle's group shares H, its eigh and the phase
-    table (see ``exact_moment_blocks``, at ``spec.dim_for(alpha)``), and
-    a_1(t)'s group only the coefficient rows (see ``first_order_moment_blocks``),
-    built once and dropped before the next group's.  Each value is
-    bit-identical to evaluating its slice alone.
+    table (see ``exact_moment_blocks``), and a_1(t)'s group only the coefficient
+    rows (see ``first_order_moment_blocks``), built once and dropped before the
+    next group's.  Each value is bit-identical to evaluating its slice alone.
 
-    In modes ``exact`` and ``compare`` every slice's coherent input is checked
-    (``dynamics.coherent_inputs``) before the first group's H, so an input
+    In modes ``exact`` and ``compare`` every slice's coherent input is built and
+    checked once, per alpha at ``spec.dim_for(alpha)`` (``dynamics.coherent_inputs``),
+    before the first group's H, and kept for every group of its alpha, so an input
     refusal wins over any check of an earlier group.  The other refusals come
     per slice, in (alpha, lambda, theta) order: the oracle's, then a
     closed-form value that is not finite, which the closed forms give as inf
@@ -279,11 +283,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     grid = (len(spec.alpha_mag), len(spec.theta), len(spec.lam), *shape[1:])
     cf = value_cf.reshape(grid)
     ex = value_exact.reshape(grid) if need_exact else None
-    if need_exact:
-        # an input depends on alpha and theta, so the first lambda's slices stand for all
-        for a in spec.alpha_mag:
-            coherent_inputs([ModelParams(a, th, spec.lam[0]) for th in spec.theta],
-                            spec.dim_for(a))
+    # an input depends on alpha and theta, so the first lambda's slices stand for all
+    states = [coherent_inputs([ModelParams(a, th, spec.lam[0]) for th in spec.theta],
+                              spec.dim_for(a)) for a in spec.alpha_mag] if need_exact else None
     # A value that leaves the float range is refused: H and the evolved state in
     # the kernels, a closed-form value below.  The exact values are bounded: a
     # normalized state's moments are at most dim^4, and a phase e^{i(n-m)t},
@@ -304,7 +306,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 group = [ModelParams(a, th, lam) for th in spec.theta]
                 fo_blocks = (first_order_moment_blocks(group, ts) if need_fo
                              else repeat(None, len(group)))
-                exact_blocks = (exact_moment_blocks(group, ts, spec.dim_for(a)) if need_exact
+                exact_blocks = (exact_moment_blocks(group, ts, states[i]) if need_exact
                                 else repeat(None, len(group)))
                 # strict runs each kernel to its end, which drops the group's
                 # eigensystem and bands before the next group builds its own

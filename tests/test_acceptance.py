@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments
-from anharmonic.dynamics import MomentSet, evolve_blocks, exact_moment_blocks, hamiltonian
+from anharmonic.dynamics import (MomentSet, coherent_inputs, evolve_blocks, exact_moment_blocks,
+                                 hamiltonian)
 from anharmonic.fock import (
     EIGENVALUE_RESIDUAL_TOL,
     FockVector,
@@ -85,7 +86,7 @@ def scaling_table():
             for lam in LAMBDAS:
                 params = ModelParams(alpha, th, lam)
                 worst = {(fam, form): 0.0 for fam in ("compact", "first_order") for form in FORMS}
-                [block] = exact_moment_blocks([params], T_GRID_64, dim)
+                [block] = exact_moment_blocks([params], T_GRID_64, coherent_inputs([params], dim))
                 for t, row in zip(T_GRID_64.tolist(), block.tolist()):
                     ex = exact_values(MomentSet(*row))
                     ci = ClosedFormInputs(alpha, th, lam, t)
@@ -197,7 +198,7 @@ class TestCriterion1OracleEquivalence:
                 params = ModelParams(alpha, th, lam)
                 worst = 0.0
                 ts = T_GRID_64[::4]
-                [block] = exact_moment_blocks([params], ts, dim)
+                [block] = exact_moment_blocks([params], ts, coherent_inputs([params], dim))
                 for t, row in zip(ts.tolist(), block.tolist()):
                     m = MomentSet(*row)
                     exact_dy1 = hillery_squeezing(m) + 2.0 * m.ada.real + 1.0
@@ -319,11 +320,12 @@ class TestCriterion7StructuralSuite:
         # unitarity and energy conservation over two revivals
         params, dim = ModelParams(1.5, 0.7, 1e-2), default_dim(1.5)
         h = hamiltonian(params.lam, dim)
-        [[psi0]] = evolve_blocks([params], [0.0], dim)
+        [[psi0]] = evolve_blocks([params], [0.0], coherent_inputs([params], dim))
         e0 = expectation(FockVector(psi0), h).real
         worst_norm = 0.0
         worst_energy = 0.0
-        [block] = evolve_blocks([params], np.linspace(0.0, 4 * np.pi, 48), dim)
+        [block] = evolve_blocks([params], np.linspace(0.0, 4 * np.pi, 48),
+                                coherent_inputs([params], dim))
         for psi in block:
             st = FockVector(psi)
             worst_norm = max(worst_norm, abs(st.norm() - 1.0))
@@ -337,8 +339,8 @@ class TestCriterion7StructuralSuite:
         for alpha_mag in (1.0, 2.0):
             params, dim = ModelParams(alpha_mag, np.pi / 4, 1e-2), default_dim(alpha_mag)
             ts = [0.0, 2 * np.pi, 4 * np.pi]
-            [block1] = exact_moment_blocks([params], ts, dim)
-            [block2] = exact_moment_blocks([params], ts, 2 * dim)
+            [block1] = exact_moment_blocks([params], ts, coherent_inputs([params], dim))
+            [block2] = exact_moment_blocks([params], ts, coherent_inputs([params], 2 * dim))
             for row1, row2 in zip(block1.tolist(), block2.tolist()):
                 m1, m2 = MomentSet(*row1), MomentSet(*row2)
                 worst_drift = max(worst_drift, max(

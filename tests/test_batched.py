@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from anharmonic.dynamics import (
     MONOMIALS,
     apply_banded,
+    coherent_inputs,
     evolve_blocks,
     exact_moment_blocks,
     ladder_moment_block,
@@ -81,10 +82,10 @@ def test_banded_first_order_matches_dense_matrix(a, th, lam, ts):
 def test_batch_rows_are_bit_identical_to_single_times(a, th, lam, ts):
     params = ModelParams(a, th, lam)
     [fo] = first_order_moment_blocks([params], ts)
-    [ex] = exact_moment_blocks([params], ts, doubled(a))
+    [ex] = exact_moment_blocks([params], ts, coherent_inputs([params], doubled(a)))
     for j, t in enumerate(ts):
         [[fo_t]] = first_order_moment_blocks([params], [t])
-        [[ex_t]] = exact_moment_blocks([params], [t], doubled(a))
+        [[ex_t]] = exact_moment_blocks([params], [t], coherent_inputs([params], doubled(a)))
         assert np.array_equal(fo[j], fo_t)
         assert np.array_equal(ex[j], ex_t)
 
@@ -92,7 +93,8 @@ def test_batch_rows_are_bit_identical_to_single_times(a, th, lam, ts):
 @PROPERTY
 @given(alphas, thetas, lams, grids)
 def test_norm_is_conserved(a, th, lam, ts):
-    [psi] = evolve_blocks([ModelParams(a, th, lam)], ts, doubled(a))
+    group = [ModelParams(a, th, lam)]
+    [psi] = evolve_blocks(group, ts, coherent_inputs(group, doubled(a)))
     assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) < 1e-12)
 
 
@@ -100,7 +102,7 @@ def test_norm_is_conserved(a, th, lam, ts):
 @given(alphas, thetas, lams, grids)
 def test_even_level_population_is_conserved(a, th, lam, ts):
     params = ModelParams(a, th, lam)
-    [psi] = evolve_blocks([params], ts, doubled(a))
+    [psi] = evolve_blocks([params], ts, coherent_inputs([params], doubled(a)))
     even = np.abs(psi[:, ::2]) ** 2
     start = np.sum(np.abs(coherent_state(params.alpha, doubled(a)).amplitudes[::2]) ** 2)
     assert np.all(np.abs(even.sum(axis=1) - start) <= 1e-12)
@@ -110,7 +112,7 @@ def test_even_level_population_is_conserved(a, th, lam, ts):
 @given(alphas, thetas, lams, grids)
 def test_diagonal_moments_are_real(a, th, lam, ts):
     params = ModelParams(a, th, lam)
-    [ex] = exact_moment_blocks([params], ts, doubled(a))
+    [ex] = exact_moment_blocks([params], ts, coherent_inputs([params], doubled(a)))
     [fo] = first_order_moment_blocks([params], ts)
     for block in (ex, fo):
         assert np.all(np.abs(block[:, DIAGONAL].imag) <= 1e-12 * scale(a)[DIAGONAL])
@@ -338,8 +340,8 @@ def test_time_grid_beyond_the_time_bound_is_refused():
     params = ModelParams(1.0, 0.0, 1e-3)
     with pytest.raises(TruncationError, match=re.escape(
             "at |t| = 1000000000.0 round by eps |t| max(w) = 6.352e-06, above 1e-10")):
-        list(exact_moment_blocks([params], [0.0, 1e9], 29))
-    [block] = exact_moment_blocks([params], [0.0, 1e4], 29)
+        list(exact_moment_blocks([params], [0.0, 1e9], coherent_inputs([params], 29)))
+    [block] = exact_moment_blocks([params], [0.0, 1e4], coherent_inputs([params], 29))
     assert block.shape == (2, 7)
 
 
@@ -348,4 +350,4 @@ def test_time_bound_is_checked_before_any_arithmetic_on_the_grid(t):
     # t = 1e308 would overflow the phase table, which warnings turn into errors
     params = ModelParams(1.0, 0.0, 1e-3)
     with pytest.raises(TruncationError, match=re.escape(f"at |t| = {t!r} round by ")):
-        list(exact_moment_blocks([params], [0.0, t], 29))
+        list(exact_moment_blocks([params], [0.0, t], coherent_inputs([params], 29)))

@@ -29,7 +29,7 @@ from anharmonic.cli import (
     parse_number_list,
     read_config,
 )
-from anharmonic.dynamics import exact_moment_blocks
+from anharmonic.dynamics import coherent_inputs, exact_moment_blocks
 from anharmonic.fock import MIN_DIM, ModelParams, TruncationError, default_dim
 from anharmonic.sweep import CSV_HEADER, MODES, WITNESS_NAMES, WITNESSES, SweepSpecError
 
@@ -122,7 +122,7 @@ CONVERGENCE_TOL = 1e-9
 def doubled_dim_drift(block, params, ts, dim):
     """Largest change of the moments ``block`` of ``params``'s slice on ``ts`` at
     ``dim`` when the slice is evaluated at twice that dim, relative to max(1, |moment|)."""
-    [doubled] = exact_moment_blocks([params], ts, 2 * dim)
+    [doubled] = exact_moment_blocks([params], ts, coherent_inputs([params], 2 * dim))
     return float(np.max(np.abs(block - doubled) / np.maximum(1.0, np.abs(doubled))))
 
 
@@ -343,7 +343,7 @@ class TestMain:
         params, dim = ModelParams(a, th, lam), default_dim(a)
         ts = np.linspace(-4 * np.pi, 4 * np.pi, 17)
         try:
-            [block] = exact_moment_blocks([params], ts, dim)
+            [block] = exact_moment_blocks([params], ts, coherent_inputs([params], dim))
         except TruncationError:
             with tempfile.TemporaryDirectory() as tmp:
                 out_csv = Path(tmp) / "rows.csv"
@@ -360,7 +360,7 @@ class TestMain:
 
     def test_the_free_vacuum_is_the_same_at_doubled_dimension(self):
         params, ts = ModelParams(0.0, 0.0, 0.0), np.linspace(-4 * np.pi, 4 * np.pi, 17)
-        [block] = exact_moment_blocks([params], ts, 20)
+        [block] = exact_moment_blocks([params], ts, coherent_inputs([params], 20))
         assert doubled_dim_drift(block, params, ts, 20) == 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -454,6 +454,17 @@ class TestMain:
         assert text == "" and not out_csv.exists()
         assert "spec error: t_steps:" in capsys.readouterr().err
 
+    def test_the_exact_inputs_above_the_ceiling_are_refused_before_any_state(
+            self, tmp_path, no_dense_allocation, capsys):
+        # at |alpha| = 38, D = 1768, 1187 thetas keep more than MAX_GRID_CELLS inputs
+        out_csv = tmp_path / "rows.csv"
+        argv = ("--alpha", "38", "--theta", ",".join(map(repr, np.linspace(0.0, 3.0, 1187).tolist())),
+                "--t-steps", "2", "--witness", "N", "--out", str(out_csv))
+        assert self.run(*argv, "--mode", "exact") == (EXIT_SPEC_ERROR, "")
+        assert not out_csv.exists()
+        assert capsys.readouterr().err == ("spec error: theta: the exact inputs hold 2098616 "
+                                           "values, above MAX_GRID_CELLS=2097152\n")
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("argv", [("--lambda", "1e308", "--witness", "N,f,d1"),
                                       ("--lambda", "1e300"), ("--t-end", "1e300"),
@@ -508,7 +519,8 @@ class TestMain:
             ts = spec.t_grid()
             for a, th, lam in spec.slices():
                 params = ModelParams(a, th, lam)
-                [block] = exact_moment_blocks([params], ts, spec.dim_for(a))
+                [block] = exact_moment_blocks([params], ts,
+                                              coherent_inputs([params], spec.dim_for(a)))
                 assert doubled_dim_drift(block, params, ts, spec.dim_for(a)) < CONVERGENCE_TOL, params
 
     @pytest.mark.parametrize("to_dir", [True, False], ids=["directory", "empty"])

@@ -31,6 +31,7 @@ from anharmonic.criteria import (
 from anharmonic.dynamics import (
     MONOMIALS,
     MomentSet,
+    coherent_inputs,
     coherent_moment_set,
     exact_moment_blocks,
 )
@@ -197,7 +198,7 @@ def assert_columns_are_rows(block):
 def test_column_witnesses_are_their_row_witnesses_on_oracle_moments(a, th, lam, ts):
     # at twice the default dim, where the exact oracle accepts every draw
     params = ModelParams(a, th, lam)
-    [ex] = exact_moment_blocks([params], ts, 2 * default_dim(a))
+    [ex] = exact_moment_blocks([params], ts, coherent_inputs([params], 2 * default_dim(a)))
     [fo] = first_order_moment_blocks([params], ts)
     assert_columns_are_rows(ex)
     assert_columns_are_rows(fo)
@@ -217,7 +218,8 @@ def test_column_witnesses_are_their_row_witnesses_on_any_moments(rows):
 def test_column_values_classify_like_row_values():
     # t = 0 is the coherent input, where every witness sits in the boundary band;
     # twice the default dim holds the state away from the edge of the basis
-    [block] = exact_moment_blocks([ModelParams(2.0, 0.4, 1e-2)], np.linspace(0.0, np.pi, 9), 80)
+    group = [ModelParams(2.0, 0.4, 1e-2)]
+    [block] = exact_moment_blocks(group, np.linspace(0.0, np.pi, 9), coherent_inputs(group, 80))
     for name, witness in WITNESS_VALUES.items():
         labels = classify(witness(column_set(block)))
         assert labels.tolist() == [classify(witness(MomentSet(*row))) for row in block.tolist()], name
@@ -228,7 +230,8 @@ def test_column_values_classify_like_row_values():
 def test_witnesses_return_a_float_for_scalars_and_an_array_for_columns(name):
     witness = WITNESS_VALUES[name]
     assert isinstance(witness(coherent_moment_set(1.3 * np.exp(0.4j))), float)
-    [block] = exact_moment_blocks([ModelParams(1.3, 0.4, 1e-3)], np.linspace(0.0, 1.0, 3), 33)
+    group = [ModelParams(1.3, 0.4, 1e-3)]
+    [block] = exact_moment_blocks(group, np.linspace(0.0, 1.0, 3), coherent_inputs(group, 33))
     values = witness(column_set(block))
     assert type(values) is np.ndarray and values.dtype == float and values.shape == (3,)
 

@@ -15,6 +15,7 @@ from anharmonic.criteria import (
 )
 from anharmonic.dynamics import (
     MomentSet,
+    coherent_inputs,
     coherent_moment_set,
     exact_moment_blocks,
     ladder_moment_block,
@@ -67,7 +68,7 @@ class TestCoherentNullity:
 
     def test_boundary_on_numerically_built_coherent_state(self):
         p = ModelParams(1.5, 0.9, 0.0)
-        [[row]] = exact_moment_blocks([p], [0.0], default_dim(1.5))
+        [[row]] = exact_moment_blocks([p], [0.0], coherent_inputs([p], default_dim(1.5)))
         m = MomentSet(*row.tolist())
         for witness in ALL_WITNESSES.values():
             assert classify(witness(m)) == BOUNDARY
@@ -86,7 +87,7 @@ class TestQuadratureSqueezing:
         # weak quartic interaction at alpha = 1, theta = pi/2, t = 1:
         # the quadrature variance grows, no ordinary squeezing at this point
         p = ModelParams(1.0, np.pi / 2, 1e-3)
-        [[row]] = exact_moment_blocks([p], [1.0], 29)
+        [[row]] = exact_moment_blocks([p], [1.0], coherent_inputs([p], 29))
         value = quadrature_squeezing(MomentSet(*row.tolist()))
         assert value > 1e-4
         assert classify(value) == CLASSICAL
@@ -105,7 +106,7 @@ class TestAntibunching:
         # (|alpha|=1, theta=pi/4, lam=1e-3, t=pi/4): the closed form gives
         # -3 lam < 0, and the exact witness shares the sign
         p = ModelParams(1.0, np.pi / 4, 1e-3)
-        [[row]] = exact_moment_blocks([p], [np.pi / 4], 29)
+        [[row]] = exact_moment_blocks([p], [np.pi / 4], coherent_inputs([p], 29))
         value = hoa_d_from_moments(MomentSet(*row.tolist()), 1)
         assert value < -1e-4
         assert classify(value) == NONCLASSICAL
@@ -116,7 +117,7 @@ class TestHillerySqueezing:
         # theta = pi/2, lam = 1e-3, |alpha| = 1, t = pi/2: first order gives
         # -(3 lam / 4) * 20 = -0.015; exact deviates only at O(lam^2)
         p = ModelParams(1.0, np.pi / 2, 1e-3)
-        [[row]] = exact_moment_blocks([p], [np.pi / 2], 29)
+        [[row]] = exact_moment_blocks([p], [np.pi / 2], coherent_inputs([p], 29))
         value = hillery_squeezing(MomentSet(*row.tolist()))
         assert abs(value - (-0.015)) < 5e-4
         assert classify(value) == NONCLASSICAL
@@ -139,8 +140,9 @@ class TestLeeR:
             lee_R(number_state_moments(0), 1, 1)
 
     def test_columns_give_the_row_values(self):
-        [block] = exact_moment_blocks([ModelParams(1.3, 0.4, 1e-2)], np.linspace(0.0, 1.0, 5),
-                                      default_dim(1.3))
+        group = [ModelParams(1.3, 0.4, 1e-2)]
+        [block] = exact_moment_blocks(group, np.linspace(0.0, 1.0, 5),
+                                      coherent_inputs(group, default_dim(1.3)))
         values = lee_R(MomentSet(*block.T), 2, 1)
         rows = [lee_R(MomentSet(*row), 2, 1) for row in block.tolist()]
         assert type(values) is np.ndarray and all(isinstance(v, float) for v in rows)
@@ -170,7 +172,7 @@ class TestHoaD:
         assert abs(hoa_witness_d(3, ci) - (-7.5e-5)) < 1e-12
 
         p = ModelParams(1.0, np.pi / 4, 1e-4)
-        [[row]] = exact_moment_blocks([p], [np.pi / 4], 29)
+        [[row]] = exact_moment_blocks([p], [np.pi / 4], coherent_inputs([p], 29))
         value = hoa_d_from_moments(MomentSet(*row.tolist()), 3)
         assert abs(value - first_order_hoa_d(3, ci)) < 5e-5
         assert classify(value) == NONCLASSICAL

@@ -13,6 +13,7 @@ from anharmonic.dynamics import (
     PHASE_TOLERANCE,
     MomentSet,
     _quartic,
+    coherent_inputs,
     coherent_moment_set,
     evolve_blocks,
     exact_moment_blocks,
@@ -106,29 +107,29 @@ class TestParity:
 class TestEvolveBlocks:
     def test_identity_at_t_zero(self):
         p, dim = auto(1.2, 0.7, 1e-2)
-        [[psi]] = evolve_blocks([p], [0.0], dim)
+        [[psi]] = evolve_blocks([p], [0.0], coherent_inputs([p], dim))
         ref = coherent_state(p.alpha, dim)
         assert np.allclose(psi, ref.amplitudes, atol=1e-13)
 
     def test_free_evolution_conserves_occupations(self):
         p, dim = auto(1.5, 0.3, 0.0)
         ref = np.abs(coherent_state(p.alpha, dim).amplitudes)
-        [block] = evolve_blocks([p], [0.5, 2.0, 11.0], dim)
+        [block] = evolve_blocks([p], [0.5, 2.0, 11.0], coherent_inputs([p], dim))
         for psi in block:
             assert np.allclose(np.abs(psi), ref, atol=1e-13)
 
     @pytest.mark.parametrize("alpha_mag,lam", [(1.0, 1e-2), (2.0, 1e-3)])
     def test_unitarity_over_two_revivals(self, alpha_mag, lam):
         p, dim = auto(alpha_mag, 0.4, lam)
-        [psi] = evolve_blocks([p], np.linspace(0.0, 4 * np.pi, 40), dim)
+        [psi] = evolve_blocks([p], np.linspace(0.0, 4 * np.pi, 40), coherent_inputs([p], dim))
         assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) < 1e-10)
 
     def test_energy_conservation(self):
         p, dim = auto(1.5, np.pi / 3, 1e-2)
         h = hamiltonian(p.lam, dim)
-        [[psi0]] = evolve_blocks([p], [0.0], dim)
+        [[psi0]] = evolve_blocks([p], [0.0], coherent_inputs([p], dim))
         e0 = expectation(FockVector(psi0), h).real
-        [block] = evolve_blocks([p], np.linspace(0.1, 4 * np.pi, 17), dim)
+        [block] = evolve_blocks([p], np.linspace(0.1, 4 * np.pi, 17), coherent_inputs([p], dim))
         for psi in block:
             et = expectation(FockVector(psi), h).real
             assert abs(et - e0) < 1e-9 * abs(e0)
@@ -139,18 +140,18 @@ class TestEvolveBlocks:
         longest = PHASE_TOLERANCE / (sys.float_info.epsilon * float(np.linalg.eigvalsh(
             hamiltonian(p.lam, dim))[-1]))
         assert 1.5e4 < longest < 1.6e4  # max(w) = 28.6 at D = 29
-        [psi] = evolve_blocks([p], [0.0, -longest * (1 - 1e-6)], dim)
+        [psi] = evolve_blocks([p], [0.0, -longest * (1 - 1e-6)], coherent_inputs([p], dim))
         assert psi.shape == (2, dim)
         message = (f"{p}: the phases w t at |t| = {longest * (1 + 1e-6)!r} round by "
                    f"eps |t| max(w) = 1.000e-10, above 1e-10; at dim 29 |t| may reach about "
                    f"{longest:.4g}")
         with pytest.raises(TruncationError, match=re.escape(message)):
-            list(evolve_blocks([p], [0.0, longest * (1 + 1e-6)], dim))
+            list(evolve_blocks([p], [0.0, longest * (1 + 1e-6)], coherent_inputs([p], dim)))
 
     def test_deterministic_across_calls(self):
         p, dim = auto(1.0, 0.2, 1e-3)
-        [s1] = evolve_blocks([p], [1.3], dim)
-        [s2] = evolve_blocks([p], [1.3], dim)
+        [s1] = evolve_blocks([p], [1.3], coherent_inputs([p], dim))
+        [s2] = evolve_blocks([p], [1.3], coherent_inputs([p], dim))
         assert np.array_equal(s1, s2)
 
 
@@ -160,7 +161,8 @@ class TestEvolveBlocks:
 def test_overflow_is_refused_naming_the_parameters(lam, t, what):
     message = f"(alpha_mag=0.5, theta=0.25, lam={lam!r}): {what} at dim 25 is not finite"
     with pytest.raises(FloatingPointError, match=re.escape(message)):
-        list(evolve_blocks([ModelParams(0.5, 0.25, lam)], [t], 25))
+        group = [ModelParams(0.5, 0.25, lam)]
+        list(evolve_blocks(group, [t], coherent_inputs(group, 25)))
 
 
 def test_a_grid_whose_state_would_overflow_meets_the_time_bound():
@@ -169,7 +171,8 @@ def test_a_grid_whose_state_would_overflow_meets_the_time_bound():
     message = ("(alpha_mag=0.5, theta=0.25, lam=1e+302): "
                "the phases w t at |t| = 10000000000.0 ")
     with pytest.raises(TruncationError, match=re.escape(message)):
-        list(evolve_blocks([ModelParams(0.5, 0.25, 1e302)], [1e10], 25))
+        group = [ModelParams(0.5, 0.25, 1e302)]
+        list(evolve_blocks(group, [1e10], coherent_inputs(group, 25)))
 
 
 class TestRetention:
@@ -181,7 +184,8 @@ class TestRetention:
         tracemalloc.start()
         try:
             for j in range(100):
-                [psi] = evolve_blocks([ModelParams(1.0, 0.3, 1e-4 * (j + 1))], [0.5], dim)
+                group = [ModelParams(1.0, 0.3, 1e-4 * (j + 1))]
+                [psi] = evolve_blocks(group, [0.5], coherent_inputs(group, dim))
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
@@ -225,7 +229,8 @@ class TestMemory:
         _quartic.cache_clear()
         params = ModelParams(1.0, 0.3, 1e-3)
         peak, retained = traced(
-            lambda: list(exact_moment_blocks([params], np.linspace(0.0, np.pi, 16), 582)))
+            lambda: list(exact_moment_blocks([params], np.linspace(0.0, np.pi, 16),
+                                             coherent_inputs([params], 582))))
         assert peak <= 3.3  # 4.18 with a dense memo, 3.19 from the band
         assert retained <= 0.05  # the band; a dense memo left 1.00
 
@@ -233,7 +238,7 @@ class TestMemory:
 class TestInteractionMoments:
     def test_initial_condition_matches_coherent_moments(self):
         p, dim = auto(1.4, 0.9, 1e-2)
-        [block] = exact_moment_blocks([p], [0.0], dim)
+        [block] = exact_moment_blocks([p], [0.0], coherent_inputs([p], dim))
         m = MomentSet(*block.tolist()[0])
         ref = coherent_moment_set(p.alpha)
         for f in MOMENT_FIELDS:
@@ -242,7 +247,7 @@ class TestInteractionMoments:
     def test_free_case_is_static_in_the_rotating_frame(self):
         p, dim = auto(1.4, 0.9, 0.0)
         ref = coherent_moment_set(p.alpha)
-        [block] = exact_moment_blocks([p], [0.7, 3.1, 9.4], dim)
+        [block] = exact_moment_blocks([p], [0.7, 3.1, 9.4], coherent_inputs([p], dim))
         for row in block.tolist():
             m = MomentSet(*row)
             for f in MOMENT_FIELDS:
@@ -250,7 +255,7 @@ class TestInteractionMoments:
 
     def test_diagonal_moments_real_nonnegative(self):
         p, dim = auto(1.8, 1.1, 1e-2)
-        [block] = exact_moment_blocks([p], [0.0, 1.0, 5.5], dim)
+        [block] = exact_moment_blocks([p], [0.0, 1.0, 5.5], coherent_inputs([p], dim))
         for row in block.tolist():
             m = MomentSet(*row)
             for f in ("ada", "ad2a2", "ad3a3", "ad4a4"):
@@ -264,8 +269,8 @@ class TestInteractionMoments:
         p, dim = auto(1.3, 0.5, 1e-2)
         _, _, n = make_ladder_ops(dim)
         ts = [0.4, 2.2, 6.0]
-        [psi] = evolve_blocks([p], ts, dim)
-        [block] = exact_moment_blocks([p], ts, dim)
+        [psi] = evolve_blocks([p], ts, coherent_inputs([p], dim))
+        [block] = exact_moment_blocks([p], ts, coherent_inputs([p], dim))
         for row, moments in zip(psi, block.tolist()):
             m = MomentSet(*moments)
             assert m.ada.imag == 0.0 or abs(m.ada.imag) < 1e-13
@@ -275,8 +280,8 @@ class TestInteractionMoments:
         for alpha_mag in (1.0, 2.0):
             p, dim = auto(alpha_mag, np.pi / 4, 1e-2)
             ts = [0.0, np.pi, 4 * np.pi]
-            [block1] = exact_moment_blocks([p], ts, dim)
-            [block2] = exact_moment_blocks([p], ts, 2 * dim)
+            [block1] = exact_moment_blocks([p], ts, coherent_inputs([p], dim))
+            [block2] = exact_moment_blocks([p], ts, coherent_inputs([p], 2 * dim))
             for row1, row2 in zip(block1.tolist(), block2.tolist()):
                 m1, m2 = MomentSet(*row1), MomentSet(*row2)
                 for f in MOMENT_FIELDS:

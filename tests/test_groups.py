@@ -10,20 +10,20 @@ each group's arrays must be gone before the next group's ``eigh``.
 
 import gc
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anharmonic import perturbative, sweep
+from anharmonic import dynamics, perturbative, sweep
 from anharmonic.dynamics import (
     MomentSet,
+    coherent_inputs,
     evolve_blocks,
     exact_moment_blocks,
 )
-from anharmonic.fock import ModelParams, TruncationError, default_dim
+from anharmonic.fock import ModelParams, TruncationError, coherent_state, default_dim
 from anharmonic.perturbative import (
     ClosedFormInputs,
     first_order_moment_blocks,
@@ -69,7 +69,7 @@ def one_slice_walk(spec):
         cf.append([e.moments(fo) if e.closed_form is None else e.closed_form(inputs)
                    for e in entries])
         if spec.mode != "closed_form":
-            [block] = exact_moment_blocks([params], ts, spec.dim_for(a))
+            [block] = exact_moment_blocks([params], ts, coherent_inputs([params], spec.dim_for(a)))
             m = MomentSet(*block.T)
             exact.append([e.moments(m) for e in entries])
     return (np.array(cf).transpose(0, 2, 1),
@@ -97,9 +97,13 @@ def test_group_sweep_is_the_one_slice_walk(grid, thetas, shared_dim, t_steps):
         assert np.array_equal(bits(result.value_exact), bits(exact))
 
 
-#: The three group kernels, the oracle's at one dim.
-KERNELS = [partial(evolve_blocks, dim=34), partial(exact_moment_blocks, dim=34),
-           first_order_moment_blocks]
+def on_inputs(kernel, dim=34):
+    """The oracle's ``kernel`` on the inputs of its group in ``dim`` levels."""
+    return lambda group, ts: kernel(group, ts, coherent_inputs(group, dim))
+
+
+#: The three group kernels, the oracle's on inputs at one dim.
+KERNELS = [on_inputs(evolve_blocks), on_inputs(exact_moment_blocks), first_order_moment_blocks]
 KERNEL_IDS = ["evolve_blocks", "exact_moment_blocks", "first_order_moment_blocks"]
 
 
@@ -121,20 +125,36 @@ def test_a_group_shares_lam(kernel):
         next(kernel([ModelParams(1.0, 0.0, 1e-3), ModelParams(1.0, 0.2, 2e-3)], [0.5]))
 
 
-@pytest.mark.parametrize("kernel", KERNELS[:2], ids=KERNEL_IDS[:2])
-def test_the_oracle_checks_its_dim_for_every_params_of_a_group(kernel):
+def test_the_oracle_checks_its_dim_for_every_params_of_a_group():
     # the smallest dims whose input passes the edge check are 25 for |alpha| = 1.3
     # and 33 for 2.0 (34 holds both), so dim 30 holds 1.3 but not 2.0, wherever it
-    # sits; every input is judged before the group's H is built
+    # sits; every input is judged before any kernel runs
     for group in ([ModelParams(1.3, 0.0, 1e-3), ModelParams(2.0, 0.0, 1e-3)],
                   [ModelParams(2.0, 0.0, 1e-3), ModelParams(1.3, 0.0, 1e-3)]):
         with pytest.raises(TruncationError, match=r"^ModelParams\(alpha_mag=2\.0, .*: the "
                                                   r"input state holds .*; the dim 40 of --dim auto"):
-            next(kernel.func(group, [0.5], 30))
-    [block] = kernel.func([ModelParams(1.3, 0.0, 1e-3)], [0.5], 30)
-    assert block.shape[0] == 1
+            coherent_inputs(group, 30)
+    inputs = coherent_inputs([ModelParams(1.3, 0.0, 1e-3)], 30)
+    assert inputs.shape == (1, 30) and not inputs.flags.writeable
     with pytest.raises(ValueError, match="^dim must be a finite integer"):
-        next(kernel.func([ModelParams(1.3, 0.0, 1e-3)], [0.5], 34.5))
+        coherent_inputs([ModelParams(1.3, 0.0, 1e-3)], 34.5)
+
+
+@pytest.mark.parametrize("kernel", [evolve_blocks, exact_moment_blocks], ids=KERNEL_IDS[:2])
+def test_the_oracle_kernels_build_no_state_and_take_one_input_a_params(kernel, monkeypatch):
+    group = [ModelParams(1.3, 0.0, 1e-3), ModelParams(1.3, 0.7, 1e-3)]
+    inputs = coherent_inputs(group, 30)
+    expected = list(kernel(group, [0.5], inputs))
+
+    def no_state(alpha, dim):
+        raise AssertionError("a kernel built a coherent state")
+
+    monkeypatch.setattr(dynamics, "coherent_state", no_state)
+    blocks = list(kernel(group, [0.5], inputs))
+    assert all(np.array_equal(bits(b), bits(e)) for b, e in zip(blocks, expected, strict=True))
+    # a row of inputs is wanted for every params
+    with pytest.raises(ValueError, match="zip"):
+        list(kernel(group, [0.5], inputs[:1]))
 
 
 @pytest.mark.parametrize("mode", ["exact", "compare"])
@@ -163,6 +183,30 @@ def test_one_eigensystem_per_group_and_none_kept(monkeypatch, mode):
     groups = len(spec.alpha_mag) * len(spec.lam)
     assert len(earlier) == groups == 8
     assert coefficients_built == list(spec.lam) * len(spec.alpha_mag)
+
+
+@pytest.mark.parametrize("grid, builds", [
+    # compare_small_alpha's grid shape: 4 amplitudes x 3 phases x 2 couplings
+    (dict(alpha_mag=(0.5, 1.0, 2.0, 3.0), theta=(0.0, np.pi / 4, np.pi / 2), lam=(1e-3, 1e-4),
+          t_end=2 * np.pi, mode="compare"), 12),
+    # exact_large_alpha's: 2 amplitudes x 1 phase x 3 couplings, at D = 201 and 581
+    (dict(alpha_mag=(10.0, 20.0), theta=(np.pi / 2,), lam=(1e-4, 3e-4, 1e-3), t_end=np.pi,
+          mode="exact"), 2),
+], ids=["compare_small_alpha", "exact_large_alpha"])
+def test_a_sweep_builds_each_input_once(monkeypatch, grid, builds):
+    built = []
+
+    def counted(alpha, dim):
+        built.append((alpha, dim))
+        return coherent_state(alpha, dim)
+
+    monkeypatch.setattr(dynamics, "coherent_state", counted)
+    spec = SweepSpec(t_start=0.0, t_steps=5, witnesses=("N", "f"), **grid)
+    run_sweep(spec)
+    # one build per (|alpha|, theta), in grid order, and none per lambda
+    assert built == [(ModelParams(a, th, 0.0).alpha, spec.dim_for(a))
+                     for a in spec.alpha_mag for th in spec.theta]
+    assert len(built) == builds
 
 
 @pytest.mark.parametrize("mode", ["closed_form", "exact", "compare"])

@@ -4,6 +4,7 @@ import pytest
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments
 from anharmonic.dynamics import (
     MomentSet,
+    coherent_inputs,
     coherent_moment_set,
     exact_moment_blocks,
 )
@@ -40,7 +41,7 @@ def inputs(r, th, lam, t):
 
 def exact_witness(r, th, lam, t, key):
     p = ModelParams(r, th, lam)
-    [[row]] = exact_moment_blocks([p], [t], default_dim(r))
+    [[row]] = exact_moment_blocks([p], [t], coherent_inputs([p], default_dim(r)))
     m = MomentSet(*row.tolist())
     if key == "N":
         return m.ada.real
@@ -260,7 +261,7 @@ class TestFirstOrderMatrix:
             p = ModelParams(1.3, 0.4, lam)
             ts = np.linspace(0.3, 2 * np.pi, 9)
             [fo] = first_order_moment_blocks([p], ts)
-            [ex] = exact_moment_blocks([p], ts, default_dim(1.3))
+            [ex] = exact_moment_blocks([p], ts, coherent_inputs([p], default_dim(1.3)))
             m, ex = MomentSet(*fo.T), MomentSet(*ex.T)
             errs[lam] = np.max(np.abs(m.ada.real - ex.ada.real))
         # two decades of lam: a first-order-exact path gains ~four decades
@@ -295,7 +296,7 @@ class TestExactVsClosedFormBand:
             worst = 0.0
             for th in (0.0, 0.7):
                 p = ModelParams(1.0, th, lam)
-                [[row]] = exact_moment_blocks([p], [1.0], 29)
+                [[row]] = exact_moment_blocks([p], [1.0], coherent_inputs([p], 29))
                 ex = MomentSet(*row.tolist()).ada.real
                 cf = mean_photon_number(inputs(1.0, th, lam, 1.0))
                 worst = max(worst, abs(ex - cf))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from anharmonic import cli, criteria, perturbative, sweep
 from anharmonic.criteria import hillery_squeezing, hoa_d_from_moments, quadrature_squeezing
-from anharmonic.dynamics import MomentSet, exact_moment_blocks
+from anharmonic.dynamics import MomentSet, coherent_inputs, exact_moment_blocks
 from anharmonic.fock import MAX_DIM, MAX_GRID_CELLS, ModelParams, TruncationError, default_dim
 from anharmonic.perturbative import (
     ClosedFormInputs,
@@ -176,6 +176,30 @@ class TestSpecValidation:
     ])
     def test_grid_at_the_ceiling_is_accepted(self, overrides):
         assert small_spec(theta=(0.0,), **overrides).t_steps == overrides["t_steps"]
+
+    @pytest.mark.parametrize("alphas, thetas, kept", [
+        # default_dim(38) = 1768: 1186 thetas keep 2096848 input amplitudes
+        ((38.0,), 1187, 2098616),
+        # the dims of every |alpha| add up
+        ((38.0, 38.0), 594, 2100384),
+        # each |alpha| counts at most MAX_DIM, where no dim holds it
+        ((1e200,), MAX_GRID_CELLS // MAX_DIM + 1, MAX_GRID_CELLS + MAX_DIM),
+    ])
+    def test_the_exact_inputs_a_sweep_keeps_count_against_the_ceiling(self, alphas, thetas, kept):
+        grid = dict(alpha_mag=alphas, lam=(1e-3,), t_start=0.0, t_end=1.0, t_steps=2,
+                    witnesses=("N",))
+        theta = np.linspace(0.0, np.pi, thetas)
+        with pytest.raises(SweepSpecError, match=f"^theta: the exact inputs hold {kept} values, "
+                                                 f"above MAX_GRID_CELLS={MAX_GRID_CELLS}$"):
+            SweepSpec(theta=theta, mode="exact", **grid)
+        # mode closed_form keeps no inputs
+        assert len(SweepSpec(theta=theta, mode="closed_form", **grid).theta) == thetas
+        if alphas[0] < MAX_DIM:
+            assert len(SweepSpec(theta=theta[:-1], mode="exact", **grid).theta) == thetas - 1
+        else:
+            # one theta fewer passes the bound, and the dim the spec checks then refuses
+            with pytest.raises(TruncationError, match="^no truncation dimension holds"):
+                SweepSpec(theta=theta[:-1], mode="exact", **grid)
 
 
 class TestRunSweep:
@@ -414,7 +438,7 @@ class TestWitnessTable:
         ci = ClosedFormInputs(a, th, lam, t)
         params = ModelParams(a, th, lam)
         [[fo]] = first_order_moment_blocks([params], [t])
-        [[ex]] = exact_moment_blocks([params], [t], default_dim(a))
+        [[ex]] = exact_moment_blocks([params], [t], coherent_inputs([params], default_dim(a)))
         fo, ex = MomentSet(*fo.tolist()), MomentSet(*ex.tolist())
         expected = {
             "f": (squeezing_witness_f(ci), hillery_squeezing(ex)),

@@ -29,7 +29,6 @@ time reversal was bit for bit and the worst scaled parity residual was 2.3e-14.
 """
 
 from dataclasses import astuple
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -37,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anharmonic.dynamics import MONOMIALS, coherent_moment_set, exact_moment_blocks
+from anharmonic.dynamics import MONOMIALS, coherent_inputs, coherent_moment_set, exact_moment_blocks
 from anharmonic.fock import ModelParams, default_dim
 from anharmonic.perturbative import first_order_moment_blocks
 from anharmonic.sweep import WITNESS_NAMES, SweepSpec, run_sweep
@@ -63,7 +62,8 @@ def blocks(kernel, alpha_mag, thetas, lam, ts):
     the default dim."""
     group = [ModelParams(alpha_mag, th, lam) for th in thetas]
     if kernel is exact_moment_blocks:
-        kernel = partial(kernel, dim=2 * default_dim(alpha_mag))
+        def kernel(ps, ts, dim=2 * default_dim(alpha_mag)):
+            return exact_moment_blocks(ps, ts, coherent_inputs(ps, dim))
     return [*kernel(group, ts), *(block for p in group for block in kernel([p], ts))]
 
 

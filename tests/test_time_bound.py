@@ -14,7 +14,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from anharmonic.dynamics import MONOMIALS, PHASE_TOLERANCE, exact_moment_blocks, hamiltonian
+from anharmonic.dynamics import (MONOMIALS, PHASE_TOLERANCE, coherent_inputs, exact_moment_blocks,
+                                 hamiltonian)
 from anharmonic.fock import ModelParams, TruncationError
 
 
@@ -52,10 +53,11 @@ def test_the_longest_accepted_grid_holds_against_mpmath(params, dim):
     scale = sys.float_info.epsilon * top
     longest = PHASE_TOLERANCE / scale * (1 - 1e-9)
     ts = np.array([0.0, longest / 3, -longest, longest])
-    [block] = exact_moment_blocks([params], ts, dim)
+    [block] = exact_moment_blocks([params], ts, coherent_inputs([params], dim))
     natural = np.array([(params.alpha_mag**2 + 1.0) ** ((m + n) / 2) for m, n in MONOMIALS])
     error = np.abs(block - reference_moments(params, ts, dim)) / natural
     # above a rounding floor of 1e-14, met at t = 0
     assert np.all(error <= 0.5 * scale * np.abs(ts)[:, None] + 1e-14), error.max(axis=1)
     with pytest.raises(TruncationError, match=" round by eps "):
-        list(exact_moment_blocks([params], [0.0, longest * (1 + 2e-9)], dim))
+        list(exact_moment_blocks([params], [0.0, longest * (1 + 2e-9)],
+                                 coherent_inputs([params], dim)))
