@@ -32,11 +32,10 @@ its (T, 7) block of moments, with a applied as a sqrt(n)-weighted shift, so
 the work per grid is O(dim^2 T) for the evolution and O(dim T) for the
 moments.  A single slice is the group ``[params]``.
 
-A banded operator is laid out once per group (``lay_out_bands``) over the
-C-ordered (T, dim) ket block read as one flat row, with zeros where a
-diagonal leaves the basis, so ``apply_banded`` makes one contiguous pass per
-diagonal over the whole block; each row keeps the bits of applying its ket
-alone.
+The sqrt(n) band of a is laid out once per group (``lay_out_bands``) over the
+C-ordered (T, dim) ket block read as one flat row, with zeros where the
+diagonal leaves the basis, so ``apply_banded`` makes one contiguous pass over
+the whole block; each row keeps the bits of applying its ket alone.
 """
 
 from __future__ import annotations
@@ -219,29 +218,20 @@ def evolve_blocks(params_list, ts, inputs: np.ndarray):
 
 
 def lay_out_bands(bands, rows: int, dim: int):
-    """Lay out the operator with diagonals ``(k, diag)`` (entries [i, i + k]) for
-    ``apply_banded`` on a (rows, dim) ket block; a repeated k adds its diagonal to
-    the earlier ones, in order, promoting the band's dtype as ``+`` would.
+    """Lay out the operator with diagonals ``(k, diag)`` (entries [i, i + k], distinct
+    k with |k| < dim) for ``apply_banded`` on a (rows, dim) ket block.
 
     ``diag`` has length dim - |k| and may carry a leading axis with one row per
-    ket.  Each band is written into a zeroed (rows, dim) array, raveled and cut
-    to rows * dim - |k| entries.  Read against the raveled C-ordered ket block,
-    each band is then one contiguous run: the |k| zeros padding each row sit
-    where i + k leaves the basis, and meet the neighbouring row's kets.  A
-    diagonal with |k| >= dim holds no entry of the basis and is dropped.
-    """
-    laid = {}
+    ket.  Each band is written into a zeroed (rows, dim) array, raveled and cut to
+    rows * dim - |k| entries: read against the raveled C-ordered ket block, it is
+    one contiguous run, whose |k| zeros padding each row sit where i + k leaves
+    the basis and meet the neighbouring row's kets."""
+    laid = []
     for k, diag in bands:
-        n = dim - abs(k)
-        if n <= 0:
-            continue
-        if k in laid:
-            laid[k] = laid[k].astype(np.result_type(laid[k], diag), copy=False)
-            laid[k][:, :n] += diag
-        else:
-            laid[k] = np.zeros((rows, dim), dtype=np.result_type(diag))
-            laid[k][:, :n] = diag
-    return tuple((k, band.reshape(-1)[:band.size - abs(k)]) for k, band in laid.items())
+        band = np.zeros((rows, dim), dtype=np.result_type(diag))
+        band[:, :dim - abs(k)] = diag
+        laid.append((k, band.reshape(-1)[:band.size - abs(k)]))
+    return tuple(laid)
 
 
 def apply_banded(bands, kets: np.ndarray) -> np.ndarray:

@@ -44,9 +44,9 @@ obtained from the unitary sandwich U^dag a U with the first-order Dyson
 propagator; the sign of every bracket term was adjudicated against the
 oracle (the a^dag^3 coefficient in particular must be +e^{2it} sin 2t for
 the lam-scaling test to hold).  It is an operator identity, so its moments over
-the coherent input need no Fock basis: with a = alpha + b the input is the
-vacuum of b, and they are taken exactly on 13 levels of b, for every |alpha|
-(``first_order_moment_blocks``).  Only the exact oracle owns a truncated basis.
+the coherent input need no Fock basis: with a = alpha + b the input is the vacuum
+of b, and the moments the witnesses read are taken exactly from a_1|0> and a_1^2|0>
+on 7 levels of b (``first_order_moment_blocks``).  Only the oracle owns a basis.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import group_lam, ladder_moment_block, lay_out_bands
+from .dynamics import MONOMIALS, group_lam
 
 
 @dataclass(frozen=True)
@@ -290,17 +290,16 @@ def hoa_witness_d_special(order: int, inputs: ClosedFormInputs) -> float:
 # first-order operator solution, in the displaced frame
 # ---------------------------------------------------------------------------
 
-#: Levels of b in a = alpha + b: each word of a_1(t) is normally ordered, so its
-#: truncated product is exact on them, and a_1^4 |0> raises b's vacuum by at most 12.
-LEVELS = 13
+#: Levels of b in a = alpha + b that a_1^2|0> reaches: each word of a_1(t) raises by <= 3.
+KET_LEVELS = 7
 
 
 def _displaced_words(alpha: complex):
     """((p, q), W) of each word W = a^dag^p a^q of a_1(t), in
-    ``_bracket_coefficients`` order, as a dense ``LEVELS`` x ``LEVELS`` product
-    with a = alpha + b.  a^q is upper and a^dag^p lower triangular, so W is the
-    top-left block of the untruncated word, with diagonals -p .. q only."""
-    a = alpha * np.eye(LEVELS) + np.diag(np.sqrt(np.arange(1.0, LEVELS)), 1)
+    ``_bracket_coefficients`` order, as a dense ``KET_LEVELS`` x ``KET_LEVELS``
+    product with a = alpha + b.  a^q is upper and a^dag^p lower triangular, so W is
+    the top-left block of the untruncated word, with diagonals -p .. q only."""
+    a = alpha * np.eye(KET_LEVELS) + np.diag(np.sqrt(np.arange(1.0, KET_LEVELS)), 1)
     ad = a.conj().T
     return (((0, 1), a), ((1, 2), ad @ a @ a), ((2, 1), ad @ ad @ a),
             ((3, 0), ad @ ad @ ad), ((1, 0), ad), ((0, 3), a @ a @ a))
@@ -319,23 +318,34 @@ def _bracket_coefficients(lam: float, t):
 def first_order_moment_blocks(params_list, ts):
     """Yield, per params of a group that shares lam, the moments of the
     first-order operator over its initial coherent state at every t of ``ts``,
-    as a (T, len(MONOMIALS)) block (see ``dynamics.MONOMIALS``).
+    as a (T, len(MONOMIALS)) block (see ``dynamics.MONOMIALS``); <a^dag^3 a^3>
+    and <a^dag^4 a^4>, which no witness reads, are nan.
 
-    <alpha| a_1^dag^m a_1^n |alpha> is (a_1^m e0)^dag (a_1^n e0) in the displaced
-    frame, e0 the vacuum of b, on ``LEVELS`` levels.  The operator already lives
-    in the rotating frame, so no extra phases apply.  Each word a^dag^p a^q is a
-    dense 13 x 13 product with diagonals -p .. q, so a_1(t) acts on the (T, 13)
-    block of kets as weighted shifts on 7 offsets, laid out per slice
-    (``dynamics.lay_out_bands``) with one coefficient row per t; the group shares
-    only the coefficient rows.  Agrees with the exact oracle to O(lam^2) -- the
-    dropped cross terms of the Dyson series.
+    They are <0| a_1^dag^m a_1^n |0> in the displaced frame, |0> b's vacuum: a_1|0>
+    lives on levels 0 .. 3, a_1^2|0> on 0 .. 6, and <a_1^4> is row 0 of a_1 against
+    levels 0 .. 3 of a_1^3|0>.  Each diagonal -3 .. 3 of a_1 is kept on its four
+    entries in rows or columns 0 .. 3, summed as c * W in word order like the dense
+    sum (numpy's complex product rounds by operand order).  All arithmetic is
+    elementwise over t, so a row keeps its bits on any grid (``np.sum`` over axis 0
+    adds in another order at T = 1); no per-slice array is wider than (T, KET_LEVELS).
+    Agrees with the exact oracle to O(lam^2).
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     coefs = _bracket_coefficients(group_lam(params_list), ts)
-    vacuum = np.broadcast_to(np.eye(LEVELS, dtype=complex)[0], (ts.size, LEVELS))
+    n = KET_LEVELS // 2 + 1
+    shifts = {d: (max(0, -d), max(0, d)) for d in range(1 - n, n)}
     for params in params_list:
-        bands = lay_out_bands(((k, c[:, None] * np.diagonal(w, k))
-                               for c, ((p, q), w) in zip(coefs, _displaced_words(params.alpha))
-                               for k in range(-p, q + 1)),
-                              ts.size, LEVELS)
-        yield ladder_moment_block(bands, vacuum)
+        words = _displaced_words(params.alpha)
+        band = {d: np.zeros((n, ts.size), complex) for d in shifts}  # row i: a_1[lo + i, hi + i]
+        for c, ((p, q), w) in zip(coefs, words):
+            for d in range(-p, q + 1):
+                band[d] += c * np.diagonal(w, d)[:n, None]
+        k1 = np.array([band[-j][0] for j in range(n)])  # a_1|0>
+        k2, k3 = np.zeros((KET_LEVELS, ts.size), complex), np.zeros((n, ts.size), complex)
+        for d, (lo, hi) in shifts.items():  # a_1^2|0>
+            k2[lo:lo + n - hi] += band[d][:n - hi] * k1[hi:]
+        for d, (lo, hi) in shifts.items():  # levels 0 .. 3 of a_1^3|0>
+            k3[lo:] += band[d][:n - lo] * k2[hi:hi + n - lo]
+        moments = {(0, 1): k1[0], (0, 2): k2[0], (0, 4): sum(band[j][0] * k3[j] for j in range(n)),
+                   (1, 1): sum((k1.conj() * k1).real), (2, 2): sum((k2.conj() * k2).real)}
+        yield np.stack([moments.get(mn, np.full(ts.size, np.nan)) for mn in MONOMIALS], axis=1)

@@ -39,7 +39,6 @@ from .criteria import (LABELS, classify, hillery_squeezing, hoa_d_from_moments,
 from .dynamics import MomentSet, coherent_inputs, exact_moment_blocks
 from .fock import MAX_DIM, MAX_GRID_CELLS, MIN_DIM, ModelParams, check_dim, default_dim, require_finite
 from .perturbative import (
-    LEVELS,
     ClosedFormInputs,
     first_order_moment_blocks,
     hoa_witness_d,
@@ -183,7 +182,8 @@ class SweepSpec:
         cells = (len(self.alpha_mag) * len(self.theta) * len(self.lam) * self.t_steps
                  * len(self.witnesses))
         if any(WITNESSES[w].closed_form is None for w in self.witnesses):
-            cells = max(cells, self.t_steps * LEVELS)  # a_1(t)'s (t_steps, LEVELS) ket blocks
+            # a_1(t)'s arrays, (T, KET_LEVELS) at most, counted as on its former 13 levels
+            cells = max(cells, self.t_steps * 13)
         # the oracle's (t_steps, dim) ket blocks, and the (theta, dim) inputs it keeps per
         # alpha; a dim above MAX_DIM is refused below, and the heuristic dim of
         # |alpha| = MAX_DIM is above it but finite
@@ -442,15 +442,15 @@ def compare_report(result: SweepResult) -> ScalingReport:
     worst = np.zeros(errors.shape[:2] + (lams.size, errors.shape[3]))
     np.maximum.at(worst, (slice(None), slice(None), which), errors)
 
-    entries = []
-    for k, w in enumerate(spec.witnesses):
-        for i, a in enumerate(spec.alpha_mag):
-            for j, th in enumerate(spec.theta):
-                errs = worst[i, j, :, k].tolist()
-                if min(errs) <= SCALING_ERROR_FLOOR:
-                    entries.append(ScalingEntry(w, a, th, None, "floor-limited"))
-                    continue
-                slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
-                status = "pass" if slope >= SCALING_SLOPE_THRESHOLD else "fail"
-                entries.append(ScalingEntry(w, a, th, slope, status))
-    return ScalingReport(entries=tuple(entries))
+    # one row of errors over lambda per entry, in (witness, alpha, theta) order; a
+    # floor-limited row, an exact zero among them, is never logged
+    errs = worst.transpose(3, 0, 1, 2).reshape(-1, lams.size)
+    fitted = errs.min(axis=1) > SCALING_ERROR_FLOOR
+    slopes = np.zeros(fitted.size)
+    if fitted.any():
+        slopes[fitted] = np.polyfit(np.log(lams), np.log(errs[fitted].T), 1)[0]
+    return ScalingReport(entries=tuple(
+        ScalingEntry(w, a, th, slope, "pass" if slope >= SCALING_SLOPE_THRESHOLD else "fail")
+        if fit else ScalingEntry(w, a, th, None, "floor-limited")
+        for (w, a, th), fit, slope in zip(product(spec.witnesses, spec.alpha_mag, spec.theta),
+                                          fitted, slopes.tolist())))

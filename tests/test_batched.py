@@ -28,10 +28,12 @@ from anharmonic.dynamics import (
 )
 from anharmonic.fock import (ModelParams, TruncationError, coherent_state, default_dim,
                              make_ladder_ops)
-from anharmonic.perturbative import (LEVELS, _bracket_coefficients, _displaced_words,
+from anharmonic.perturbative import (KET_LEVELS, _bracket_coefficients, _displaced_words,
                                      first_order_moment_blocks)
 
 DIAGONAL = [j for j, (m, n) in enumerate(MONOMIALS) if m == n]
+#: The columns a_1(t)'s kernel computes, a_1 up to four times; the others are nan.
+FIRST_ORDER = [j for j, (m, n) in enumerate(MONOMIALS) if m + n <= 4]
 
 alphas = st.floats(0.0, 4.0)
 thetas = st.floats(0.0, 2 * np.pi)
@@ -71,10 +73,11 @@ def dense_first_order_moments(params, t, words):
 def test_banded_first_order_matches_dense_matrix(a, th, lam, ts):
     params = ModelParams(a, th, lam)
     [block] = first_order_moment_blocks([params], ts)
+    assert np.all(np.isnan(np.delete(block, FIRST_ORDER, axis=1)))
     words = dense_words(default_dim(a))
     for row, t in zip(block, ts):
         dense = dense_first_order_moments(params, t, words)
-        assert np.all(np.abs(row - dense) <= 1e-12 * scale(a))
+        assert np.all(np.abs(row - dense)[FIRST_ORDER] <= 1e-12 * scale(a)[FIRST_ORDER])
 
 
 @PROPERTY
@@ -86,7 +89,7 @@ def test_batch_rows_are_bit_identical_to_single_times(a, th, lam, ts):
     for j, t in enumerate(ts):
         [[fo_t]] = first_order_moment_blocks([params], [t])
         [[ex_t]] = exact_moment_blocks([params], [t], coherent_inputs([params], doubled(a)))
-        assert np.array_equal(fo[j], fo_t)
+        assert np.array_equal(fo[j], fo_t, equal_nan=True)
         assert np.array_equal(ex[j], ex_t)
 
 
@@ -125,19 +128,19 @@ WORD_POWERS = ((0, 1), (1, 2), (2, 1), (3, 0), (1, 0), (0, 3))
 @pytest.mark.parametrize("alpha_mag", [0.0, 1.0, 5.3, 20.2, 37.9, 58.2])
 def test_displaced_words_are_blocks_of_the_untruncated_words(alpha_mag):
     alpha = alpha_mag * np.exp(1.1j)
-    wide = 3 * LEVELS
+    wide = 3 * KET_LEVELS
     b = make_ladder_ops(wide)[0]
     a = alpha * np.eye(wide) + b
     a_abs = np.abs(alpha) * np.eye(wide) + b
-    i, j = np.indices((LEVELS, LEVELS))
+    i, j = np.indices((KET_LEVELS, KET_LEVELS))
     words = _displaced_words(alpha)
     assert [pq for pq, _ in words] == list(WORD_POWERS)
     for (p, q), word in words:
-        assert word.shape == (LEVELS, LEVELS)
+        assert word.shape == (KET_LEVELS, KET_LEVELS)
         ref = np.linalg.matrix_power(a.conj().T, p) @ np.linalg.matrix_power(a, q)
         # every product's terms in magnitude, so that cancellation is allowed for
         scale = np.linalg.matrix_power(a_abs.T, p) @ np.linalg.matrix_power(a_abs, q)
-        block = (slice(0, LEVELS),) * 2
+        block = (slice(0, KET_LEVELS),) * 2
         assert np.all(np.abs(word - ref[block]) <= 1e-14 * scale[block])
         assert np.all(word[(j - i < -p) | (j - i > q)] == 0.0)
 
@@ -151,24 +154,24 @@ def fock_first_order_block(params, ts, dim):
     """The moments of a_1(t) as the Fock path computes them: each word a^dag^p a^q
     is its one diagonal k = q - p on ``dim`` levels, entry [i, i + k] =
     sqrt(i!/(i - p)! (i + k)!/(i + k - q)!), applied to the coherent input's
-    amplitudes."""
+    amplitudes.  Words on one diagonal are summed in word order."""
     ts = np.asarray(ts, dtype=float)
-    bands = []
+    bands = {}
     for c, (p, q) in zip(_bracket_coefficients(params.lam, ts), WORD_POWERS):
         k = q - p
         rows = np.arange(max(0, -k), dim - max(0, k), dtype=float)
-        bands.append((k, c[:, None] * np.sqrt(falling(rows, p) * falling(rows + k, q))))
+        bands[k] = bands.get(k, 0.0) + c[:, None] * np.sqrt(falling(rows, p) * falling(rows + k, q))
     psi0 = coherent_state(params.alpha, dim).amplitudes
-    return ladder_moment_block(lay_out_bands(bands, ts.size, dim),
+    return ladder_moment_block(lay_out_bands(bands.items(), ts.size, dim),
                                np.broadcast_to(psi0, (ts.size, dim)))
 
 
 def displaced_first_order_moments(params, t, levels=24):
     """The moments of a_1(t) from dense ``levels``-level matrices in the displaced
-    frame a = alpha + b, applied to b's vacuum.  The words are multiplied in the
-    kernel's order, so that only the truncation, not the rounding of another
-    association (measured up to 4.4e-14 relative over |alpha| <= 40, lam <= 0.1),
-    can differ."""
+    frame a = alpha + b, applied to b's vacuum.  The words are multiplied and
+    summed in the kernel's order, so that only the truncation, not the rounding of
+    another association (measured up to 4.4e-14 relative over |alpha| <= 40,
+    lam <= 0.1), can differ."""
     b = make_ladder_ops(levels)[0]
     a = params.alpha * np.eye(levels) + b
     ad = a.conj().T
@@ -185,18 +188,18 @@ def displaced_first_order_moments(params, t, levels=24):
 def test_displaced_kernel_matches_the_fock_path_at_doubled_dim(a, th, lam, ts):
     params = ModelParams(a, th, lam)
     [block] = first_order_moment_blocks([params], ts)
-    ref = fock_first_order_block(params, ts, doubled(a))
-    assert np.all(np.abs(block - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    ref = fock_first_order_block(params, ts, doubled(a))[:, FIRST_ORDER]
+    assert np.all(np.abs(block[:, FIRST_ORDER] - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 40.0), thetas, st.floats(0.0, 0.1), grids)
-def test_thirteen_levels_are_exact(a, th, lam, ts):
+def test_seven_levels_are_exact(a, th, lam, ts):
     params = ModelParams(a, th, lam)
     [block] = first_order_moment_blocks([params], ts)
     for row, t in zip(block, ts):
-        ref = displaced_first_order_moments(params, t)
-        assert np.all(np.abs(row - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        ref = displaced_first_order_moments(params, t)[FIRST_ORDER]
+        assert np.all(np.abs(row[FIRST_ORDER] - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 def same_bits(x, y):
@@ -210,8 +213,6 @@ def rowwise_banded(bands, kets):
     rows, dim = kets.shape
     out = np.zeros((rows, dim), dtype=complex)
     for k, diag in bands:
-        if abs(k) >= dim:
-            continue
         diag = np.broadcast_to(diag, (rows, dim - abs(k)))
         for j in range(rows):
             if k >= 0:
@@ -240,14 +241,14 @@ def signed_zero_kets(rng, rows, dim):
 
 
 def random_bands(rng, rows, dim, kind):
-    """The sqrt(n) band of a, or random diagonals at the offsets of a_1(t), real
-    or complex, with or without a leading axis of one row per ket, with some
-    -0.0 entries."""
+    """The sqrt(n) band of a, or random diagonals at the offsets 1, -1, -3 and 3
+    that lie in the basis, real or complex, with or without a leading axis of one row per
+    ket, with some -0.0 entries."""
     if kind == "lowering":
         return [(1, np.sqrt(np.arange(1.0, dim)))]
     bands = []
-    for k in (1, -1, -3, 3):
-        shape = (max(dim - abs(k), 0),) if kind.endswith("1d") else (rows, max(dim - abs(k), 0))
+    for k in (k for k in (1, -1, -3, 3) if abs(k) < dim):
+        shape = (dim - abs(k),) if kind.endswith("1d") else (rows, dim - abs(k))
         diag = rng.normal(size=shape)
         if kind.startswith("complex"):
             diag = diag + 1j * rng.normal(size=shape)
@@ -284,22 +285,9 @@ def test_each_row_is_its_one_row_block(dim, kind):
                                                          kets[j:j + 1])[0])
 
 
-def test_a_repeated_offset_adds_its_diagonal_in_order():
-    rng = np.random.default_rng(4)
-    d1, d2 = (rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10)) for _ in range(2))
-    [(k, merged)] = lay_out_bands([(1, d1), (1, d2)], 3, 11)
-    [(_, summed)] = lay_out_bands([(1, d1 + d2)], 3, 11)
-    assert k == 1 and same_bits(merged, summed)
-    # a complex diagonal after a real one promotes the band, as ``+`` does
-    real = rng.normal(size=10)
-    [(_, promoted)] = lay_out_bands([(1, real), (1, d1)], 3, 11)
-    [(_, summed)] = lay_out_bands([(1, real + d1)], 3, 11)
-    assert promoted.dtype == complex and same_bits(promoted, summed)
-
-
-def test_laid_out_band_pads_each_row_and_drops_an_empty_diagonal():
+def test_laid_out_band_pads_each_row():
     diag = np.arange(1.0, 7.0).reshape(2, 3)
-    [(k, band)] = lay_out_bands([(-2, diag), (5, np.zeros(0)), (-5, np.zeros(0))], 2, 5)
+    [(k, band)] = lay_out_bands([(-2, diag)], 2, 5)
     assert k == -2
     assert band.tolist() == [1.0, 2.0, 3.0, 0.0, 0.0, 4.0, 5.0, 6.0]
 

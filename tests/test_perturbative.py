@@ -28,7 +28,9 @@ from anharmonic.perturbative import (
     squeezing_witness_f_special,
 )
 
-MOMENT_FIELDS = ("a", "a2", "a4", "ada", "ad2a2", "ad3a3", "ad4a4")
+#: The first MomentSet fields, the moments a_1(t)'s kernel computes (a_1 up to
+#: four times); the others are nan.
+FIRST_ORDER_FIELDS = ("a", "a2", "a4", "ada", "ad2a2")
 
 
 def inputs(r, th, lam, t):
@@ -229,9 +231,12 @@ class TestStructuralProperties:
 class TestFirstOrderMatrix:
     @staticmethod
     def assert_coherent(block, p):
-        """Every row of ``block`` is the coherent input's moments, to rounding."""
-        ref = np.array([getattr(coherent_moment_set(p.alpha), f) for f in MOMENT_FIELDS])
-        assert np.all(np.abs(block - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        """Every row of ``block`` is the coherent input's moments, to rounding, in
+        the columns a_1(t)'s kernel computes."""
+        ref = np.array([getattr(coherent_moment_set(p.alpha), f) for f in FIRST_ORDER_FIELDS])
+        computed = block[:, :len(FIRST_ORDER_FIELDS)]
+        assert np.all(np.abs(computed - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        assert np.all(np.isnan(block[:, len(FIRST_ORDER_FIELDS):]))
 
     def test_free_limit_is_annihilation(self):
         ts = np.linspace(-4 * np.pi, 4 * np.pi, 9)
@@ -272,7 +277,7 @@ class TestFirstOrderMatrix:
         [[row]] = first_order_moment_blocks([p], [3.0])
         m = MomentSet(*row.tolist())
         ref = coherent_moment_set(p.alpha)
-        for f in MOMENT_FIELDS:
+        for f in FIRST_ORDER_FIELDS:
             assert abs(getattr(m, f) - getattr(ref, f)) < 1e-10 * max(1.0, abs(getattr(ref, f)))
 
     def test_d1_from_matrix_matches_compact_closed_form(self):

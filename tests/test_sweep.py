@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tempfile
@@ -454,6 +455,17 @@ class TestWitnessTable:
         for k, (w, (cf, exact)) in enumerate(expected.items()):
             assert (result.value_cf[0, 1, k], result.value_exact[0, 1, k]) == (cf, exact), w
 
+    def test_first_order_witnesses_read_only_the_computed_moments(self):
+        # a_1(t)'s kernel leaves <a^dag^3 a^3> and <a^dag^4 a^4> nan; every witness
+        # that takes its closed-form value from a_1(t) reads none of them
+        [block] = first_order_moment_blocks([ModelParams(1.3, 0.7, 1e-3)], np.linspace(0, 6, 7))
+        fo = MomentSet(*block.T)
+        assert np.all(np.isnan(fo.ad3a3)) and np.all(np.isnan(fo.ad4a4))
+        readers = [w for w, e in WITNESSES.items() if e.closed_form is None]
+        assert readers == ["quadrature", "hillery"]
+        for w in readers:
+            assert np.all(np.isfinite(WITNESSES[w].moments(fo))), w
+
 
 def reference_csv(result) -> bytes:
     """The CSV a row-by-row repr and str.join writer produces: a nested walk
@@ -673,6 +685,34 @@ class TestCompareReport:
         assert compare_report(result).entries == tuple(expected)
         assert 3 * len(worst_err) == result.max_abs_error.size
         assert len(expected) == 4 * 2 * 2
+
+    @pytest.mark.parametrize("lam", [(1e-7, 1e-6), (1e-7, 1e-5, 1e-3)])
+    def test_one_fit_gives_each_entry_fit_bit_for_bit(self, lam):
+        # |alpha| = 0 holds floor-limited columns, and an exact zero joins them:
+        # neither is logged, which would raise here (RuntimeWarning is an error)
+        spec = small_spec(alpha_mag=(0.0, 0.5, 2.0), theta=(0.0, 0.7), lam=lam,
+                          mode="compare", t_steps=9)
+        result = run_sweep(spec)
+        errors = result.max_abs_error.copy()
+        errors[0, 0] = 0.0  # witness f of the slice (0.0, 0.0, lam[0])
+        result = dataclasses.replace(result, max_abs_error=errors)
+        worst = errors.reshape(3, 2, len(lam), -1)
+        entries = iter(compare_report(result).entries)
+        floor_limited = 0
+        for k, w in enumerate(spec.witnesses):
+            for i, a in enumerate(spec.alpha_mag):
+                for j, th in enumerate(spec.theta):
+                    entry = next(entries)
+                    assert (entry.witness, entry.alpha_mag, entry.theta) == (w, a, th)
+                    errs = worst[i, j, :, k].tolist()
+                    if min(errs) <= SCALING_ERROR_FLOOR:
+                        assert (entry.slope, entry.status) == (None, "floor-limited")
+                        floor_limited += 1
+                        continue
+                    slope = np.polyfit(np.log(lam), np.log(errs), 1)[0]
+                    assert np.float64(entry.slope).view(np.int64) == slope.view(np.int64)
+        assert next(entries, None) is None
+        assert 1 < floor_limited < len(spec.witnesses) * 6
 
     def test_vacuum_input_at_tiny_coupling_is_floor_limited(self):
         # at alpha = 0 every closed form is identically zero and the exact
