@@ -32,10 +32,10 @@ its (T, 7) block of moments, with a applied as a sqrt(n)-weighted shift, so
 the work per grid is O(dim^2 T) for the evolution and O(dim T) for the
 moments.  A single slice is the group ``[params]``.
 
-The sqrt(n) band of a is laid out once per group (``lay_out_bands``) over the
-C-ordered (T, dim) ket block read as one flat row, with zeros where the
-diagonal leaves the basis, so ``apply_banded`` makes one contiguous pass over
-the whole block; each row keeps the bits of applying its ket alone.
+The shift (``_lower``) reads the C-ordered (T, dim) ket block as one flat row:
+a's sqrt(n) band holds a zero at the end of each row, where the shift leaves
+the basis, so one contiguous pass serves the whole block and each row keeps the
+bits of applying its ket alone.
 """
 
 from __future__ import annotations
@@ -217,63 +217,21 @@ def evolve_blocks(params_list, ts, inputs: np.ndarray):
         yield psi
 
 
-def lay_out_bands(bands, rows: int, dim: int):
-    """Lay out the operator with diagonals ``(k, diag)`` (entries [i, i + k], distinct
-    k with |k| < dim) for ``apply_banded`` on a (rows, dim) ket block.
+def _lower(band: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """a applied to every row of the C-contiguous (T, dim) block ``kets``, where
+    ``band`` is a's sqrt(n) diagonal with a zero at the end of each row, raveled and
+    cut to T dim - 1 entries.
 
-    ``diag`` has length dim - |k| and may carry a leading axis with one row per
-    ket.  Each band is written into a zeroed (rows, dim) array, raveled and cut to
-    rows * dim - |k| entries: read against the raveled C-ordered ket block, it is
-    one contiguous run, whose |k| zeros padding each row sit where i + k leaves
-    the basis and meet the neighbouring row's kets."""
-    laid = []
-    for k, diag in bands:
-        band = np.zeros((rows, dim), dtype=np.result_type(diag))
-        band[:, :dim - abs(k)] = diag
-        laid.append((k, band.reshape(-1)[:band.size - abs(k)]))
-    return tuple(laid)
-
-
-def apply_banded(bands, kets: np.ndarray) -> np.ndarray:
-    """Apply the operator laid out by ``lay_out_bands`` to every row of the
-    (T, dim) block ``kets`` it was laid out for.
-
-    Each band is one contiguous multiply-add over the raveled block, O(dim T),
-    where a row-wise pass would take T strided ones.  Each row gets the bits of
-    applying its ket alone: every entry is the same products, added in the same
-    band order onto the same +0 start.  A padded zero adds 0 times a
-    neighbouring row's entry, which is +-0 and moves nothing, as a sum that
-    starts at +0 is never -0.  The exception is an inf or nan entry: 0 * inf
-    makes the neighbouring row nan too, silently inside the sweep's
-    ``np.errstate``, and the slice that holds the non-finite row is refused
-    anyway.
+    One contiguous multiply-add over the raveled block, O(dim T), where a row-wise
+    pass would take T strided ones.  Each row gets the bits of applying its ket
+    alone: every entry is the same product, added onto the same +0 start.  A padded
+    zero meets the next row's first entry; for a finite ket that product is +-0 and
+    moves nothing, as a sum that starts at +0 is never -0.
     """
     x = kets.reshape(-1)
     out = np.zeros(x.size, dtype=complex)
-    for k, band in bands:
-        if k >= 0:
-            out[:x.size - k] += band * x[k:]
-        else:
-            out[-k:] += band * x[:x.size + k]
+    out[:-1] += band * x[1:]
     return out.reshape(kets.shape)
-
-
-def ladder_moment_block(bands, psi: np.ndarray) -> np.ndarray:
-    """(T, len(MONOMIALS)) block of <b^m psi|b^n psi> for each row psi of the
-    (T, dim) block ``psi``, where b is the operator laid out for it by
-    ``lay_out_bands``.
-
-    ``psi`` is made C-contiguous once (a broadcast input is copied), each b^k psi
-    is built by repeated ``apply_banded``, and each entry is ``np.vecdot`` of
-    two contiguous kets, bit-identical to ``np.vdot`` of each row pair.
-    """
-    kets = [np.ascontiguousarray(psi)]
-    for _ in range(4):
-        kets.append(apply_banded(bands, kets[-1]))
-    block = np.empty((psi.shape[0], len(MONOMIALS)), dtype=complex)
-    for j, (m, n) in enumerate(MONOMIALS):
-        block[:, j] = np.vecdot(kets[m], kets[n])
-    return block
 
 
 def exact_moment_blocks(params_list, ts, inputs: np.ndarray):
@@ -282,20 +240,24 @@ def exact_moment_blocks(params_list, ts, inputs: np.ndarray):
     ``ts``, one row per t (see ``evolve_blocks``).
 
     For each monomial: <a^dag^m a^n>_I = e^{i(n-m)t} <psi_t| a^dag^m a^n |psi_t>,
-    with a^k psi built by repeated sqrt(n)-weighted shifts, O(dim) per state.
-    The (T, 7) table e^{i(n-m)t} and the sqrt(n) band laid out over the (T, dim)
-    block (see ``lay_out_bands``) are built once per group, with its first block,
-    so that ``evolve_blocks`` has checked the time bound before any arithmetic on ts.
+    with a^k psi built by repeated ``_lower``, O(dim) per state, and each entry
+    ``np.vecdot`` of two kets, bit-identical to ``np.vdot`` of each row pair.  The
+    band of a is built once per group; the (T, 7) table e^{i(n-m)t} with the first
+    block, so that ``evolve_blocks`` has checked the time bound before any
+    arithmetic on ts.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
+    # cast to complex once, not per shift
+    band = np.tile(np.append(np.sqrt(np.arange(1.0, inputs.shape[-1])), 0.0),
+                   ts.size)[:-1].astype(complex)
     phase = None
     for psi in evolve_blocks(params_list, ts, inputs):
         if phase is None:
             phase = np.exp(1j * np.array([n - m for m, n in MONOMIALS]) * ts[:, None])
-            dim = psi.shape[-1]
-            root_n = np.sqrt(np.arange(1.0, dim)).astype(complex)  # not cast per apply
-            bands = lay_out_bands(((1, root_n),), ts.size, dim)
-        raw = ladder_moment_block(bands, psi)
+        kets = [psi]
+        for _ in range(4):
+            kets.append(_lower(band, kets[-1]))
+        raw = np.stack([np.vecdot(kets[m], kets[n]) for m, n in MONOMIALS], axis=-1)
         # the product is written out in real arithmetic so that it rounds like the
         # scalar complex product and does not depend on the block's length
         block = np.empty_like(raw)

@@ -222,7 +222,10 @@ def squeezing_witness_f(inputs: ClosedFormInputs) -> float:
     """Survey witness f for squared-amplitude squeezing; f < 0 flags squeezing.
 
     Sign-structure contract: never positive at theta = pi/2 (see
-    ``squeezing_witness_f_special``), oscillates with theta and t otherwise.
+    ``squeezing_witness_f_special``) up to the rounding bound of README's "Two
+    families of closed forms", as sin(4 theta) at the float pi/2 is -2.4e-16, not
+    0, so for t < 0 f can come out positive there; it oscillates with theta and t
+    otherwise.
     Not the exact first-order coefficient -- the sin^2(2t) term enters with
     the opposite sign there; see ``first_order_squeezing_f``.
     """

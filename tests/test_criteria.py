@@ -14,12 +14,12 @@ from anharmonic.criteria import (
     quadrature_squeezing,
 )
 from anharmonic.dynamics import (
+    MONOMIALS,
     MomentSet,
+    _lower,
     coherent_inputs,
     coherent_moment_set,
     exact_moment_blocks,
-    ladder_moment_block,
-    lay_out_bands,
 )
 from anharmonic.fock import ModelParams, default_dim, number_state
 
@@ -31,11 +31,13 @@ ALL_WITNESSES = {
 
 
 def number_state_moments(n, dim=24):
-    """Moments of |n> via the ladder machinery the oracle uses, with no phase (t = 0)."""
-    psi = number_state(n, dim).amplitudes[None, :]
-    bands = lay_out_bands(((1, np.sqrt(np.arange(1.0, dim))),), 1, dim)
-    [row] = ladder_moment_block(bands, psi).tolist()
-    return MomentSet(*row)
+    """Moments of |n> via the ladder kernel the oracle uses, with no phase (t = 0)."""
+    # a's band for one row: the padded zero at its end is cut
+    band = np.sqrt(np.arange(1.0, dim)).astype(complex)
+    kets = [number_state(n, dim).amplitudes[None, :]]
+    for _ in range(4):
+        kets.append(_lower(band, kets[-1]))
+    return MomentSet(*[complex(np.vdot(kets[p], kets[q])) for p, q in MONOMIALS])
 
 
 class TestClassification:
