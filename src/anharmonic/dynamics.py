@@ -218,9 +218,9 @@ def evolve_blocks(params_list, ts, inputs: np.ndarray):
 
 
 def _lower(band: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """a applied to every row of the C-contiguous (T, dim) block ``kets``, where
-    ``band`` is a's sqrt(n) diagonal with a zero at the end of each row, raveled and
-    cut to T dim - 1 entries.
+    """a applied to every row of the (T, dim) block ``kets``, read in C order (a
+    block that is not C-contiguous is copied first), where ``band`` is a's sqrt(n)
+    diagonal with a zero at the end of each row, raveled and cut to T dim - 1 entries.
 
     One contiguous multiply-add over the raveled block, O(dim T), where a row-wise
     pass would take T strided ones.  Each row gets the bits of applying its ket

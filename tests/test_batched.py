@@ -257,28 +257,43 @@ def signed_zero_kets(rng, rows, dim):
     return kets
 
 
+def ket_block(rng, rows, dim, layout):
+    """``signed_zero_kets`` in one memory layout: "C" as drawn, "F" the same kets
+    column-major, "broadcast" one drawn ket repeated per row as a zero-stride
+    read-only view (the form ``fock_first_order_block`` builds)."""
+    if layout == "broadcast":
+        return np.broadcast_to(signed_zero_kets(rng, 1, dim)[0], (rows, dim))
+    kets = signed_zero_kets(rng, rows, dim)
+    return np.asfortranarray(kets) if layout == "F" else kets
+
+
 KET_BLOCKS = pytest.mark.parametrize("dim, rows", [(dim, rows) for dim in (2, 3, 4, 11, 54, 582)
                                                    for rows in (1, 4, 257)])
+# the kernel reads the block in C order whatever its strides
+LAYOUTS = pytest.mark.parametrize("layout", ["C", "F", "broadcast"])
 
 
 @KET_BLOCKS
-def test_lowering_is_the_rowwise_shift_bit_for_bit(dim, rows):
-    kets = signed_zero_kets(np.random.default_rng([dim, rows]), rows, dim)
+@LAYOUTS
+def test_lowering_is_the_rowwise_shift_bit_for_bit(dim, rows, layout):
+    kets = ket_block(np.random.default_rng([dim, rows]), rows, dim, layout)
     shift = [(1, np.sqrt(np.arange(1.0, dim)))]
     assert same_bits(_lower(lowering_band(rows, dim), kets), rowwise_banded(shift, kets))
 
 
 @KET_BLOCKS
-def test_each_row_is_its_one_row_block(dim, rows):
-    kets = signed_zero_kets(np.random.default_rng([dim, rows, 1]), rows, dim)
+@LAYOUTS
+def test_each_row_is_its_one_row_block(dim, rows, layout):
+    kets = ket_block(np.random.default_rng([dim, rows, 1]), rows, dim, layout)
     block = _lower(lowering_band(rows, dim), kets)
     for j in range(rows):
         assert same_bits(block[j], _lower(lowering_band(1, dim), kets[j:j + 1])[0])
 
 
 @KET_BLOCKS
-def test_lowering_is_the_annihilation_matrix(dim, rows):
-    kets = signed_zero_kets(np.random.default_rng([dim, rows, 2]), rows, dim)
+@LAYOUTS
+def test_lowering_is_the_annihilation_matrix(dim, rows, layout):
+    kets = ket_block(np.random.default_rng([dim, rows, 2]), rows, dim, layout)
     a = make_ladder_ops(dim)[0]
     # equal values: where every product is zero, the sign of BLAS's sum of them
     # is not the kernel's, whose zero signs the row-wise shift pins
@@ -286,10 +301,11 @@ def test_lowering_is_the_annihilation_matrix(dim, rows):
 
 
 @KET_BLOCKS
-def test_moments_are_the_vdots_of_the_rowwise_kets(dim, rows):
+@LAYOUTS
+def test_moments_are_the_vdots_of_the_rowwise_kets(dim, rows, layout):
     # the oracle's recipe (``exact_moment_blocks`` before its phases) against kets
     # built row by row, independently of ``_lower``
-    psi = signed_zero_kets(np.random.default_rng([dim, rows, 3]), rows, dim)
+    psi = ket_block(np.random.default_rng([dim, rows, 3]), rows, dim, layout)
     band, shift = lowering_band(rows, dim), [(1, np.sqrt(np.arange(1.0, dim)))]
     kets, rowwise = [psi], [psi]
     for _ in range(4):
